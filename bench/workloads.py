@@ -287,7 +287,8 @@ WORKLOADS = {
         _json_op(("verify-all", "--algebra", "CD(F4,0)"),
                  lambda r: check_verify_all(r, q=4, base_dim=1)),
     ),
-    # d = 2 variety over CDu(F2,1,0) = CD(F4, 0) over F2: PG(14, 2)
+    # d = 2 variety over CDu(F2,1,0) = CD(F4, 0) over F2: PG(14, 2);
+    # not in BENCHMARK.json, so that the two listed workloads get longer runs
     "veronese-cdu-f2": (
         _json_op(("veronese", "--algebra", "CDu(F2,1,0)",
                   "--check", "H1,H2star,V,tubes,cor,chi"),
