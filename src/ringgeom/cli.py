@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -157,12 +158,12 @@ def run_algebra(config):
 
 
 def run_plane(config):
-    A = parse_algebra(config.algebra)
-    try:
-        plane = hp.build_plane(A)
-    except hp.PlaneError as e:
-        raise UsageError(str(e))
-    B = plane.base
+    plane = hp.build_plane(parse_algebra(config.algebra))
+    return plane_checks(plane, config.checks or ("hjelmslev",))
+
+
+def plane_checks(plane, wanted):
+    A, B = plane.algebra, plane.base
     checks = []
     expected_pts = hp.expected_point_count(A, B, plane.is_cd)
     checks.append(check("point_count", len(plane.points) == expected_pts,
@@ -170,7 +171,6 @@ def run_plane(config):
     checks.append(check("self_dual_counts",
                         len(plane.points) == len(plane.lines),
                         len(plane.points), len(plane.lines)))
-    wanted = set(config.checks or ("hjelmslev",))
     if "hjelmslev" in wanted:
         rep = hp.verify_hjelmslev_level2(plane)
         for k in ("hj1", "hj2", "hj3", "hj4"):
@@ -190,50 +190,53 @@ def run_plane(config):
     return checks
 
 
-def _variety_for(config):
-    A = parse_algebra(config.algebra)
-    return vr.build_variety(A)
-
-
 def run_veronese(config):
-    checks = []
-    wanted = list(config.checks or ("H1", "H2star", "V", "tubes"))
+    wanted = config.checks or ("H1", "H2star", "V", "tubes")
     if "counterexample" in wanted:
-        field = parse_field(config.field or "F3")
-        ce = vr.build_h2_counterexample(field)
-        checks.append(check("ce.tubes_11", vr.check_tubes(
-            ce, d_base=1, v=1)["ok"], True, True))
-        checks.append(check("ce.H1", vr.check_h1(ce)["ok"], True, True))
-        checks.append(check("ce.H2", vr.check_h2(ce)["ok"], True, True))
-        h3 = vr.check_h3(ce, 6)
-        checks.append(check("ce.H3_le_6", h3["ok"], True,
-                            h3["tangent_dims"]))
-        wit = vr.check_h2star_violation(ce)
-        checks.append(check("ce.H2star_fails", wit is not None,
-                            "disjoint pair exists", wit))
-        return checks
-    V = _variety_for(config)
+        return counterexample_checks(parse_field(config.field or "F3"))
+    V = vr.build_variety(parse_algebra(config.algebra))
     if config.extra.get("dump"):
         _write_json(vr.variety_dump(V), config.extra["dump"])
-    dims = {"d": V.tubes[0].d_base, "v": V.tubes[0].v}
-    data = None
+    return veronese_checks(V, wanted)
+
+
+def _verifier_check(name, rep):
+    """A check that reports a verifier's own verdict and witnesses."""
+    return check(name, rep["ok"], True, rep["ok"],
+                 witnesses=rep["violations"])
+
+
+def counterexample_checks(field):
+    ce = vr.build_h2_counterexample(field)
+    checks = [_verifier_check("ce.tubes_11", vr.check_tubes(ce, d_base=1,
+                                                            v=1)),
+              _verifier_check("ce.H1", vr.check_h1(ce)),
+              _verifier_check("ce.H2", vr.check_h2(ce))]
+    h3 = vr.check_h3(ce, 6)
+    checks.append(check("ce.H3_le_6", h3["ok"], True, h3["tangent_dims"]))
+    wit = vr.check_h2star_violation(ce)
+    checks.append(check("ce.H2star_fails", wit is not None,
+                        "disjoint pair exists", wit))
+    return checks
+
+
+def veronese_checks(V, wanted):
+    checks = []
+    # the paper's tube type: d = dim B, with a vertex of dimension
+    # dim B - 1 over CD(B, 0) and none over a division algebra B
+    base_dim = V.plane.base.dim
+    dims = {"d": base_dim, "v": base_dim - 1 if V.plane.is_cd else -1}
+    verifiers = {"H1": vr.check_h1, "H2star": vr.check_h2star,
+                 "MM1": vr.check_mm1, "MM2star": vr.check_mm2star,
+                 "V": vr.check_property_v}
+    data = crep = None
     for name in wanted:
-        if name == "H1":
-            checks.append(check("H1", vr.check_h1(V)["ok"], True, True))
-        elif name == "H2star":
-            checks.append(check("H2star", vr.check_h2star(V)["ok"],
-                                True, True))
-        elif name == "MM1":
-            checks.append(check("MM1", vr.check_mm1(V)["ok"], True, True))
-        elif name == "MM2star":
-            checks.append(check("MM2star", vr.check_mm2star(V)["ok"],
-                                True, True))
-        elif name == "V":
-            checks.append(check("V", vr.check_property_v(V)["ok"],
-                                True, True))
+        if name in verifiers:
+            checks.append(_verifier_check(name, verifiers[name](V)))
         elif name == "tubes":
-            rep = vr.check_tubes(V)
-            checks.append(check("tubes", rep["ok"], dims, dims,
+            rep = vr.check_tubes(V, d_base=dims["d"], v=dims["v"])
+            checks.append(check("tubes", rep["ok"], dims,
+                                {"d": V.tubes[0].d_base, "v": V.tubes[0].v},
                                 witnesses=rep["violations"]))
         elif name.startswith("H3"):
             bound = int(name.split(":")[1]) if ":" in name else 4
@@ -255,7 +258,7 @@ def run_veronese(config):
                                 True, {k: prep[k] for k in
                                        ("mm1", "mm2star",
                                         "f_cap_x_equals_projection")}))
-            chi, crep = vr.connection_chi(V, data)
+            _, crep = vr.connection_chi(V, data)
             checks.append(check("cor.chi",
                                 crep["bijective"]
                                 and crep["incidence_reversing"]
@@ -265,9 +268,10 @@ def run_veronese(config):
                                        ("bijective", "incidence_reversing",
                                         "x_is_union", "cross_ratio")}))
         elif name == "chi":
-            if data is None:
-                _, data = vr.project_from_y(V)
-            chi, crep = vr.connection_chi(V, data)
+            if crep is None:
+                if data is None:
+                    _, data = vr.project_from_y(V)
+                _, crep = vr.connection_chi(V, data)
             hj = crep["hjelmslev"]
             for k in ("hj1", "hj2", "hj3", "hj4"):
                 checks.append(check("chi." + k, hj[k], True, hj[k]))
@@ -293,17 +297,17 @@ def run_veronese(config):
 
 
 def run_motions(config):
-    A = parse_algebra(config.algebra)
-    try:
-        plane = hp.build_plane(A)
-    except hp.PlaneError as e:
-        raise UsageError(str(e))
-    V = vr.build_variety(A)
+    V = vr.build_variety(parse_algebra(config.algebra))
+    return motion_checks(
+        V, config.checks or ("triality", "elations", "equivariance"),
+        config.seed)
+
+
+def motion_checks(V, wanted, seed):
+    A, plane = V.algebra, V.plane
     checks = []
-    wanted = set(config.checks or ("triality", "elations", "equivariance"))
     exhaustive = A.size() <= 16
-    import random
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     elems = A.elements()
 
     def pick():
@@ -479,27 +483,22 @@ def _write_json(payload, path):
     os.replace(tmp, path)
 
 
+def _prefixed(prefix, checks):
+    return [Check(prefix + c.name, c.status, c.expected, c.computed,
+                  c.witnesses) for c in checks]
+
+
 def run_verify_all(config):
-    checks = []
-    sub = RunConfig("plane", algebra=config.algebra, seed=config.seed,
-                    checks=("hjelmslev", "epimorphism"))
-    checks += [Check("plane." + c.name, c.status, c.expected, c.computed,
-                     c.witnesses) for c in run_plane(sub)]
-    A = parse_algebra(config.algebra)
-    V = vr.build_variety(A)
+    V = vr.build_variety(parse_algebra(config.algebra))
     if V.tubes[0].v >= 0:
         names = ("H1", "H2star", "V", "tubes", "cor", "chi")
     else:
         names = ("MM1", "MM2star", "tubes")
-    sub = RunConfig("veronese", algebra=config.algebra, seed=config.seed,
-                    checks=names)
-    checks += [Check("veronese." + c.name, c.status, c.expected, c.computed,
-                     c.witnesses) for c in run_veronese(sub)]
-    sub = RunConfig("motions", algebra=config.algebra, seed=config.seed,
-                    checks=("triality", "elations", "equivariance"))
-    checks += [Check("motions." + c.name, c.status, c.expected, c.computed,
-                     c.witnesses) for c in run_motions(sub)]
-    return checks
+    return (_prefixed("plane.", plane_checks(V.plane,
+                                             ("hjelmslev", "epimorphism")))
+            + _prefixed("veronese.", veronese_checks(V, names))
+            + _prefixed("motions.", motion_checks(
+                V, ("triality", "elations", "equivariance"), config.seed)))
 
 
 COMMANDS = {
@@ -562,9 +561,7 @@ def run(config):
     try:
         checks = COMMANDS[config.command](config)
         if config.command == "m10" and config.extra.get("witt"):
-            checks += [Check("witt." + c.name, c.status, c.expected,
-                             c.computed, c.witnesses)
-                       for c in run_witt(config)]
+            checks += _prefixed("witt.", run_witt(config))
     except (UsageError, AlgebraError, FieldError, hp.PlaneError,
             vr.GeometryError) as e:
         raise UsageError(str(e))

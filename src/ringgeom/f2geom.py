@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .fields import GF
 from . import veronese as vr
 from . import projective as pj
+from .motions import generated_group, orbit, point_orbit
 
 
 class F2Error(ValueError):
@@ -27,6 +28,9 @@ T_O = ("123", "456", "789")
 T_S = ("147", "258", "369")
 T_SIG = ("159", "267", "348")
 T_PAIRS = ("168", "249", "357")
+# draws in a row that must fall in the group generated so far before the
+# stabilizer's generators are taken as complete
+CONFIRM_DRAWS = 20
 
 
 def bits_rank(vectors):
@@ -81,14 +85,6 @@ def reduce_vec(v, ech):
 
 def int_to_tuple(v, n):
     return tuple((v >> i) & 1 for i in range(n))
-
-
-def tuple_to_int(t):
-    out = 0
-    for i, c in enumerate(t):
-        if c:
-            out |= 1 << i
-    return out
 
 
 @dataclass
@@ -190,10 +186,6 @@ def _validate_m10(m10):
             per_point[p] += 1
     if set(per_point.values()) != {5}:
         raise F2Error("points do not lie on 5 blocks each")
-
-
-def block_label(m10, block):
-    return "{" + ",".join(sorted(m10.names[v] for v in block)) + "}"
 
 
 # --------------------------------------------------------------------------
@@ -373,17 +365,7 @@ def project_m10(m10, centre):
         if cspan & pair:
             raise F2Error("centre is not admissible (meets blocks %d, %d)"
                           % (b1, b2))
-    pivots = [r.bit_length() - 1 for r in ech]
-    keep = [i for i in range(m10.dim) if i not in pivots]
-
-    def image(v):
-        v = reduce_vec(v, ech)
-        out = 0
-        for j, i in enumerate(keep):
-            if v & (1 << i):
-                out |= 1 << j
-        return out
-
+    image = _projection_from(ech, m10.dim)
     imgs = {p: image(p) for p in m10.points}
     if len(set(imgs.values())) != 21:
         raise F2Error("projection identifies points of X")
@@ -395,6 +377,22 @@ def project_m10(m10, centre):
     report["tangent_profile"] = sorted(
         len(tangent_space(proj, x)) - 1 for x in proj.points)
     return proj, report
+
+
+def _projection_from(ech, dim):
+    """The projection of F_2^dim from the span of the echelon rows `ech`,
+    onto the coordinates that are not pivots of `ech`."""
+    pivots = [r.bit_length() - 1 for r in ech]
+    keep = [i for i in range(dim) if i not in pivots]
+
+    def image(v):
+        v = reduce_vec(v, ech)
+        out = 0
+        for j, i in enumerate(keep):
+            if v & (1 << i):
+                out |= 1 << j
+        return out
+    return image
 
 
 def verify_mm_axioms(struct):
@@ -495,17 +493,7 @@ def converse_projection(points24):
     centre = p1 ^ p2 ^ p3
     ech = echelon([centre])
     dim = max(v.bit_length() for v in points24)
-    pivots = [r.bit_length() - 1 for r in ech]
-    keep = [i for i in range(dim) if i not in pivots]
-
-    def image(v):
-        v = reduce_vec(v, ech)
-        out = 0
-        for j, i in enumerate(keep):
-            if v & (1 << i):
-                out |= 1 << j
-        return out
-
+    image = _projection_from(ech, dim)
     m_imgs = sorted({image(p) for p in (p1, p2, p3)})
     x_imgs = sorted({image(p) for p in points24[3:]})
     if len(x_imgs) != 21 or len(m_imgs) != 3:
@@ -593,23 +581,35 @@ def random_automorphism(m10, rng):
         return perm
 
 
-def stabilizer_report(m10, n_generators=6, seed=0):
+def stabilizer_report(m10, seed=0):
     """Order of the group generated by seed-rechoosing automorphisms,
-    its linear action, and the orbits on the admissible points."""
-    from .motions import group_order
+    its linear action, and the orbits on the admissible points.
+
+    Automorphisms are drawn until CONFIRM_DRAWS draws in a row lie in the
+    group generated so far; a proper subgroup of index k keeps a uniform
+    draw with probability at most 1/k <= 1/2."""
     rng = random.Random(seed)
     gens = []
-    while len(gens) < n_generators:
+    group = {tuple(range(len(m10.points)))}
+    streak = 0
+    while streak < CONFIRM_DRAWS:
         g = random_automorphism(m10, rng)
-        if g not in gens:
+        if g in group:
+            streak += 1
+        else:
             gens.append(g)
-    order = group_order(gens)
+            group = generated_group(gens)
+            streak = 0
     mats = [linear_extension(m10, g) for g in gens]
     cen = census(m10)
-    adm = cen["admissible_points"]
-    adm_orbits = _linear_orbits(mats, adm)
-    pt_orbit = _perm_orbit(gens, 0)
-    return {"order": order, "point_transitive": len(pt_orbit) == 21,
+    adm = set(cen["admissible_points"])
+    adm_orbits = []
+    while adm:
+        o = orbit(min(adm), mats, _apply_linear)
+        adm_orbits.append(o)
+        adm -= o
+    pt_orbit = point_orbit(gens, 0)
+    return {"order": len(group), "point_transitive": len(pt_orbit) == 21,
             "admissible_orbit_sizes": sorted(len(o) for o in adm_orbits),
             "m_is_orbit": any(sorted(o) == cen["m"] for o in adm_orbits),
             "generators": gens}
@@ -617,7 +617,7 @@ def stabilizer_report(m10, n_generators=6, seed=0):
 
 def linear_extension(m10, perm):
     """The linear map of F_2^dim defined by the permutation on the 21
-    points (which contain the seed basis)."""
+    points (which contain the seed basis), as the images of the basis."""
     pts = m10.points
     img = {pts[i]: pts[perm[i]] for i in range(21)}
     basis = []
@@ -626,22 +626,14 @@ def linear_extension(m10, perm):
         if e not in img:
             raise F2Error("basis vector missing from X")
         basis.append(img[e])
-    def apply(v):
-        out = 0
-        i = 0
-        while v:
-            if v & 1:
-                out ^= basis[i]
-            v >>= 1
-            i += 1
-        return out
     for p in pts:
-        if apply(p) != img[p]:
+        if _apply_linear(p, basis) != img[p]:
             raise F2Error("permutation does not extend linearly")
     return basis
 
 
-def _apply_linear(basis, v):
+def _apply_linear(v, basis):
+    """Image of v under the linear map with basis images `basis`."""
     out = 0
     i = 0
     while v:
@@ -650,41 +642,6 @@ def _apply_linear(basis, v):
         v >>= 1
         i += 1
     return out
-
-
-def _linear_orbits(mats, domain):
-    left = set(domain)
-    orbits = []
-    while left:
-        x = min(left)
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for v in frontier:
-                for m in mats:
-                    w = _apply_linear(m, v)
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-            frontier = new
-        orbits.append(seen)
-        left -= seen
-    return orbits
-
-
-def _perm_orbit(gens, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    new.append(g[x])
-        frontier = new
-    return seen
 
 
 # --------------------------------------------------------------------------

@@ -222,7 +222,7 @@ class FiniteField:
     def pow(self, a, n):
         r = 1
         for _ in range(n):
-            r = self._raw_mul(r, a) if not hasattr(self, "mul_t") else self.mul_t[r][a]
+            r = self.mul_t[r][a]
         return r
 
     def frobenius(self, a):

@@ -111,17 +111,13 @@ def tilde_triple(A, B, obj):
     return (A.b_part(u), A.b_part(v), A.b_part(w))
 
 
-def _b_elements(B):
-    return B.elements()
-
-
 def build_plane(A):
     """Enumerate G(2, A) with constructive per-line point lists."""
     B, is_cd = extract_base(A)
     one, zero = A.one(), A.zero()
     a_elems = A.elements()
     if is_cd:
-        b_elems = _b_elements(B)
+        b_elems = B.elements()
         t_of = A.t_times
     else:
         b_elems = [B.zero()]
@@ -167,7 +163,7 @@ def build_plane(A):
 def line_point_list(A, B, is_cd, line, point_index):
     """Solve a*x + b*y + c*z = 0 template by template."""
     one, zero = A.one(), A.zero()
-    b_elems = _b_elements(B) if is_cd else [B.zero()]
+    b_elems = B.elements() if is_cd else [B.zero()]
     t_of = A.t_times if is_cd else (lambda b: zero)
     _, tag, a, b, c = line
     out = []
@@ -272,71 +268,61 @@ def is_affine_plane(points, line_sets, order):
     return True
 
 
-def verify_hjelmslev_level2(plane):
-    """Check (Hj1)-(Hj4); returns a dict report with any violations."""
-    A, B = plane.algebra, plane.base
-    n = B.size()
-    report = {"order": n, "violations": [], "hj1": True, "hj2": True,
-              "hj3": True, "hj4": True}
-    npts = len(plane.points)
-    lines_through = [set(ls) for ls in plane.lines_through]
-    points_on = [set(ps) for ps in plane.points_on]
+def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
+    """Check (Hj1)-(Hj4); returns a dict report with any violations.
 
-    for i, j in itertools.combinations(range(npts), 2):
-        common = lines_through[i] & lines_through[j]
-        nb = plane.point_neighbouring(plane.points[i], plane.points[j])
-        if not common or ((len(common) == 1) != (not nb)):
-            report["hj1"] = False
-            report["violations"].append(("Hj1", i, j, len(common), nb))
-    for i, j in itertools.combinations(range(len(plane.lines)), 2):
-        common = points_on[i] & points_on[j]
-        nb = plane.line_neighbouring(plane.lines[i], plane.lines[j])
-        if not common or ((len(common) == 1) != (not nb)):
-            report["hj2"] = False
-            report["violations"].append(("Hj2", i, j, len(common), nb))
-
-    # (Hj3): point neighbour classes with induced line traces
-    classes = {}
-    for i, p in enumerate(plane.points):
-        classes.setdefault(tilde_triple(A, B, p), []).append(i)
-    for key, cls in classes.items():
-        cset = set(cls)
-        traces = set()
-        for ps in points_on:
-            tr = ps & cset
-            if len(tr) >= 2:
-                traces.add(frozenset(tr))
-        if plane.is_cd:
-            if not is_affine_plane(cls, traces, n):
-                report["hj3"] = False
-                report["violations"].append(("Hj3", key))
-        else:
-            if len(cls) != 1 or traces:
-                report["hj3"] = False
-                report["violations"].append(("Hj3", key))
-
-    # (Hj4): dual, on line neighbour classes
-    lclasses = {}
-    for i, l in enumerate(plane.lines):
-        lclasses.setdefault(tilde_triple(A, B, l), []).append(i)
-    for key, cls in lclasses.items():
-        cset = set(cls)
-        traces = set()
-        for ls in lines_through:
-            tr = ls & cset
-            if len(tr) >= 2:
-                traces.add(frozenset(tr))
-        if plane.is_cd:
-            if not is_affine_plane(cls, traces, n):
-                report["hj4"] = False
-                report["violations"].append(("Hj4", key))
-        else:
-            if len(cls) != 1 or traces:
-                report["hj4"] = False
-                report["violations"].append(("Hj4", key))
-
-    report["ok"] = all(report[k] for k in ("hj1", "hj2", "hj3", "hj4"))
+    Points are 0..npoints-1 and blocks are point-index tuples.  Two points
+    (blocks) are neighbours iff their keys are equal.  The neighbour
+    classes must be affine planes of order `order`, with the traces of the
+    blocks (of the points) as lines; a structure of order^2 + order + 1
+    points is an ordinary projective plane, whose classes are single
+    elements without traces."""
+    blocks = [set(b) for b in blocks]
+    through = [set() for _ in range(npoints)]
+    for bi, b in enumerate(blocks):
+        for pi in b:
+            through[pi].add(bi)
+    violations = []
+    # (Hj1) on points and (Hj2) on blocks: two elements are joined by
+    # exactly one element iff they are not neighbours, and by at least one
+    for tag, joins, keys in (("Hj1", through, point_keys),
+                             ("Hj2", blocks, block_keys)):
+        for i, j in itertools.combinations(range(len(joins)), 2):
+            common = joins[i] & joins[j]
+            nb = keys[i] == keys[j]
+            if not common or ((len(common) == 1) != (not nb)):
+                violations.append((tag, i, j, len(common), nb))
+    # (Hj3) on point classes with block traces, (Hj4) dually
+    projective = npoints == order * order + order + 1
+    for tag, keys, duals in (("Hj3", point_keys, blocks),
+                             ("Hj4", block_keys, through)):
+        classes = {}
+        for i, key in enumerate(keys):
+            classes.setdefault(key, []).append(i)
+        for key, cls in classes.items():
+            cset = set(cls)
+            traces = {frozenset(tr) for tr in (d & cset for d in duals)
+                      if len(tr) >= 2}
+            if projective:
+                ok = len(cls) == 1 and not traces
+            else:
+                ok = is_affine_plane(cls, traces, order)
+            if not ok:
+                violations.append((tag, key))
+    report = {"order": order, "violations": violations}
+    for tag in ("Hj1", "Hj2", "Hj3", "Hj4"):
+        report[tag.lower()] = all(v[0] != tag for v in violations)
+    report["ok"] = not violations
     return report
+
+
+def verify_hjelmslev_level2(plane):
+    """(Hj1)-(Hj4) for the plane, with neighbour classes from the tilde map."""
+    A, B = plane.algebra, plane.base
+    return check_hjelmslev(len(plane.points), plane.points_on,
+                           [tilde_triple(A, B, p) for p in plane.points],
+                           [tilde_triple(A, B, l) for l in plane.lines],
+                           B.size())
 
 
 def nonneighbouring_point_line_consistency(plane):

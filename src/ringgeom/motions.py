@@ -208,11 +208,6 @@ def preserves_neighbouring(plane_map, plane):
 # --------------------------------------------------------------------------
 # linear lifts on PG(3d+2, K)
 
-def _block_layout(A):
-    m = A.dim
-    return [(0, 1), (1, 1), (2, 1), (3, m), (3 + m, m), (3 + 2 * m, m)]
-
-
 def linear_lift(A, kind, X=None, Y=None):
     """Matrix of phi(X, Y) or of the triality shuffle, acting on row
     vectors in the (x, y, z; xi, ups, zeta) block coordinates."""
@@ -253,11 +248,7 @@ def linear_lift(A, kind, X=None, Y=None):
             return pack(xq, yq, z, xi_q, ups_q, zeta_q)
     else:
         raise MotionError("unknown lift kind %r" % kind)
-    rows = []
-    for i in range(n):
-        e = tuple(field.one if j == i else field.zero for j in range(n))
-        rows.append(image(e))
-    return [tuple(r) for r in rows]
+    return [tuple(image(e)) for e in pj.unit_vectors(field, n)]
 
 
 def apply_lift(field, matrix, v):
@@ -295,59 +286,47 @@ def perm_mul(p, q):
     return tuple(p[i] for i in q)
 
 
-def group_order(generators, cap=None):
-    """Order of the generated permutation group by breadth-first closure."""
-    if cap is None:
-        cap = int(os.environ.get(BFS_CAP_ENV, DEFAULT_BFS_CAP))
-    if not generators:
-        return 1
-    n = len(generators[0])
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in generators:
-                prod = perm_mul(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    if len(seen) > cap:
-                        raise MotionError(
-                            "closure exceeded cap %d (partial %d)"
-                            % (cap, len(seen)))
-        frontier = new
-    return len(seen)
-
-
-def point_orbit(generators, start):
-    """Orbit of a domain point under permutation generators."""
+def orbit(start, gens, act, cap=None):
+    """Orbit of `start` under the generators, by breadth-first closure;
+    act(x, g) is the image of x under g.  Past `cap` elements, raises
+    MotionError."""
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for x in frontier:
-            for g in generators:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    new.append(g[x])
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if cap is not None and len(seen) > cap:
+                        raise MotionError(
+                            "closure exceeded cap %d (partial %d)"
+                            % (cap, len(seen)))
         frontier = new
     return seen
+
+
+def generated_group(generators, cap=None):
+    """Elements of the permutation group the (nonempty) generators
+    generate; the cap defaults to $RINGGEOM_BFS_CAP, else 2 * 10^5."""
+    if cap is None:
+        cap = int(os.environ.get(BFS_CAP_ENV, DEFAULT_BFS_CAP))
+    return orbit(tuple(range(len(generators[0]))), generators, perm_mul, cap)
+
+
+def group_order(generators, cap=None):
+    """Order of the generated permutation group by breadth-first closure."""
+    return len(generated_group(generators, cap)) if generators else 1
+
+
+def point_orbit(generators, start):
+    """Orbit of a domain point under permutation generators."""
+    return orbit(start, generators, lambda x, g: g[x])
 
 
 def pair_orbit(generators, pair):
     """Orbit of an unordered point pair under permutation generators."""
-    start = tuple(sorted(pair))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for (i, j) in frontier:
-            for g in generators:
-                t = tuple(sorted((g[i], g[j])))
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        frontier = new
-    return seen
+    return orbit(tuple(sorted(pair)), generators,
+                 lambda p, g: tuple(sorted((g[p[0]], g[p[1]]))))

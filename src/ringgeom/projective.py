@@ -276,23 +276,32 @@ def meet(s1, s2):
     return Subspace(field, n, tuple(out))
 
 
-def complement(s, within=None):
+def unit_vectors(field, n):
+    """The standard basis e_0, ..., e_{n-1} of K^n."""
+    return [tuple(field.one if j == i else field.zero for j in range(n))
+            for i in range(n)]
+
+
+def extend_basis(field, rows, candidates, target):
+    """Greedy basis extension: the candidates, in order, that each raise
+    the rank of the independent `rows` plus those already taken, until the
+    rank reaches `target` (fewer if the candidates run out)."""
+    rows = list(rows)
+    taken = []
+    for e in candidates:
+        test, _ = rref(field, rows + taken + [e])
+        if len(test) > len(rows) + len(taken):
+            taken.append(e)
+        if len(rows) + len(taken) == target:
+            break
+    return taken
+
+
+def complement(s):
     """Canonical coordinate complement: greedy extension by standard basis."""
     field, n = s.field, s.n
-    rows = list(s.rows)
-    base = list(within.rows) if within is not None else None
-    comp = []
-    candidates = base if base is not None else \
-        [tuple(field.one if j == i else field.zero for j in range(n))
-         for i in range(n)]
-    target = (within.vdim if within is not None else n)
-    for e in candidates:
-        test, _ = rref(field, rows + comp + [e])
-        if len(test) > len(rows) + len(comp):
-            comp.append(e)
-        if len(rows) + len(comp) == target:
-            break
-    if len(rows) + len(comp) != target:
+    comp = extend_basis(field, s.rows, unit_vectors(field, n), n)
+    if len(s.rows) + len(comp) != n:
         raise GeometryError("complement construction failed")
     out, _ = rref(field, comp)
     return Subspace(field, n, tuple(out))
@@ -367,20 +376,6 @@ def line_points(field, u, v):
     return pts
 
 
-def third_points(field, u, v):
-    """Points of the line <u, v> other than u and v."""
-    out = []
-    for lam in field.elements():
-        if lam == field.zero:
-            w = v
-        else:
-            w = vec_add(field, vec_scale(field, lam, u), v)
-            w = normalize_point(field, w)
-        if w != tuple(u) and w != tuple(v):
-            out.append(w)
-    return out
-
-
 # --------------------------------------------------------------------------
 # quadratic forms
 
@@ -416,9 +411,7 @@ class QuadraticForm:
                          self.evaluate(v))
 
     def gram_rows(self):
-        field = self.field
-        basis = [tuple(field.one if j == i else field.zero for j in range(self.n))
-                 for i in range(self.n)]
+        basis = unit_vectors(self.field, self.n)
         return [tuple(self.bilinear(basis[i], basis[j]) for j in range(self.n))
                 for i in range(self.n)]
 
@@ -747,10 +740,8 @@ def conic_cross_ratio(field, plane, conic_pts, quad, qf=None):
                     raise GeometryError("no conic through the points")
                 qf = forms[0]
             # tangent line at the centre: kernel of b(centre, .)
-            row = tuple(qf.bilinear(centre,
-                                    tuple(field.one if j == i else field.zero
-                                          for j in range(3)))
-                        for i in range(3))
+            row = tuple(qf.bilinear(centre, e)
+                        for e in unit_vectors(field, 3))
             tline = span(field, nullspace(field, [row], 3), 3)
             img = meet(tline, aux_line)
         else:

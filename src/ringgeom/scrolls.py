@@ -97,10 +97,6 @@ def regular_spread(d, q, m=2):
     return Spread(K, m * d, tuple(members))
 
 
-def spread_from_subspaces(field, members, n):
-    return Spread(field, n, tuple(members))
-
-
 def transversals_of_triple(s1, s2, s3):
     """Common transversal lines of three pairwise disjoint (e-1)-spaces
     spanning a (2e-1)-space; one through each point of s1."""

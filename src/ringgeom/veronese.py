@@ -21,7 +21,7 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, quadric_vertex, witt_index, is_ovoid,
                          exact_zero_set_forms, cross_ratio, conic_cross_ratio)
-from .hjplane import build_plane, is_affine_plane
+from .hjplane import build_plane, is_affine_plane, check_hjelmslev
 
 
 @dataclass
@@ -249,9 +249,7 @@ def tube_tangent_space(variety, tube, point):
     field = variety.field
     xc = intrinsic_coords(tube.xi, point)
     k = tube.xi.vdim
-    basis = [tuple(field.one if j == i else field.zero for j in range(k))
-             for i in range(k)]
-    row = tuple(tube.form.bilinear(xc, e) for e in basis)
+    row = tuple(tube.form.bilinear(xc, e) for e in pj.unit_vectors(field, k))
     ker = pj.nullspace(field, [row], k)
     return span(field, [from_intrinsic(tube.xi, r) for r in ker], tube.xi.n)
 
@@ -435,12 +433,8 @@ def vertex_space_y(variety):
         "pairwise_disjoint": disjoint,
         "x_disjoint": not (y_pts & variety.point_set),
     }
-    report["regular_spread"] = _spread_regular_within(field, spread, y)
+    report["regular_spread"] = sc.is_regular_spread(spread, within=y)
     return y, vertices, report
-
-
-def _spread_regular_within(field, spread, y):
-    return sc.is_regular_spread(spread, within=y)
 
 
 # --------------------------------------------------------------------------
@@ -618,55 +612,13 @@ def _chi_cross_ratio(variety, data, chi, max_quadruples=40):
 
 
 def variety_hjelmslev(variety, data):
-    """(Hj1)-(Hj4) for (X, tubes) with the epimorphism x -> Pi_x^Y."""
-    field = variety.field
+    """(Hj1)-(Hj4) for (X, tubes): points are neighbours iff they have the
+    same projection from Y, tubes iff they have the same vertex."""
     images = data["images"]
-    npts = len(variety.points)
-    tubes = variety.tubes
-    report = {}
-    through = [set(t) for t in variety.tubes_through]
-    ok1 = True
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            common = through[i] & through[j]
-            same = images[i] == images[j]
-            if not common or ((len(common) == 1) != (not same)):
-                ok1 = False
-    report["hj1"] = ok1
-    ok2 = True
-    for t1, t2 in itertools.combinations(tubes, 2):
-        inter = t1.x_pts & t2.x_pts
-        same = t1.vertex.rows == t2.vertex.rows
-        if not inter or ((len(inter) == 1) != (not same)):
-            ok2 = False
-    report["hj2"] = ok2
-    order = variety.plane.base.size() if variety.plane else None
-    ok3 = True
-    for img, fib in data["fibers"].items():
-        fib_set = set(fib)
-        traces = set()
-        for t in tubes:
-            tr = fib_set & set(t.x_idx)
-            if len(tr) >= 2:
-                traces.add(frozenset(tr))
-        if not is_affine_plane(fib, traces, order):
-            ok3 = False
-    report["hj3"] = ok3
-    ok4 = True
-    classes = {}
-    for t in tubes:
-        classes.setdefault(t.vertex.rows, []).append(t.index)
-    for key, cls in classes.items():
-        gens = {}
-        for ti in cls:
-            for g in tubes[ti].generators:
-                gens.setdefault(g, set()).add(ti)
-        traces = {frozenset(v) for v in gens.values() if len(v) >= 2}
-        if not is_affine_plane(cls, traces, order):
-            ok4 = False
-    report["hj4"] = ok4
-    report["ok"] = ok1 and ok2 and ok3 and ok4
-    return report
+    return check_hjelmslev(
+        len(variety.points), variety.blocks(),
+        [images[i] for i in range(len(variety.points))],
+        [t.vertex.rows for t in variety.tubes], variety.plane.base.size())
 
 
 # --------------------------------------------------------------------------
@@ -694,16 +646,10 @@ def local_structure_at_vertex(variety, vertex, data):
         is_affine_plane([t.index for t in cv], traces, order))
     # rho_V: projection from V onto a complement containing F
     F = data["F"]
-    ftilde_rows = list(F.rows)
     n = variety.n
-    for i in range(n):
-        e = tuple(field.one if j == i else field.zero for j in range(n))
-        test, _ = rref(field, list(vertex.rows) + ftilde_rows + [e])
-        if len(test) > vertex.vdim + len(ftilde_rows):
-            ftilde_rows.append(e)
-        if vertex.vdim + len(ftilde_rows) == n:
-            break
-    ftilde = span(field, ftilde_rows, n)
+    rows = list(vertex.rows) + list(F.rows)
+    extra = pj.extend_basis(field, rows, pj.unit_vectors(field, n), n)
+    ftilde = span(field, list(F.rows) + extra, n)
     proj_v = Projection(vertex, ftilde)
     c0 = cv[0]
     chi_v = {}
@@ -732,15 +678,13 @@ def local_structure_at_vertex(variety, vertex, data):
     spread = sc.Spread(field, n, tuple({m.rows: m for m in chi_v.values()}
                                        .values()))
     report["spread_size"] = len(spread.members)
-    report["spread_regular"] = _spread_regular_within(field, spread, ytilde)
-    # chi_V preserves cross-ratio (projectivity), vacuous at q = 2
-    if field.q >= 3:
-        report["chi_v_projectivity"] = _chi_v_cross_ratio(
-            field, qpts, members, ytilde)
-    else:
-        report["chi_v_projectivity"] = "vacuous"
-    # scroll quadrics == projected tubes
+    report["spread_regular"] = sc.is_regular_spread(spread, within=ytilde)
+    # chi_V preserves cross-ratio (projectivity), vacuous at q = 2: the
+    # pairing q-point <-> spread member is exactly a scroll pairing
     scroll = sc.build_scroll(field, qpts, members)
+    report["chi_v_projectivity"] = sc.pairing_is_projectivity(scroll,
+                                                              max_checks=30)
+    # scroll quadrics == projected tubes
     squads = sc.scroll_quadrics(scroll)
     projected = set()
     for t in cv:
@@ -756,12 +700,6 @@ def local_structure_at_vertex(variety, vertex, data):
     return report
 
 
-def _chi_v_cross_ratio(field, qpts, members, ytilde, max_checks=30):
-    # the pairing q-point <-> spread member is exactly a scroll pairing
-    scroll = sc.build_scroll(field, list(qpts), list(members))
-    return sc.pairing_is_projectivity(scroll, max_checks=max_checks)
-
-
 # --------------------------------------------------------------------------
 # the PG(13, K) counterexample: (H1), (H2), (H3) hold, (H2*) fails
 
@@ -772,16 +710,10 @@ def build_h2_counterexample(field):
     if not field.is_finite or field.q not in (3, 4, 5):
         raise GeometryError("construction is run at q in {3, 4, 5}")
     n = 14
-    z, one = field.zero, field.one
-    mono = [(i, j) for i in range(4) for j in range(i, 4)]
-
-    def nu(a):
-        return tuple(field.mul(a[i], a[j]) for (i, j) in mono)
-
     pg3 = pj.pg_points(field, 4)
     points = []
     for a in pg3:
-        head = nu(a)
+        head = _nu(field, a)
         for w in _orthogonal_vectors(field, a):
             vec = head + w
             points.append(normalize_point(field, vec))
@@ -798,6 +730,11 @@ def build_h2_counterexample(field):
         seen.setdefault(xi.rows, xi)
     xis = list(seen.values())
     return build_synthetic_variety(field, n, points, xis, extract=True)
+
+
+def _nu(field, a):
+    """The quadric Veronese map of PG(3, K) into PG(9, K)."""
+    return tuple(field.mul(a[i], a[j]) for (i, j) in pj.monomial_order(4))
 
 
 def _orthogonal_vectors(field, a):
@@ -817,11 +754,6 @@ def _orthogonal_vectors(field, a):
 def _tubes_over_line(field, a, b):
     """Tubic 4-spaces over the line <a, b>: cones with vertex the dual
     line, over conics nu(sa+ub) + (s^2 w_a + su w_m + u^2 w_b)."""
-    mono = [(i, j) for i in range(4) for j in range(i, 4)]
-
-    def nu(p):
-        return tuple(field.mul(p[i], p[j]) for (i, j) in mono)
-
     vertex_rows = pj.nullspace(field, [tuple(a), tuple(b)], 4)
     # solutions (w_a, w_m, w_b) in K^12 of the four incidence conditions,
     # modulo adding vectors of the dual line V to each slot
@@ -874,7 +806,7 @@ def _tubes_over_line(field, a, b):
         for (s, u) in params:
             p = tuple(field.add(field.mul(s, x), field.mul(u, y))
                       for x, y in zip(a, b))
-            head = nu(p)
+            head = _nu(field, p)
             s2, su, u2 = field.mul(s, s), field.mul(s, u), field.mul(u, u)
             tail = tuple(
                 field.add(field.add(field.mul(s2, wa[i]),
@@ -962,24 +894,12 @@ def abstract_plane_isos(n1, blocks1, n2, blocks2):
     yield from backtrack(0)
 
 
-def _greedy_basis(field, pts, n, start=0):
-    basis = []
-    order = pts[start:] + pts[:start]
-    for p in order:
-        test, _ = rref(field, basis + [p])
-        if len(test) > len(basis):
-            basis.append(p)
-        if len(basis) == n:
-            return basis
-    return None
-
-
 def _frame_in(field, pts, n):
     """n independent points plus one with all coordinates nonzero in that
     basis, taken from pts; None if there is none."""
     for start in range(min(len(pts), n + 2)):
-        basis = _greedy_basis(field, pts, n, start)
-        if basis is None:
+        basis = pj.extend_basis(field, [], pts[start:] + pts[:start], n)
+        if len(basis) != n:
             return None
         binv = pj.mat_inverse(field, [list(r) for r in zip(*basis)])
         for p in pts:
@@ -1011,18 +931,17 @@ def apply_matrix(field, matrix, p):
 
 
 def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
-                           exhaust=False, max_isos=None):
+                           max_isos=None):
     """A matrix carrying (pts1, blocks1) onto (pts2, blocks2), found by
     matching abstract plane isomorphisms with frame-determined linear
-    maps.  With exhaust=True, a None return certifies inequivalence
-    (every abstract isomorphism was tried)."""
+    maps."""
     n = len(pts1[0])
     if len(pts1) != len(pts2):
         return None
     if field.q == 2:
         # no scalar freedom: a basis determines the map
-        basis = _greedy_basis(field, pts1, n)
-        if basis is None:
+        basis = pj.extend_basis(field, [], pts1, n)
+        if len(basis) != n:
             raise GeometryError("points do not span the space")
         unit = None
         coords = None

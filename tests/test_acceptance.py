@@ -317,8 +317,7 @@ def test_criterion_13_d1_examples(f2_field):
         ok = ok and vr.check_mm1(v)["ok"] and vr.check_mm2star(v)["ok"]
     t = vr.projective_equivalence(
         f2_field, ex["frame5"].points, ex["frame5"].blocks(),
-        ex["frame4_plus_point"].points, ex["frame4_plus_point"].blocks(),
-        exhaust=True)
+        ex["frame4_plus_point"].points, ex["frame4_plus_point"].blocks())
     ok = ok and t is None
     report(13, "d=1, q=2: both N=5 structures and the N=6 basis pass "
            "(MM1),(MM2*); the N=5 pair is projectively inequivalent",

@@ -139,6 +139,14 @@ def test_stabilizer(m10):
     assert rep["m_is_orbit"]
 
 
+def test_stabilizer_when_first_draws_miss_a_coset(m10):
+    # at this seed the first six automorphisms drawn all lie in a subgroup
+    # of index 2, so six fixed draws reported order 60480
+    rep = f2.stabilizer_report(m10, seed=1200800002)
+    assert rep["order"] == 120960
+    assert rep["admissible_orbit_sizes"] == [3, 63]
+
+
 def test_d1_examples():
     ex = f2.d1_q2_examples()
     for name, v in ex.items():

@@ -122,3 +122,34 @@ def test_affine_plane_checker():
     lines = [frozenset(c) for c in itertools.combinations(pts, 2)]
     assert hp.is_affine_plane(pts, lines, 2)
     assert not hp.is_affine_plane(pts, lines[:-1], 2)
+
+
+def _plane_inputs(plane):
+    """The arguments of check_hjelmslev for a ring plane."""
+    A, B = plane.algebra, plane.base
+    return (len(plane.points), [list(ps) for ps in plane.points_on],
+            [hp.tilde_triple(A, B, p) for p in plane.points],
+            [hp.tilde_triple(A, B, l) for l in plane.lines], B.size())
+
+
+def test_checker_rejects_moved_point(plane_f2):
+    npts, blocks, pkeys, bkeys, order = _plane_inputs(plane_f2)
+    assert hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)["ok"]
+    p = next(p for p in blocks[0] if p not in blocks[1])
+    blocks[0].remove(p)
+    blocks[1].append(p)
+    rep = hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)
+    assert not rep["ok"]
+    assert {v[0] for v in rep["violations"]} & {"Hj1", "Hj2"}
+
+
+def test_checker_rejects_merged_classes(plane_f2):
+    npts, blocks, pkeys, bkeys, order = _plane_inputs(plane_f2)
+    k1, k2 = sorted(set(pkeys))[:2]
+    merged = [k1 if k == k2 else k for k in pkeys]
+    rep = hp.check_hjelmslev(npts, blocks, merged, bkeys, order)
+    assert not rep["hj3"] and ("Hj3", k1) in rep["violations"]
+    k1, k2 = sorted(set(bkeys))[:2]
+    merged = [k1 if k == k2 else k for k in bkeys]
+    rep = hp.check_hjelmslev(npts, blocks, pkeys, merged, order)
+    assert not rep["hj4"] and ("Hj4", k1) in rep["violations"]

@@ -342,5 +342,69 @@ def test_equivalence_rejects_distinct_structures(f2_field):
     ex = f2.d1_q2_examples()
     a, b = ex["frame5"], ex["frame4_plus_point"]
     t = vr.projective_equivalence(f2_field, a.points, a.blocks(),
-                                  b.points, b.blocks(), exhaust=True)
+                                  b.points, b.blocks())
     assert t is None
+
+
+def test_check_tubes_rejects_wrong_dimensions(variety_f2):
+    assert vr.check_tubes(variety_f2, d_base=1, v=0)["ok"]
+    rep = vr.check_tubes(variety_f2, d_base=1, v=1)
+    assert not rep["ok"]
+    assert {w[1] for w in rep["violations"]} == {"vertex_dim"}
+    rep = vr.check_tubes(variety_f2, d_base=2, v=0)
+    assert not rep["ok"]
+    assert {w[1] for w in rep["violations"]} == {"base_dim"}
+
+
+def _variety_inputs(V, data):
+    """The arguments of check_hjelmslev for a variety and its projection."""
+    return (len(V.points), [list(b) for b in V.blocks()],
+            [data["images"][i] for i in range(len(V.points))],
+            [t.vertex.rows for t in V.tubes], V.plane.base.size())
+
+
+def test_variety_checker_rejects_broken_structures(variety_f2,
+                                                   projection_f2):
+    from ringgeom import hjplane as hp
+    npts, blocks, pkeys, bkeys, order = _variety_inputs(variety_f2,
+                                                        projection_f2[1])
+    assert hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)["ok"]
+    moved = [list(b) for b in blocks]
+    p = next(p for p in moved[0] if p not in moved[1])
+    moved[0].remove(p)
+    moved[1].append(p)
+    rep = hp.check_hjelmslev(npts, moved, pkeys, bkeys, order)
+    assert {v[0] for v in rep["violations"]} & {"Hj1", "Hj2"}
+    k1, k2 = sorted(set(pkeys))[:2]
+    merged = [k1 if k == k2 else k for k in pkeys]
+    rep = hp.check_hjelmslev(npts, blocks, merged, bkeys, order)
+    assert not rep["hj3"] and ("Hj3", k1) in rep["violations"]
+
+
+@pytest.mark.parametrize("which", ["f2", "f3"])
+def test_plane_and_variety_hjelmslev_agree(which, request):
+    # the same incidence and the same neighbour classes reach the checker
+    # along both paths: tubes are the line images, point for point
+    from ringgeom import hjplane as hp
+    V = request.getfixturevalue("variety_" + which)
+    data = request.getfixturevalue("projection_" + which)[1]
+    plane = V.plane
+    A, B = plane.algebra, plane.base
+
+    def partition(keys):
+        classes = {}
+        for i, k in enumerate(keys):
+            classes.setdefault(k, set()).add(i)
+        return {frozenset(c) for c in classes.values()}
+
+    npts, blocks, pkeys, bkeys, _ = _variety_inputs(V, data)
+    assert [set(b) for b in blocks] == [set(ps) for ps in plane.points_on]
+    assert partition(pkeys) == partition(
+        [hp.tilde_triple(A, B, p) for p in plane.points])
+    assert partition(bkeys) == partition(
+        [hp.tilde_triple(A, B, l) for l in plane.lines])
+    on_plane = hp.verify_hjelmslev_level2(plane)
+    on_variety = vr.variety_hjelmslev(V, data)
+    for k in ("order", "hj1", "hj2", "hj3", "hj4", "ok"):
+        assert on_plane[k] == on_variety[k], k
+    assert on_plane["ok"]
