@@ -17,11 +17,12 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 
+from . import RinggeomError
 from .fields import random_scalar
 from . import projective as pj
 
 
-class AlgebraError(ValueError):
+class AlgebraError(RinggeomError):
     pass
 
 

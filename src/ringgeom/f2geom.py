@@ -14,13 +14,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from . import RinggeomError
 from .fields import GF
 from . import veronese as vr
 from . import projective as pj
 from .motions import generated_group, orbit, point_orbit
 
 
-class F2Error(ValueError):
+class F2Error(RinggeomError):
     pass
 
 

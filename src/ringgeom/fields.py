@@ -20,6 +20,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import RinggeomError
+
 HEIGHT_BOUND_ENV = "RINGGEOM_Q_HEIGHT_BOUND"
 DEFAULT_HEIGHT_BOUND = 10 ** 24
 
@@ -35,7 +37,7 @@ DEFAULT_POLYS = {
 }
 
 
-class FieldError(ValueError):
+class FieldError(RinggeomError):
     pass
 
 

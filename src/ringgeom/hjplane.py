@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import RinggeomError
 from .algebras import Algebra, is_division
 
 
-class PlaneError(ValueError):
+class PlaneError(RinggeomError):
     pass
 
 
@@ -77,6 +78,7 @@ class IncidenceStructure:
     lines_through: list  # per point index
     point_index: dict
     line_index: dict
+    point_keys: list     # per point index: its neighbour key, tilde_triple
 
     def incident(self, p, l):
         return incidence_value(self.algebra, p, l) == self.algebra.zero()
@@ -93,9 +95,6 @@ class IncidenceStructure:
         v = incidence_value(self.algebra, p, l)
         return all(x == self.algebra.field.zero
                    for x in self.algebra.b_part(v))
-
-    def n_points(self):
-        return len(self.points)
 
 
 def incidence_value(A, point, line):
@@ -157,7 +156,22 @@ def build_plane(A):
         for pi in pts:
             lines_through[pi].append(li)
     return IncidenceStructure(A, B, is_cd, points, lines, points_on,
-                              lines_through, point_index, line_index)
+                              lines_through, point_index, line_index,
+                              [tilde_triple(A, B, p) for p in points])
+
+
+def partition_mismatch(a, b):
+    """None if a[i] == a[j] iff b[i] == b[j] for all index pairs, else a
+    pair (j, i), j < i, for which exactly one of the two holds.
+
+    One pass: a[i] -> b[i] is a well-defined injective map iff every index
+    has the same first index in its class under a as under b."""
+    first_a, first_b = {}, {}
+    for i, (x, y) in enumerate(zip(a, b)):
+        j, k = first_a.setdefault(x, i), first_b.setdefault(y, i)
+        if j != k:      # j < k: not well defined; k < j: not injective
+            return min(j, k), i
+    return None
 
 
 def line_point_list(A, B, is_cd, line, point_index):
@@ -320,7 +334,7 @@ def verify_hjelmslev_level2(plane):
     """(Hj1)-(Hj4) for the plane, with neighbour classes from the tilde map."""
     A, B = plane.algebra, plane.base
     return check_hjelmslev(len(plane.points), plane.points_on,
-                           [tilde_triple(A, B, p) for p in plane.points],
+                           plane.point_keys,
                            [tilde_triple(A, B, l) for l in plane.lines],
                            B.size())
 
@@ -328,11 +342,11 @@ def verify_hjelmslev_level2(plane):
 def nonneighbouring_point_line_consistency(plane):
     """A point P and line L are non-neighbouring iff P is non-neighbouring
     with every point on L."""
+    keys = plane.point_keys
     for li, l in enumerate(plane.lines):
-        on = [plane.points[i] for i in plane.points_on[li]]
-        for p in plane.points:
+        on_keys = {keys[i] for i in plane.points_on[li]}
+        for p, key in zip(plane.points, keys):
             direct = not plane.point_line_neighbouring(p, l)
-            via_points = all(not plane.point_neighbouring(p, q) for q in on)
-            if direct != via_points:
+            if direct != (key not in on_keys):
                 return False, (p, l)
     return True, None

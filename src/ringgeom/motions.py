@@ -8,10 +8,11 @@ map composition, never by re-derived formulas.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
+from . import RinggeomError
+from . import hjplane as hp
 from . import projective as pj
 from .projective import normalize_point
 
@@ -19,7 +20,7 @@ BFS_CAP_ENV = "RINGGEOM_BFS_CAP"
 DEFAULT_BFS_CAP = 2 * 10 ** 5
 
 
-class MotionError(ValueError):
+class MotionError(RinggeomError):
     pass
 
 
@@ -183,26 +184,32 @@ def materialize(plane_map, plane):
     return tuple(pperm), tuple(lperm)
 
 
-def preserves_incidence(plane_map, plane):
-    pperm, lperm = materialize(plane_map, plane)
+def perms_preserve_incidence(pperm, lperm, plane):
+    """(ok, (point, line)) for materialized point and line permutations."""
     for li, on in enumerate(plane.points_on):
-        img_line = lperm[li]
-        img_set = set(plane.points_on[img_line])
+        img_set = set(plane.points_on[lperm[li]])
         for pi in on:
             if pperm[pi] not in img_set:
                 return False, (pi, li)
     return True, None
 
 
+def perm_preserves_neighbouring(pperm, plane):
+    """(ok, (i, j)): i ~ j iff pperm[i] ~ pperm[j] for all point pairs,
+    decided from one neighbour key per point; a witness pair i < j has
+    different neighbour status before and after the map."""
+    keys = plane.point_keys
+    pair = hp.partition_mismatch(keys, [keys[k] for k in pperm])
+    return pair is None, pair
+
+
+def preserves_incidence(plane_map, plane):
+    return perms_preserve_incidence(*materialize(plane_map, plane), plane)
+
+
 def preserves_neighbouring(plane_map, plane):
-    pperm, _ = materialize(plane_map, plane)
-    pts = plane.points
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        before = plane.point_neighbouring(pts[i], pts[j])
-        after = plane.point_neighbouring(pts[pperm[i]], pts[pperm[j]])
-        if before != after:
-            return False, (i, j)
-    return True, None
+    return perm_preserves_neighbouring(materialize(plane_map, plane)[0],
+                                       plane)
 
 
 # --------------------------------------------------------------------------
@@ -256,24 +263,25 @@ def apply_lift(field, matrix, v):
 
 
 def verify_equivariance(lift_matrix, plane_map, variety):
-    """rho(g p) = lift . rho(p) as projective points, for all points."""
+    """rho(g p) = lift . rho(p) as projective points for all plane points
+    p, and lift . X = X, applying the lift once per point.  Returns
+    (ok, p): p is the first point where equivariance fails, else one whose
+    image rho(p) the lift misses."""
     field = variety.field
+    images = set()
     for p, img in variety.rho.items():
-        lhs = variety.rho[plane_map.apply_point(p)]
         rhs = apply_lift(field, lift_matrix, img)
-        if lhs != rhs:
+        if variety.rho[plane_map.apply_point(p)] != rhs:
             return False, p
+        images.add(rhs)
+    missed = variety.point_set - images
+    if missed:
+        return False, variety.inverse_rho[min(missed)]
     return True, None
 
 
-def lift_stabilizes(lift_matrix, variety):
-    field = variety.field
-    image = {apply_lift(field, lift_matrix, p) for p in variety.points}
-    return image == set(variety.point_set)
-
-
 def lift_stabilizes_points(lift_matrix, field, points):
-    """Whether a set of points (e.g. the vertex space Y) is preserved."""
+    """Whether a set of points (X or the vertex space Y) is preserved."""
     pts = set(points)
     return {apply_lift(field, lift_matrix, p) for p in pts} == pts
 

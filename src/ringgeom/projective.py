@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import RinggeomError
+
 INF = "inf"  # cross-ratio value for a vanishing denominator
 
 
-class GeometryError(ValueError):
+class GeometryError(RinggeomError):
     pass
 
 

@@ -21,7 +21,8 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, quadric_vertex, witt_index, is_ovoid,
                          exact_zero_set_forms, cross_ratio, conic_cross_ratio)
-from .hjplane import build_plane, is_affine_plane, check_hjelmslev
+from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
+                      partition_mismatch)
 
 
 @dataclass
@@ -478,18 +479,13 @@ def project_from_y(variety, F=None):
     xprime = sorted(fibers)
     # well-definedness: same image iff neighbouring source points
     plane = variety.plane
-    for img, fib in fibers.items():
-        for a, b in itertools.combinations(fib, 2):
-            pa = variety.inverse_rho[variety.points[a]]
-            pb = variety.inverse_rho[variety.points[b]]
-            if not plane.point_neighbouring(pa, pb):
-                raise GeometryError("projection identifies non-neighbours")
-    reps = [fib[0] for fib in fibers.values()]
-    for a, b in itertools.combinations(reps, 2):
-        pa = variety.inverse_rho[variety.points[a]]
-        pb = variety.inverse_rho[variety.points[b]]
-        if plane.point_neighbouring(pa, pb):
+    keys = [plane.point_keys[plane.point_index[variety.inverse_rho[x]]]
+            for x in variety.points]
+    pair = partition_mismatch(keys, [images[i] for i in range(len(keys))])
+    if pair is not None:
+        if keys[pair[0]] == keys[pair[1]]:
             raise GeometryError("projection separates neighbours")
+        raise GeometryError("projection identifies non-neighbours")
     quadrics = {}
     for t in variety.tubes:
         key = t.vertex.rows

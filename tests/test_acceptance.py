@@ -219,7 +219,8 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
             ok = ok and mo.verify_equivariance(M, g, variety_f2)[0]
-            ok = ok and mo.lift_stabilizes(M, variety_f2)
+            ok = ok and mo.lift_stabilizes_points(M, variety_f2.field,
+                                                  variety_f2.points)
     # CD(F3,0): sampled
     A3 = algebra_cd_f3
     rng = random.Random(0)

@@ -1,6 +1,20 @@
+import inspect
 import json
 
+import pytest
+
+import ringgeom
 from ringgeom import cli
+from ringgeom import (algebras, f2geom, fields, hjplane, motions,
+                      projective, scrolls, veronese)
+
+MODULES = (algebras, cli, f2geom, fields, hjplane, motions, projective,
+           scrolls, veronese)
+ERROR_TYPES = sorted({obj for mod in MODULES for obj in vars(mod).values()
+                      if inspect.isclass(obj)
+                      and issubclass(obj, Exception)
+                      and obj.__module__.startswith("ringgeom")},
+                     key=lambda c: c.__name__)
 
 
 def run_cli(args, tmp_path=None):
@@ -114,3 +128,55 @@ def test_scroll_dump(tmp_path):
     data = json.loads(dump.read_text())
     assert len(data["pairing"]) == 4
     assert len(data["quadrics"]) == 9
+
+
+def test_error_types_share_one_base():
+    assert {e.__name__ for e in ERROR_TYPES} >= {
+        "AlgebraError", "F2Error", "FieldError", "GeometryError",
+        "MotionError", "PlaneError", "QuadricFitError", "UsageError"}
+    for err in ERROR_TYPES:
+        assert issubclass(err, ringgeom.RinggeomError), err
+
+
+@pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda e: e.__name__)
+def test_every_error_type_exits_2_with_one_line(err, monkeypatch, capsys):
+    def fail(config):
+        raise err(2) if err.__name__ == "QuadricFitError" else err("refused")
+    monkeypatch.setitem(cli.COMMANDS, "algebra", fail)
+    rc = cli.main(["algebra", "--algebra", "F5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert err.__name__ in captured.err and "Traceback" not in captured.err
+
+
+def test_stabilizer_over_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("RINGGEOM_BFS_CAP", "1000")
+    rc = cli.main(["m10", "--stabilizer"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ringgeom: MotionError: closure exceeded cap 1000")
+    assert err.count("\n") == 1
+
+
+def test_vertexlocal_reports_first_failing_vertex(variety_f2, monkeypatch):
+    calls = []
+
+    def fake(V, vertex, data):
+        calls.append(vertex)
+        return {"dual_affine": len(calls) not in (2, 3),
+                "spread_regular": True, "scroll_quadrics_match": True,
+                "dim_formula_ok": True, "v_equals_d_minus_1": True,
+                "chi_v_projectivity": True, "call": len(calls)}
+
+    monkeypatch.setattr(cli.vr, "local_structure_at_vertex", fake)
+    (c,) = cli.veronese_checks(variety_f2, ("vertexlocal",))
+    assert c.status == "fail" and c.computed["call"] == 2
+    assert c.witnesses == [calls[1].rows]
+    monkeypatch.setattr(cli.vr, "local_structure_at_vertex",
+                        lambda V, vertex, data: dict(fake(V, vertex, data),
+                                                     dual_affine=True))
+    calls.clear()
+    (c,) = cli.veronese_checks(variety_f2, ("vertexlocal",))
+    assert c.status == "pass" and c.computed["call"] == len(calls)
+    assert c.witnesses == []

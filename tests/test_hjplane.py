@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringgeom.fields import GF
 from ringgeom import algebras as alg
@@ -107,6 +109,52 @@ def test_hjelmslev_axioms_cd_f3(algebra_cd_f3):
 def test_point_line_neighbour_consistency(plane_f2):
     ok, wit = hp.nonneighbouring_point_line_consistency(plane_f2)
     assert ok, wit
+
+
+def test_point_line_consistency_rejects_moved_key(plane_f2):
+    # one point moved to another neighbour class by its key alone
+    keys = list(plane_f2.point_keys)
+    keys[0] = next(k for k in keys if k != keys[0])
+    broken = dataclasses.replace(plane_f2, point_keys=keys)
+    ok, (p, l) = hp.nonneighbouring_point_line_consistency(broken)
+    assert not ok
+    on = {keys[i] for i in plane_f2.points_on[plane_f2.line_index[l]]}
+    near = plane_f2.point_line_neighbouring(p, l)
+    assert near == (keys[plane_f2.point_index[p]] not in on)
+
+
+def test_point_keys_are_tilde_triples(plane_f2):
+    A, B = plane_f2.algebra, plane_f2.base
+    assert plane_f2.point_keys == [hp.tilde_triple(A, B, p)
+                                   for p in plane_f2.points]
+
+
+def _pairwise_mismatch(a, b):
+    """Reference for partition_mismatch: every index pair."""
+    return [(j, i) for j, i in itertools.combinations(range(len(a)), 2)
+            if (a[i] == a[j]) != (b[i] == b[j])]
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                max_size=12))
+@settings(max_examples=500)
+def test_partition_mismatch_matches_pair_loop(labels):
+    a = [x for x, _ in labels]
+    b = [y for _, y in labels]
+    pairs = _pairwise_mismatch(a, b)
+    for x, y in ((a, b), (b, a)):
+        pair = hp.partition_mismatch(x, y)
+        assert (pair is None) == (not pairs)
+        if pair is not None:
+            assert pair in pairs
+
+
+def test_partition_mismatch_both_directions():
+    # one class split in two (not well defined), two classes joined (not
+    # injective)
+    assert hp.partition_mismatch([0, 0, 1], [5, 6, 7]) == (0, 1)
+    assert hp.partition_mismatch([0, 1, 2], [5, 6, 5]) == (0, 2)
+    assert hp.partition_mismatch([0, 1, 0, 1], [7, 5, 7, 5]) is None
 
 
 def test_rejects_wrong_shape():

@@ -134,7 +134,7 @@ def test_equivariance_exhaustive_f2(algebra_cd_f2, variety_f2):
                            mo.elation(A, "phi23", Y))
             ok, wit = mo.verify_equivariance(M, g, variety_f2)
             assert ok, (X, Y, wit)
-            assert mo.lift_stabilizes(M, variety_f2)
+            assert mo.lift_stabilizes_points(M, A.field, variety_f2.points)
             assert mo.lift_stabilizes_points(M, A.field, ypts)
     tauM = mo.linear_lift(A, "tau")
     assert mo.lift_stabilizes_points(tauM, A.field, ypts)
@@ -180,3 +180,84 @@ def test_transitivity_on_pairs_f2(algebra_cd_f2, plane_f2):
     assert len(mo.pair_orbit(gens, nb[0])) == len(nb)
     assert len(mo.pair_orbit(gens, far[0])) == len(far)
     assert len(mo.point_orbit(gens, 0)) == len(pts)
+
+
+def _pairwise_neighbouring(pperm, plane):
+    """Reference: neighbour status of every point pair before and after."""
+    pts = plane.points
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if (plane.point_neighbouring(pts[i], pts[j])
+                != plane.point_neighbouring(pts[pperm[i]], pts[pperm[j]])):
+            return False, (i, j)
+    return True, None
+
+
+def _genuine(pair, pperm, plane):
+    """Whether the neighbour status of the pair differs under the map."""
+    i, j = pair
+    pts = plane.points
+    return i < j and (plane.point_neighbouring(pts[i], pts[j])
+                      != plane.point_neighbouring(pts[pperm[i]],
+                                                  pts[pperm[j]]))
+
+
+def _swap_with_non_neighbour(plane):
+    """Identity with the last points of two neighbour classes swapped."""
+    last = {}
+    for i, key in enumerate(plane.point_keys):
+        last[key] = i
+    a, b = sorted(last.values())[:2]
+    perm = list(range(len(plane.points)))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("fixture", ["plane_f2", "plane_f3"])
+def test_key_neighbouring_matches_pair_loop(fixture, request):
+    plane = request.getfixturevalue(fixture)
+    A = plane.algebra
+    maps = [mo.triality(A)] + [mo.elation(A, kind, Y)
+                               for kind in ("phi23", "phi13")
+                               for Y in A.elements()]
+    swap = _swap_with_non_neighbour(plane)
+    for g in maps:
+        pp = mo.materialize(g, plane)[0]
+        assert mo.preserves_neighbouring(g, plane) == (True, None)
+        assert _pairwise_neighbouring(pp, plane) == (True, None)
+        broken = mo.perm_mul(pp, swap)
+        ok, pair = mo.perm_preserves_neighbouring(broken, plane)
+        assert not ok and _genuine(pair, broken, plane)
+        assert not _pairwise_neighbouring(broken, plane)[0]
+
+
+def test_neighbouring_rejects_swap_with_non_neighbour(plane_f2):
+    swap = _swap_with_non_neighbour(plane_f2)
+    keys = plane_f2.point_keys
+    a, b = [i for i, j in enumerate(swap) if i != j]
+    assert keys[a] != keys[b]
+    ok, pair = mo.perm_preserves_neighbouring(swap, plane_f2)
+    assert not ok and _genuine(pair, swap, plane_f2)
+
+
+def test_neighbouring_rejects_joined_classes(plane_f2):
+    # every point sent to point 0: each class goes to one class, but
+    # distinct classes go to the same one
+    collapse = (0,) * len(plane_f2.points)
+    ok, pair = mo.perm_preserves_neighbouring(collapse, plane_f2)
+    assert not ok and _genuine(pair, collapse, plane_f2)
+
+
+@pytest.mark.parametrize("row", range(9))
+def test_equivariance_rejects_one_wrong_row(row, algebra_cd_f2,
+                                            variety_f2):
+    A = algebra_cd_f2
+    X = Y = A.one()
+    M = mo.linear_lift(A, "phi", X=X, Y=Y)
+    g = mo.compose(mo.elation(A, "phi13", X), mo.elation(A, "phi23", Y))
+    assert mo.verify_equivariance(M, g, variety_f2) == (True, None)
+    bad = list(M)
+    bad[row] = mo.pj.vec_add(A.field, M[row], M[(row + 1) % len(M)])
+    ok, p = mo.verify_equivariance(bad, g, variety_f2)
+    assert not ok
+    assert (mo.apply_lift(A.field, bad, variety_f2.rho[p])
+            != variety_f2.rho[g.apply_point(p)])
