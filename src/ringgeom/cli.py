@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -23,6 +22,7 @@ from .fields import parse_field
 from .algebras import (parse_algebra, classify, truncated_series,
                        find_isomorphism_to_cd, cd_double)
 from . import hjplane as hp
+from . import projective as pj
 from . import veronese as vr
 from . import motions as mo
 from . import f2geom as f2
@@ -56,12 +56,9 @@ class Check:
     witnesses: list = dc_field(default_factory=list)
 
 
-def check(name, ok, expected=None, computed=None, witnesses=(),
-          sampled=False):
-    status = "pass" if ok else "fail"
-    if ok and sampled:
-        status = "sampled"
-    return Check(name, status, expected, computed, list(witnesses))
+def check(name, ok, expected=None, computed=None, witnesses=()):
+    return Check(name, "pass" if ok else "fail", expected, computed,
+                 list(witnesses))
 
 
 def _jsonable(x):
@@ -177,7 +174,7 @@ def plane_checks(plane, wanted):
             checks.append(check(k, rep[k], True, rep[k],
                                 witnesses=rep["violations"][:3]))
     if "epimorphism" in wanted and plane.is_cd:
-        pm, lm, residue = hp.epimorphism_to_residue(plane)
+        pm = hp.epimorphism_to_residue(plane)[0]
         sizes = {}
         for v in pm.values():
             sizes[v] = sizes.get(v, 0) + 1
@@ -186,7 +183,8 @@ def plane_checks(plane, wanted):
                             sorted(set(sizes.values()))))
     if "neighbour-consistency" in wanted:
         ok, wit = hp.nonneighbouring_point_line_consistency(plane)
-        checks.append(check("point_line_neighbouring", ok, True, ok))
+        checks.append(check("point_line_neighbouring", ok, True, ok,
+                            witnesses=[] if ok else [wit]))
     return checks
 
 
@@ -299,20 +297,29 @@ def veronese_checks(V, wanted):
 def run_motions(config):
     V = vr.build_variety(parse_algebra(config.algebra))
     return motion_checks(
-        V, config.checks or ("triality", "elations", "equivariance"),
-        config.seed)
+        V, config.checks or ("triality", "elations", "equivariance"))
 
 
-def motion_checks(V, wanted, seed):
-    A, plane = V.algebra, V.plane
-    checks = []
-    exhaustive = A.size() <= 16
-    rng = random.Random(seed)
+def motion_checks(V, wanted):
+    """Triality, elation and lift checks for every algebra, complete from
+    the F_p-basis G = {w^j e_i} of A over F_{p^k}, w^j = p^j in F.
+
+    Maps with rho(g p) = rho(p) M_g (row vectors) compose: rho(g h p) =
+    rho(p) M_h M_g, and g h keeps incidence and neighbourhood if g and h
+    do.  Let P(a) be an elation's point and line permutations and L(a)
+    its lift, in either family.  Every a in A is a sum over G, so
+    P(e) P(b) = P(e + b) and L(b) L(e) = L(b + e) for e in G, b in A
+    carry each property from G to all of A by induction; P(0) = id as
+    P(e) is bijective, and L(0) = I is checked.  Then phi13(X) phi23(Y)
+    lifts to L_Y(Y) L_X(X), compared with linear_lift(A, "phi", X, Y) on
+    all pairs.  A failing check names its first failing generator or pair.
+    """
+    A, plane, F = V.algebra, V.plane, V.field
     elems = A.elements()
-    perms = {}
-
-    def pick():
-        return elems[rng.randrange(len(elems))]
+    checks, perms = [], {}
+    gens = [(k, A.scale(F.p ** j, A.basis(i))) for k in ("phi23", "phi13")
+            for i in range(A.dim) for j in range(F.k)]
+    sums = [(k, e, b, A.add(e, b)) for k, e in gens for b in elems]
 
     def perms_of(kind, param=None):
         """Point and line permutations of tau or an elation, made once."""
@@ -321,6 +328,16 @@ def motion_checks(V, wanted, seed):
             perms[kind, param] = mo.materialize(g, plane)
         return perms[kind, param]
 
+    def verdict(name, *tests):
+        """Add the check that every case of the (cases, holds) pairs
+        holds, witnessed by the first case that does not."""
+        bad = next((case for cases, holds in tests for case in cases
+                    if not holds(*case)), None)
+        checks.append(check(name, bad is None, True, bad is None,
+                            witnesses=[] if bad is None else [bad]))
+
+    additive = (sums, lambda k, e, b, total: tuple(map(
+        mo.perm_mul, perms_of(k, e), perms_of(k, b))) == perms_of(k, total))
     if "triality" in wanted:
         pp, lp = perms_of("tau")
         ident = tuple(range(len(plane.points)))
@@ -329,57 +346,40 @@ def motion_checks(V, wanted, seed):
         checks.append(check("triality.order3", ok3, True, ok3))
         checks.append(check("triality.incidence", oki, True, oki))
     if "elations" in wanted:
-        params = elems if exhaustive else [pick() for _ in range(8)]
-        ok_inc = ok_nb = ok_add = True
-        for kind in ("phi23", "phi13"):
-            for Y in params:
-                pp, lp = perms_of(kind, Y)
-                okI, _ = mo.perms_preserve_incidence(pp, lp, plane)
-                okN, _ = mo.perm_preserves_neighbouring(pp, plane)
-                ok_inc = ok_inc and okI
-                ok_nb = ok_nb and okN
-            for Y1 in params:
-                for Y2 in params:
-                    total = perms_of(kind, A.add(Y1, Y2))[0]
-                    if mo.perm_mul(perms_of(kind, Y1)[0],
-                                   perms_of(kind, Y2)[0]) != total:
-                        ok_add = False
-        checks.append(check("elations.incidence", ok_inc, True, ok_inc,
-                            sampled=not exhaustive))
-        checks.append(check("elations.neighbouring", ok_nb, True, ok_nb,
-                            sampled=not exhaustive))
-        checks.append(check("elations.additive", ok_add, True, ok_add,
-                            sampled=not exhaustive))
+        verdict("elations.incidence", (gens, lambda k, e: (
+            mo.perms_preserve_incidence(*perms_of(k, e), plane)[0])))
+        verdict("elations.neighbouring", (gens, lambda k, e: (
+            mo.perm_preserves_neighbouring(perms_of(k, e)[0], plane)[0])))
+        verdict("elations.additive", additive)
     if "equivariance" in wanted:
         tau = mo.triality(A)
         okt, _ = mo.verify_equivariance(mo.linear_lift(A, "tau"), tau, V)
         checks.append(check("lift.tau", okt, True, okt))
-        pairs = ([(X, Y) for X in elems for Y in elems] if exhaustive
-                 else [(pick(), pick()) for _ in range(20)])
-        ok = True
-        for X, Y in pairs:
-            M = mo.linear_lift(A, "phi", X=X, Y=Y)
-            gm = mo.compose(mo.elation(A, "phi13", X),
-                            mo.elation(A, "phi23", Y))
-            okE, _ = mo.verify_equivariance(M, gm, V)
-            ok = ok and okE
-        checks.append(check("lift.phi_equivariant", ok,
-                            True, ok, sampled=not exhaustive))
+        lift = ({("phi13", a): mo.linear_lift(A, "phi", X=a) for a in elems}
+                | {("phi23", a): mo.linear_lift(A, "phi", Y=a)
+                   for a in elems})
+        unit = pj.unit_vectors(F, 3 * A.dim + 3)
+        verdict("lift.phi_equivariant", additive,
+                (gens, lambda k, e: mo.verify_equivariance(
+                    lift[k, e], mo.elation(A, k, e), V)[0]),
+                (sums, lambda k, e, b, total: pj.mat_mul(
+                    F, lift[k, b], lift[k, e]) == lift[k, total]),
+                ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
+                (itertools.product(elems, elems), lambda X, Y: (
+                    mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
+                        F, lift["phi23", Y], lift["phi13", X]))))
     if "transitivity" in wanted:
-        gens = [perms_of("tau")[0]]
-        for Y in elems:
-            gens.append(perms_of("phi23", Y)[0])
-            gens.append(perms_of("phi13", Y)[0])
+        # an orbit under tau and the generator elations lies in one under
+        # all elations, so a full orbit is full there too
+        group = [perms_of("tau")[0]] + [perms_of(k, e)[0] for k, e in gens]
         keys = plane.point_keys
-        nb, far = [], []
+        pairs = ([], [])                    # neighbouring, far
         for i, j in itertools.combinations(range(len(keys)), 2):
-            (nb if keys[i] == keys[j] else far).append((i, j))
-        onb = mo.pair_orbit(gens, nb[0])
-        ofar = mo.pair_orbit(gens, far[0])
-        checks.append(check("transitive.neighbouring_pairs",
-                            len(onb) == len(nb), len(nb), len(onb)))
-        checks.append(check("transitive.far_pairs",
-                            len(ofar) == len(far), len(far), len(ofar)))
+            pairs[keys[i] != keys[j]].append((i, j))
+        for name, cls in zip(("neighbouring_pairs", "far_pairs"), pairs):
+            size = len(mo.pair_orbit(group, cls[0]))
+            checks.append(check("transitive." + name, size == len(cls),
+                                len(cls), size))
     return checks
 
 
@@ -500,7 +500,7 @@ def run_verify_all(config):
                                              ("hjelmslev", "epimorphism")))
             + _prefixed("veronese.", veronese_checks(V, names))
             + _prefixed("motions.", motion_checks(
-                V, ("triality", "elations", "equivariance"), config.seed)))
+                V, ("triality", "elations", "equivariance"))))
 
 
 COMMANDS = {

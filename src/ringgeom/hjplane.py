@@ -87,10 +87,6 @@ class IncidenceStructure:
         return tilde_triple(self.algebra, self.base, p) == \
             tilde_triple(self.algebra, self.base, q)
 
-    def line_neighbouring(self, l, m):
-        return tilde_triple(self.algebra, self.base, l) == \
-            tilde_triple(self.algebra, self.base, m)
-
     def point_line_neighbouring(self, p, l):
         v = incidence_value(self.algebra, p, l)
         return all(x == self.algebra.field.zero

@@ -80,7 +80,6 @@ def _t_slot(A, a):
 def elation(A, kind, param):
     """phi_23(Y) (center (0,1,0), axis [0,0,1]) or phi_13(X) (center
     (1,0,0), same axis), by the explicit case formulas."""
-    one = A.one()
     if kind == "phi23":
         Y = param
         Yc = A.conj(Y)

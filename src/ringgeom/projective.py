@@ -172,6 +172,11 @@ def vec_mat(field, v, rows):
     return tuple(out)
 
 
+def mat_mul(field, a, b):
+    """The product a . b of matrices given as lists of rows."""
+    return [vec_mat(field, row, b) for row in a]
+
+
 # --------------------------------------------------------------------------
 # subspaces
 

@@ -39,12 +39,6 @@ class Spread:
     n: int                # ambient vector dimension
     members: tuple        # Subspaces, pairwise disjoint, covering PG(n-1)
 
-    def member_through(self, p):
-        for m in self.members:
-            if m.contains(p):
-                return m
-        return None
-
 
 def vector_space_view(L, K):
     """A K-basis of L and the coordinate map L -> K^e, via exhaustive
@@ -84,7 +78,7 @@ def regular_spread(d, q, m=2):
         members = tuple(Subspace(K, m, (p,)) for p in pj.pg_points(K, m))
         return Spread(K, m, members)
     L = GF(K.p ** (K.k * d))
-    emb, basis, coords = vector_space_view(L, K)
+    _, basis, coords = vector_space_view(L, K)
     members = []
     for lpoint in pj.pg_points(L, m):
         rows = []
@@ -262,7 +256,6 @@ def canonical_regular_scroll(d, q):
     # the first (d+2) coordinates
     qpts = []
     members = []
-    spread = regular_spread(d, q, m=2)
 
     def qpoint(l):
         # norm of the quadratic K-algebra L: l^2 for L = K, the field

@@ -20,7 +20,7 @@ from . import scrolls as sc
 from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, quadric_vertex, witt_index, is_ovoid,
-                         exact_zero_set_forms, cross_ratio, conic_cross_ratio)
+                         exact_zero_set_forms, conic_cross_ratio)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       partition_mismatch)
 
@@ -354,7 +354,6 @@ def check_h3(variety, bound):
 
 def check_property_v(variety):
     """Two vertices either coincide or are disjoint, and both cases occur."""
-    field = variety.field
     seen = {}
     for t in variety.tubes:
         seen.setdefault(t.vertex.rows, t.vertex)
@@ -719,7 +718,7 @@ def build_h2_counterexample(field):
         lspan = span(field, [a, b], 4)
         lines.setdefault(lspan.rows, (a, b))
     xis = []
-    for rows, (a, b) in sorted(lines.items()):
+    for _, (a, b) in sorted(lines.items()):
         xis.extend(_tubes_over_line(field, a, b))
     seen = {}
     for xi in xis:
@@ -909,17 +908,12 @@ def projectivity_from_frames(field, src, dst):
     """The unique projectivity mapping the ordered source frame (n
     independent points plus unit) to the destination frame; as a matrix
     acting on row vectors."""
-    (b1, u1, c1) = src
-    (b2, u2, c2) = dst
+    b1, _, c1 = src
+    b2, _, c2 = dst
     rows1 = [pj.vec_scale(field, c, b) for c, b in zip(c1, b1)]
     rows2 = [pj.vec_scale(field, c, b) for c, b in zip(c2, b2)]
-    m1inv = pj.mat_inverse(field, rows1)
     # row-vector action: x -> x . (M1^{-1} M2)
-    m2 = rows2
-    t = [[None] * len(m2[0]) for _ in range(len(m1inv))]
-    for i in range(len(m1inv)):
-        t[i] = list(pj.vec_mat(field, m1inv[i], m2))
-    return [tuple(r) for r in t]
+    return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
 
 
 def apply_matrix(field, matrix, p):
@@ -960,8 +954,8 @@ def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
         if len(test) != n:
             continue
         if unit is None:
-            m1inv = pj.mat_inverse(field, [list(r) for r in basis])
-            t = [tuple(pj.vec_mat(field, row, dst_basis)) for row in m1inv]
+            t = pj.mat_mul(field, pj.mat_inverse(
+                field, [list(r) for r in basis]), dst_basis)
         else:
             dst_unit = pts2[iso[uidx]]
             binv = pj.mat_inverse(field, [list(r) for r in zip(*dst_basis)])

@@ -180,3 +180,21 @@ def test_vertexlocal_reports_first_failing_vertex(variety_f2, monkeypatch):
     (c,) = cli.veronese_checks(variety_f2, ("vertexlocal",))
     assert c.status == "pass" and c.computed["call"] == len(calls)
     assert c.witnesses == []
+
+
+def test_point_line_neighbouring_reports_its_witness(monkeypatch):
+    args = ["plane", "--algebra", "CD(F2,0)", "--check",
+            "neighbour-consistency"]
+    report, status, _ = run_cli(args)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert status == 0
+    assert by_name["point_line_neighbouring"]["witnesses"] == []
+    plane = hjplane.build_plane(algebras.parse_algebra("CD(F2,0)"))
+    wit = (plane.points[3], plane.lines[5])
+    monkeypatch.setattr(hjplane, "nonneighbouring_point_line_consistency",
+                        lambda plane: (False, wit))
+    report, status, _ = run_cli(args)
+    check = {c["name"]: c for c in report["checks"]}[
+        "point_line_neighbouring"]
+    assert status == 1 and check["status"] == "fail"
+    assert check["witnesses"] == [cli._jsonable(wit)]

@@ -177,3 +177,26 @@ def test_frame5_is_v2_f2_f2(f2_field):
                                   ex["frame5"].blocks(), direct.points,
                                   direct.blocks())
     assert t is not None
+
+
+def test_check_design_rejects_one_swapped_point(m10):
+    w = f2.witt_lift(m10)
+    octads = list(w["octads"])
+    assert f2.check_design(w["points"], octads)
+    first = octads[0]
+    outside = next(i for i in range(len(w["points"])) if i not in first)
+    octads[0] = tuple(sorted(first[1:] + (outside,)))
+    assert not f2.check_design(w["points"], octads)
+
+
+def test_mm_axioms_reject_one_moved_block_point(m10):
+    assert f2.verify_mm_axioms(m10)["ok"]
+    block = m10.blocks[0]
+    outside = next(p for p in m10.points if p not in block)
+    moved = frozenset(sorted(block)[1:]) | {outside}
+    broken = f2.M10Structure(m10.points, m10.labels, m10.names,
+                             [moved] + list(m10.blocks[1:]), m10.dim)
+    rep = f2.verify_mm_axioms(broken)
+    assert not rep["ok"]
+    assert not (rep["mm1"] and rep["mm2star"] and rep["frames"]
+                and rep["exact"])

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from ringgeom import algebras as alg
+from ringgeom import cli
 from ringgeom import hjplane as hp
 from ringgeom import motions as mo
+from ringgeom import veronese as vr
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +263,115 @@ def test_equivariance_rejects_one_wrong_row(row, algebra_cd_f2,
     assert not ok
     assert (mo.apply_lift(A.field, bad, variety_f2.rho[p])
             != variety_f2.rho[g.apply_point(p)])
+
+
+MOTION_CHECKS = ("triality", "elations", "equivariance")
+PAIR_CHECKS = ("elations.incidence", "elations.neighbouring",
+               "elations.additive", "lift.phi_equivariant")
+
+
+def _all_pairs_verdicts(V):
+    """Reference: every elation, every pair of parameters and every lift
+    pair checked directly, with no use of generators."""
+    A, plane = V.algebra, V.plane
+    elems = A.elements()
+    inc = nb = add = lift = True
+    for kind in ("phi23", "phi13"):
+        perms = {a: mo.materialize(mo.elation(A, kind, a), plane)
+                 for a in elems}
+        for pp, lp in perms.values():
+            inc = inc and mo.perms_preserve_incidence(pp, lp, plane)[0]
+            nb = nb and mo.perm_preserves_neighbouring(pp, plane)[0]
+        for a in elems:
+            for b in elems:
+                add = add and (mo.perm_mul(perms[a][0], perms[b][0])
+                               == perms[A.add(a, b)][0])
+    for X in elems:
+        for Y in elems:
+            g = mo.compose(mo.elation(A, "phi13", X),
+                           mo.elation(A, "phi23", Y))
+            M = mo.linear_lift(A, "phi", X=X, Y=Y)
+            lift = lift and mo.verify_equivariance(M, g, V)[0]
+    return dict(zip(PAIR_CHECKS, (inc, nb, add, lift)))
+
+
+def _verdicts(V):
+    return {c.name: c.status == "pass"
+            for c in cli.motion_checks(V, MOTION_CHECKS)
+            if c.name in PAIR_CHECKS}
+
+
+@pytest.fixture(scope="module")
+def variety_cd_f4(f4_field):
+    return vr.build_variety(alg.cd_chain(f4_field, [f4_field.zero],
+                                         name="F4"))
+
+
+@pytest.mark.parametrize("fixture", ["variety_f2", "variety_f3",
+                                     "variety_cd_f4"])
+def test_generator_checks_match_all_pairs(fixture, request):
+    V = request.getfixturevalue(fixture)
+    statuses = [c.status for c in cli.motion_checks(V, MOTION_CHECKS)]
+    assert statuses == ["pass"] * 7
+    assert _verdicts(V) == _all_pairs_verdicts(V)
+
+
+def test_transitivity_from_generator_elations(variety_f2):
+    checks = cli.motion_checks(variety_f2, ("transitivity",))
+    assert [(c.name, c.status) for c in checks] == [
+        ("transitive.neighbouring_pairs", "pass"),
+        ("transitive.far_pairs", "pass")]
+
+
+def _substitute_phi23(monkeypatch, at, by):
+    real = mo.elation
+    monkeypatch.setattr(mo, "elation", lambda A, kind, param: real(
+        A, kind, by if kind == "phi23" and param == at else param))
+
+
+def test_generator_checks_match_all_pairs_on_a_broken_family(
+        variety_f2, monkeypatch):
+    A = variety_f2.algebra
+    _substitute_phi23(monkeypatch, A.one(), A.zero())
+    verdicts = _verdicts(variety_f2)
+    assert verdicts == _all_pairs_verdicts(variety_f2)
+    assert not verdicts["elations.additive"]
+
+
+@pytest.mark.parametrize("fixture", ["variety_f2", "variety_f3"])
+def test_non_additive_elation_family_fails(fixture, request, monkeypatch):
+    V = request.getfixturevalue(fixture)
+    A = V.algebra
+    off_basis = A.add(A.basis(0), A.basis(1))          # (1, 1)
+    _substitute_phi23(monkeypatch, off_basis, A.basis(0))
+    checks = {c.name: c for c in cli.motion_checks(V, MOTION_CHECKS)}
+    # phi23(1, 0) is a collineation, so only the identities can see this
+    assert checks["elations.incidence"].status == "pass"
+    assert checks["elations.neighbouring"].status == "pass"
+    for name in ("elations.additive", "lift.phi_equivariant"):
+        assert checks[name].status == "fail"
+        assert off_basis in checks[name].witnesses[0]
+
+
+@pytest.mark.parametrize("row", [0, 4, 8])
+@pytest.mark.parametrize("fixture", ["variety_f2", "variety_f3"])
+def test_lift_with_one_wrong_row_off_the_basis_fails(fixture, row, request,
+                                                     monkeypatch):
+    V = request.getfixturevalue(fixture)
+    A = V.algebra
+    off_basis = A.add(A.basis(0), A.basis(1))          # (1, 1)
+    real = mo.linear_lift
+
+    def lift(A_, kind, X=None, Y=None):
+        M = real(A_, kind, X=X, Y=Y)
+        if kind == "phi" and X == off_basis and Y is None:
+            M = list(M)
+            M[row] = mo.pj.vec_add(A.field, M[row], M[(row + 1) % len(M)])
+        return M
+
+    monkeypatch.setattr(mo, "linear_lift", lift)
+    checks = {c.name: c for c in cli.motion_checks(V, MOTION_CHECKS)}
+    assert checks["elations.additive"].status == "pass"
+    bad = checks["lift.phi_equivariant"]
+    assert bad.status == "fail"
+    assert off_basis in bad.witnesses[0]

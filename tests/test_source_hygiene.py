@@ -1,0 +1,106 @@
+"""Source hygiene of the package, by the standard library alone: no
+module-level import goes unused, and no function-local name is assigned
+without ever being read (tuple-unpacking targets and `_` are exempt)."""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent
+                  / "src" / "ringgeom").glob("*.py"))
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _loaded(tree):
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unused_imports(tree):
+    """(line, name) of each module-level import whose name is never read;
+    names listed in __all__ count as read."""
+    used = _loaded(tree) | {
+        elt.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in n.targets)
+        for elt in getattr(n.value, "elts", ()) if isinstance(elt,
+                                                               ast.Constant)}
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    out.append((node.lineno, name))
+    return out
+
+
+def _own_nodes(scope):
+    """The nodes of a function body, not descending into nested scopes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(tree):
+    """(line, function, name) of each local bound by a plain assignment
+    and never read in the function or in a scope nested in it."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, SCOPES):
+            continue
+        declared = set()
+        stores = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign,
+                                   ast.NamedExpr)):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != "_":
+                    stores.setdefault(t.id, t.lineno)
+        read = _loaded(scope)
+        name = getattr(scope, "name", "<lambda>")
+        out.extend((line, name, var) for var, line in sorted(stores.items())
+                   if var not in read and var not in declared)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert dead_locals(ast.parse(path.read_text())) == []
+
+
+def test_scanner_finds_planted_dead_names():
+    tree = ast.parse(
+        "import os\n"
+        "import sys as system\n"
+        "from itertools import chain, product\n"
+        "def f(x):\n"
+        "    y = x + 1\n"
+        "    z = 2\n"
+        "    a, b = x\n"
+        "    _ = 3\n"
+        "    w = 0\n"
+        "    def g():\n"
+        "        return w + chain\n"
+        "    return y, g\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "system"), (3, "product")]
+    assert dead_locals(tree) == [(6, "f", "z")]
