@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import RinggeomError
 from . import hjplane as hp
 from . import projective as pj
-from .projective import normalize_point
 
 BFS_CAP_ENV = "RINGGEOM_BFS_CAP"
 DEFAULT_BFS_CAP = 2 * 10 ** 5
@@ -257,10 +256,6 @@ def linear_lift(A, kind, X=None, Y=None):
     return [tuple(image(e)) for e in pj.unit_vectors(field, n)]
 
 
-def apply_lift(field, matrix, v):
-    return normalize_point(field, pj.vec_mat(field, v, matrix))
-
-
 def verify_equivariance(lift_matrix, plane_map, variety):
     """rho(g p) = lift . rho(p) as projective points for all plane points
     p, and lift . X = X, applying the lift once per point.  Returns
@@ -269,7 +264,7 @@ def verify_equivariance(lift_matrix, plane_map, variety):
     field = variety.field
     images = set()
     for p, img in variety.rho.items():
-        rhs = apply_lift(field, lift_matrix, img)
+        rhs = pj.apply_matrix(field, lift_matrix, img)
         if variety.rho[plane_map.apply_point(p)] != rhs:
             return False, p
         images.add(rhs)
@@ -282,7 +277,7 @@ def verify_equivariance(lift_matrix, plane_map, variety):
 def lift_stabilizes_points(lift_matrix, field, points):
     """Whether a set of points (X or the vertex space Y) is preserved."""
     pts = set(points)
-    return {apply_lift(field, lift_matrix, p) for p in pts} == pts
+    return {pj.apply_matrix(field, lift_matrix, p) for p in pts} == pts
 
 
 # --------------------------------------------------------------------------

@@ -172,6 +172,11 @@ def vec_mat(field, v, rows):
     return tuple(out)
 
 
+def apply_matrix(field, matrix, v):
+    """The point v . matrix, normalized (None if it is zero)."""
+    return normalize_point(field, vec_mat(field, v, matrix))
+
+
 def mat_mul(field, a, b):
     """The product a . b of matrices given as lists of rows."""
     return [vec_mat(field, row, b) for row in a]
@@ -418,9 +423,16 @@ class QuadraticForm:
                          self.evaluate(v))
 
     def gram_rows(self):
-        basis = unit_vectors(self.field, self.n)
-        return [tuple(self.bilinear(basis[i], basis[j]) for j in range(self.n))
-                for i in range(self.n)]
+        """Matrix of b, read off the coefficients: b_ij = c_ij for i < j
+        and b_ii = 2 c_ii."""
+        field, n = self.field, self.n
+        rows = [[None] * n for _ in range(n)]
+        for (i, j), c in zip(monomial_order(n), self.coeffs):
+            if i == j:
+                rows[i][i] = field.add(c, c)
+            else:
+                rows[i][j] = rows[j][i] = c
+        return [tuple(r) for r in rows]
 
 
 def monomial_order(n):
@@ -556,33 +568,35 @@ def witt_index(qf, within_points=None):
 # --------------------------------------------------------------------------
 # ovoids and tangent hyperplanes
 
-def tangent_points_at(field, pointset, x, ambient_points):
-    """Union of tangent lines to `pointset` through x, within the ambient.
-
-    Returns (tangent_union, ok) where ok is False if some line through x
-    carries three or more points of the set.
-    """
-    tangent = {tuple(x)}
-    ok = True
-    seen = set()
-    for y in ambient_points:
-        y = tuple(y)
-        if y == tuple(x) or y in seen:
+def _directions_from(field, pts, x):
+    """Projection of the points other than x from x onto the coordinate
+    hyperplane x_c = 0, c the pivot of the normalized x: returns c and the
+    number of points on the line through x and each hit direction."""
+    c = next(i for i, a in enumerate(x) if a != field.zero)
+    sub, mul = field.sub, field.mul
+    hits = {}
+    for y in pts:
+        if y == x:
             continue
-        lp = line_points(field, x, y)
-        for p in lp:
-            seen.add(p)
-        hits = [p for p in lp if p in pointset]
-        if len(hits) == 1:
-            tangent.update(lp)
-        elif len(hits) > 2:
-            ok = False
-    return tangent, ok
+        yc = y[c]
+        d = normalize_point(field, tuple(sub(a, mul(yc, b))
+                                         for a, b in zip(y, x)))
+        hits[d] = hits.get(d, 0) + 1
+    return c, hits
+
+
+def _hyperplane_directions(field, k, c):
+    """The points of the coordinate hyperplane x_c = 0 of K^k."""
+    z = field.zero
+    return [t[:c] + (z,) + t[c:] for t in pg_parameters(field, k - 1)]
 
 
 def is_ovoid(field, points, within):
-    """Definition check: spans `within`, no 3 collinear, tangent sets are
-    hyperplanes and every non-tangent line through a point is a secant."""
+    """Definition check: spans `within`, no 3 collinear, and at each point
+    x the tangent lines span a hyperplane.  Lines through x are the
+    points of a hyperplane not through x; a direction that two other
+    points project to is a line with three points of the set, and the
+    directions no point projects to are the tangents."""
     pts = [intrinsic_coords(within, p) for p in points]
     k = within.vdim
     if len(pts) != len(set(pts)):
@@ -590,17 +604,14 @@ def is_ovoid(field, points, within):
     sp, _ = rref(field, pts)
     if len(sp) != k:
         return False
-    pointset = set(pts)
-    ambient = pg_points(field, k)
     for x in pts:
-        tangent, ok = tangent_points_at(field, pointset, x, ambient)
-        if not ok:
+        c, hits = _directions_from(field, pts, x)
+        if len(hits) != len(pts) - 1:
             return False
-        tsp, _ = rref(field, sorted(tangent))
+        tangent = [d for d in _hyperplane_directions(field, k, c)
+                   if d not in hits]
+        tsp, _ = rref(field, [x] + tangent)
         if len(tsp) != k - 1:
-            return False
-        hyper = Subspace(field, k, tuple(tsp))
-        if not all(hyper.contains(t) for t in tangent):
             return False
     return True
 
@@ -608,22 +619,19 @@ def is_ovoid(field, points, within):
 def ovoid_tangent_hyperplane(field, points, within, x):
     """Tangent hyperplane at x of an ovoid or cone point set, in ambient
     coordinates.  A tangent line has one or all of its points in the set
-    (the latter happens along the generators of a cone)."""
+    (the latter happens along the generators of a cone): its direction
+    from x is hit by 0 or q other points, a secant's by 1."""
     pts = {intrinsic_coords(within, p) for p in points}
     xi = intrinsic_coords(within, x)
-    tangent = {xi}
-    seen = set()
-    for y in pg_points(field, within.vdim):
-        if y == xi or y in seen:
-            continue
-        lp = line_points(field, xi, y)
-        seen.update(lp)
-        hits = sum(1 for p in lp if p in pts)
-        if hits == 1 or hits == len(lp):
-            tangent.update(lp)
-        elif hits != 2:
-            raise GeometryError("line meets the set in %d points" % hits)
-    rows, _ = rref(field, sorted(tangent))
+    c, hits = _directions_from(field, pts, xi)
+    tangent = [xi]
+    for d in _hyperplane_directions(field, within.vdim, c):
+        h = hits.get(d, 0)
+        if h in (0, field.q):
+            tangent.append(d)
+        elif h != 1:
+            raise GeometryError("line meets the set in %d points" % (h + 1))
+    rows, _ = rref(field, tangent)
     return span(field, [from_intrinsic(within, r) for r in rows], within.n)
 
 

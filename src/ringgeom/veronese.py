@@ -160,22 +160,27 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     X(xi) plus the form's own vertex, with the vertex disjoint from X;
     fit_count records how many distinct cone varieties survive (expected
     one)."""
-    xi_pts = frozenset(xi.points())
+    k = xi.vdim
+    # xi.rows is in RREF, so c . rows is normalized and has coordinates c
+    intr = {pj.vec_mat(field, c, xi.rows): c
+            for c in pj.pg_parameters(field, k)}
+    xi_pts = frozenset(intr)
     x_pts = sorted(xi_pts & point_set)
     if not x_pts:
         raise GeometryError("xi carries no points of X")
-    k = xi.vdim
-    intr = {p: intrinsic_coords(xi, p) for p in xi_pts}
     x_intr = set(intr[p] for p in x_pts)
     kernel = pj.forms_through(field, sorted(x_intr), k)
+    # the vertex points are zeros, so an accepted form has as many zeros
+    # off X(xi) as some subspace has points
+    q = field.q
+    vertex_sizes = {(q ** m - 1) // (q - 1) for m in range(k + 1)}
     accepted = {}
     for coeffs in pj.pg_parameters(field, len(kernel)):
         flat = pj.vec_mat(field, coeffs, kernel)
         qf = pj.QuadraticForm(field, k, normalize_point(field, flat))
-        zeros = set()
-        for p, c in intr.items():
-            if qf.evaluate(c) == field.zero:
-                zeros.add(c)
+        zeros = {c for c in intr.values() if qf.evaluate(c) == field.zero}
+        if len(zeros) - len(x_intr) not in vertex_sizes:
+            continue
         vert = quadric_vertex(qf)
         vert_pts = set(vert.points()) if vert.rows else set()
         if zeros != x_intr | vert_pts:
@@ -771,27 +776,23 @@ def _tubes_over_line(field, a, b):
         r[4 + i] = field.add(r[4 + i], b[i])
     conds.append(tuple(r))                           # w_b.a + w_m.b = 0
     sols = pj.nullspace(field, conds, 12)
-    # quotient by V^3
-    vrows = []
+    # quotient by V^3, which lies in the solution space: in coordinates
+    # over `sols`, the coefficient vectors vanishing at the pivots of V^3's
+    # echelon basis are the lex-first member of each coset, in order
+    vcoords = []
     for v in vertex_rows:
         for pos in range(3):
             row = [field.zero] * 12
             row[pos * 4: pos * 4 + 4] = list(v)
-            vrows.append(tuple(row))
-    vspace, _ = rref(field, vrows)
+            vcoords.append(pj.solve(field, sols, tuple(row)))
+    _, pivots = rref(field, vcoords)
+    free = [i for i in range(len(sols)) if i not in pivots]
     reps = []
-    seen = set()
-    vsub = Subspace(field, 12, tuple(vspace))
-    for coeffs in itertools.product(list(field.elements()), repeat=len(sols)):
-        w = [field.zero] * 12
-        for c, s in zip(coeffs, sols):
-            if c != field.zero:
-                w = [field.add(x, field.mul(c, y)) for x, y in zip(w, s)]
-        red = vsub.reduce(tuple(w))
-        if red in seen:
-            continue
-        seen.add(red)
-        reps.append(tuple(w))
+    for tail in itertools.product(list(field.elements()), repeat=len(free)):
+        coeffs = [field.zero] * len(sols)
+        for i, c in zip(free, tail):
+            coeffs[i] = c
+        reps.append(pj.vec_mat(field, coeffs, sols))
     params = [(field.one, t) for t in field.elements()] + \
              [(field.zero, field.one)]
     out = []
@@ -916,10 +917,6 @@ def projectivity_from_frames(field, src, dst):
     return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
 
 
-def apply_matrix(field, matrix, p):
-    return normalize_point(field, pj.vec_mat(field, p, matrix))
-
-
 def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
                            max_isos=None):
     """A matrix carrying (pts1, blocks1) onto (pts2, blocks2), found by
@@ -964,7 +961,7 @@ def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
                 continue
             t = projectivity_from_frames(field, (basis, unit, coords),
                                          (dst_basis, dst_unit, dst_coords))
-        image = [apply_matrix(field, t, p) for p in pts1]
+        image = [pj.apply_matrix(field, t, p) for p in pts1]
         if set(image) != pts2_set:
             continue
         img_index = {p: i for i, p in enumerate(pts2)}

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringgeom.fields import GF
+from ringgeom.fields import GF, parse_field, random_scalar
 from ringgeom import projective as pj
 from ringgeom.projective import (span, meet, complement,
                                  normalize_point, fit_quadric,
@@ -221,3 +222,141 @@ def test_char2_forms_kept_upper_triangular():
     assert qf.evaluate((1, 0)) == F.one
     assert qf.evaluate((1, 1)) == F.zero
     assert qf.bilinear((1, 0), (1, 0)) == F.zero
+
+
+# --------------------------------------------------------------------------
+# is_ovoid and gram_rows against their definitions
+
+def _is_ovoid_by_lines(field, points, within):
+    """The definition, walked line by line: the points span `within`, no
+    line carries three of them, and at each point the tangent lines (the
+    lines through it with no other point) span a hyperplane."""
+    pts = [pj.intrinsic_coords(within, p) for p in points]
+    k = within.vdim
+    if len(pts) != len(set(pts)) or len(pj.rref(field, pts)[0]) != k:
+        return False
+    pointset = set(pts)
+    for x in pts:
+        tangent, seen = {x}, set()
+        for y in pj.pg_points(field, k):
+            if y == x or y in seen:
+                continue
+            line = pj.line_points(field, x, y)
+            seen.update(line)
+            hits = sum(1 for p in line if p in pointset)
+            if hits > 2:
+                return False
+            if hits == 1:
+                tangent.update(line)
+        if len(pj.rref(field, sorted(tangent))[0]) != k - 1:
+            return False
+    return True
+
+
+def _whole_space(field, k):
+    return span(field, pj.unit_vectors(field, k))
+
+
+def _conic(F):
+    return quadric_zero_set(quadratic_form(F, 3, {(0, 2): 1,
+                                                  (1, 1): F.neg(1)}))
+
+
+def _elliptic_quadric(F):
+    """x0 x1 + x2^2 + b x2 x3 + c x3^2 with t^2 + b t + c irreducible."""
+    for b, c in itertools.product(F.elements(), repeat=2):
+        if all(F.add(F.mul(t, F.add(t, b)), c) != F.zero
+               for t in F.elements()):
+            return quadric_zero_set(quadratic_form(
+                F, 4, {(0, 1): 1, (2, 2): 1, (2, 3): b, (3, 3): c}))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_is_ovoid_matches_lines_conic(q):
+    F = GF(q)
+    pts = _conic(F)
+    assert len(pts) == q + 1
+    assert is_ovoid(F, pts, _whole_space(F, 3))
+    assert _is_ovoid_by_lines(F, pts, _whole_space(F, 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_is_ovoid_matches_lines_elliptic_quadric(q):
+    F = GF(q)
+    pts = _elliptic_quadric(F)
+    assert len(pts) == q * q + 1
+    assert is_ovoid(F, pts, _whole_space(F, 4))
+    assert _is_ovoid_by_lines(F, pts, _whole_space(F, 4))
+
+
+def test_hyperoval_is_not_ovoid():
+    # the conic x0 x2 = x1^2 of PG(2, 4) and its nucleus: six points, no
+    # three collinear, but no tangent at any point
+    F = GF(4)
+    pts = _conic(F) + [(0, 1, 0)]
+    assert len(pts) == 6
+    assert all(len(pj.rref(F, trio)[0]) == 3
+               for trio in itertools.combinations(pts, 3))
+    assert not is_ovoid(F, pts, _whole_space(F, 3))
+    assert not _is_ovoid_by_lines(F, pts, _whole_space(F, 3))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_conic_with_a_moved_point_is_not_ovoid(q):
+    F = GF(q)
+    conic = _conic(F)
+    moved = next(p for p in pj.pg_points(F, 3) if p not in conic)
+    pts = conic[1:] + [moved]
+    assert not is_ovoid(F, pts, _whole_space(F, 3))
+    assert not _is_ovoid_by_lines(F, pts, _whole_space(F, 3))
+
+
+@st.composite
+def _point_sets(draw):
+    """Any point set, or an oval or ovoid with one point dropped, one
+    added, both or neither."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.sampled_from([3, 4]))
+    F = GF(q)
+    ambient = pj.pg_points(F, k)
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, len(ambient) - 1), min_size=1,
+                            max_size=q * q + 2, unique=True))
+        return q, [ambient[i] for i in idx]
+    pts = _conic(F) if k == 3 else _elliptic_quadric(F)
+    if draw(st.booleans()):
+        del pts[draw(st.integers(0, len(pts) - 1))]
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(ambient))
+        if extra not in pts:
+            pts.append(extra)
+    return q, pts
+
+
+@given(_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_is_ovoid_matches_lines_hypothesis(case):
+    q, pts = case
+    F = GF(q)
+    within = span(F, pts)
+    assert is_ovoid(F, pts, within) == _is_ovoid_by_lines(F, pts, within)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "Q"])
+def test_gram_rows_match_polarization(name):
+    F = parse_field(name)
+    rng = random.Random(7)
+    for n in (1, 2, 3, 5):
+        for _ in range(10):
+            qf = pj.QuadraticForm(F, n, tuple(
+                random_scalar(F, rng, 4) for _ in pj.monomial_order(n)))
+            gram = qf.gram_rows()
+            basis = pj.unit_vectors(F, n)
+            assert gram == [tuple(qf.bilinear(u, v) for v in basis)
+                            for u in basis]
+            u = tuple(random_scalar(F, rng, 4) for _ in range(n))
+            v = tuple(random_scalar(F, rng, 4) for _ in range(n))
+            ugv = F.zero
+            for a, b in zip(pj.vec_mat(F, u, gram), v):
+                ugv = F.add(ugv, F.mul(a, b))
+            assert ugv == qf.bilinear(u, v)

@@ -142,13 +142,38 @@ def test_tangent_space_complementarity(variety_f3):
             break
 
 
-def test_tube_tangent_matches_combinatorial(variety_f3):
-    t = variety_f3.tubes[0]
-    x = sorted(t.x_pts)[0]
-    via_form = vr.tube_tangent_space(variety_f3, t, x)
-    via_lines = pj.ovoid_tangent_hyperplane(
-        variety_f3.field, sorted(t.cone_pts), t.xi, x)
-    assert via_form == via_lines
+def test_zero_count_skip_keeps_accepted_forms(variety_f4big):
+    # every pencil form that the vertex test accepts has as many zeros off
+    # X(xi) as a subspace has points, so extract_tube may skip the others
+    # before computing their vertex
+    field = variety_f4big.field
+    q = field.q
+    for t in variety_f4big.tubes:
+        k = t.xi.vdim
+        sizes = {(q ** m - 1) // (q - 1) for m in range(k + 1)}
+        intr = [pj.intrinsic_coords(t.xi, p) for p in t.xi_pts]
+        x_intr = {pj.intrinsic_coords(t.xi, p) for p in t.x_pts}
+        kernel = pj.forms_through(field, sorted(x_intr), k)
+        accepted = 0
+        for coeffs in pj.pg_parameters(field, len(kernel)):
+            qf = pj.QuadraticForm(field, k, pj.normalize_point(
+                field, pj.vec_mat(field, coeffs, kernel)))
+            zeros = {c for c in intr if qf.evaluate(c) == field.zero}
+            vert = set(pj.quadric_vertex(qf).points())
+            if zeros == x_intr | vert and not vert & x_intr:
+                accepted += 1
+                assert len(zeros - x_intr) in sizes
+        assert accepted == t.fit_count == 1
+
+
+def test_tube_tangent_matches_combinatorial(variety_f2, variety_f3):
+    for variety in (variety_f2, variety_f3):
+        for t in variety.tubes[:4]:
+            for x in sorted(t.x_pts):
+                via_form = vr.tube_tangent_space(variety, t, x)
+                via_lines = pj.ovoid_tangent_hyperplane(
+                    variety.field, sorted(t.cone_pts), t.xi, x)
+                assert via_form == via_lines
 
 
 def test_vertex_space_f3(variety_f3):
@@ -246,7 +271,7 @@ def test_equivalence_certificate_f3(variety_f3, projection_f3, f3_field):
                                   direct.blocks())
     assert t is not None
     # certify: t really maps points onto points
-    img = {vr.apply_matrix(f3_field, t, p) for p in pts1}
+    img = {pj.apply_matrix(f3_field, t, p) for p in pts1}
     assert img == set(direct.points)
 
 
