@@ -341,15 +341,46 @@ def zero_sum_subsets(m10):
     targets = {frozenset(b) for b in m10.blocks}
     for b1, b2 in itertools.combinations(m10.blocks, 2):
         targets.add(frozenset(b1 ^ b2))
-    found = set()
-    for k in range(1, 9):
-        for sub in itertools.combinations(m10.points, k):
-            acc = 0
-            for v in sub:
-                acc ^= v
-            if acc == 0:
-                found.add(frozenset(sub))
+    found = _zero_sum_sets(m10.points)
     return found == targets, len(found)
+
+
+def _zero_sum_sets(points):
+    """The nonempty subsets of at most 8 of the points with zero sum, met
+    in the middle: a k-set splits into its lowest min(k, 4) points A and
+    the rest B, with equal sums and max A < min B (B empty for k <= 4)."""
+    buckets = _sum_buckets(points, range(5))
+    masks = [m for m in buckets.get(0, ()) if m]
+    for bucket in buckets.values():
+        fours = [m for m in bucket if m.bit_count() == 4]
+        for b in bucket:
+            low = b & -b
+            masks.extend(a | b for a in fours if a < low)
+    return {frozenset(points[i] for i in _indices(m)) for m in masks}
+
+
+def _sum_buckets(points, sizes):
+    """sum -> bitmasks (bit i for points[i]) of the subsets of the given
+    sizes with that sum."""
+    buckets = {}
+    for k in sizes:
+        for combo in itertools.combinations(range(len(points)), k):
+            acc = mask = 0
+            for i in combo:
+                acc ^= points[i]
+                mask |= 1 << i
+            buckets.setdefault(acc, []).append(mask)
+    return buckets
+
+
+def _indices(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -359,13 +390,9 @@ def project_m10(m10, centre):
     """Project from the span of `centre` (a list of points); requires
     admissibility and returns the projected structure with its report."""
     ech = echelon(list(centre))
-    cspan = span_set(ech)
-    block_spans = [span_set(list(b)) for b in m10.blocks]
-    for b1, b2 in itertools.combinations(range(21), 2):
-        pair = span_set(sorted(block_spans[b1] | block_spans[b2]))
-        if cspan & pair:
-            raise F2Error("centre is not admissible (meets blocks %d, %d)"
-                          % (b1, b2))
+    bad = _inadmissible_pair(m10, ech)
+    if bad is not None:
+        raise F2Error("centre is not admissible (meets blocks %d, %d)" % bad)
     image = _projection_from(ech, m10.dim)
     imgs = {p: image(p) for p in m10.points}
     if len(set(imgs.values())) != 21:
@@ -378,6 +405,17 @@ def project_m10(m10, centre):
     report["tangent_profile"] = sorted(
         len(tangent_space(proj, x)) - 1 for x in proj.points)
     return proj, report
+
+
+def _inadmissible_pair(m10, ech):
+    """The first pair of blocks (b1, b2) whose span meets the span of the
+    independent rows `ech`, or None: <C> and <B1 u B2> meet only in 0
+    iff their ranks add."""
+    for b1, b2 in itertools.combinations(range(len(m10.blocks)), 2):
+        pair = list(m10.blocks[b1] | m10.blocks[b2])
+        if bits_rank(ech + pair) != len(ech) + bits_rank(pair):
+            return b1, b2
+    return None
 
 
 def _projection_from(ech, dim):
@@ -456,22 +494,20 @@ def witt_lift(m10, block_index=0):
 
 
 def enumerate_octads(points):
-    """Octads = 8-subsets with zero sum and rank 7 (frames of 6-spaces);
-    driven by 7-subsets whose sum completes them, i.e. rank pruning."""
-    index = {v: i for i, v in enumerate(points)}
+    """Octads = 8-subsets with zero sum and rank 7 (frames of 6-spaces),
+    as sorted index tuples in lexicographic order.  A zero-sum 8-set is
+    its lowest four points and its highest four, with equal sums: joined
+    here from the 4-subsets bucketed by sum (meet in the middle)."""
     octads = []
-    npts = len(points)
-    for combo in itertools.combinations(range(npts), 7):
-        acc = 0
-        for i in combo:
-            acc ^= points[i]
-        j = index.get(acc)
-        if j is None or j <= combo[-1]:
-            continue
-        vecs = [points[i] for i in combo]
-        if bits_rank(vecs) == 7:
-            octads.append(combo + (j,))
-    return octads
+    for bucket in _sum_buckets(points, (4,)).values():
+        for b in bucket:
+            low = b & -b
+            for a in bucket:
+                if a < low:
+                    combo = tuple(_indices(a | b))
+                    if bits_rank([points[i] for i in combo[:7]]) == 7:
+                        octads.append(combo)
+    return sorted(octads)
 
 
 def check_design(points, octads):

@@ -160,6 +160,16 @@ def mat_vec(field, rows, v):
     return tuple(out)
 
 
+def dot(field, u, v):
+    """The scalar product sum_i u_i v_i."""
+    add, mul, z = field.add, field.mul, field.zero
+    acc = z
+    for a, b in zip(u, v):
+        if a != z and b != z:
+            acc = add(acc, mul(a, b))
+    return acc
+
+
 def vec_mat(field, v, rows):
     add, mul, z = field.add, field.mul, field.zero
     ncols = len(rows[0])
@@ -422,6 +432,10 @@ class QuadraticForm:
         return field.sub(field.sub(self.evaluate(s), self.evaluate(u)),
                          self.evaluate(v))
 
+    def polar(self, x):
+        """The coefficients of b(x, .), read off the Gram matrix."""
+        return vec_mat(self.field, x, self.gram_rows())
+
     def gram_rows(self):
         """Matrix of b, read off the coefficients: b_ij = c_ij for i < j
         and b_ii = 2 c_ii."""
@@ -545,18 +559,20 @@ def witt_index(qf, within_points=None):
     if not zeros:
         return 0
     z = field.zero
+    polar = {p: qf.polar(p) for p in zeros}
     best = [0]
 
     def extend(basis, sub, candidates):
         best[0] = max(best[0], len(basis))
         for idx, p in enumerate(candidates):
-            if not all(qf.bilinear(b, p) == z for b in basis):
+            if not all(dot(field, polar[b], p) == z for b in basis):
                 continue
             if sub is not None and sub.contains(p):
                 continue
+            bp = polar[p]
             rest = []
             for quad in candidates[idx + 1:]:
-                if qf.bilinear(p, quad) == z:
+                if dot(field, bp, quad) == z:
                     rest.append(quad)
             nxt = span(field, basis + [p], qf.n)
             extend(basis + [p], nxt, rest)
@@ -755,9 +771,7 @@ def conic_cross_ratio(field, plane, conic_pts, quad, qf=None):
                     raise GeometryError("no conic through the points")
                 qf = forms[0]
             # tangent line at the centre: kernel of b(centre, .)
-            row = tuple(qf.bilinear(centre, e)
-                        for e in unit_vectors(field, 3))
-            tline = span(field, nullspace(field, [row], 3), 3)
+            tline = span(field, nullspace(field, [qf.polar(centre)], 3), 3)
             img = meet(tline, aux_line)
         else:
             img = meet(span(field, [centre, p], 3), aux_line)

@@ -10,12 +10,18 @@ canonical.  All searches are exhaustive with rank pruning (q <= 5).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fields import GF, subfield_embedding, FieldError
 from . import projective as pj
 from .projective import (Subspace, span, meet, rref, normalize_point,
                          GeometryError, intrinsic_coords, cross_ratio)
+
+# largest number of seed tuples (one point off the spread side on each of
+# the first d+2 transversals) scroll_quadrics enumerates: the regular
+# 2-scroll over F4 needs 16^4 = 65536, over F5 25^4 = 390625
+SCROLL_SEED_BUDGET = 100000
 
 
 def normal_rational_curve(field, m):
@@ -295,57 +301,59 @@ def canonical_regular_scroll(d, q):
 
 def scroll_quadrics(scroll):
     """All Witt-index-1 quadrics on the scroll meeting every transversal
-    exactly once off the spread side.  Search driven by point pairs on the
-    first two transversals, with meet-based early rejection."""
+    exactly once off the spread side.
+
+    A quadric spans a (d+1)-space, seeded with one point on each of the
+    first d+2 transversals.  Each seed span u gets its annihilator H
+    once; u meets a later transversal T in the points c.T.rows with
+    (c.T.rows).H = 0, i.e. in the left kernel of the small matrix of dot
+    products of T's rows with H.  A seed is dropped at the first
+    transversal it meets in other than one point, or in a point of the
+    spread side.  Refuses up front when the seeds outnumber
+    SCROLL_SEED_BUDGET."""
     field = scroll.field
     n = scroll.n
     d = scroll.transversals[0].vdim - 1       # quadric lives in a (d+1)-space
     spread_pts = frozenset(scroll.spread_side.points())
     off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
+    seed_count = math.prod(len(pts) for pts in off[:d + 2])
+    if seed_count > SCROLL_SEED_BUDGET:
+        raise GeometryError("scroll quadric search needs %d seed tuples, "
+                            "over scrolls.SCROLL_SEED_BUDGET = %d"
+                            % (seed_count, SCROLL_SEED_BUDGET))
     found = {}
-    rest = list(range(d + 2, len(scroll.transversals)))
+    rest = [scroll.transversals[ti].rows
+            for ti in range(d + 2, len(scroll.transversals))]
 
-    def complete(u_span):
+    def complete(u):
+        annihilator = pj.nullspace(field, u.rows, n)
         pts = []
-        for ti in rest:
-            mm = meet(u_span, scroll.transversals[ti])
-            if mm.vdim != 1:
+        for t_rows in rest:
+            ker = pj.nullspace(field, [tuple(pj.dot(field, r, h)
+                                             for r in t_rows)
+                                       for h in annihilator], len(t_rows))
+            if len(ker) != 1:
                 return None
-            p = normalize_point(field, mm.rows[0])
+            p = normalize_point(field, pj.vec_mat(field, ker[0], t_rows))
             if p in spread_pts:
                 return None
             pts.append(p)
         return pts
 
-    for p in off[0]:
-        for q in off[1]:
-            # a quadric spans a (d+1)-space: seed it with d+2 points, one
-            # on each of the first d+2 transversals
-            seeds = [[p, q]]
-            for extra in range(d):
-                new = []
-                for s in seeds:
-                    for r in off[2 + extra]:
-                        new.append(s + [r])
-                seeds = new
-            for seed in seeds:
-                u = span(field, seed, n)
-                if u.vdim != d + 2:
-                    continue
-                tail = complete(u)
-                if tail is None:
-                    continue
-                pts = tuple(sorted(set(seed + tail)))
-                if len(pts) != len(scroll.transversals):
-                    continue
-                if pts in found:
-                    continue
-                forms = pj.exact_zero_set_forms(
-                    field, [intrinsic_coords(u, x) for x in pts], u.vdim,
-                    witt=1)
-                if not forms:
-                    continue
-                found[pts] = (u, forms[0])
+    for seed in itertools.product(*off[:d + 2]):
+        u = span(field, seed, n)
+        if u.vdim != d + 2:
+            continue
+        tail = complete(u)
+        if tail is None:
+            continue
+        pts = tuple(sorted(set(seed) | set(tail)))
+        if len(pts) != len(scroll.transversals) or pts in found:
+            continue
+        forms = pj.exact_zero_set_forms(
+            field, [intrinsic_coords(u, x) for x in pts], u.vdim, witt=1)
+        if forms:
+            found[pts] = (u, forms[0])
     return found
 
 

@@ -255,8 +255,7 @@ def tube_tangent_space(variety, tube, point):
     field = variety.field
     xc = intrinsic_coords(tube.xi, point)
     k = tube.xi.vdim
-    row = tuple(tube.form.bilinear(xc, e) for e in pj.unit_vectors(field, k))
-    ker = pj.nullspace(field, [row], k)
+    ker = pj.nullspace(field, [tube.form.polar(xc)], k)
     return span(field, [from_intrinsic(tube.xi, r) for r in ker], tube.xi.n)
 
 

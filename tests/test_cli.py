@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_scroll_subcommand():
     assert status == 0
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["quadrics"]["computed"] == 9
+
+
+def test_oversized_scroll_search_refuses_within_a_second(capsys):
+    t0 = time.perf_counter()
+    rc = cli.main(["scroll", "--field", "F7", "--d", "2"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("ringgeom: GeometryError: scroll quadric "
+                                   "search needs 5764801 seed tuples")
+    assert captured.err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_witt_csv_format(tmp_path):

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringgeom import algebras as alg
 from ringgeom import f2geom as f2
@@ -200,3 +203,134 @@ def test_mm_axioms_reject_one_moved_block_point(m10):
     assert not rep["ok"]
     assert not (rep["mm1"] and rep["mm2star"] and rep["frames"]
                 and rep["exact"])
+
+
+# --------------------------------------------------------------------------
+# the meet-in-the-middle searches against the direct enumerations
+
+
+def _octads_by_7_subsets(points):
+    """Reference: every 7-subset whose sum is a later point, kept when the
+    seven have rank 7."""
+    index = {v: i for i, v in enumerate(points)}
+    octads = []
+    for combo in itertools.combinations(range(len(points)), 7):
+        acc = 0
+        for i in combo:
+            acc ^= points[i]
+        j = index.get(acc)
+        if j is not None and j > combo[-1] and \
+                f2.bits_rank([points[i] for i in combo]) == 7:
+            octads.append(combo + (j,))
+    return octads
+
+
+def _zero_sums_by_combinations(points):
+    """Reference: every nonempty subset of at most 8 points with sum 0."""
+    found = set()
+    for k in range(1, 9):
+        for sub in itertools.combinations(points, k):
+            acc = 0
+            for v in sub:
+                acc ^= v
+            if acc == 0:
+                found.add(frozenset(sub))
+    return found
+
+
+@pytest.mark.parametrize("block_index", [0, 7])
+def test_octads_match_the_7_subset_walk(m10, block_index):
+    w = f2.witt_lift(m10, block_index=block_index)
+    assert w["octads"] == _octads_by_7_subsets(w["points"])
+
+
+_small_point_sets = st.lists(st.integers(1, 63), min_size=8, max_size=13,
+                             unique=True)
+
+
+@given(_small_point_sets)
+@settings(max_examples=60, deadline=None)
+def test_octads_match_the_7_subset_walk_hypothesis(points):
+    assert f2.enumerate_octads(points) == _octads_by_7_subsets(points)
+
+
+def test_zero_sum_sets_match_the_combination_loop(m10):
+    assert f2._zero_sum_sets(m10.points) == \
+        _zero_sums_by_combinations(m10.points)
+
+
+@given(_small_point_sets)
+@settings(max_examples=60, deadline=None)
+def test_zero_sum_sets_match_the_combination_loop_hypothesis(points):
+    assert f2._zero_sum_sets(points) == _zero_sums_by_combinations(points)
+
+
+def _first_meeting_pair_by_span_sets(pair_spans, ech):
+    cspan = f2.span_set(ech)
+    for b1, b2, pair in pair_spans:
+        if cspan & pair:
+            return b1, b2
+    return None
+
+
+@pytest.fixture(scope="module")
+def pair_spans(m10):
+    spans = [f2.span_set(list(b)) for b in m10.blocks]
+    return [(b1, b2, f2.span_set(sorted(spans[b1] | spans[b2])))
+            for b1, b2 in itertools.combinations(range(21), 2)]
+
+
+def test_admissibility_by_rank_matches_span_sets(m10, m10_census,
+                                                 pair_spans):
+    centres = [m10_census["m"]] + [[c] for c in range(1, 1 << m10.dim)]
+    admissible = []
+    for centre in centres:
+        ech = f2.echelon(centre)
+        want = _first_meeting_pair_by_span_sets(pair_spans, ech)
+        assert f2._inadmissible_pair(m10, ech) == want, centre
+        if want is None and len(centre) == 1:
+            admissible.append(centre[0])
+    assert admissible == m10_census["admissible_points"]
+
+
+def test_inadmissible_centre_names_the_span_set_pair(m10, pair_spans):
+    p = m10.points
+    for centre in ([p[0]], [p[0] ^ p[1]], [p[2], 1 << 10]):
+        want = _first_meeting_pair_by_span_sets(pair_spans,
+                                                f2.echelon(centre))
+        assert want is not None
+        with pytest.raises(f2.F2Error,
+                           match=r"meets blocks %d, %d\)" % want):
+            f2.project_m10(m10, centre)
+
+
+# --------------------------------------------------------------------------
+# the octads span the extended binary Golay code
+
+
+def _gf2_rows(words):
+    """Echelon rows of the span of packed-int words, by leading bit."""
+    rows = {}
+    for w in words:
+        while w:
+            top = w.bit_length() - 1
+            if top not in rows:
+                rows[top] = w
+                break
+            w ^= rows[top]
+    return list(rows.values())
+
+
+def test_octads_span_the_golay_code(m10):
+    w = f2.witt_lift(m10)
+    words = [sum(1 << i for i in octad) for octad in w["octads"]]
+    rows = _gf2_rows(words)
+    assert len(rows) == 12
+    enumerator = {}
+    word = 0
+    for k in range(1 << len(rows)):
+        if k:
+            word ^= rows[(k & -k).bit_length() - 1]     # Gray code step
+        weight = bin(word).count("1")
+        enumerator[weight] = enumerator.get(weight, 0) + 1
+    assert enumerator == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}

@@ -201,3 +201,78 @@ def test_alpha_section_regular_2_scroll_q3():
         if done >= 3:
             break
     assert done == 3
+
+
+def _scroll_quadrics_by_meet(scroll):
+    """Reference: the seed search completed by one Zassenhaus meet of the
+    seed span with each later transversal."""
+    field, n = scroll.field, scroll.n
+    d = scroll.transversals[0].vdim - 1
+    spread_pts = frozenset(scroll.spread_side.points())
+    off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
+    found = {}
+    for seed in itertools.product(*off[:d + 2]):
+        u = pj.span(field, seed, n)
+        if u.vdim != d + 2:
+            continue
+        tail = []
+        for t in scroll.transversals[d + 2:]:
+            mm = pj.meet(u, t)
+            if mm.vdim != 1:
+                break
+            p = pj.normalize_point(field, mm.rows[0])
+            if p in spread_pts:
+                break
+            tail.append(p)
+        else:
+            pts = tuple(sorted(set(seed) | set(tail)))
+            if len(pts) != len(scroll.transversals) or pts in found:
+                continue
+            forms = pj.exact_zero_set_forms(
+                field, [pj.intrinsic_coords(u, x) for x in pts], u.vdim,
+                witt=1)
+            if forms:
+                found[pts] = (u, forms[0])
+    return found
+
+
+@pytest.mark.parametrize("kind,d,q", [("cubic", 1, 3), ("cubic", 1, 4),
+                                      ("regular", 1, 3), ("regular", 2, 3)])
+def test_scroll_quadrics_match_meet_completion(kind, d, q):
+    s = sc.canonical_cubic_scroll(GF(q)) if kind == "cubic" \
+        else sc.canonical_regular_scroll(d, q)
+    got = sc.scroll_quadrics(s)
+    assert list(got.items()) == list(_scroll_quadrics_by_meet(s).items())
+
+
+@pytest.fixture(scope="module")
+def regular_2_scroll_q3():
+    s = sc.canonical_regular_scroll(2, 3)
+    return s, sc.scroll_quadrics(s)
+
+
+def test_unique_quadrics_reject_a_dropped_quadric(regular_2_scroll_q3):
+    s, quads = regular_2_scroll_q3
+    dropped = sorted(quads)[5]
+    rest = {k: v for k, v in quads.items() if k != dropped}
+    ok, info = sc.verify_unique_quadrics(s, rest)
+    assert not ok
+    kind, a, b, count = info
+    assert kind == "pair" and count == 0
+    assert a in dropped and b in dropped
+
+
+def test_unique_quadrics_reject_a_moved_point(regular_2_scroll_q3):
+    s, quads = regular_2_scroll_q3
+    spread_pts = frozenset(s.spread_side.points())
+    victim = sorted(quads)[5]
+    old = victim[3]
+    ti = s.transversal_index_of(old)
+    new = sorted(s.point_sets[ti] - spread_pts - {old})[0]
+    moved = tuple(sorted(set(victim) - {old} | {new}))
+    bent = {(moved if k == victim else k): v for k, v in quads.items()}
+    ok, info = sc.verify_unique_quadrics(s, bent)
+    assert not ok
+    kind, a, b, count = info
+    assert kind == "pair" and count in (0, 2)
+    assert {a, b} & {old, new}
