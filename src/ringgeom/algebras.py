@@ -16,9 +16,9 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from . import RinggeomError
-from .fields import random_scalar
 from . import projective as pj
 
 
@@ -322,22 +322,6 @@ def truncated_series(B, n):
 # --------------------------------------------------------------------------
 # predicates and radicals
 
-def _sample_elements(A, count, rng, height=20):
-    # integer coordinates suffice for sampling polynomial identities and
-    # keep the Fraction arithmetic cheap over Q
-    out = []
-    if A.field.is_finite:
-        for _ in range(count):
-            out.append(tuple(random_scalar(A.field, rng, height)
-                             for _ in range(A.dim)))
-        return out
-    from fractions import Fraction
-    for _ in range(count):
-        out.append(tuple(Fraction(rng.randint(-height, height))
-                         for _ in range(A.dim)))
-    return out
-
-
 def associator(A, a, b, c):
     return A.sub(A.mul(A.mul(a, b), c), A.mul(a, A.mul(b, c)))
 
@@ -397,52 +381,52 @@ def is_alternative(A):
     return True, True, None
 
 
-def is_quadratic(A, samples=400, seed=0):
-    """Every a satisfies a^2 - T(a) a + N(a) = 0, with T, N read from the
-    involution; exhaustive over finite A, sampled over Q."""
+def is_quadratic(A):
+    """Every a satisfies a^2 - T(a) a + N(a) = 0, with T(a) = a + conj(a)
+    and N(a) = a conj(a) both scalar; decided exactly over any field.
+
+    Polarization, as in `is_alternative`: a + conj(a) is linear in a, and
+    a conj(a) and a^2 - T(a) a + N(a) are quadratic maps, so all of them
+    vanish identically, F2 included, iff they vanish at every e_i and
+    every e_i + e_k.
+
+    Returns (flag, exhaustive, witness); exhaustive is always True and the
+    witness is the first such test element that fails."""
     if A.involution is None:
-        return False, A.field.is_finite, None
-    zero = A.zero()
+        return False, True, None
 
-    def check(a):
+    def holds(a):
         ac = A.conj(a)
-        s = A.add(a, ac)
-        n = A.mul(a, ac)
-        if any(x != A.field.zero for x in s[1:]):
+        s, n = A.add(a, ac), A.mul(a, ac)
+        if any(x != A.field.zero for x in s[1:] + n[1:]):
             return False
-        if any(x != A.field.zero for x in n[1:]):
-            return False
-        t = s[0]
-        lhs = A.sub(A.mul(a, a), A.scale(t, a))
-        lhs = A.add(lhs, A.scalar(n[0]))
-        return lhs == zero
+        return A.add(A.sub(A.mul(a, a), A.scale(s[0], a)),
+                     A.scalar(n[0])) == A.zero()
 
-    if A.field.is_finite:
-        for a in A.elements():
-            if not check(a):
-                return False, True, a
-        return True, True, None
-    rng = random.Random(seed)
-    for a in [A.basis(i) for i in range(A.dim)] + _sample_elements(A, samples, rng):
-        if not check(a):
-            return False, False, a
-    return True, False, None
+    basis = [A.basis(i) for i in range(A.dim)]
+    tests = basis + [A.add(basis[i], basis[k])
+                     for i, k in itertools.combinations(range(A.dim), 2)]
+    bad = next((a for a in tests if not holds(a)), None)
+    return bad is None, True, bad
 
 
-def is_division(A, samples=2000, seed=0):
+def is_division(A):
     """Anisotropy of the norm.  Exact over finite fields; over Q exact when
     the norm is diagonal positive definite, otherwise sampled."""
-    flag, _, _ = _division_detail(A, samples, seed)
-    return flag
+    return _division_detail(A)[0]
 
 
 def _division_detail(A, samples=2000, seed=0):
     field = A.field
     if field.is_finite:
-        for a in A.elements():
-            if a == A.zero():
-                continue
-            if A.norm(a) == field.zero:
+        # Chevalley-Warning: a quadratic form in >= 3 variables over F_q
+        # has a nonzero zero, so span(e_0, e_1, e_2) carries one when
+        # dim A >= 3; for dim A <= 2 that span is all of A
+        m = min(A.dim, 3)
+        tail = (field.zero,) * (A.dim - m)
+        for head in itertools.product(list(field.elements()), repeat=m):
+            a = head + tail
+            if a != A.zero() and A.norm(a) == field.zero:
                 return False, True, a
         return True, True, None
     # diagonal test: N(e_i) on the diagonal, no cross terms
@@ -455,8 +439,10 @@ def _division_detail(A, samples=2000, seed=0):
                 cross_free = False
     if cross_free and all(d > 0 for d in diag):
         return True, True, None
+    # integer coordinates keep the Fraction arithmetic cheap
     rng = random.Random(seed)
-    for a in _sample_elements(A, samples, rng, height=8):
+    for _ in range(samples):
+        a = tuple(Fraction(rng.randint(-8, 8)) for _ in range(A.dim))
         if a != A.zero() and A.norm(a) == field.zero:
             return False, False, a
     return True, False, None
@@ -516,14 +502,13 @@ class AlgebraReport:
     rad_f: list
     radical: list
     decomposition: tuple    # (B_basis, R_basis) or None
-    sampled: bool
+    sampled: bool           # division over Q with a non-diagonal norm
     witnesses: dict = dc_field(default_factory=dict)
 
 
 def classify(A, samples=1000, seed=0):
     report_witness = {}
-    quad, quad_exh, qw = is_quadratic(A, samples=min(samples, 300),
-                                      seed=seed)
+    quad, _, qw = is_quadratic(A)
     if qw is not None:
         report_witness["quadratic"] = qw
     alt, _, aw = is_alternative(A)
@@ -531,27 +516,26 @@ def classify(A, samples=1000, seed=0):
         report_witness["alternative"] = aw
     comm = is_commutative(A)
     assoc = is_associative(A)
-    sampled = not quad_exh
     if quad:
         rad_f, R = radical_bases(A)
         div, div_exact, dw = _division_detail(A, samples=samples, seed=seed)
-        sampled = sampled or not div_exact
         if dw is not None:
             report_witness["division"] = dw
         nondeg = not R
     else:
         rad_f, R = [], []
-        div, nondeg = False, False
+        div, nondeg, div_exact = False, False, True
     decomposition = None
     if quad and A.base_dim and A.base_dim < A.dim:
-        decomposition = _split_decomposition(A, rad_f, R)
+        decomposition = _split_decomposition(A, R)
     if div and not nondeg:
         raise AlgebraError("division algebra with nonzero radical")
     return AlgebraReport(A.tag, comm, assoc, alt, quad, nondeg, div,
-                         rad_f, R, decomposition, sampled, report_witness)
+                         rad_f, R, decomposition, not div_exact,
+                         report_witness)
 
 
-def _split_decomposition(A, rad_f, R):
+def _split_decomposition(A, R):
     """B + R split with B = the construction-history base; checks
     B-perp = R when the base really is maximal nondegenerate."""
     field = A.field

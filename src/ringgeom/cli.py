@@ -264,7 +264,9 @@ def veronese_checks(V, wanted):
                                 and crep["cross_ratio"] in (True, "vacuous"),
                                 True, {k: crep[k] for k in
                                        ("bijective", "incidence_reversing",
-                                        "x_is_union", "cross_ratio")}))
+                                        "x_is_union", "cross_ratio")},
+                                witnesses=[crep["cross_ratio_witness"]]
+                                if crep["cross_ratio_witness"] else []))
         elif name == "chi":
             if crep is None:
                 if data is None:
@@ -287,8 +289,10 @@ def veronese_checks(V, wanted):
                       and rep["chi_v_projectivity"] in (True, "vacuous"))
                 if not ok:
                     break
+            point = rep.pop("chi_v_witness", None)
             checks.append(check("vertexlocal", ok, True, rep,
-                                witnesses=[] if ok else [v.rows]))
+                                witnesses=[] if ok else [v.rows] + (
+                                    [point] if point else [])))
         else:
             raise UsageError("unknown veronese check %r" % name)
     return checks

@@ -695,15 +695,15 @@ def d1_q2_examples():
     F2 = GF(2)
     out = {}
     frame6 = [1 << i for i in range(6)] + [(1 << 6) - 1]
-    out["frame5"] = _fano_structure(F2, frame6, 7)
+    out["frame5"] = _fano_structure(F2, frame6)
     bplus = [1 << i for i in range(5)] + [(1 << 5) - 1, 1 << 5]
-    out["frame4_plus_point"] = _fano_structure(F2, bplus, 7)
+    out["frame4_plus_point"] = _fano_structure(F2, bplus)
     basis7 = [1 << i for i in range(7)]
-    out["basis6"] = _fano_structure(F2, basis7, 7)
+    out["basis6"] = _fano_structure(F2, basis7)
     return out
 
 
-def _fano_structure(field, ints, npts, triples=FANO_TRIPLES):
+def _fano_structure(field, ints, triples=FANO_TRIPLES):
     dim = max(v.bit_length() for v in ints)
     pts = [int_to_tuple(v, dim) for v in ints]
     xis = [pj.span(field, [pts[i] for i in trio], dim) for trio in triples]
@@ -715,8 +715,5 @@ def fano_relabelled(field, ints, shift):
     cyclic relabelling (for the any-choice-works spot checks)."""
     n = len(ints)
     perm = [(i + shift) % n for i in range(n)]
-    triples = [tuple(sorted(perm[i] for i in trio)) for trio in FANO_TRIPLES]
-    dim = max(v.bit_length() for v in ints)
-    pts = [int_to_tuple(v, dim) for v in ints]
-    xis = [pj.span(field, [pts[i] for i in trio], dim) for trio in triples]
-    return vr.build_synthetic_variety(field, dim, pts, xis, extract=True)
+    return _fano_structure(field, ints, [tuple(sorted(perm[i] for i in trio))
+                                         for trio in FANO_TRIPLES])

@@ -116,7 +116,7 @@ def build_plane(A):
         t_of = A.t_times
     else:
         b_elems = [B.zero()]
-        t_of = lambda b: zero
+        t_of = lambda _b: zero
 
     points = []
     for x in a_elems:
@@ -174,7 +174,7 @@ def line_point_list(A, B, is_cd, line, point_index):
     """Solve a*x + b*y + c*z = 0 template by template."""
     one, zero = A.one(), A.zero()
     b_elems = B.elements() if is_cd else [B.zero()]
-    t_of = A.t_times if is_cd else (lambda b: zero)
+    t_of = A.t_times if is_cd else (lambda _b: zero)
     _, tag, a, b, c = line
     out = []
 

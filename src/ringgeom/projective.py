@@ -741,14 +741,14 @@ def cross_ratio(field, p1, p2, p3, p4):
     return field.div(num, den)
 
 
-def conic_cross_ratio(field, plane, conic_pts, quad, qf=None):
+def conic_cross_ratio(field, plane, conic_pts, quad):
     """Cross-ratio of four points of a conic, via projection from a conic
     point onto an auxiliary line of the plane.
 
     `plane` is the Subspace spanned by the conic, `conic_pts` its full
     point set and `quad` the ordered quadruple.  If the projection centre
     has to be one of the quadruple (q = 3), its image is cut out by the
-    tangent line, which needs the fitted form `qf` (in plane coordinates).
+    tangent line of the conic fitted in plane coordinates.
     """
     pts = [intrinsic_coords(plane, p) for p in conic_pts]
     quad_i = [intrinsic_coords(plane, p) for p in quad]
@@ -765,13 +765,12 @@ def conic_cross_ratio(field, plane, conic_pts, quad, qf=None):
     images = []
     for p in quad_i:
         if p == centre:
-            if qf is None:
-                forms = exact_zero_set_forms(field, pts, 3)
-                if not forms:
-                    raise GeometryError("no conic through the points")
-                qf = forms[0]
+            forms = exact_zero_set_forms(field, pts, 3)
+            if not forms:
+                raise GeometryError("no conic through the points")
             # tangent line at the centre: kernel of b(centre, .)
-            tline = span(field, nullspace(field, [qf.polar(centre)], 3), 3)
+            tline = span(field, nullspace(field, [forms[0].polar(centre)],
+                                          3), 3)
             img = meet(tline, aux_line)
         else:
             img = meet(span(field, [centre, p], 3), aux_line)

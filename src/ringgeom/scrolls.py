@@ -234,21 +234,14 @@ def build_scroll(field, quadric_pts, members):
                   frozenset(allpts))
 
 
-def build_cubic_scroll(field, line_pts, conic_pts, pairing=None):
-    """Normal rational cubic scroll from a line and a conic in complementary
-    subspaces of PG(4, K); the projectivity defaults to index alignment."""
-    if pairing is None:
-        pairing = list(range(len(conic_pts)))
-    members = [Subspace(field, 5, (line_pts[i],)) for i in pairing]
-    return build_scroll(field, list(conic_pts), members)
-
-
 def canonical_cubic_scroll(field):
-    conic = normal_rational_curve(field, 2)
-    conic5 = [tuple(p) + (field.zero, field.zero) for p in conic]
-    line = normal_rational_curve(field, 1)
-    line5 = [(field.zero,) * 3 + tuple(p) for p in line]
-    return build_cubic_scroll(field, line5, conic5)
+    """Normal rational cubic scroll: a conic and a line in complementary
+    subspaces of PG(4, K), paired by index."""
+    conic5 = [tuple(p) + (field.zero, field.zero)
+              for p in normal_rational_curve(field, 2)]
+    members = [Subspace(field, 5, ((field.zero,) * 3 + tuple(p),))
+               for p in normal_rational_curve(field, 1)]
+    return build_scroll(field, conic5, members)
 
 
 def canonical_regular_scroll(d, q):
@@ -400,72 +393,88 @@ def verify_unique_quadrics(scroll, quadrics):
 def spread_cross_ratio(field, members, avoid=None):
     """Cross-ratio of four pairwise disjoint subspaces of a regulus or
     pencil, measured on a common transversal line avoiding `avoid`."""
+    if avoid is not None and not avoid.rows:
+        avoid = None
     m1, m2 = members[0], members[1]
     for p in m1.points():
-        if avoid is not None and avoid.rows and avoid.contains(p):
+        if avoid is not None and avoid.contains(p):
             continue
         for r in m2.points():
-            if avoid is not None and avoid.rows and avoid.contains(r):
+            if avoid is not None and avoid.contains(r):
                 continue
             line = span(field, [p, r], m1.n)
             if line.vdim != 2:
                 continue
             hits = []
-            good = True
             for m in members:
                 mm = meet(line, m)
                 if mm.vdim != 1:
-                    good = False
                     break
                 hits.append(mm.rows[0])
-            if good and (avoid is None or not avoid.rows
-                         or not meet(line, avoid).rows):
-                return cross_ratio(field, *hits)
+            else:
+                if avoid is None or not meet(line, avoid).rows:
+                    return cross_ratio(field, *hits)
     raise GeometryError("no common transversal found")
 
 
-def pairing_is_projectivity(scroll, max_checks=60):
-    """Certify the stored pairing: conics of the quadric side go to
-    reguli (pencils, for point members) with matching cross-ratio.
-    Vacuous at q = 2, where lines carry only three points."""
+def projectivity_witness(field, conic, members, avoid=None):
+    """None iff conic[i] -> members[i] (points of a line, lines of a
+    regulus, or a pencil through `avoid`) is a projectivity, else the
+    first conic point that fails.  A projectivity of PG(1, q) is fixed by
+    three pairs, and cross-ratio against a fixed triple is a coordinate,
+    so it is enough that cr(c0, c1, c2, x) = cr(m0, m1, m2, m_x) for each
+    later conic point x: q - 2 comparisons."""
+    if len(conic) != field.q + 1:
+        raise GeometryError("conic has %d != q+1 points" % len(conic))
+    plane = span(field, list(conic), len(conic[0]))
+    for x, m in zip(conic[3:], members[3:]):
+        val = pj.conic_cross_ratio(field, plane, conic, list(conic[:3]) + [x])
+        if val != spread_cross_ratio(field, list(members[:3]) + [m], avoid):
+            return x
+    return None
+
+
+def pairing_witness(scroll):
+    """None when every conic of the quadric side goes to a regulus (a
+    pencil, for point members) by a projectivity; else {"conic", "point"}
+    for the first conic point whose member is off the regulus or that
+    fails `projectivity_witness`.  Needs q >= 3."""
     field = scroll.field
-    if field.q < 3:
-        return "vacuous"
     pair = dict(zip(scroll.quadric_pts, scroll.members))
     qspan = span(field, list(scroll.quadric_pts), scroll.n)
-    checked = 0
     for conic in pj.conic_sections(field, scroll.quadric_pts, qspan):
         members = [pair[p] for p in conic]
         if members[0].vdim >= 2:
             reg = {m.rows for m in regulus(*members[:3])}
-            if reg != {m.rows for m in members}:
-                return False
-        for quad in itertools.permutations(conic[:4]):
-            val = pj.conic_cross_ratio(field,
-                                       span(field, list(conic), scroll.n),
-                                       list(conic), list(quad))
-            tval = spread_cross_ratio(field, [pair[p] for p in quad])
-            if val != tval:
-                return False
-            checked += 1
-            if checked >= max_checks:
-                return True
-    return True if checked else "vacuous"
+            off = [p for p, m in zip(conic, members) if m.rows not in reg]
+            if off:
+                return {"conic": conic, "point": off[0]}
+        x = projectivity_witness(field, conic, members)
+        if x is not None:
+            return {"conic": conic, "point": x}
+    return None
+
+
+def pairing_is_projectivity(scroll):
+    """Certify the stored pairing on every conic (`pairing_witness`).
+    Vacuous at q = 2, where lines carry only three points."""
+    if scroll.field.q < 3:
+        return "vacuous"
+    return pairing_witness(scroll) is None
 
 
 def scroll_dump(scroll, quadrics=None):
     """JSON-friendly dump of the transversal pairings and quadric lists."""
-    from . import projective as pjm
     field = scroll.field
     out = {
         "pairing": [{
-            "point": pjm.point_to_json(field, p),
-            "member": pjm.subspace_to_json(m),
+            "point": pj.point_to_json(field, p),
+            "member": pj.subspace_to_json(m),
         } for p, m in zip(scroll.quadric_pts, scroll.members)],
-        "spread_side": pjm.subspace_to_json(scroll.spread_side),
+        "spread_side": pj.subspace_to_json(scroll.spread_side),
     }
     if quadrics is not None:
-        out["quadrics"] = [[pjm.point_to_json(field, p) for p in pts]
+        out["quadrics"] = [[pj.point_to_json(field, p) for p in pts]
                            for pts in sorted(quadrics)]
     return out
 
@@ -473,11 +482,11 @@ def scroll_dump(scroll, quadrics=None):
 # --------------------------------------------------------------------------
 # affine sections of two paired quadrics sharing a point
 
-def alpha_section(field, pairing, shared, n, candidate_limit=None):
+def alpha_section(field, pairing, n):
     """Affine d-space meeting all transversals <x, phi(x)> of a pairing of
-    two Witt-index-1 quadrics sharing `shared`.
+    two Witt-index-1 quadrics sharing one point.
 
-    `pairing` is a list of (x, phi_x) with x != shared.  Returns
+    `pairing` is a list of (x, phi_x) with x != the shared point.  Returns
     (alpha_span, affine_points, infinity_subspace, images) where images[i]
     is the alpha-point on transversal i.
     """

@@ -20,7 +20,7 @@ from . import scrolls as sc
 from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, quadric_vertex, witt_index, is_ovoid,
-                         exact_zero_set_forms, conic_cross_ratio)
+                         exact_zero_set_forms)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       partition_mismatch)
 
@@ -579,35 +579,32 @@ def connection_chi(variety, data):
                                    len(residue.points), res_blocks), None)
     report["pstar_is_residue_plane"] = iso is not None
     # cross-ratio preservation, conic by conic (vacuous at q = 2)
-    report["cross_ratio"] = _chi_cross_ratio(variety, data, chi)
+    report["cross_ratio"], report["cross_ratio_witness"] = \
+        _chi_cross_ratio(variety, data, chi)
     report["hjelmslev"] = variety_hjelmslev(variety, data)
     return chi, report
 
 
-def _chi_cross_ratio(variety, data, chi, max_quadruples=40):
+def _chi_cross_ratio(variety, data, chi):
+    """(verdict, witness): chi maps every conic of every quadric of X'
+    onto the pencil of that quadric's vertex by a projectivity
+    (`scrolls.projectivity_witness`).  The witness is None, or the conic
+    and the first point of it that fails."""
     field = variety.field
     if field.q < 3:
-        return "vacuous"
-    checked = 0
+        return "vacuous", None
+    verdict = "vacuous"
     for key, qpts in data["quadrics"].items():
         v = data["vertices"][key]
         pts = sorted(qpts)
-        plane_sub = span(field, pts, variety.n)
-        for conic in pj.conic_sections(field, pts, plane_sub):
-            if len(conic) < 4:
-                continue
-            for quad in itertools.permutations(sorted(conic)[:4]):
-                val = conic_cross_ratio(field, span(field, list(conic),
-                                                    variety.n),
-                                        list(conic), list(quad))
-                imgs = [chi[p] for p in quad]
-                tval = sc.spread_cross_ratio(field, imgs, v)
-                if val != tval:
-                    return False
-                checked += 1
-                if checked >= max_quadruples:
-                    return True
-    return True if checked else "vacuous"
+        for conic in pj.conic_sections(field, pts,
+                                       span(field, pts, variety.n)):
+            x = sc.projectivity_witness(field, conic,
+                                        [chi[p] for p in conic], v)
+            if x is not None:
+                return False, {"conic": conic, "point": x}
+            verdict = True
+    return verdict, None
 
 
 def variety_hjelmslev(variety, data):
@@ -679,10 +676,12 @@ def local_structure_at_vertex(variety, vertex, data):
     report["spread_size"] = len(spread.members)
     report["spread_regular"] = sc.is_regular_spread(spread, within=ytilde)
     # chi_V preserves cross-ratio (projectivity), vacuous at q = 2: the
-    # pairing q-point <-> spread member is exactly a scroll pairing
+    # pairing q-point <-> spread member is exactly a scroll pairing; a
+    # failure adds its conic and point as "chi_v_witness"
     scroll = sc.build_scroll(field, qpts, members)
-    report["chi_v_projectivity"] = sc.pairing_is_projectivity(scroll,
-                                                              max_checks=30)
+    report["chi_v_projectivity"] = sc.pairing_is_projectivity(scroll)
+    if report["chi_v_projectivity"] is False:
+        report["chi_v_witness"] = sc.pairing_witness(scroll)
     # scroll quadrics == projected tubes
     squads = sc.scroll_quadrics(scroll)
     projected = set()

@@ -58,6 +58,12 @@ def variety_f3(algebra_cd_f3):
 
 
 @pytest.fixture(scope="session")
+def variety_cd_f4(f4_field):
+    return vr.build_variety(alg.cd_chain(f4_field, [f4_field.zero],
+                                         name="F4"))
+
+
+@pytest.fixture(scope="session")
 def variety_f4big(algebra_cd_f4_over_f2):
     # V2(F2, CD(F4,0)) in PG(14, 2)
     return vr.build_variety(algebra_cd_f4_over_f2)

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance, one
 printed pass/fail line each.  Desk scale: exhaustive over F2..F5.  Over Q
-the associative and alternative laws are decided exactly from the basis
-associators; seeded sampling remains for the quadratic law, and for
-division when the norm is not diagonal positive definite."""
+the associative, alternative and quadratic laws are decided exactly from
+basis elements; seeded sampling remains only for division when the norm
+is not diagonal positive definite."""
 
 import itertools
 import random
@@ -362,7 +362,7 @@ def test_criterion_15_scrolls(d, q):
         side2 = {s.transversal_index_of(p): p for p in k2 if p != c}
         order = sorted(side1)
         pairing = [(side1[i], side2[i]) for i in order]
-        al, images, inf_space = sc.alpha_section(field, pairing, c, s.n)
+        al, images, inf_space = sc.alpha_section(field, pairing, s.n)
         if d == 1:
             img_of = {side1[i]: images[j] for j, i in enumerate(order)}
             for quad in itertools.permutations(sorted(k1)[:4]):

@@ -103,7 +103,7 @@ def test_octonions_alternative_not_associative():
     O = cd_chain(QQ(), [Fraction(-1)] * 3, name="Q")
     rep = classify(O, samples=200)
     assert rep.alternative and not rep.associative and rep.division
-    assert rep.sampled
+    assert not rep.sampled
     # one explicitly nonzero associator
     i, j, e4 = O.basis(1), O.basis(2), O.basis(4)
     assert alg.associator(O, i, j, e4) != O.zero()
@@ -161,6 +161,70 @@ def test_is_alternative_matches_all_pairs(q):
                 alg.associator(A, b, a, a) != A.zero()
         flags.append(flag)
     assert (False in flags) == (q != 5)     # F5 chains here have dim 2
+
+
+def _quadratic_at(A, a):
+    # a^2 - T(a) a + N(a) = 0 with T(a) = a + conj(a), N(a) = a conj(a)
+    # both scalar
+    ac = A.conj(a)
+    s, n = A.add(a, ac), A.mul(a, ac)
+    if any(x != A.field.zero for x in s[1:] + n[1:]):
+        return False
+    return A.add(A.sub(A.mul(a, a), A.scale(s[0], a)),
+                 A.scalar(n[0])) == A.zero()
+
+
+def _quadratic_by_elements(A):
+    return all(_quadratic_at(A, a) for a in A.elements())
+
+
+def _division_by_elements(A):
+    return all(a == A.zero() or A.norm(a) != A.field.zero
+               for a in A.elements())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_quadratic_and_division_match_all_elements(q):
+    # every CD chain over F_q with |A| <= 81, each chain of dim >= 4 with
+    # one broken table cell, and the non-quadratic B[t]/(t^3)
+    F = GF(q)
+    variants = ("standard", "char2-unital") if F.p == 2 else ("standard",)
+    algebras = [truncated_series(ground_algebra(F, "F%d" % q), 3)]
+    for v in variants:
+        for n in (1, 2):
+            for zetas in itertools.product(F.elements(), repeat=n):
+                if q ** (2 ** n) > 81:
+                    continue
+                A = cd_chain(F, list(zetas), first_variant=v,
+                             name="F%d" % q)
+                algebras.append(A)
+                if A.dim >= 4:
+                    algebras.append(_broken_table(A))
+    verdicts = []
+    for A in algebras:
+        quad, exhaustive, witness = alg.is_quadratic(A)
+        assert exhaustive and quad == _quadratic_by_elements(A), A.tag
+        if not quad:
+            assert not _quadratic_at(A, witness)
+            verdicts.append(None)
+            continue
+        div, exact, witness = alg._division_detail(A)
+        assert exact and div == _division_by_elements(A), A.tag
+        if not div:
+            assert witness != A.zero() and A.norm(witness) == F.zero
+        verdicts.append(div)
+    assert {None, True, False} <= set(verdicts)
+
+
+def test_classify_never_enumerates_elements(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated %s" % self.tag)
+
+    monkeypatch.setattr(alg.Algebra, "elements", refuse)
+    F3 = GF(3)
+    rep = classify(cd_chain(F3, [F3.neg(1)] * 4, name="F3"))   # 3^16
+    assert rep.quadratic and not rep.alternative and not rep.division
+    assert not rep.sampled and "division" in rep.witnesses
 
 
 def test_is_alternative_rejects_sedenions():

@@ -195,6 +195,25 @@ def test_vertexlocal_reports_first_failing_vertex(variety_f2, monkeypatch):
     assert c.witnesses == []
 
 
+def test_projectivity_failures_name_conic_and_point(variety_f3,
+                                                   monkeypatch):
+    (c,) = cli.veronese_checks(variety_f3, ("cor",))[-1:]
+    assert c.name == "cor.chi" and c.status == "pass" and c.witnesses == []
+    wit = {"conic": ((1, 0, 0), (0, 1, 0)), "point": (0, 1, 0)}
+    monkeypatch.setattr(cli.vr, "_chi_cross_ratio",
+                        lambda V, data, chi: (False, wit))
+    (c,) = cli.veronese_checks(variety_f3, ("cor",))[-1:]
+    assert c.status == "fail" and c.computed["cross_ratio"] is False
+    assert c.witnesses == [wit]
+    monkeypatch.setattr(cli.vr.sc, "pairing_is_projectivity",
+                        lambda scroll: False)
+    monkeypatch.setattr(cli.vr.sc, "pairing_witness", lambda scroll: wit)
+    (c,) = cli.veronese_checks(variety_f3, ("vertexlocal",))
+    first = variety_f3.tubes[0].vertex
+    assert c.status == "fail" and "chi_v_witness" not in c.computed
+    assert c.witnesses == [first.rows, wit]
+
+
 def test_point_line_neighbouring_reports_its_witness(monkeypatch):
     args = ["plane", "--algebra", "CD(F2,0)", "--check",
             "neighbour-consistency"]

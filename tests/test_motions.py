@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from ringgeom import algebras as alg
 from ringgeom import cli
 from ringgeom import hjplane as hp
 from ringgeom import motions as mo
@@ -284,12 +283,6 @@ def _verdicts(V):
     return {c.name: c.status == "pass"
             for c in cli.motion_checks(V, MOTION_CHECKS)
             if c.name in PAIR_CHECKS}
-
-
-@pytest.fixture(scope="module")
-def variety_cd_f4(f4_field):
-    return vr.build_variety(alg.cd_chain(f4_field, [f4_field.zero],
-                                         name="F4"))
 
 
 @pytest.mark.parametrize("fixture", ["variety_f2", "variety_f3",

@@ -122,11 +122,45 @@ def test_regular_2_scroll(q):
     assert ok, info
 
 
-@pytest.mark.parametrize("d,q", [(1, 3), (1, 4), (2, 3)])
+@pytest.mark.parametrize("d,q", [(1, 3), (1, 4), (1, 5), (2, 3)])
 def test_canonical_pairings_are_projectivities(d, q):
     s = sc.canonical_cubic_scroll(GF(q)) if d == 1 \
         else sc.canonical_regular_scroll(d, q)
     assert sc.pairing_is_projectivity(s) is True
+    assert sc.pairing_witness(s) is None
+
+
+def _swap_members(scroll, p, r):
+    pair = dict(zip(scroll.quadric_pts, scroll.members))
+    pair[p], pair[r] = pair[r], pair[p]
+    return sc.build_scroll(scroll.field, list(pair), list(pair.values()))
+
+
+def test_pairing_swap_on_late_conic_points_is_rejected():
+    # q >= 4: PGL(2, 3) is all of S_4 on a 4-point conic, so a swap at
+    # q = 3 would still be a projectivity there
+    s = sc.canonical_cubic_scroll(GF(5))
+    p, r = sorted(s.quadric_pts)[-2:]
+    bad = _swap_members(s, p, r)
+    assert sc.pairing_is_projectivity(bad) is False
+    assert sc.pairing_witness(bad)["point"] in (p, r)
+
+
+def test_pairing_off_regulus_on_late_conic_is_rejected():
+    # the two points of the q = 3 elliptic quadric on none of its first
+    # three conics: swapping their spread members breaks the regulus of
+    # a later conic through one of them
+    s = sc.canonical_regular_scroll(2, 3)
+    F = s.field
+    conics = pj.conic_sections(F, s.quadric_pts,
+                               pj.span(F, list(s.quadric_pts), s.n))
+    early = set().union(*conics[:3])
+    p, r = [x for x in s.quadric_pts if x not in early]
+    bad = _swap_members(s, p, r)
+    assert sc.pairing_is_projectivity(bad) is False
+    witness = sc.pairing_witness(bad)
+    assert witness["point"] in (p, r)
+    assert witness["conic"] in conics[3:]
 
 
 def test_regular_1_scroll_agrees_with_cubic_scroll():
@@ -160,7 +194,7 @@ def test_alpha_section_cubic_scroll():
         side1 = {s.transversal_index_of(p): p for p in k1 if p != c}
         side2 = {s.transversal_index_of(p): p for p in k2 if p != c}
         pairing = [(side1[i], side2[i]) for i in sorted(side1)]
-        al, images, inf_space = sc.alpha_section(F, pairing, c, s.n)
+        al, images, inf_space = sc.alpha_section(F, pairing, s.n)
         assert len(images) == F.q
         u1, qf1 = quads[k1]
         for quad in itertools.permutations(sorted(k1)):
@@ -195,7 +229,7 @@ def test_alpha_section_regular_2_scroll_q3():
         side2 = {s.transversal_index_of(p): p for p in k2 if p != c}
         order = sorted(side1)
         pairing = [(side1[i], side2[i]) for i in order]
-        al, images, inf_space = sc.alpha_section(F, pairing, c, s.n)
+        al, images, inf_space = sc.alpha_section(F, pairing, s.n)
         assert len(images) == 9 and inf_space.pdim == 1
         done += 1
         if done >= 3:

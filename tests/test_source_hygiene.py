@@ -1,6 +1,8 @@
 """Source hygiene of the package, by the standard library alone: no
-module-level import goes unused, and no function-local name is assigned
-without ever being read (tuple-unpacking targets and `_` are exempt)."""
+module-level import goes unused, no function-local name is assigned
+without ever being read (tuple-unpacking targets and `_` are exempt), and
+no parameter goes unread (`self`, `cls` and `_`-prefixed names are
+exempt)."""
 
 import ast
 import pathlib
@@ -78,6 +80,24 @@ def dead_locals(tree):
     return sorted(out)
 
 
+def unused_params(tree):
+    """(line, function, name) of each parameter never read in its function
+    or in a scope nested in it."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, SCOPES):
+            continue
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = _loaded(scope)
+        name = getattr(scope, "name", "<lambda>")
+        out.extend((p.lineno, name, p.arg) for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_"))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -86,6 +106,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_params(path):
+    assert unused_params(ast.parse(path.read_text())) == []
 
 
 def test_scanner_finds_planted_dead_names():
@@ -104,3 +129,19 @@ def test_scanner_finds_planted_dead_names():
         "    return y, g\n")
     assert unused_imports(tree) == [(1, "os"), (2, "system"), (3, "product")]
     assert dead_locals(tree) == [(6, "f", "z")]
+
+
+def test_scanner_finds_planted_unused_params():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, a, b, *args, c=0, _d=1, **kw):\n"
+        "        def inner():\n"
+        "            return a\n"
+        "        return inner, kw\n"
+        "    @classmethod\n"
+        "    def k(cls, e):\n"
+        "        return 0\n"
+        "f = lambda x, _y: 1\n")
+    assert unused_params(tree) == [(2, "m", "args"), (2, "m", "b"),
+                                   (2, "m", "c"), (7, "k", "e"),
+                                   (9, "<lambda>", "x")]

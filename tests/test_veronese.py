@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -258,6 +259,32 @@ def test_chi_preserves_harmonic_quadruple(variety_f3, projection_f3):
     assert found
 
 
+def test_chi_cross_ratio_reads_every_conic(variety_cd_f4):
+    # swap the chi images of two points of the third conic that lie on
+    # neither of the first two: only a check that reads every conic sees
+    # that chi is no longer a projectivity there
+    V = variety_cd_f4
+    field = V.field
+    _, data = vr.project_from_y(V)
+    chi, crep = vr.connection_chi(V, data)
+    assert crep["cross_ratio"] is True
+    assert crep["cross_ratio_witness"] is None
+    conics = []
+    for qpts in data["quadrics"].values():
+        pts = sorted(qpts)
+        conics.extend(pj.conic_sections(field, pts,
+                                        pj.span(field, pts, V.n)))
+    assert len(conics) == 21 and all(len(c) == 5 for c in conics)
+    p, r = [x for x in conics[2]
+            if x not in conics[0] and x not in conics[1]][:2]
+    swapped = dict(chi)
+    swapped[p], swapped[r] = chi[r], chi[p]
+    verdict, witness = vr._chi_cross_ratio(V, data, swapped)
+    assert verdict is False
+    assert witness["conic"] == conics[2]
+    assert witness["point"] in conics[2]
+
+
 def test_equivalence_certificate_f3(variety_f3, projection_f3, f3_field):
     rep, data = projection_f3
     F = data["F"]
@@ -330,9 +357,8 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
     assert set(g0) == set(g1)
     shared_keys = [k for k in g0 if g0[k] == g1[k]]
     assert len(shared_keys) == 1          # the common generator
-    shared = g0[shared_keys[0]]
     pairing = [(g0[k], g1[k]) for k in sorted(g0) if g0[k] != g1[k]]
-    al, images, inf_space = sc.alpha_section(field, pairing, shared, n)
+    al, images, inf_space = sc.alpha_section(field, pairing, n)
     assert set(images) <= ytilde
     assert set(inf_space.points()) <= ytilde
 
@@ -379,6 +405,41 @@ def test_check_tubes_rejects_wrong_dimensions(variety_f2):
     rep = vr.check_tubes(variety_f2, d_base=2, v=0)
     assert not rep["ok"]
     assert {w[1] for w in rep["violations"]} == {"base_dim"}
+
+
+def test_check_h1_rejects_a_dropped_tube(variety_f3):
+    V = variety_f3
+    assert vr.check_h1(V)["ok"]
+    dropped = V.tubes[0]
+    rep = vr.check_h1(dataclasses.replace(V, tubes=V.tubes[1:]))
+    assert not rep["ok"] and rep["violations"]
+    assert all(i in dropped.x_idx and j in dropped.x_idx
+               for i, j in rep["violations"])
+
+
+def test_check_h2star_rejects_an_empty_tubic_space(variety_f3):
+    V = variety_f3
+    assert vr.check_h2star(V)["ok"]
+    tubes = list(V.tubes)
+    tubes[0] = dataclasses.replace(tubes[0], xi_pts=frozenset())
+    rep = vr.check_h2star(dataclasses.replace(V, tubes=tubes))
+    assert not rep["ok"]
+    assert (0, 1, "disjoint") in rep["violations"]
+    assert {w[2] for w in rep["violations"]} == {"disjoint"}
+
+
+def test_check_property_v_rejects_a_joined_vertex(variety_f3):
+    V = variety_f3
+    assert vr.check_property_v(V)["ok"]
+    t0 = V.tubes[0]
+    other = next(t.vertex for t in V.tubes if t.vertex != t0.vertex)
+    join = pj.span(V.field, list(t0.vertex.rows) + list(other.rows), V.n)
+    tubes = [dataclasses.replace(t0, vertex=join)] + list(V.tubes[1:])
+    rep = vr.check_property_v(dataclasses.replace(V, tubes=tubes))
+    assert not rep["ok"]
+    pairs = {frozenset(w) for w in rep["violations"]}
+    assert frozenset((join.rows, other.rows)) in pairs
+    assert frozenset((join.rows, t0.vertex.rows)) in pairs
 
 
 def _variety_inputs(V, data):
