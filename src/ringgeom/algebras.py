@@ -13,7 +13,6 @@ provided for convenience and for the mixed-operand error contract.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -559,11 +558,6 @@ def _split_decomposition(A, R):
     return (b_rows, r_rows)
 
 
-def tables_equal(A, B):
-    return (A.field == B.field and A.dim == B.dim and A.table == B.table
-            and A.involution == B.involution)
-
-
 def find_isomorphism_to_cd(series, cd):
     """Explicit identification of B[t]/(t^2) with CD(B, 0): the basis map
     a + t b -> (a, b) is the identity on coordinates, so the structure
@@ -573,31 +567,6 @@ def find_isomorphism_to_cd(series, cd):
     if series.table == cd.table and series.involution == cd.involution:
         return [series.basis(i) for i in range(series.dim)]
     return None
-
-
-def algebra_to_json(A):
-    from .fields import scalar_to_json
-    enc = lambda v: [scalar_to_json(A.field, c) for c in v]
-    return json.dumps({
-        "field": json.loads(A.field.spec.to_json()),
-        "dim": A.dim,
-        "constants": [[enc(cell) for cell in row] for row in A.table],
-        "involution": ([enc(r) for r in A.involution]
-                       if A.involution else None),
-        "tag": A.tag,
-        "base_dim": A.base_dim,
-    }, sort_keys=True)
-
-
-def algebra_from_json(text):
-    from .fields import FieldSpec, field_make, scalar_from_json
-    d = json.loads(text)
-    field = field_make(FieldSpec.from_json(json.dumps(d["field"])))
-    dec = lambda v: tuple(scalar_from_json(field, c) for c in v)
-    table = tuple(tuple(dec(cell) for cell in row) for row in d["constants"])
-    inv = tuple(dec(r) for r in d["involution"]) if d["involution"] else None
-    return Algebra(field, d["dim"], table, inv, tag=d["tag"],
-                   base_dim=d["base_dim"])
 
 
 # --------------------------------------------------------------------------

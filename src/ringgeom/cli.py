@@ -436,7 +436,7 @@ def run_m10(config):
                             "exactly one T_y -> 5",
                             repQ["tangent_profile"].count(5)))
     if "stabilizer" in wanted:
-        srep = f2.stabilizer_report(m10, seed=config.seed)
+        srep = f2.stabilizer_report(m10)
         checks.append(check("stabilizer.order", srep["order"] == 120960,
                             120960, srep["order"]))
         checks.append(check("stabilizer.orbits",

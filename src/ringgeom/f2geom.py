@@ -11,14 +11,13 @@ symbol by symbol.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from . import RinggeomError
 from .fields import GF
 from . import veronese as vr
 from . import projective as pj
-from .motions import generated_group, orbit, point_orbit
+from .motions import orbit, perm_mul, point_orbit
 
 
 class F2Error(RinggeomError):
@@ -29,9 +28,6 @@ T_O = ("123", "456", "789")
 T_S = ("147", "258", "369")
 T_SIG = ("159", "267", "348")
 T_PAIRS = ("168", "249", "357")
-# draws in a row that must fall in the group generated so far before the
-# stabilizer's generators are taken as complete
-CONFIRM_DRAWS = 20
 
 
 def bits_rank(vectors):
@@ -105,61 +101,54 @@ def standard_seed():
     return seed
 
 
+def _block_labels():
+    """The labels of the 21 blocks, in the order of `M10Structure.blocks`."""
+    blocks = [("o", *abc, "o" + abc) for abc in T_O]
+    blocks += [("s", *abc, abc + "s") for abc in T_S]
+    blocks.append(("o", "147s", "258s", "369s", "Sig"))
+    blocks.append(("s", "o123", "o456", "o789", "Sig"))
+    blocks += [("Sig", *abc, "c" + abc) for abc in T_SIG]
+    blocks.append(("o", "s", "c159", "c267", "c348"))
+    for grp in T_PAIRS:
+        for a, b in itertools.combinations(grp, 2):
+            members = [a, b]
+            for tset, prefix in ((T_S, "{}s"), (T_O, "o{}"), (T_SIG, "c{}")):
+                (abc,) = [abc for abc in tset if a not in abc and b not in abc]
+                members.append(prefix.format(abc))
+            blocks.append(tuple(members))
+    return blocks
+
+
+BLOCK_LABELS = _block_labels()
+
+
 def build_m10(seed=None, dim=11):
-    """Derive the 21 points and 21 blocks from the 11 seed points; the
-    five points of every block sum to zero, so the six sum points, Sigma,
-    and the Sigma-triples are forced."""
-    if seed is None:
-        seed = standard_seed()
+    """Derive the 21 points and 21 blocks from the 11 seed points and
+    check that they form M10."""
+    m10 = _derive_m10(standard_seed() if seed is None else seed, dim)
+    if len(m10.points) != 21 or 0 in m10.points:
+        raise F2Error("seed does not produce 21 distinct nonzero points")
+    _validate_m10(m10)
+    return m10
+
+
+def _derive_m10(seed, dim):
+    """The points and blocks that the seed forces, unchecked: the five
+    points of every block sum to zero, so the six sum points, Sigma and
+    the Sigma-triples are forced."""
     pts = dict(seed)
-    x = 0
-    for v in seed.values():
-        x ^= v
-    pts["Sig"] = x
+    pts["Sig"] = _xor_all(seed.values())
     for abc in T_O:
         pts["o" + abc] = pts["o"] ^ pts[abc[0]] ^ pts[abc[1]] ^ pts[abc[2]]
     for abc in T_S:
         pts[abc + "s"] = pts["s"] ^ pts[abc[0]] ^ pts[abc[1]] ^ pts[abc[2]]
     for abc in T_SIG:
         pts["c" + abc] = pts["Sig"] ^ pts[abc[0]] ^ pts[abc[1]] ^ pts[abc[2]]
-
-    def blk(*labels):
-        return frozenset(pts[l] for l in labels)
-
-    blocks = []
-    for abc in T_O:
-        blocks.append(blk("o", abc[0], abc[1], abc[2], "o" + abc))
-    for abc in T_S:
-        blocks.append(blk("s", abc[0], abc[1], abc[2], abc + "s"))
-    blocks.append(blk("o", "147s", "258s", "369s", "Sig"))
-    blocks.append(blk("s", "o123", "o456", "o789", "Sig"))
-    for abc in T_SIG:
-        blocks.append(blk("Sig", abc[0], abc[1], abc[2], "c" + abc))
-    blocks.append(blk("o", "s", "c159", "c267", "c348"))
-    triple_of = {}
-    for tset, prefix in ((T_O, "o{}"), (T_S, "{}s"), (T_SIG, "c{}")):
-        for abc in tset:
-            for d in abc:
-                triple_of.setdefault(d, {})[tset] = prefix.format(abc)
-    for grp in T_PAIRS:
-        for a, b in itertools.combinations(grp, 2):
-            members = [a, b]
-            for tset, prefix in ((T_S, "{}s"), (T_O, "o{}"), (T_SIG, "c{}")):
-                cand = [abc for abc in tset if a not in abc and b not in abc]
-                if len(cand) != 1:
-                    raise F2Error("pair block construction failed")
-                members.append(prefix.format(cand[0]))
-            blocks.append(blk(*members))
-
-    points = sorted(set(pts.values()))
-    if len(points) != 21 or 0 in pts.values():
-        raise F2Error("seed does not produce 21 distinct nonzero points")
+    blocks = [frozenset(pts[l] for l in labels) for labels in BLOCK_LABELS]
     names = {}
     for l, v in pts.items():
         names.setdefault(v, l)
-    m10 = M10Structure(points, pts, names, blocks, dim)
-    _validate_m10(m10)
-    return m10
+    return M10Structure(sorted(set(pts.values())), pts, names, blocks, dim)
 
 
 def _validate_m10(m10):
@@ -560,83 +549,81 @@ def converse_projection(points24):
 
 
 # --------------------------------------------------------------------------
-# stabilizer of M10 via seed re-choosing
+# stabilizer of M10 by orbit and stabilizer of the seed pair (o, *)
 
-def seed_from_choice(m10, o, s, star_blocks, o_blocks):
-    """Derive the 11-point seed determined by o, *, three ordered blocks
-    through * (missing o) and three through o (missing *); the o-blocks
-    are permuted if needed so that the diagonal points are on a block."""
-    for perm in itertools.permutations(range(3)):
-        ob = [o_blocks[i] for i in perm]
-        grid = {}
-        ok = True
-        for i, bs in enumerate(star_blocks):
-            for j, bo in enumerate(ob):
-                inter = bs & bo
-                if len(inter) != 1:
-                    ok = False
-                    break
-                grid[(i + 1, j + 1)] = next(iter(inter))
-            if not ok:
-                break
-        if not ok:
-            continue
-        diag = {grid[(1, 1)], grid[(2, 2)], grid[(3, 3)]}
-        if not any(diag <= b for b in m10.blocks):
-            continue
-        seed = {"o": o, "s": s}
-        for i in range(1, 4):
-            for j in range(1, 4):
-                seed[str(3 * (j - 1) + i)] = grid[(i, j)]
-        return seed
-    return None
+def seeds_at(m10, o, s):
+    """Every seed with o at the point o and * at the point s: three
+    ordered blocks through s and three through o, none through both; label
+    3(j-1)+i goes to the meet of the i-th s-block and the j-th o-block.  A
+    seed is kept when its diagonal 1, 5, 9 lies on a block."""
+    through_s = [b for b in m10.blocks if s in b and o not in b]
+    through_o = [b for b in m10.blocks if o in b and s not in b]
+    for sb in itertools.permutations(through_s, 3):
+        for ob in itertools.permutations(through_o, 3):
+            grid = [[next(iter(bs & bo)) for bo in ob] for bs in sb]
+            diag = {grid[0][0], grid[1][1], grid[2][2]}
+            if not any(diag <= b for b in m10.blocks):
+                continue
+            seed = {"o": o, "s": s}
+            for i in range(3):
+                for j in range(3):
+                    seed[str(3 * j + i + 1)] = grid[i][j]
+            yield seed
 
 
-def random_automorphism(m10, rng):
-    """A permutation of the 21 points from a randomly re-chosen seed."""
+def seed_automorphism(m10, seed):
+    """The permutation of the points that sends every label of M10 to the
+    point of that label in the structure `seed` forces, if that structure
+    has the points and blocks of M10; else None.  It is the linear map
+    sending M10's seed basis to `seed`."""
+    rebuilt = _derive_m10(seed, m10.dim)
+    if (set(rebuilt.points) != set(m10.points)
+            or set(rebuilt.blocks) != set(m10.blocks)):
+        return None
+    index = {p: i for i, p in enumerate(m10.points)}
+    return tuple(index[rebuilt.labels[m10.names[p]]] for p in m10.points)
+
+
+def pair_fixers(m10):
+    """The automorphisms of M10 that fix o and *: an automorphism is
+    fixed by its image of the seed, which is a seed at (o, *), so these
+    are exactly the seeds at (o, *) that rebuild M10."""
+    o, s = m10.labels["o"], m10.labels["s"]
+    found = (seed_automorphism(m10, seed) for seed in seeds_at(m10, o, s))
+    return [g for g in found if g is not None]
+
+
+def stabilizer_report(m10):
+    """The order of the automorphism group of M10 (as linear maps of
+    F_2^dim), its orbits on the admissible points, and whether it is
+    transitive on X.
+
+    Exact, by orbit and stabilizer of the ordered pair (o, *): the
+    stabilizer is `pair_fixers`.  The orbit is closed under the
+    automorphisms found; each ordered pair it has not reached is scanned
+    until one seed there rebuilds M10, and a pair where none does is
+    outside the orbit.  The automorphisms found generate the whole group:
+    their subgroup contains the whole stabilizer of (o, *) and has the
+    same orbit, so it has the same order."""
     pts = m10.points
-    while True:
-        o, s = rng.sample(pts, 2)
-        join = None
-        for b in m10.blocks:
-            if o in b and s in b:
-                join = b
+    index = {p: i for i, p in enumerate(pts)}
+    fixers = pair_fixers(m10)
+    gens = _generating_subset(fixers)
+
+    def act(pair, g):
+        return g[pair[0]], g[pair[1]]
+
+    start = (index[m10.labels["o"]], index[m10.labels["s"]])
+    reached = orbit(start, gens, act)
+    for a, b in itertools.permutations(range(len(pts)), 2):
+        if (a, b) in reached:
+            continue
+        for seed in seeds_at(m10, pts[a], pts[b]):
+            g = seed_automorphism(m10, seed)
+            if g is not None:
+                gens.append(g)
+                reached = orbit(start, gens, act)
                 break
-        through_s = [b for b in m10.blocks if s in b and b != join]
-        through_o = [b for b in m10.blocks if o in b and b != join]
-        star_blocks = rng.sample(through_s, 3)
-        o_blocks = rng.sample(through_o, 3)
-        seed = seed_from_choice(m10, o, s, star_blocks, o_blocks)
-        if seed is None:
-            continue
-        rebuilt = build_m10(seed, dim=m10.dim)
-        if set(rebuilt.points) != set(pts):
-            continue
-        if set(rebuilt.blocks) != set(m10.blocks):
-            continue
-        perm = tuple(pts.index(rebuilt.labels[m10.names[p]]) for p in pts)
-        return perm
-
-
-def stabilizer_report(m10, seed=0):
-    """Order of the group generated by seed-rechoosing automorphisms,
-    its linear action, and the orbits on the admissible points.
-
-    Automorphisms are drawn until CONFIRM_DRAWS draws in a row lie in the
-    group generated so far; a proper subgroup of index k keeps a uniform
-    draw with probability at most 1/k <= 1/2."""
-    rng = random.Random(seed)
-    gens = []
-    group = {tuple(range(len(m10.points)))}
-    streak = 0
-    while streak < CONFIRM_DRAWS:
-        g = random_automorphism(m10, rng)
-        if g in group:
-            streak += 1
-        else:
-            gens.append(g)
-            group = generated_group(gens)
-            streak = 0
     mats = [linear_extension(m10, g) for g in gens]
     cen = census(m10)
     adm = set(cen["admissible_points"])
@@ -646,10 +633,24 @@ def stabilizer_report(m10, seed=0):
         adm_orbits.append(o)
         adm -= o
     pt_orbit = point_orbit(gens, 0)
-    return {"order": len(group), "point_transitive": len(pt_orbit) == 21,
+    return {"order": len(reached) * len(fixers),
+            "pair_orbit": len(reached), "pair_fixer": len(fixers),
+            "generators": len(gens),
+            "point_transitive": len(pt_orbit) == 21,
             "admissible_orbit_sizes": sorted(len(o) for o in adm_orbits),
-            "m_is_orbit": any(sorted(o) == cen["m"] for o in adm_orbits),
-            "generators": gens}
+            "m_is_orbit": any(sorted(o) == cen["m"] for o in adm_orbits)}
+
+
+def _generating_subset(group):
+    """Elements of `group`, a permutation group listed in full, that
+    generate it: each element outside the subgroup generated so far."""
+    identity = tuple(range(len(group[0])))
+    gens, sub = [], {identity}
+    for g in group:
+        if g not in sub:
+            gens.append(g)
+            sub = orbit(identity, gens, perm_mul)
+    return gens
 
 
 def linear_extension(m10, perm):

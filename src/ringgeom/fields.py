@@ -15,7 +15,6 @@ positive denominator), guarded by a configurable height bound.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,23 +46,6 @@ class FieldSpec:
     p: int = 0
     k: int = 1
     poly: tuple = ()           # defining polynomial, low-to-high, monic
-
-    def to_json(self):
-        if self.kind == "rationals":
-            return json.dumps({"kind": "rationals"})
-        if self.kind == "prime":
-            return json.dumps({"kind": "prime", "p": self.p})
-        return json.dumps({"kind": "extension", "p": self.p, "k": self.k,
-                           "poly": list(self.poly)})
-
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        if d["kind"] == "rationals":
-            return FieldSpec("rationals")
-        if d["kind"] == "prime":
-            return FieldSpec("prime", d["p"])
-        return FieldSpec("extension", d["p"], d["k"], tuple(d["poly"]))
 
 
 def _is_prime(n):
@@ -393,10 +375,6 @@ def random_scalar(field, rng, height=50):
 
 def scalar_to_json(field, x):
     return x if field.is_finite else str(x)
-
-
-def scalar_from_json(field, v):
-    return v if field.is_finite else Fraction(v)
 
 
 def subfield_embedding(sub, big):

@@ -1,6 +1,6 @@
 """Collineations of G(2, A): the two elation families and the triality
 map, their induced linear action on the ambient projective space of the
-Veronese variety, and permutation-group order computation by closure.
+Veronese variety, and orbits of permutation groups by closure.
 
 The conjugates of the elations under the triality map are obtained by
 map composition, never by re-derived formulas.
@@ -8,15 +8,11 @@ map composition, never by re-derived formulas.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import RinggeomError
 from . import hjplane as hp
 from . import projective as pj
-
-BFS_CAP_ENV = "RINGGEOM_BFS_CAP"
-DEFAULT_BFS_CAP = 2 * 10 ** 5
 
 
 class MotionError(RinggeomError):
@@ -288,10 +284,9 @@ def perm_mul(p, q):
     return tuple(p[i] for i in q)
 
 
-def orbit(start, gens, act, cap=None):
+def orbit(start, gens, act):
     """Orbit of `start` under the generators, by breadth-first closure;
-    act(x, g) is the image of x under g.  Past `cap` elements, raises
-    MotionError."""
+    act(x, g) is the image of x under g."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -302,25 +297,8 @@ def orbit(start, gens, act, cap=None):
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
-                    if cap is not None and len(seen) > cap:
-                        raise MotionError(
-                            "closure exceeded cap %d (partial %d)"
-                            % (cap, len(seen)))
         frontier = new
     return seen
-
-
-def generated_group(generators, cap=None):
-    """Elements of the permutation group the (nonempty) generators
-    generate; the cap defaults to $RINGGEOM_BFS_CAP, else 2 * 10^5."""
-    if cap is None:
-        cap = int(os.environ.get(BFS_CAP_ENV, DEFAULT_BFS_CAP))
-    return orbit(tuple(range(len(generators[0]))), generators, perm_mul, cap)
-
-
-def group_order(generators, cap=None):
-    """Order of the generated permutation group by breadth-first closure."""
-    return len(generated_group(generators, cap)) if generators else 1
 
 
 def point_orbit(generators, start):

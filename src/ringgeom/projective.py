@@ -675,18 +675,8 @@ def point_to_json(field, p):
     return [scalar_to_json(field, c) for c in p]
 
 
-def point_from_json(field, data):
-    from .fields import scalar_from_json
-    return tuple(scalar_from_json(field, c) for c in data)
-
-
 def subspace_to_json(s):
     return [point_to_json(s.field, r) for r in s.rows]
-
-
-def subspace_from_json(field, n, data):
-    return Subspace(field, n, tuple(point_from_json(field, r)
-                                    for r in data))
 
 
 def quadric_to_json(qf):
@@ -696,15 +686,6 @@ def quadric_to_json(qf):
         if c != qf.field.zero:
             out["%d,%d" % (i, j)] = scalar_to_json(qf.field, c)
     return out
-
-
-def quadric_from_json(field, n, data):
-    from .fields import scalar_from_json
-    coeffs = {}
-    for key, c in data.items():
-        i, j = key.split(",")
-        coeffs[(int(i), int(j))] = scalar_from_json(field, c)
-    return quadratic_form(field, n, coeffs)
 
 
 def _line_coords(field, basis_u, basis_v, p):

@@ -345,14 +345,6 @@ def test_parse_algebra_expressions():
         parse_algebra("CD(F3")
 
 
-def test_algebra_json_roundtrip():
-    for expr in ("CD(F3,-1,0)", "CDu(F2,1)", "CD(Q,-1,-1)"):
-        A = parse_algebra(expr)
-        B = alg.algebra_from_json(alg.algebra_to_json(A))
-        assert alg.tables_equal(A, B)
-        assert B.tag == A.tag and B.base_dim == A.base_dim
-
-
 def test_quadratic_identity_exhaustive(algebra_cd_f3):
     A = algebra_cd_f3
     for a in A.elements():

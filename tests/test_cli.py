@@ -163,13 +163,14 @@ def test_every_error_type_exits_2_with_one_line(err, monkeypatch, capsys):
     assert err.__name__ in captured.err and "Traceback" not in captured.err
 
 
-def test_stabilizer_over_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("RINGGEOM_BFS_CAP", "1000")
-    rc = cli.main(["m10", "--stabilizer"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("ringgeom: MotionError: closure exceeded cap 1000")
-    assert err.count("\n") == 1
+def test_stabilizer_checks_do_not_depend_on_seed():
+    runs = [run_cli(["m10", "--stabilizer", "--seed", str(seed)])[:2]
+            for seed in (0, 1, 1200800002)]
+    checks = [report["checks"] for report, _ in runs]
+    assert [status for _, status in runs] == [0, 0, 0]
+    assert checks[0] == checks[1] == checks[2]
+    assert [(c["name"], c["status"]) for c in checks[0]] == [
+        ("stabilizer.order", "pass"), ("stabilizer.orbits", "pass")]
 
 
 def test_vertexlocal_reports_first_failing_vertex(variety_f2, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringgeom import algebras as alg
 from ringgeom import f2geom as f2
+from ringgeom import motions as mo
 from ringgeom import veronese as vr
 
 
@@ -137,17 +138,27 @@ def test_witt_lift_other_block(m10):
 def test_stabilizer(m10):
     rep = f2.stabilizer_report(m10)
     assert rep["order"] == 120960
+    assert (rep["pair_orbit"], rep["pair_fixer"]) == (420, 288)
     assert rep["point_transitive"]
     assert rep["admissible_orbit_sizes"] == [3, 63]
     assert rep["m_is_orbit"]
 
 
-def test_stabilizer_when_first_draws_miss_a_coset(m10):
-    # at this seed the first six automorphisms drawn all lie in a subgroup
-    # of index 2, so six fixed draws reported order 60480
-    rep = f2.stabilizer_report(m10, seed=1200800002)
-    assert rep["order"] == 120960
-    assert rep["admissible_orbit_sizes"] == [3, 63]
+def test_pair_fixers_form_a_subgroup(m10):
+    fixers = f2.pair_fixers(m10)
+    o = m10.points.index(m10.labels["o"])
+    s = m10.points.index(m10.labels["s"])
+    assert len(fixers) == len(set(fixers)) == 288
+    assert all(g[o] == o and g[s] == s for g in fixers)
+    group = set(fixers)
+    assert all(mo.perm_mul(g, h) in group for g in fixers for h in fixers)
+
+
+def test_seed_with_two_labels_swapped_is_no_automorphism(m10):
+    seed = f2.standard_seed()
+    assert f2.seed_automorphism(m10, seed) == tuple(range(21))
+    seed["1"], seed["2"] = seed["2"], seed["1"]
+    assert f2.seed_automorphism(m10, seed) is None
 
 
 def test_d1_examples():

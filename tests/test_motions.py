@@ -140,18 +140,6 @@ def test_equivariance_exhaustive_f2(algebra_cd_f2, variety_f2):
     assert mo.lift_stabilizes_points(tauM, A.field, ypts)
 
 
-def test_group_order_s3():
-    g1 = (1, 0, 2)
-    g2 = (1, 2, 0)
-    assert mo.group_order([g1, g2]) == 6
-
-
-def test_group_order_cap():
-    g = tuple((i + 1) % 11 for i in range(11))
-    with pytest.raises(mo.MotionError):
-        mo.group_order([g], cap=5)
-
-
 def test_transitivity_on_pairs_f2(algebra_cd_f2, plane_f2):
     A = algebra_cd_f2
     gens = [mo.materialize(mo.triality(A), plane_f2)[0]]

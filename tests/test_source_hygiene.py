@@ -1,16 +1,20 @@
 """Source hygiene of the package, by the standard library alone: no
 module-level import goes unused, no function-local name is assigned
-without ever being read (tuple-unpacking targets and `_` are exempt), and
-no parameter goes unread (`self`, `cls` and `_`-prefixed names are
-exempt)."""
+without ever being read (tuple-unpacking targets and `_` are exempt), no
+parameter goes unread (`self`, `cls` and `_`-prefixed names are exempt),
+and no module-level function, class or constant goes unreferenced."""
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent
-                  / "src" / "ringgeom").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ringgeom").glob("*.py"))
+# where a top-level name of the package may be referenced
+SEARCHED = ("src/ringgeom", "tests", "scripts", "bench")
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -98,6 +102,42 @@ def unused_params(tree):
     return sorted(out)
 
 
+def word_counts(texts):
+    """How often each identifier-like word occurs in the texts."""
+    return collections.Counter(w for t in texts for w in re.findall(r"\w+", t))
+
+
+def unreferenced_names(tree, counts):
+    """(line, name) of each module-level function, class or constant
+    (dunder names exempt) whose name occurs only once in `counts`, the
+    word counts of the searched texts, the defining source among them:
+    that once is its definition."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            defined.extend((node.lineno, t.id) for t in targets
+                           if isinstance(t, ast.Name))
+    return sorted((line, name) for line, name in defined
+                  if not name.startswith("__") and counts[name] <= 1)
+
+
+@pytest.fixture(scope="module")
+def searched_counts():
+    return word_counts(p.read_text() for d in SEARCHED
+                       for p in sorted((ROOT / d).rglob("*"))
+                       if p.suffix in (".py", ".md"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unreferenced_names(path, searched_counts):
+    assert unreferenced_names(ast.parse(path.read_text()),
+                              searched_counts) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -145,3 +185,19 @@ def test_scanner_finds_planted_unused_params():
     assert unused_params(tree) == [(2, "m", "args"), (2, "m", "b"),
                                    (2, "m", "c"), (7, "k", "e"),
                                    (9, "<lambda>", "x")]
+
+
+def test_scanner_finds_planted_unreferenced_names():
+    source = ("LIMIT = 3\n"
+              "USED: int = 1\n"
+              "__all__ = []\n"
+              "class Gone:\n"
+              "    pass\n"
+              "def helper():\n"
+              "    return USED\n"
+              "def _private():\n"
+              "    return 0\n")
+    caller = "from m import helper\n# LIMIT is read here\n"
+    counts = word_counts([source, caller])
+    assert unreferenced_names(ast.parse(source), counts) == [
+        (4, "Gone"), (8, "_private")]

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from ringgeom import algebras as alg
+from ringgeom import f2geom as f2
 from ringgeom import projective as pj
 from ringgeom import veronese as vr
 
@@ -440,6 +441,46 @@ def test_check_property_v_rejects_a_joined_vertex(variety_f3):
     pairs = {frozenset(w) for w in rep["violations"]}
     assert frozenset((join.rows, other.rows)) in pairs
     assert frozenset((join.rows, t0.vertex.rows)) in pairs
+
+
+def test_check_h2_rejects_a_point_outside_the_cone(variety_f3):
+    V = variety_f3
+    assert vr.check_h2(V)["ok"]
+    t0, t1 = V.tubes[0], V.tubes[1]
+    stray = min(t1.xi_pts - t0.cone_pts)
+    tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts | {stray})]
+    rep = vr.check_h2(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
+    assert not rep["ok"]
+    assert (0, 1, "outside cones") in rep["violations"]
+
+
+def test_check_h3_rejects_a_degenerate_tube_form(variety_f3):
+    # with the zero form, the tangent space of tube 0 at each of its
+    # points is all of xi, so T_x grows past the bound 4 there
+    V = variety_f3
+    assert vr.check_h3(V, 4)["tangent_dims"] == {4: len(V.points)}
+    t0 = V.tubes[0]
+    zero = pj.quadratic_form(V.field, t0.xi.vdim, {})
+    tubes = [dataclasses.replace(t0, form=zero)] + V.tubes[1:]
+    rep = vr.check_h3(dataclasses.replace(V, tubes=tubes), 4)
+    assert not rep["ok"]
+    assert rep["tangent_dims"] == {4: len(V.points) - len(t0.x_idx),
+                                   5: len(t0.x_idx)}
+    assert (min(t0.x_idx), 5) in rep["violations"]
+    assert all(pi in t0.x_idx and dim == 5 for pi, dim in rep["violations"])
+
+
+def test_check_mm2star_rejects_a_second_common_point():
+    V = f2.d1_q2_examples()["frame5"]
+    assert vr.check_mm2star(V)["ok"]
+    t0, t1 = V.tubes[0], V.tubes[1]
+    assert len(t0.xi_pts & t1.xi_pts) == 1
+    # a point of xi_1 off X, so no other pair of spaces changes
+    extra = min(t1.xi_pts - t0.xi_pts - V.point_set)
+    tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts | {extra})]
+    rep = vr.check_mm2star(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
+    assert not rep["ok"]
+    assert rep["violations"] == [(0, 1, 2)]
 
 
 def _variety_inputs(V, data):
