@@ -212,7 +212,8 @@ def counterexample_checks(field):
               _verifier_check("ce.H2", vr.check_h2(ce))]
     h3 = vr.check_h3(ce, 6)
     checks.append(check("ce.H3_le_6", h3["ok"], True, h3["tangent_dims"]))
-    wit = vr.check_h2star_violation(ce)
+    wit = next((v[:2] for v in vr.check_h2star(ce)["violations"]
+                if v[2] == "disjoint"), None)
     checks.append(check("ce.H2star_fails", wit is not None,
                         "disjoint pair exists", wit))
     return checks
@@ -396,7 +397,7 @@ def run_m10(config):
     m10 = f2.build_m10()
     checks = []
     wanted = set(config.checks or ("census",))
-    if wanted & {"census", "projections"}:
+    if wanted & {"census", "projections", "stabilizer"}:
         cen = f2.census(m10)
     if "census" in wanted:
         for k, v in M10_EXPECTED.items():
@@ -436,7 +437,7 @@ def run_m10(config):
                             "exactly one T_y -> 5",
                             repQ["tangent_profile"].count(5)))
     if "stabilizer" in wanted:
-        srep = f2.stabilizer_report(m10)
+        srep = f2.stabilizer_report(m10, cen)
         checks.append(check("stabilizer.order", srep["order"] == 120960,
                             120960, srep["order"]))
         checks.append(check("stabilizer.orbits",

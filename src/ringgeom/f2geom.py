@@ -433,14 +433,10 @@ def verify_mm_axioms(struct):
                     _xor_all(b) == 0 for b in struct.blocks)
     ok_exact = all(spans[i] & xset == struct.blocks[i]
                    for i in range(len(struct.blocks)))
-    join = {}
-    ok_mm1 = True
-    for bi, b in enumerate(struct.blocks):
-        for p, q in itertools.combinations(sorted(b), 2):
-            join[(p, q)] = bi
-    for p, q in itertools.combinations(sorted(xset), 2):
-        if (p, q) not in join:
-            ok_mm1 = False
+    covered = {pq for b in struct.blocks
+               for pq in itertools.combinations(sorted(b), 2)}
+    ok_mm1 = all(pq in covered
+                 for pq in itertools.combinations(sorted(xset), 2))
     ok_mm2 = True
     for i, j in itertools.combinations(range(len(struct.blocks)), 2):
         inter = spans[i] & spans[j]
@@ -593,10 +589,10 @@ def pair_fixers(m10):
     return [g for g in found if g is not None]
 
 
-def stabilizer_report(m10):
+def stabilizer_report(m10, cen):
     """The order of the automorphism group of M10 (as linear maps of
     F_2^dim), its orbits on the admissible points, and whether it is
-    transitive on X.
+    transitive on X; `cen` is `census(m10)`.
 
     Exact, by orbit and stabilizer of the ordered pair (o, *): the
     stabilizer is `pair_fixers`.  The orbit is closed under the
@@ -625,7 +621,6 @@ def stabilizer_report(m10):
                 reached = orbit(start, gens, act)
                 break
     mats = [linear_extension(m10, g) for g in gens]
-    cen = census(m10)
     adm = set(cen["admissible_points"])
     adm_orbits = []
     while adm:

@@ -16,7 +16,7 @@ left to right with one algebra product per summand.
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import RinggeomError
@@ -252,30 +252,54 @@ def epimorphism_to_residue(plane):
     return point_map, line_map, residue
 
 
+def pair_meets(sets):
+    """For each i in order, the dict j -> list of the elements shared by
+    sets i and j, over the j > i whose set meets set i.  The walk is over
+    one index from each element to the sets holding it, so the work is
+    the sum of the intersection sizes, not pairs x set size."""
+    holders = defaultdict(list)         # element -> holders, last first
+    for i in range(len(sets) - 1, -1, -1):
+        for e in sets[i]:
+            holders[e].append(i)
+    for s in sets:
+        meets = defaultdict(list)
+        for e in s:
+            later = holders[e]
+            later.pop()                 # set i itself, the first holder left
+            for j in later:
+                meets[j].append(e)
+        yield meets
+
+
+def pair_violations(sets, verdict, skip_disjoint=False):
+    """The violations verdict(i, j, shared) returns (None for none) over
+    the pairs i < j of `sets` in order; shared lists the common elements,
+    () for a disjoint pair, and skip_disjoint leaves disjoint pairs out."""
+    n = len(sets)
+    for i, meets in enumerate(pair_meets(sets)):
+        bad = [(j, v) for j, shared in meets.items()
+               if (v := verdict(i, j, shared)) is not None]
+        if not skip_disjoint and len(meets) < n - 1 - i:
+            bad += [(j, v) for j in range(i + 1, n) if j not in meets
+                    and (v := verdict(i, j, ())) is not None]
+        bad.sort(key=lambda jv: jv[0])
+        yield from (v for _, v in bad)
+
+
 def is_affine_plane(points, line_sets, order):
-    """Axiomatic affine-plane check on an abstract incidence structure."""
+    """n^2 points, n^2 + n distinct lines of n of them, no two lines with
+    two common points (n = order >= 2): every point pair is then joined
+    once, a 2-(n^2, n, 1) design, which is an affine plane (Dembowski,
+    Finite Geometries, 2.2); Playfair follows by counting."""
     n = order
-    points = list(points)
+    points = set(points)
     lines = [frozenset(l) for l in line_sets]
-    if len(points) != n * n or len(set(lines)) != len(lines):
+    if (n < 2 or len(points) != n * n or len(lines) != n * n + n
+            or len(set(lines)) != len(lines)
+            or any(len(l) != n or not l <= points for l in lines)):
         return False
-    if len(lines) != n * n + n:
-        return False
-    if any(len(l) != n for l in lines):
-        return False
-    for p, q in itertools.combinations(points, 2):
-        joins = [l for l in lines if p in l and q in l]
-        if len(joins) != 1:
-            return False
-    # Playfair: unique parallel through an external point
-    for l in lines:
-        for p in points:
-            if p in l:
-                continue
-            par = [m for m in lines if p in m and not (m & l)]
-            if len(par) != 1:
-                return False
-    return True
+    return all(len(shared) == 1 for meets in pair_meets(lines)
+               for shared in meets.values())
 
 
 def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
@@ -297,11 +321,11 @@ def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
     # exactly one element iff they are not neighbours, and by at least one
     for tag, joins, keys in (("Hj1", through, point_keys),
                              ("Hj2", blocks, block_keys)):
-        for i, j in itertools.combinations(range(len(joins)), 2):
-            common = joins[i] & joins[j]
+        def verdict(i, j, common):
             nb = keys[i] == keys[j]
-            if not common or ((len(common) == 1) != (not nb)):
-                violations.append((tag, i, j, len(common), nb))
+            if not common or (len(common) == 1) == nb:
+                return tag, i, j, len(common), nb
+        violations.extend(pair_violations(joins, verdict))
     # (Hj3) on point classes with block traces, (Hj4) dually
     projective = npoints == order * order + order + 1
     for tag, keys, duals in (("Hj3", point_keys, blocks),

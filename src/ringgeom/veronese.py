@@ -22,7 +22,7 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          Projection, quadric_vertex, witt_index, is_ovoid,
                          exact_zero_set_forms)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
-                      partition_mismatch)
+                      partition_mismatch, pair_violations)
 
 
 @dataclass
@@ -109,9 +109,8 @@ def build_variety(A, extract=True):
     for li, line in enumerate(plane.lines):
         member_pts = [rho[plane.points[pi]] for pi in plane.points_on[li]]
         xi = span(field, member_pts, n)
-        tube = extract_tube(field, xi, point_set, point_index,
-                            index=li) if extract else _bare_tube(
-                                field, xi, point_set, point_index, li)
+        tube = (extract_tube if extract else _bare_tube)(
+            field, xi, point_set, point_index, li)
         if set(tube.x_pts) != set(member_pts):
             raise GeometryError(
                 "xi contains points of X beyond the line image (line %d)" % li)
@@ -126,12 +125,9 @@ def build_variety(A, extract=True):
 def build_synthetic_variety(field, n, points, xis, extract=True):
     point_index = {p: i for i, p in enumerate(points)}
     point_set = frozenset(points)
-    tubes = []
-    for i, xi in enumerate(xis):
-        if extract:
-            tubes.append(extract_tube(field, xi, point_set, point_index, i))
-        else:
-            tubes.append(_bare_tube(field, xi, point_set, point_index, i))
+    make = extract_tube if extract else _bare_tube
+    tubes = [make(field, xi, point_set, point_index, i)
+             for i, xi in enumerate(xis)]
     return Variety(field, n, list(points), point_index, point_set, tubes,
                    _tubes_through(len(points), tubes))
 
@@ -273,75 +269,80 @@ def tangent_space(variety, pi):
 # axiom verifiers
 
 def check_h1(variety):
-    """Any two distinct points of X lie in at least one tube."""
+    """Any two distinct points of X lie in at least one tube: per point,
+    the OR of the bitmasks of the tubes through it is the full mask."""
     npts = len(variety.points)
-    covered = set()
+    cover = [1 << i for i in range(npts)]
     for t in variety.tubes:
-        idx = t.x_idx
-        for a in range(len(idx)):
-            ia = idx[a]
-            for b in range(a + 1, len(idx)):
-                covered.add(ia * npts + idx[b])
-    missing = []
-    for i in range(npts):
-        base = i * npts
-        for j in range(i + 1, npts):
-            if base + j not in covered:
-                missing.append((i, j))
-    return {"name": "H1", "ok": not missing, "pairs": npts * (npts - 1) // 2,
-            "violation_count": len(missing), "violations": missing[:10]}
+        mask = sum(1 << i for i in t.x_idx)
+        for i in t.x_idx:
+            cover[i] |= mask
+    full = (1 << npts) - 1
+    # bit k of gaps[i]: no tube holds the points i and i + k
+    gaps = [(full & ~mask) >> i for i, mask in enumerate(cover)]
+    missing = ((i, i + k) for i, g in enumerate(gaps)
+               for k in range(g.bit_length()) if g >> k & 1)
+    count = sum(g.bit_count() for g in gaps)
+    return {"name": "H1", "ok": not count, "pairs": npts * (npts - 1) // 2,
+            "violation_count": count,
+            "violations": list(itertools.islice(missing, 10))}
+
+
+def _pair_report(name, variety, verdict, skip_disjoint=False):
+    """The report of an axiom on tube pairs: verdict(t1, t2, shared) is
+    None or why the pair fails, with shared listing xi1 ^ xi2 (() when
+    disjoint).  The pairs come in index order from one walk over the
+    tubic spaces (`hjplane.pair_violations`); ten violations are kept."""
+    tubes = variety.tubes
+
+    def tube_verdict(i, j, shared):
+        why = verdict(tubes[i], tubes[j], shared)
+        return why if why is None else (tubes[i].index, tubes[j].index, why)
+
+    found = pair_violations([t.xi_pts for t in tubes], tube_verdict,
+                            skip_disjoint)
+    first = list(itertools.islice(found, 10))
+    count = len(first) + sum(1 for _ in found)
+    return {"name": name, "ok": not count,
+            "pairs": len(tubes) * (len(tubes) - 1) // 2,
+            "violation_count": count, "violations": first}
+
+
+def _outside_cones(t1, t2, shared):
+    return not (t1.cone_pts.issuperset(shared)
+                and t2.cone_pts.issuperset(shared))
 
 
 def check_h2star(variety):
     """xi1 ^ xi2 lies in both cones and carries a point of X."""
-    tubes = variety.tubes
-    xset = variety.point_set
-    bad = []
-    for t1, t2 in itertools.combinations(tubes, 2):
-        inter = t1.xi_pts & t2.xi_pts
-        if not inter:
-            bad.append((t1.index, t2.index, "disjoint"))
-        elif not inter <= t1.cone_pts or not inter <= t2.cone_pts:
-            bad.append((t1.index, t2.index, "outside cones"))
-        elif not inter & xset:
-            bad.append((t1.index, t2.index, "no X point"))
-    return {"name": "H2*", "ok": not bad,
-            "pairs": len(tubes) * (len(tubes) - 1) // 2,
-            "violation_count": len(bad), "violations": bad[:10]}
+    def verdict(t1, t2, shared):
+        if not shared:
+            return "disjoint"
+        if _outside_cones(t1, t2, shared):
+            return "outside cones"
+        if variety.point_set.isdisjoint(shared):
+            return "no X point"
+    return _pair_report("H2*", variety, verdict)
 
 
 def check_h2(variety):
-    """xi1 ^ xi2 inside the cones; its Y-part empty or of codimension 1."""
-    field = variety.field
-    tubes = variety.tubes
-    xset = variety.point_set
-    bad = []
-    for t1, t2 in itertools.combinations(tubes, 2):
-        inter = t1.xi_pts & t2.xi_pts
-        if not inter:
-            continue
-        if not inter <= t1.cone_pts or not inter <= t2.cone_pts:
-            bad.append((t1.index, t2.index, "outside cones"))
-            continue
-        ypart = inter - xset
-        if not ypart:
-            continue
-        whole = span(field, sorted(inter), variety.n)
-        ysub = span(field, sorted(ypart), variety.n)
-        if len(ypart) != (field.q ** ysub.vdim - 1) // (field.q - 1):
-            bad.append((t1.index, t2.index, "Y part not a subspace"))
-        elif ysub.pdim != whole.pdim - 1:
-            bad.append((t1.index, t2.index, "Y part wrong codimension"))
-    return {"name": "H2", "ok": not bad, "violation_count": len(bad),
-            "violations": bad[:10]}
+    """xi1 ^ xi2 inside the cones; its Y-part empty or of codimension 1.
 
+    xi_pts is the full point set of xi, so the meet is a subspace, and
+    its Y-part is a hyperplane of it iff the Y-part is a subspace and the
+    meet has q |Y| + 1 points."""
+    field, q = variety.field, variety.field.q
 
-def check_h2star_violation(variety):
-    """First pair of tubic spaces with empty intersection, if any."""
-    for t1, t2 in itertools.combinations(variety.tubes, 2):
-        if not (t1.xi_pts & t2.xi_pts):
-            return (t1.index, t2.index)
-    return None
+    def verdict(t1, t2, shared):
+        if _outside_cones(t1, t2, shared):
+            return "outside cones"
+        ypart = [p for p in shared if p not in variety.point_set]
+        if len(ypart) > 1 and len(ypart) != (q ** span(
+                field, sorted(ypart), variety.n).vdim - 1) // (q - 1):
+            return "Y part not a subspace"
+        if ypart and len(shared) != q * len(ypart) + 1:
+            return "Y part wrong codimension"
+    return _pair_report("H2", variety, verdict, skip_disjoint=True)
 
 
 def check_h3(variety, bound):
@@ -382,16 +383,10 @@ def check_mm1(variety):
 
 def check_mm2star(variety):
     """Pairwise intersections of elliptic spaces are single points of X."""
-    bad = []
-    tubes = variety.tubes
-    xset = variety.point_set
-    for t1, t2 in itertools.combinations(tubes, 2):
-        inter = t1.xi_pts & t2.xi_pts
-        if len(inter) != 1 or not inter <= xset:
-            bad.append((t1.index, t2.index, len(inter)))
-    return {"name": "MM2*", "ok": not bad,
-            "pairs": len(tubes) * (len(tubes) - 1) // 2,
-            "violation_count": len(bad), "violations": bad[:10]}
+    def verdict(_t1, _t2, shared):
+        if len(shared) != 1 or shared[0] not in variety.point_set:
+            return len(shared)
+    return _pair_report("MM2*", variety, verdict)
 
 
 def check_tubes(variety, d_base=None, v=None):
@@ -424,17 +419,14 @@ def vertex_space_y(variety):
     rows = [r for v in vertices for r in v.rows]
     y = span(field, rows, variety.n)
     y_pts = set(y.points())
-    union = set()
-    for v in vertices:
-        union |= set(v.points())
+    vert_pts = [v.points() for v in vertices]
+    union = set().union(*vert_pts)
     spread = sc.Spread(field, variety.n, tuple(vertices))
-    disjoint = all(not meet(a, b).rows
-                   for a, b in itertools.combinations(vertices, 2))
     report = {
         "dim_y": y.pdim,
         "vertex_count": len(vertices),
         "covers": union == y_pts,
-        "pairwise_disjoint": disjoint,
+        "pairwise_disjoint": len(union) == sum(map(len, vert_pts)),
         "x_disjoint": not (y_pts & variety.point_set),
     }
     report["regular_spread"] = sc.is_regular_spread(spread, within=y)
@@ -635,11 +627,8 @@ def local_structure_at_vertex(variety, vertex, data):
     order = variety.plane.base.size() if variety.plane else None
     report = {"n_tubes": len(cv), "n_generators": len(gens)}
     # dual affine plane: the dual of G_V must be an affine plane
-    traces = {frozenset(v) for v in gens.values()}
-    report["dual_affine"] = (
-        len(gens) == order * order + order and
-        len(cv) == order * order and
-        is_affine_plane([t.index for t in cv], traces, order))
+    report["dual_affine"] = is_affine_plane([t.index for t in cv],
+                                            gens.values(), order)
     # rho_V: projection from V onto a complement containing F
     F = data["F"]
     n = variety.n
@@ -824,21 +813,12 @@ def abstract_plane_isos(n1, blocks1, n2, blocks2):
     finite linear spaces given as index blocks (backtracking)."""
     if n1 != n2 or len(blocks1) != len(blocks2):
         return
-    through1 = [frozenset(bi for bi, b in enumerate(blocks1) if p in b)
-                for p in range(n1)]
-    through2 = [frozenset(bi for bi, b in enumerate(blocks2) if p in b)
-                for p in range(n2)]
-    deg1 = [len(t) for t in through1]
-    deg2 = [len(t) for t in through2]
+    deg1, deg2 = ([sum(p in b for b in blocks) for p in range(n1)]
+                  for blocks in (blocks1, blocks2))
     blocks2_set = set(blocks2)
-    join1 = {}
-    for bi, b in enumerate(blocks1):
-        for p, q in itertools.combinations(sorted(b), 2):
-            join1[(p, q)] = bi
-    join2 = {}
-    for bi, b in enumerate(blocks2):
-        for p, q in itertools.combinations(sorted(b), 2):
-            join2[(p, q)] = bi
+    join1, join2 = ({pq: bi for bi, b in enumerate(blocks)
+                     for pq in itertools.combinations(sorted(b), 2)}
+                    for blocks in (blocks1, blocks2))
 
     order = sorted(range(n1), key=lambda p: -deg1[p])
     mapping = {}
@@ -915,8 +895,7 @@ def projectivity_from_frames(field, src, dst):
     return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
 
 
-def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
-                           max_isos=None):
+def projective_equivalence(field, pts1, blocks1, pts2, blocks2):
     """A matrix carrying (pts1, blocks1) onto (pts2, blocks2), found by
     matching abstract plane isomorphisms with frame-determined linear
     maps."""
@@ -938,12 +917,8 @@ def projective_equivalence(field, pts1, blocks1, pts2, blocks2,
     bidx = [pts1.index(b) for b in basis]
     uidx = pts1.index(unit) if unit is not None else None
     pts2_set = set(pts2)
-    count = 0
     for iso in abstract_plane_isos(len(pts1), [frozenset(b) for b in blocks1],
                                    len(pts2), [frozenset(b) for b in blocks2]):
-        count += 1
-        if max_isos is not None and count > max_isos:
-            break
         dst_basis = [pts2[iso[i]] for i in bidx]
         test, _ = rref(field, dst_basis)
         if len(test) != n:

@@ -285,9 +285,9 @@ def test_criterion_10_projections(m10, m10_census, f2_field):
            "projections keep (MM1),(MM2*)", ok, time.time() - t0)
 
 
-def test_criterion_11_stabilizer(m10):
+def test_criterion_11_stabilizer(m10, m10_census):
     t0 = time.time()
-    rep = f2.stabilizer_report(m10)
+    rep = f2.stabilizer_report(m10, m10_census)
     ok = rep["order"] == 120960
     ok = ok and rep["point_transitive"]
     ok = ok and rep["admissible_orbit_sizes"] == [3, 63]
@@ -332,7 +332,8 @@ def test_criterion_14_counterexample(counterexample):
     ok = ok and vr.check_h1(ce)["ok"]
     ok = ok and vr.check_h2(ce)["ok"]
     ok = ok and vr.check_h3(ce, 6)["ok"]
-    wit = vr.check_h2star_violation(ce)
+    wit = next((v[:2] for v in vr.check_h2star(ce)["violations"]
+                if v[2] == "disjoint"), None)
     ok = ok and wit is not None
     report(14, "PG(13,F3) example satisfies (H1),(H2),(H3<=6) and breaks "
            "(H2*) with disjoint pair %s" % (wit,), ok, time.time() - t0)

@@ -135,8 +135,8 @@ def test_witt_lift_other_block(m10):
     assert w["octad_count"] == 759 and w["design_ok"]
 
 
-def test_stabilizer(m10):
-    rep = f2.stabilizer_report(m10)
+def test_stabilizer(m10, m10_census):
+    rep = f2.stabilizer_report(m10, m10_census)
     assert rep["order"] == 120960
     assert (rep["pair_orbit"], rep["pair_fixer"]) == (420, 288)
     assert rep["point_transitive"]
@@ -214,6 +214,43 @@ def test_mm_axioms_reject_one_moved_block_point(m10):
     assert not rep["ok"]
     assert not (rep["mm1"] and rep["mm2star"] and rep["frames"]
                 and rep["exact"])
+
+
+def _mm_all_pairs(struct):
+    """Reference: (MM1) and (MM2*) over all point and block pairs."""
+    join = {}
+    for bi, b in enumerate(struct.blocks):
+        for p, q in itertools.combinations(sorted(b), 2):
+            join[(p, q)] = bi
+    ok_mm1 = all((p, q) in join for p, q in
+                 itertools.combinations(sorted(set(struct.points)), 2))
+    spans = [f2.span_set(list(b)) for b in struct.blocks]
+    ok_mm2 = True
+    for i, j in itertools.combinations(range(len(struct.blocks)), 2):
+        inter = spans[i] & spans[j]
+        common = struct.blocks[i] & struct.blocks[j]
+        if len(common) != 1 or inter != common:
+            ok_mm2 = False
+    return ok_mm1, ok_mm2
+
+
+@pytest.mark.parametrize("case", ["m10", "moved_point", "dropped_block",
+                                  "projection"])
+def test_mm_axioms_match_all_pairs_loops(case, m10, m10_census):
+    block = m10.blocks[0]
+    outside = next(p for p in m10.points if p not in block)
+    moved = frozenset(sorted(block)[1:]) | {outside}
+    struct = {
+        "m10": m10,
+        "moved_point": f2.M10Structure(m10.points, m10.labels, m10.names,
+                                       [moved] + list(m10.blocks[1:]),
+                                       m10.dim),
+        "dropped_block": f2.M10Structure(m10.points, m10.labels, m10.names,
+                                         list(m10.blocks[1:]), m10.dim),
+        "projection": f2.project_m10(m10, m10_census["m"])[0],
+    }[case]
+    rep = f2.verify_mm_axioms(struct)
+    assert (rep["mm1"], rep["mm2star"]) == _mm_all_pairs(struct)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,11 @@ def plane_f2(algebra_cd_f2):
     return hp.build_plane(algebra_cd_f2)
 
 
+@pytest.fixture(scope="module")
+def plane_cd_f3(algebra_cd_f3):
+    return hp.build_plane(algebra_cd_f3)
+
+
 def test_point_count_formula(plane_f2, algebra_cd_f2):
     # |P| = |A|^2 + |A||B| + |B|^2 = 16 + 8 + 4
     assert len(plane_f2.points) == 28
@@ -172,6 +177,86 @@ def test_affine_plane_checker():
     assert not hp.is_affine_plane(pts, lines[:-1], 2)
 
 
+def _ag2_3():
+    """AG(2, 3) on the points 3x + y: the lines y = mx + b and x = c."""
+    lines = [frozenset(3 * x + (m * x + b) % 3 for x in range(3))
+             for m in range(3) for b in range(3)]
+    lines += [frozenset(3 * c + y for y in range(3)) for c in range(3)]
+    return list(range(9)), lines
+
+
+def test_affine_plane_ag2_3():
+    pts, lines = _ag2_3()
+    assert len(set(lines)) == 12
+    assert hp.is_affine_plane(pts, lines, 3)
+    assert _playfair_affine_plane(pts, lines, 3)
+
+
+def test_affine_plane_rejects_two_lines_sharing_two_points():
+    # the right counts, but {0, 1, 3} shares 0 and 1 with the line x = 0
+    pts, lines = _ag2_3()
+    bent = [l for l in lines if l != frozenset({0, 4, 8})]
+    bent.append(frozenset({0, 1, 3}))
+    assert len(set(bent)) == 12 and all(len(l) == 3 for l in bent)
+    assert not hp.is_affine_plane(pts, bent, 3)
+    assert not _playfair_affine_plane(pts, bent, 3)
+
+
+def test_affine_plane_rejects_a_foreign_point():
+    # no pair is covered twice, but a line holds the point 9
+    pts, lines = _ag2_3()
+    moved = [l for l in lines if l != frozenset({0, 1, 2})]
+    moved.append(frozenset({0, 1, 9}))
+    assert not hp.is_affine_plane(pts, moved, 3)
+
+
+def _playfair_affine_plane(points, line_sets, order):
+    """Reference: unique join of two points, unique parallel through a
+    point off a line."""
+    n = order
+    points = list(points)
+    lines = [frozenset(l) for l in line_sets]
+    if len(points) != n * n or len(set(lines)) != len(lines):
+        return False
+    if len(lines) != n * n + n or any(len(l) != n for l in lines):
+        return False
+    for p, q in itertools.combinations(points, 2):
+        if len([l for l in lines if p in l and q in l]) != 1:
+            return False
+    for l in lines:
+        for p in points:
+            if p not in l and len([m for m in lines
+                                   if p in m and not (m & l)]) != 1:
+                return False
+    return True
+
+
+def _classes_with_traces(keys, duals):
+    """Each neighbour class of `keys` with the traces of `duals` on it."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, set()).add(i)
+    for cls in classes.values():
+        traces = {frozenset(d & cls) for d in duals if len(d & cls) >= 2}
+        yield cls, traces
+
+
+@pytest.mark.parametrize("which", ["plane_f2", "plane_cd_f3"])
+def test_affine_plane_matches_playfair_on_neighbour_classes(which,
+                                                            request):
+    plane = request.getfixturevalue(which)
+    npts, blocks, pkeys, bkeys, order = _plane_inputs(plane)
+    blocks = [set(b) for b in blocks]
+    through = [{bi for bi, b in enumerate(blocks) if p in b}
+               for p in range(npts)]
+    for keys, duals in ((pkeys, blocks), (bkeys, through)):
+        for cls, traces in _classes_with_traces(keys, duals):
+            for lines in (traces, list(traces)[1:]):
+                expect = _playfair_affine_plane(cls, lines, order)
+                assert hp.is_affine_plane(cls, lines, order) == expect
+            assert hp.is_affine_plane(cls, traces, order)
+
+
 def _plane_inputs(plane):
     """The arguments of check_hjelmslev for a ring plane."""
     A, B = plane.algebra, plane.base
@@ -201,3 +286,97 @@ def test_checker_rejects_merged_classes(plane_f2):
     merged = [k1 if k == k2 else k for k in bkeys]
     rep = hp.check_hjelmslev(npts, blocks, pkeys, merged, order)
     assert not rep["hj4"] and ("Hj4", k1) in rep["violations"]
+
+
+# --------------------------------------------------------------------------
+# the pair walk against brute force and the all-pairs (Hj1), (Hj2) loop
+
+_families = st.lists(st.frozensets(st.integers(0, 9), max_size=6),
+                     max_size=8)
+
+
+@given(_families)
+@settings(max_examples=300)
+def test_pair_meets_matches_brute_force(sets):
+    walked = list(hp.pair_meets(sets))
+    assert len(walked) == len(sets)
+    for i, meets in enumerate(walked):
+        expect = {j: sets[i] & sets[j] for j in range(i + 1, len(sets))
+                  if sets[i] & sets[j]}
+        assert {j: frozenset(s) for j, s in meets.items()} == expect
+        assert all(len(s) == len(set(s)) for s in meets.values())
+
+
+@given(_families, st.booleans())
+@settings(max_examples=300)
+def test_pair_violations_match_brute_force(sets, skip_disjoint):
+    def verdict(i, j, shared):
+        if len(shared) != 1:
+            return i, j, len(shared)
+
+    expect = [(i, j, len(sets[i] & sets[j]))
+              for i, j in itertools.combinations(range(len(sets)), 2)
+              if len(sets[i] & sets[j]) != 1
+              and not (skip_disjoint and not sets[i] & sets[j])]
+    assert list(hp.pair_violations(sets, verdict, skip_disjoint)) == expect
+
+
+def _hj12_all_pairs(npoints, blocks, point_keys, block_keys):
+    """Reference: the (Hj1) and (Hj2) violations over all pairs."""
+    blocks = [set(b) for b in blocks]
+    through = [set() for _ in range(npoints)]
+    for bi, b in enumerate(blocks):
+        for pi in b:
+            through[pi].add(bi)
+    violations = []
+    for tag, joins, keys in (("Hj1", through, point_keys),
+                             ("Hj2", blocks, block_keys)):
+        for i, j in itertools.combinations(range(len(joins)), 2):
+            common = joins[i] & joins[j]
+            nb = keys[i] == keys[j]
+            if not common or ((len(common) == 1) != (not nb)):
+                violations.append((tag, i, j, len(common), nb))
+    return violations
+
+
+def _hj_cases(request):
+    """check_hjelmslev inputs: planes, the variety over CD(F2, 0), and
+    the mutations of the tests above, by name."""
+    V = request.getfixturevalue("variety_f2")
+    images = request.getfixturevalue("projection_f2")[1]["images"]
+    cases = {
+        "plane_f2": _plane_inputs(request.getfixturevalue("plane_f2")),
+        "plane_cd_f3": _plane_inputs(
+            request.getfixturevalue("plane_cd_f3")),
+        "variety_f2": (len(V.points), [list(b) for b in V.blocks()],
+                       [images[i] for i in range(len(V.points))],
+                       [t.vertex.rows for t in V.tubes],
+                       V.plane.base.size()),
+    }
+    for name in ("plane_f2", "variety_f2"):
+        npts, blocks, pkeys, bkeys, order = cases[name]
+        moved = [list(b) for b in blocks]
+        p = next(p for p in moved[0] if p not in moved[1])
+        moved[0].remove(p)
+        moved[1].append(p)
+        cases[name + "_moved"] = (npts, moved, pkeys, bkeys, order)
+        k1, k2 = sorted(set(pkeys))[:2]
+        cases[name + "_merged_points"] = (
+            npts, blocks, [k1 if k == k2 else k for k in pkeys], bkeys,
+            order)
+        k1, k2 = sorted(set(bkeys))[:2]
+        cases[name + "_merged_blocks"] = (
+            npts, blocks, pkeys, [k1 if k == k2 else k for k in bkeys],
+            order)
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "plane_f2", "plane_cd_f3", "variety_f2", "plane_f2_moved",
+    "plane_f2_merged_points", "plane_f2_merged_blocks", "variety_f2_moved",
+    "variety_f2_merged_points", "variety_f2_merged_blocks"])
+def test_hj1_hj2_match_all_pairs_loop(case, request):
+    npts, blocks, pkeys, bkeys, order = _hj_cases(request)[case]
+    rep = hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)
+    walked = [v for v in rep["violations"] if v[0] in ("Hj1", "Hj2")]
+    assert walked == _hj12_all_pairs(npts, blocks, pkeys, bkeys)

@@ -373,10 +373,26 @@ def test_counterexample_pg13(counterexample):
     assert vr.check_tubes(ce, d_base=1, v=1)["ok"]
     assert vr.check_h1(ce)["ok"]
     assert vr.check_h2(ce)["ok"]
-    wit = vr.check_h2star_violation(ce)
-    assert wit is not None
-    t1, t2 = ce.tubes[wit[0]], ce.tubes[wit[1]]
-    assert not (t1.xi_pts & t2.xi_pts)
+    rep = vr.check_h2star(ce)
+    assert rep["violation_count"] == 426465
+    assert rep["violations"][0] == (0, 153, "disjoint")
+    assert not (ce.tubes[0].xi_pts & ce.tubes[153].xi_pts)
+
+
+def test_check_h2_rejects_a_y_part_that_is_not_a_subspace(counterexample):
+    # tubes 0 and 1 share their vertex line, a 4-point Y part of the meet;
+    # without one of its points, the Y part spans more than it holds
+    ce = counterexample
+    t0, t1 = ce.tubes[0], ce.tubes[1]
+    ypart = sorted((t0.xi_pts & t1.xi_pts) - ce.point_set)
+    assert len(ypart) == 4
+    p = ypart[0]
+    tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts - {p},
+                                 cone_pts=t0.cone_pts - {p})]
+    rep = vr.check_h2(dataclasses.replace(ce, tubes=tubes + ce.tubes[1:]))
+    assert not rep["ok"]
+    assert rep["violations"][0] == (0, 1, "Y part not a subspace")
+    assert {w[2] for w in rep["violations"]} == {"Y part not a subspace"}
 
 
 def test_counterexample_h3(counterexample):
@@ -452,6 +468,22 @@ def test_check_h2_rejects_a_point_outside_the_cone(variety_f3):
     rep = vr.check_h2(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
     assert not rep["ok"]
     assert (0, 1, "outside cones") in rep["violations"]
+
+
+def test_check_h2_rejects_a_y_part_of_wrong_codimension(variety_f3):
+    # tube 0 meets tube t in one point of X; a vertex point of t added to
+    # xi_0 and its cone makes a 2-point meet whose Y part is one point
+    V = variety_f3
+    t0 = V.tubes[0]
+    t = next(t for t in V.tubes[1:] if len(t0.xi_pts & t.xi_pts) == 1
+             and t0.xi_pts & t.xi_pts <= V.point_set)
+    p = min(t.cone_pts - V.point_set)
+    tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts | {p},
+                                 cone_pts=t0.cone_pts | {p})]
+    rep = vr.check_h2(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
+    assert not rep["ok"]
+    assert rep["violations"][0] == (0, t.index, "Y part wrong codimension")
+    assert {w[2] for w in rep["violations"]} == {"Y part wrong codimension"}
 
 
 def test_check_h3_rejects_a_degenerate_tube_form(variety_f3):
@@ -535,3 +567,120 @@ def test_plane_and_variety_hjelmslev_agree(which, request):
     for k in ("order", "hj1", "hj2", "hj3", "hj4", "ok"):
         assert on_plane[k] == on_variety[k], k
     assert on_plane["ok"]
+
+
+# --------------------------------------------------------------------------
+# the pair checks against the all-pairs loops they replace
+
+def _h1_all_pairs(variety):
+    npts = len(variety.points)
+    covered = set()
+    for t in variety.tubes:
+        for a, b in itertools.combinations(t.x_idx, 2):
+            covered.add((a, b))
+    missing = [(i, j) for i, j in itertools.combinations(range(npts), 2)
+               if (i, j) not in covered]
+    return {"name": "H1", "ok": not missing, "pairs": npts * (npts - 1) // 2,
+            "violation_count": len(missing), "violations": missing[:10]}
+
+
+def _h2star_all_pairs(variety):
+    tubes = variety.tubes
+    xset = variety.point_set
+    bad = []
+    for t1, t2 in itertools.combinations(tubes, 2):
+        inter = t1.xi_pts & t2.xi_pts
+        if not inter:
+            bad.append((t1.index, t2.index, "disjoint"))
+        elif not inter <= t1.cone_pts or not inter <= t2.cone_pts:
+            bad.append((t1.index, t2.index, "outside cones"))
+        elif not inter & xset:
+            bad.append((t1.index, t2.index, "no X point"))
+    return {"name": "H2*", "ok": not bad,
+            "pairs": len(tubes) * (len(tubes) - 1) // 2,
+            "violation_count": len(bad), "violations": bad[:10]}
+
+
+def _h2_all_pairs(variety):
+    field = variety.field
+    xset = variety.point_set
+    bad = []
+    for t1, t2 in itertools.combinations(variety.tubes, 2):
+        inter = t1.xi_pts & t2.xi_pts
+        if not inter:
+            continue
+        if not inter <= t1.cone_pts or not inter <= t2.cone_pts:
+            bad.append((t1.index, t2.index, "outside cones"))
+            continue
+        ypart = inter - xset
+        if not ypart:
+            continue
+        whole = pj.span(field, sorted(inter), variety.n)
+        ysub = pj.span(field, sorted(ypart), variety.n)
+        if len(ypart) != (field.q ** ysub.vdim - 1) // (field.q - 1):
+            bad.append((t1.index, t2.index, "Y part not a subspace"))
+        elif ysub.pdim != whole.pdim - 1:
+            bad.append((t1.index, t2.index, "Y part wrong codimension"))
+    ntubes = len(variety.tubes)
+    return {"name": "H2", "ok": not bad, "pairs": ntubes * (ntubes - 1) // 2,
+            "violation_count": len(bad), "violations": bad[:10]}
+
+
+def _mm2star_all_pairs(variety):
+    tubes = variety.tubes
+    bad = []
+    for t1, t2 in itertools.combinations(tubes, 2):
+        inter = t1.xi_pts & t2.xi_pts
+        if len(inter) != 1 or not inter <= variety.point_set:
+            bad.append((t1.index, t2.index, len(inter)))
+    return {"name": "MM2*", "ok": not bad,
+            "pairs": len(tubes) * (len(tubes) - 1) // 2,
+            "violation_count": len(bad), "violations": bad[:10]}
+
+
+def _mutated(V, tube0, **changes):
+    return dataclasses.replace(
+        V, tubes=[dataclasses.replace(tube0, **changes)] + V.tubes[1:])
+
+
+def _pair_check_cases(request):
+    """The varieties and the mutations of the tests above, by name."""
+    f3 = request.getfixturevalue("variety_f3")
+    t0, t1 = f3.tubes[0], f3.tubes[1]
+    other = next(t.vertex for t in f3.tubes if t.vertex != t0.vertex)
+    frame5 = f2.d1_q2_examples()["frame5"]
+    f0, f1 = frame5.tubes[0], frame5.tubes[1]
+    cases = {
+        "f2": request.getfixturevalue("variety_f2"),
+        "f3": f3,
+        "f3_dropped_tube": dataclasses.replace(f3, tubes=f3.tubes[1:]),
+        "f3_empty_xi": _mutated(f3, t0, xi_pts=frozenset()),
+        "f3_joined_vertex": _mutated(f3, t0, vertex=pj.span(
+            f3.field, list(t0.vertex.rows) + list(other.rows), f3.n)),
+        "f3_outside_cone": _mutated(
+            f3, t0, xi_pts=t0.xi_pts | {min(t1.xi_pts - t0.cone_pts)}),
+        "f3_zero_form": _mutated(
+            f3, t0, form=pj.quadratic_form(f3.field, t0.xi.vdim, {})),
+        "frame5_second_point": _mutated(
+            frame5, f0,
+            xi_pts=f0.xi_pts | {min(f1.xi_pts - f0.xi_pts
+                                    - frame5.point_set)}),
+    }
+    for name, v in f2.d1_q2_examples().items():
+        cases["d1_" + name] = v
+    return cases
+
+
+PAIR_CASES = ["f2", "f3", "f3_dropped_tube", "f3_empty_xi",
+              "f3_joined_vertex", "f3_outside_cone", "f3_zero_form",
+              "frame5_second_point", "d1_frame5", "d1_frame4_plus_point",
+              "d1_basis6"]
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_pair_checks_match_all_pairs_loops(case, request):
+    V = _pair_check_cases(request)[case]
+    assert vr.check_h1(V) == _h1_all_pairs(V)
+    assert vr.check_h2star(V) == _h2star_all_pairs(V)
+    assert vr.check_h2(V) == _h2_all_pairs(V)
+    assert vr.check_mm2star(V) == _mm2star_all_pairs(V)
