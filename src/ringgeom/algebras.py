@@ -6,8 +6,7 @@ the truncated twisted-series construction are constructive transforms on
 these tables, so algebra equality is table comparison.
 
 Elements are coordinate tuples over the base field (ints for finite
-fields, Fractions over Q); a thin Elem wrapper with operator syntax is
-provided for convenience and for the mixed-operand error contract.
+fields, Fractions over Q).
 """
 
 from __future__ import annotations
@@ -137,40 +136,6 @@ class Algebra:
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.tag or repr(self.field), self.dim)
-
-
-@dataclass(frozen=True)
-class Elem:
-    algebra: Algebra
-    coords: tuple
-
-    def _check(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraError("mixed-algebra operands")
-
-    def __add__(self, other):
-        self._check(other)
-        return Elem(self.algebra, self.algebra.add(self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Elem(self.algebra, self.algebra.sub(self.coords, other.coords))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Elem(self.algebra, self.algebra.mul(self.coords, other.coords))
-
-    def __neg__(self):
-        return Elem(self.algebra, self.algebra.neg(self.coords))
-
-    def conj(self):
-        return Elem(self.algebra, self.algebra.conj(self.coords))
-
-    def trace(self):
-        return self.algebra.trace(self.coords)
-
-    def norm(self):
-        return self.algebra.norm(self.coords)
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +326,8 @@ def is_alternative(A):
     for all i < k and all j, i.e. iff it vanishes at every pair (e_i, e_j)
     and (e_i + e_k, e_j).  The right law [b,a,a] is handled likewise.
 
-    Returns (flag, exhaustive, witness); exhaustive is always True and the
-    witness is a pair (a, b) with [a,a,b] or [b,a,a] nonzero."""
+    Returns (flag, witness); the witness is a pair (a, b) with [a,a,b]
+    or [b,a,a] nonzero."""
     zero = A.zero()
     basis = [A.basis(i) for i in range(A.dim)]
     # asc[i][k][j] = [e_i, e_k, e_j]
@@ -371,13 +336,13 @@ def is_alternative(A):
     for i in range(A.dim):
         for j in range(A.dim):
             if asc[i][i][j] != zero or asc[j][i][i] != zero:
-                return False, True, (basis[i], basis[j])
+                return False, (basis[i], basis[j])
     for i, k in itertools.combinations(range(A.dim), 2):
         for j in range(A.dim):
             if A.add(asc[i][k][j], asc[k][i][j]) != zero or \
                     A.add(asc[j][i][k], asc[j][k][i]) != zero:
-                return False, True, (A.add(basis[i], basis[k]), basis[j])
-    return True, True, None
+                return False, (A.add(basis[i], basis[k]), basis[j])
+    return True, None
 
 
 def is_quadratic(A):
@@ -389,10 +354,10 @@ def is_quadratic(A):
     vanish identically, F2 included, iff they vanish at every e_i and
     every e_i + e_k.
 
-    Returns (flag, exhaustive, witness); exhaustive is always True and the
-    witness is the first such test element that fails."""
+    Returns (flag, witness); the witness is the first such test element
+    that fails."""
     if A.involution is None:
-        return False, True, None
+        return False, None
 
     def holds(a):
         ac = A.conj(a)
@@ -406,7 +371,7 @@ def is_quadratic(A):
     tests = basis + [A.add(basis[i], basis[k])
                      for i, k in itertools.combinations(range(A.dim), 2)]
     bad = next((a for a in tests if not holds(a)), None)
-    return bad is None, True, bad
+    return bad is None, bad
 
 
 def is_division(A):
@@ -507,10 +472,10 @@ class AlgebraReport:
 
 def classify(A, samples=1000, seed=0):
     report_witness = {}
-    quad, _, qw = is_quadratic(A)
+    quad, qw = is_quadratic(A)
     if qw is not None:
         report_witness["quadratic"] = qw
-    alt, _, aw = is_alternative(A)
+    alt, aw = is_alternative(A)
     if aw is not None:
         report_witness["alternative"] = aw
     comm = is_commutative(A)
@@ -576,12 +541,10 @@ def parse_algebra(expr):
     from .fields import parse_field
     expr = expr.strip()
     if "(" not in expr:
-        field = parse_field(expr)
-        if expr in ("Q", "QQ") or field.k == 1:
-            return ground_algebra(field, name=expr)
-        # extension field F_{p^k} as an algebra over its prime subfield
-        # is requested via CD/CDu expressions; bare names mean scalars
-        return ground_algebra(field, name=expr)
+        # a bare field name means its scalars, also for F_{p^k}: the
+        # extension as an algebra over its prime field is a CD/CDu
+        # expression
+        return ground_algebra(parse_field(expr), name=expr)
     head, _, rest = expr.partition("(")
     if not rest.endswith(")"):
         raise AlgebraError("unbalanced algebra expression %r" % expr)

@@ -249,23 +249,25 @@ def veronese_checks(V, wanted):
                                 expect_dim, y.pdim))
             checks.append(check("cor.spread", yrep["pairwise_disjoint"]
                                 and yrep["regular_spread"]
-                                and yrep["covers"], True, yrep))
+                                and yrep["covers"] and yrep["x_disjoint"],
+                                True, yrep))
             prep, data = vr.project_from_y(V)
-            checks.append(check("cor.F_section",
-                                prep["f_cap_x_equals_projection"]
-                                and prep["mm1"] and prep["mm2star"],
-                                True, {k: prep[k] for k in
-                                       ("mm1", "mm2star",
-                                        "f_cap_x_equals_projection")}))
+            section = {k: prep[k] for k in
+                       ("mm1", "mm2star", "f_cap_x_equals_projection",
+                        "xi_cap_f_matches")}
+            checks.append(check("cor.F_section", all(section.values()),
+                                True, section))
             _, crep = vr.connection_chi(V, data)
             checks.append(check("cor.chi",
                                 crep["bijective"]
                                 and crep["incidence_reversing"]
                                 and crep["x_is_union"]
+                                and crep["pstar_is_residue_plane"]
                                 and crep["cross_ratio"] in (True, "vacuous"),
                                 True, {k: crep[k] for k in
                                        ("bijective", "incidence_reversing",
-                                        "x_is_union", "cross_ratio")},
+                                        "x_is_union", "pstar_is_residue_plane",
+                                        "cross_ratio")},
                                 witnesses=[crep["cross_ratio_witness"]]
                                 if crep["cross_ratio_witness"] else []))
         elif name == "chi":

@@ -122,10 +122,10 @@ def _block_labels():
 BLOCK_LABELS = _block_labels()
 
 
-def build_m10(seed=None, dim=11):
+def build_m10(seed=None):
     """Derive the 21 points and 21 blocks from the 11 seed points and
     check that they form M10."""
-    m10 = _derive_m10(standard_seed() if seed is None else seed, dim)
+    m10 = _derive_m10(standard_seed() if seed is None else seed, 11)
     if len(m10.points) != 21 or 0 in m10.points:
         raise F2Error("seed does not produce 21 distinct nonzero points")
     _validate_m10(m10)
@@ -703,7 +703,7 @@ def _fano_structure(field, ints, triples=FANO_TRIPLES):
     dim = max(v.bit_length() for v in ints)
     pts = [int_to_tuple(v, dim) for v in ints]
     xis = [pj.span(field, [pts[i] for i in trio], dim) for trio in triples]
-    return vr.build_synthetic_variety(field, dim, pts, xis, extract=True)
+    return vr.build_synthetic_variety(field, dim, pts, xis)
 
 
 def fano_relabelled(field, ints, shift):

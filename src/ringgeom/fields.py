@@ -5,8 +5,8 @@ carried by the owning field object, which precomputes full operation
 tables.  Index encoding for an extension of degree k over F_p: the
 element with coordinate tuple (c0, ..., c_{k-1}) w.r.t. the power basis
 1, w, ..., w^{k-1} has index c0 + c1*p + ... + c_{k-1}*p^{k-1}.  In
-particular 0 -> 0 and 1 -> 1, and increasing index order is the
-lexicographic coordinate order used by enumerate_scalars.
+particular 0 -> 0 and 1 -> 1, and `elements()` lists the elements in
+increasing index order, a lexicographic coordinate order.
 
 Rational elements are Fraction instances (always in lowest terms with
 positive denominator), guarded by a configurable height bound.
@@ -312,13 +312,6 @@ class RationalField:
         return hash("Q")
 
 
-def field_make(spec):
-    """Build a field object from a FieldSpec (reducible poly -> FieldError)."""
-    if spec.kind == "rationals":
-        return RationalField()
-    return FiniteField(spec)
-
-
 def GF(q, poly=None):
     """Convenience constructor: GF(q) for a prime power q."""
     for p in range(2, q + 1):
@@ -356,13 +349,6 @@ def parse_field(name):
             raise FieldError("cannot parse field name %r" % name)
         return GF(q)
     raise FieldError("cannot parse field name %r" % name)
-
-
-def enumerate_scalars(field):
-    """All elements: 0, 1, then the rest in lexicographic coordinate order."""
-    if not field.is_finite:
-        raise FieldError("cannot enumerate the rationals")
-    return list(field.elements())
 
 
 def random_scalar(field, rng, height=50):

@@ -197,15 +197,6 @@ def perm_preserves_neighbouring(pperm, plane):
     return pair is None, pair
 
 
-def preserves_incidence(plane_map, plane):
-    return perms_preserve_incidence(*materialize(plane_map, plane), plane)
-
-
-def preserves_neighbouring(plane_map, plane):
-    return perm_preserves_neighbouring(materialize(plane_map, plane)[0],
-                                       plane)
-
-
 # --------------------------------------------------------------------------
 # linear lifts on PG(3d+2, K)
 

@@ -24,13 +24,6 @@ class GeometryError(RinggeomError):
     pass
 
 
-class QuadricFitError(GeometryError):
-    def __init__(self, nullity):
-        super().__init__("no unique quadric: solution space has dimension %d"
-                         % nullity)
-        self.nullity = nullity
-
-
 # --------------------------------------------------------------------------
 # vectors and matrices
 
@@ -268,16 +261,6 @@ def span(field, vectors, n=None):
     return Subspace(field, n, tuple(rows))
 
 
-def span_subspaces(field, subspaces):
-    rows = []
-    n = subspaces[0].n
-    for s in subspaces:
-        if s.n != n:
-            raise GeometryError("ambient dimension mismatch")
-        rows.extend(s.rows)
-    return span(field, rows, n)
-
-
 def meet(s1, s2):
     """Intersection of two subspaces (Zassenhaus)."""
     if s1.n != s2.n or s1.field != s2.field:
@@ -356,13 +339,13 @@ class Projection:
             return None
         return beta
 
-    def apply(self, v, normalize=True):
+    def apply(self, v):
         """Image of v inside the ambient space, as a point of `target`."""
         beta = self.coords(v)
         if beta is None:
             return None
-        img = vec_mat(self.field, beta, self.target.rows)
-        return normalize_point(self.field, img) if normalize else img
+        return normalize_point(self.field,
+                               vec_mat(self.field, beta, self.target.rows))
 
 
 def intrinsic_coords(subspace, v):
@@ -407,9 +390,6 @@ class QuadraticForm:
     field: object
     n: int
     coeffs: tuple   # flat tuple in monomial_order(n) ordering
-
-    def coeff(self, i, j):
-        return self.coeffs[_mono_index(self.n, i, j)]
 
     def evaluate(self, v):
         field = self.field
@@ -466,23 +446,6 @@ def quadratic_form(field, n, coeff_map):
             i, j = j, i
         flat[_mono_index(n, i, j)] = c
     return QuadraticForm(field, n, tuple(flat))
-
-
-def fit_quadric(field, points, n):
-    """The unique (up to scalar) quadric through the points, or raise.
-
-    Solves the homogeneous system Q(p) = 0 over the monomial coefficients
-    and scales the solution so its first nonzero coefficient is 1.
-    """
-    order = monomial_order(n)
-    rows = []
-    for p in points:
-        rows.append(tuple(field.mul(p[i], p[j]) for (i, j) in order))
-    ker = nullspace(field, rows, len(order))
-    if len(ker) != 1:
-        raise QuadricFitError(len(ker))
-    coeffs = normalize_point(field, ker[0])
-    return QuadraticForm(field, n, coeffs)
 
 
 def quadric_zero_set(qf, points=None):

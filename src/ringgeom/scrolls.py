@@ -249,13 +249,11 @@ def canonical_regular_scroll(d, q):
     F_{q^d} and the field-reduction spread, paired through PG(1, q^d)."""
     K = GF(q)
     L = GF(q ** d)
-    emb, basis, coords = vector_space_view(L, K)
+    emb, _, coords = vector_space_view(L, K)
     n = 3 * d + 2
+
     # quadric side: x0 x1 = N(b), points (1, N(b), b) and (0, 1, 0...) in
     # the first (d+2) coordinates
-    qpts = []
-    members = []
-
     def qpoint(l):
         # norm of the quadratic K-algebra L: l^2 for L = K, the field
         # norm l^(1+q) for the degree-2 extension
@@ -274,21 +272,13 @@ def canonical_regular_scroll(d, q):
         vec = [K.one, norm_val] + list(coords[l]) + [K.zero] * (2 * d)
         return normalize_point(K, tuple(vec))
 
-    def spread_member(lpt):
-        rows = []
-        for lam in basis:
-            vec = [K.zero] * (d + 2)
-            for comp in lpt:
-                vec.extend(coords[L.mul(lam, comp)])
-            rows.append(tuple(vec))
-        return span(K, rows, n)
-
-    for l in L.elements():
-        qpts.append(qpoint(l))
-        members.append(spread_member((L.one, l)))
-    # the point at infinity of PG(1, L)
+    # PG(1, L) as (1, l), then the point at infinity (0, 1): the order in
+    # which regular_spread lists its members
+    qpts = [qpoint(l) for l in L.elements()]
     qpts.append(normalize_point(K, tuple([K.zero, K.one] + [K.zero] * 3 * d)))
-    members.append(spread_member((L.zero, L.one)))
+    pad = (K.zero,) * (d + 2)
+    members = [Subspace(K, n, tuple(pad + r for r in m.rows))
+               for m in regular_spread(d, q).members]
     return build_scroll(K, qpts, members)
 
 
@@ -348,22 +338,6 @@ def scroll_quadrics(scroll):
         if forms:
             found[pts] = (u, forms[0])
     return found
-
-
-def quadric_through(scroll, quadrics, p, q):
-    """The unique scroll quadric through valid p, q (errors otherwise)."""
-    ti, tj = scroll.transversal_index_of(p), scroll.transversal_index_of(q)
-    if ti is None or tj is None:
-        raise GeometryError("points not on the scroll")
-    if ti == tj:
-        raise GeometryError("points on the same transversal")
-    spread_pts = frozenset(scroll.spread_side.points())
-    if p in spread_pts or q in spread_pts:
-        raise GeometryError("points on the spread side")
-    hits = [pts for pts in quadrics if p in pts and q in pts]
-    if len(hits) != 1:
-        raise GeometryError("found %d quadrics through the pair" % len(hits))
-    return hits[0]
 
 
 def verify_unique_quadrics(scroll, quadrics):
@@ -453,14 +427,6 @@ def pairing_witness(scroll):
         if x is not None:
             return {"conic": conic, "point": x}
     return None
-
-
-def pairing_is_projectivity(scroll):
-    """Certify the stored pairing on every conic (`pairing_witness`).
-    Vacuous at q = 2, where lines carry only three points."""
-    if scroll.field.q < 3:
-        return "vacuous"
-    return pairing_witness(scroll) is None
 
 
 def scroll_dump(scroll, quadrics=None):

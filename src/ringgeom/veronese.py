@@ -19,8 +19,7 @@ from . import projective as pj
 from . import scrolls as sc
 from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
-                         Projection, quadric_vertex, witt_index, is_ovoid,
-                         exact_zero_set_forms)
+                         Projection, quadric_vertex, witt_index, is_ovoid)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       partition_mismatch, pair_violations)
 
@@ -86,7 +85,7 @@ def veronese_point(A, plane_point):
     return p
 
 
-def build_variety(A, extract=True):
+def build_variety(A):
     """X = rho(P), Xi = spans of rho(line) for lines of G(2, A)."""
     plane = build_plane(A)
     field = A.field
@@ -109,8 +108,7 @@ def build_variety(A, extract=True):
     for li, line in enumerate(plane.lines):
         member_pts = [rho[plane.points[pi]] for pi in plane.points_on[li]]
         xi = span(field, member_pts, n)
-        tube = (extract_tube if extract else _bare_tube)(
-            field, xi, point_set, point_index, li)
+        tube = extract_tube(field, xi, point_set, point_index, li)
         if set(tube.x_pts) != set(member_pts):
             raise GeometryError(
                 "xi contains points of X beyond the line image (line %d)" % li)
@@ -122,11 +120,10 @@ def build_variety(A, extract=True):
                    inverse_rho=inverse_rho)
 
 
-def build_synthetic_variety(field, n, points, xis, extract=True):
+def build_synthetic_variety(field, n, points, xis):
     point_index = {p: i for i, p in enumerate(points)}
     point_set = frozenset(points)
-    make = extract_tube if extract else _bare_tube
-    tubes = [make(field, xi, point_set, point_index, i)
+    tubes = [extract_tube(field, xi, point_set, point_index, i)
              for i, xi in enumerate(xis)]
     return Variety(field, n, list(points), point_index, point_set, tubes,
                    _tubes_through(len(points), tubes))
@@ -138,15 +135,6 @@ def _tubes_through(npoints, tubes):
         for pi in t.x_idx:
             through[pi].append(t.index)
     return through
-
-
-def _bare_tube(field, xi, point_set, point_index, index):
-    xi_pts = frozenset(xi.points())
-    x_pts = frozenset(xi_pts & point_set)
-    x_idx = tuple(sorted(point_index[p] for p in x_pts))
-    return Tube(index, xi, xi_pts, x_pts, x_idx, None, 0,
-                Subspace(field, xi.n, ()), frozenset(), x_pts, -1, -1, -1,
-                False, ())
 
 
 def extract_tube(field, xi, point_set, point_index, index=0):
@@ -203,27 +191,22 @@ def extract_tube(field, xi, point_set, point_index, index=0):
 
 
 def _analyze_base(field, xi, qf, vert_intr, x_pts, intr):
-    k = xi.vdim
-    if not vert_intr.rows:
+    """Base Witt index, ovoid test and generators of the accepted cone.
+    On a complement of the vertex the form vanishes exactly on the
+    projected X points, and the Witt index depends only on the zero set,
+    so it is read off the form restricted to those points."""
+    if vert_intr.rows:
+        proj = Projection(vert_intr, pj.complement(vert_intr))
+        base_map = {}
+        for p in x_pts:
+            base_map.setdefault(proj.apply(intr[p]), []).append(p)
+        base_pts = sorted(base_map)
+        generators = tuple(frozenset(base_map[b]) for b in base_pts)
+    else:
         base_pts = [intr[p] for p in x_pts]
-        base_space = span(field, base_pts, k)
-        forms = exact_zero_set_forms(field, base_pts, k)
-        bw = witt_index(forms[0]) if forms else witt_index(qf)
-        ovoid = is_ovoid(field, base_pts, base_space)
-        return bw, ovoid, (frozenset(x_pts),)
-    proj = Projection(vert_intr, pj.complement(vert_intr))
-    base_map = {}
-    for p in x_pts:
-        img = proj.apply(intr[p])
-        base_map.setdefault(img, []).append(p)
-    base_pts = sorted(base_map)
-    base_space = span(field, base_pts, k)
-    ovoid = is_ovoid(field, base_pts, base_space)
-    base_intr = [intrinsic_coords(base_space, p) for p in base_pts]
-    forms = exact_zero_set_forms(field, base_intr, base_space.vdim)
-    bw = witt_index(forms[0]) if forms else -1
-    generators = tuple(frozenset(base_map[b]) for b in base_pts)
-    return bw, ovoid, generators
+        generators = (frozenset(x_pts),)
+    ovoid = is_ovoid(field, base_pts, span(field, base_pts, xi.vdim))
+    return witt_index(qf, base_pts), ovoid, generators
 
 
 def variety_dump(variety):
@@ -512,7 +495,7 @@ def project_from_y(variety, F=None):
             e.rows for e in elliptics.values()}
     mm_var = build_synthetic_variety(
         field, variety.n, xprime,
-        [elliptics[k] for k in sorted(elliptics)], extract=True)
+        [elliptics[k] for k in sorted(elliptics)])
     report["mm1"] = check_mm1(mm_var)["ok"]
     report["mm2star"] = check_mm2star(mm_var)["ok"]
     data["projected_variety"] = mm_var
@@ -664,13 +647,18 @@ def local_structure_at_vertex(variety, vertex, data):
                                        .values()))
     report["spread_size"] = len(spread.members)
     report["spread_regular"] = sc.is_regular_spread(spread, within=ytilde)
-    # chi_V preserves cross-ratio (projectivity), vacuous at q = 2: the
-    # pairing q-point <-> spread member is exactly a scroll pairing; a
-    # failure adds its conic and point as "chi_v_witness"
+    # chi_V preserves cross-ratio (projectivity), vacuous at q = 2 where
+    # lines carry three points: the pairing q-point <-> spread member is
+    # exactly a scroll pairing; a failure adds its conic and point as
+    # "chi_v_witness"
     scroll = sc.build_scroll(field, qpts, members)
-    report["chi_v_projectivity"] = sc.pairing_is_projectivity(scroll)
-    if report["chi_v_projectivity"] is False:
-        report["chi_v_witness"] = sc.pairing_witness(scroll)
+    if field.q < 3:
+        report["chi_v_projectivity"] = "vacuous"
+    else:
+        witness = sc.pairing_witness(scroll)
+        report["chi_v_projectivity"] = witness is None
+        if witness is not None:
+            report["chi_v_witness"] = witness
     # scroll quadrics == projected tubes
     squads = sc.scroll_quadrics(scroll)
     projected = set()
@@ -716,7 +704,7 @@ def build_h2_counterexample(field):
     for xi in xis:
         seen.setdefault(xi.rows, xi)
     xis = list(seen.values())
-    return build_synthetic_variety(field, n, points, xis, extract=True)
+    return build_synthetic_variety(field, n, points, xis)
 
 
 def _nu(field, a):

@@ -97,3 +97,13 @@ def m10_census(m10):
 @pytest.fixture(scope="session")
 def counterexample(f3_field):
     return vr.build_h2_counterexample(f3_field)
+
+
+@pytest.fixture(scope="session")
+def counterexample_h2(counterexample):
+    return vr.check_h2(counterexample)
+
+
+@pytest.fixture(scope="session")
+def counterexample_h3(counterexample):
+    return vr.check_h3(counterexample, 6)

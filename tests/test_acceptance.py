@@ -200,15 +200,16 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
     pp, lp = mo.materialize(tau, plane)
     ident = tuple(range(len(plane.points)))
     ok = ok and mo.perm_mul(pp, mo.perm_mul(pp, pp)) == ident
-    ok = ok and mo.preserves_incidence(tau, plane)[0]
-    ok = ok and mo.preserves_neighbouring(tau, plane)[0]
+    ok = ok and mo.perms_preserve_incidence(pp, lp, plane)[0]
+    ok = ok and mo.perm_preserves_neighbouring(pp, plane)[0]
     mats = {}
     for kind in ("phi23", "phi13"):
         for Y in A.elements():
             em = mo.elation(A, kind, Y)
-            ok = ok and mo.preserves_incidence(em, plane)[0]
-            ok = ok and mo.preserves_neighbouring(em, plane)[0]
-            mats[(kind, Y)] = mo.materialize(em, plane)[0]
+            em_pp, em_lp = mo.materialize(em, plane)
+            ok = ok and mo.perms_preserve_incidence(em_pp, em_lp, plane)[0]
+            ok = ok and mo.perm_preserves_neighbouring(em_pp, plane)[0]
+            mats[(kind, Y)] = em_pp
         for y1 in A.elements():
             for y2 in A.elements():
                 prod = mo.perm_mul(mats[(kind, y1)], mats[(kind, y2)])
@@ -325,13 +326,14 @@ def test_criterion_13_d1_examples(f2_field):
            ok, time.time() - t0)
 
 
-def test_criterion_14_counterexample(counterexample):
+def test_criterion_14_counterexample(counterexample, counterexample_h2,
+                                     counterexample_h3):
     t0 = time.time()
     ce = counterexample
     ok = vr.check_tubes(ce, d_base=1, v=1)["ok"]
     ok = ok and vr.check_h1(ce)["ok"]
-    ok = ok and vr.check_h2(ce)["ok"]
-    ok = ok and vr.check_h3(ce, 6)["ok"]
+    ok = ok and counterexample_h2["ok"]
+    ok = ok and counterexample_h3["ok"]
     wit = next((v[:2] for v in vr.check_h2star(ce)["violations"]
                 if v[2] == "disjoint"), None)
     ok = ok and wit is not None

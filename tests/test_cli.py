@@ -146,7 +146,7 @@ def test_scroll_dump(tmp_path):
 def test_error_types_share_one_base():
     assert {e.__name__ for e in ERROR_TYPES} >= {
         "AlgebraError", "F2Error", "FieldError", "GeometryError",
-        "MotionError", "PlaneError", "QuadricFitError", "UsageError"}
+        "MotionError", "PlaneError", "UsageError"}
     for err in ERROR_TYPES:
         assert issubclass(err, ringgeom.RinggeomError), err
 
@@ -154,7 +154,7 @@ def test_error_types_share_one_base():
 @pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda e: e.__name__)
 def test_every_error_type_exits_2_with_one_line(err, monkeypatch, capsys):
     def fail(config):
-        raise err(2) if err.__name__ == "QuadricFitError" else err("refused")
+        raise err("refused")
     monkeypatch.setitem(cli.COMMANDS, "algebra", fail)
     rc = cli.main(["algebra", "--algebra", "F5"])
     captured = capsys.readouterr()
@@ -206,13 +206,37 @@ def test_projectivity_failures_name_conic_and_point(variety_f3,
     (c,) = cli.veronese_checks(variety_f3, ("cor",))[-1:]
     assert c.status == "fail" and c.computed["cross_ratio"] is False
     assert c.witnesses == [wit]
-    monkeypatch.setattr(cli.vr.sc, "pairing_is_projectivity",
-                        lambda scroll: False)
     monkeypatch.setattr(cli.vr.sc, "pairing_witness", lambda scroll: wit)
     (c,) = cli.veronese_checks(variety_f3, ("vertexlocal",))
     first = variety_f3.tubes[0].vertex
     assert c.status == "fail" and "chi_v_witness" not in c.computed
     assert c.witnesses == [first.rows, wit]
+
+
+@pytest.mark.parametrize("name,producer,key", [
+    ("cor.spread", "vertex_space_y", "x_disjoint"),
+    ("cor.F_section", "project_from_y", "xi_cap_f_matches"),
+    ("cor.chi", "connection_chi", "pstar_is_residue_plane"),
+])
+def test_cor_sub_verdict_decides_its_check(name, producer, key,
+                                           monkeypatch):
+    args = ["veronese", "--algebra", "CD(F2,0)", "--check", "cor"]
+    report, status, _ = run_cli(args)
+    assert status == 0
+    assert {c["name"]: c["status"] for c in report["checks"]}[name] == "pass"
+    real = getattr(cli.vr, producer)
+
+    def broken(*a):
+        out = real(*a)
+        next(part for part in out
+             if isinstance(part, dict) and key in part)[key] = False
+        return out
+
+    monkeypatch.setattr(cli.vr, producer, broken)
+    report, status, _ = run_cli(args)
+    check = {c["name"]: c for c in report["checks"]}[name]
+    assert status == 1 and check["status"] == "fail"
+    assert check["computed"][key] is False
 
 
 def test_point_line_neighbouring_reports_its_witness(monkeypatch):

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringgeom.fields import (GF, QQ, FieldSpec, FieldError, field_make,
-                             enumerate_scalars, parse_field, DEFAULT_POLYS,
-                             subfield_embedding)
+from ringgeom.fields import (GF, QQ, FieldSpec, FieldError, FiniteField,
+                             parse_field, DEFAULT_POLYS, subfield_embedding)
 
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -52,7 +51,7 @@ def test_f4_structure():
     F4 = GF(4)
     w = 2  # the generator
     assert F4.mul(w, w) == F4.add(w, F4.one)
-    assert enumerate_scalars(F4) == [0, 1, 2, 3]
+    assert list(F4.elements()) == [0, 1, 2, 3]
     assert [F4.label(a) for a in F4.elements()] == ["0", "1", "w", "1+w"]
 
 
@@ -62,16 +61,16 @@ def test_f5_inverse():
 
 def test_f9_distinct():
     F9 = GF(9)
-    assert len(set(enumerate_scalars(F9))) == 9
+    assert len(set(F9.elements())) == 9
 
 
 def test_enumerate_f2():
-    assert enumerate_scalars(GF(2)) == [0, 1]
+    assert list(GF(2).elements()) == [0, 1]
 
 
 def test_enumerate_rationals_fails():
     with pytest.raises(FieldError):
-        enumerate_scalars(QQ())
+        QQ().elements()
 
 
 def test_rational_arithmetic_exact():
@@ -96,9 +95,9 @@ def test_rational_field_ops_hypothesis(a, b):
 
 def test_reducible_polynomial_rejected():
     with pytest.raises(FieldError):
-        field_make(FieldSpec("extension", 2, 2, (0, 0, 1)))  # x^2
+        FiniteField(FieldSpec("extension", 2, 2, (0, 0, 1)))  # x^2
     with pytest.raises(FieldError):
-        field_make(FieldSpec("extension", 3, 2, (2, 0, 1)))  # x^2+2=(x+1)(x+2)
+        FiniteField(FieldSpec("extension", 3, 2, (2, 0, 1)))  # x^2+2=(x+1)(x+2)
 
 
 def test_default_polynomials_documented():

@@ -55,9 +55,10 @@ def test_elations_preserve_incidence_and_neighbouring(algebra_cd_f2,
     for kind in ("phi23", "phi13"):
         for Y in A.elements():
             em = mo.elation(A, kind, Y)
-            ok, wit = mo.preserves_incidence(em, plane_f2)
+            pp, lp = mo.materialize(em, plane_f2)
+            ok, wit = mo.perms_preserve_incidence(pp, lp, plane_f2)
             assert ok, (kind, Y, wit)
-            ok, wit = mo.preserves_neighbouring(em, plane_f2)
+            ok, wit = mo.perm_preserves_neighbouring(pp, plane_f2)
             assert ok, (kind, Y, wit)
 
 
@@ -70,7 +71,7 @@ def test_triality_order_three(fixture, request):
     ident = tuple(range(len(pp)))
     assert mo.perm_mul(pp, mo.perm_mul(pp, pp)) == ident
     assert mo.perm_mul(lp, mo.perm_mul(lp, lp)) == tuple(range(len(lp)))
-    ok, wit = mo.preserves_incidence(tau, plane)
+    ok, wit = mo.perms_preserve_incidence(pp, lp, plane)
     assert ok, wit
 
 
@@ -92,7 +93,8 @@ def test_conjugation_by_triality_gives_other_elations(algebra_cd_f2,
     tau2 = mo.compose(tau, tau)
     for Y in A.elements():
         g = mo.compose(tau, mo.compose(mo.elation(A, "phi23", Y), tau2))
-        ok, _ = mo.preserves_incidence(g, plane_f2)
+        ok, _ = mo.perms_preserve_incidence(*mo.materialize(g, plane_f2),
+                                            plane_f2)
         assert ok
 
 
@@ -196,7 +198,7 @@ def test_key_neighbouring_matches_pair_loop(fixture, request):
     swap = _swap_with_non_neighbour(plane)
     for g in maps:
         pp = mo.materialize(g, plane)[0]
-        assert mo.preserves_neighbouring(g, plane) == (True, None)
+        assert mo.perm_preserves_neighbouring(pp, plane) == (True, None)
         assert _pairwise_neighbouring(pp, plane) == (True, None)
         broken = mo.perm_mul(pp, swap)
         ok, pair = mo.perm_preserves_neighbouring(broken, plane)

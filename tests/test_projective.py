@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ringgeom.fields import GF, parse_field, random_scalar
 from ringgeom import projective as pj
 from ringgeom.projective import (span, meet, complement,
-                                 normalize_point, fit_quadric,
-                                 QuadricFitError, quadratic_form,
+                                 normalize_point, quadratic_form,
                                  quadric_zero_set, quadric_vertex,
                                  witt_index, is_ovoid, cross_ratio, INF,
                                  Projection, exact_zero_set_forms)
@@ -40,7 +39,7 @@ def test_complement_properties():
     s = span(F, [(1, 0, 2, 1, 0), (0, 1, 1, 1, 2)])
     c = complement(s)
     assert not meet(s, c).rows
-    assert pj.span_subspaces(F, [s, c]).vdim == 5
+    assert span(F, s.rows + c.rows).vdim == 5
 
 
 def test_ambient_mismatch_errors():
@@ -49,23 +48,6 @@ def test_ambient_mismatch_errors():
     t = span(F, [(1, 0, 0)])
     with pytest.raises(pj.GeometryError):
         meet(s, t)
-
-
-def test_fit_quadric_underdetermined():
-    F = GF(2)
-    conic = [(1, 0, 0), (0, 0, 1), (1, 1, 1)]  # on x0 x2 = x1^2
-    with pytest.raises(QuadricFitError) as e:
-        fit_quadric(F, conic, 3)
-    assert e.value.nullity == 3
-
-
-def test_fit_quadric_recovers_conic_over_f5():
-    F = GF(5)
-    qf = quadratic_form(F, 3, {(0, 2): 1, (1, 1): F.neg(1)})
-    pts = quadric_zero_set(qf)
-    assert len(pts) == 6
-    fitted = fit_quadric(F, pts, 3)
-    assert set(quadric_zero_set(fitted)) == set(pts)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -190,8 +172,8 @@ def test_modular_law_seeded():
                  sorted(rng.sample(range(z.vdim), max(1, z.vdim // 2)))]
         x = span(F, xrows, n)
         y = random_subspace(rng.randint(2, 5))
-        lhs = pj.span_subspaces(F, [x, meet(y, z)])
-        rhs = meet(pj.span_subspaces(F, [x, y]), z)
+        lhs = span(F, x.rows + meet(y, z).rows, n)
+        rhs = meet(span(F, x.rows + y.rows, n), z)
         assert lhs == rhs
 
 

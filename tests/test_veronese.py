@@ -140,7 +140,8 @@ def test_tangent_space_complementarity(variety_f3):
                 continue
             u = pj.meet(tx, t.xi)
             assert not u.rows
-            assert pj.span_subspaces(field, [tx, t.xi]).vdim == variety_f3.n
+            assert pj.span(field, tx.rows + t.xi.rows,
+                           variety_f3.n).vdim == variety_f3.n
             break
 
 
@@ -166,6 +167,37 @@ def test_zero_count_skip_keeps_accepted_forms(variety_f4big):
                 accepted += 1
                 assert len(zeros - x_intr) in sizes
         assert accepted == t.fit_count == 1
+
+
+def _refit_base_witt(field, tube):
+    """Reference: the base projected from the vertex onto its coordinate
+    complement inside xi, its own exact zero-set form refitted in the
+    base's span, and that form's Witt index."""
+    k = tube.xi.vdim
+    intr = [pj.intrinsic_coords(tube.xi, p) for p in sorted(tube.x_pts)]
+    if tube.vertex.rows:
+        vert = pj.span(field, [pj.intrinsic_coords(tube.xi, r)
+                               for r in tube.vertex.rows], k)
+        proj = pj.Projection(vert, pj.complement(vert))
+        intr = sorted({proj.apply(c) for c in intr})
+    base = pj.span(field, intr, k)
+    forms = pj.exact_zero_set_forms(
+        field, [pj.intrinsic_coords(base, c) for c in intr], base.vdim)
+    return pj.witt_index(forms[0])
+
+
+@pytest.mark.parametrize("name", ["variety_f2", "variety_f3", "frame5",
+                                  "frame4_plus_point", "basis6"])
+def test_base_witt_matches_refitted_base_form(name, request):
+    # the Witt index read off the accepted cone form on the projected
+    # X points equals that of the base's own exact zero-set form
+    if name.startswith("variety"):
+        variety, shape = request.getfixturevalue(name), (0, 1)
+    else:
+        variety, shape = f2.d1_q2_examples()[name], (-1, 1)
+    for t in variety.tubes:
+        assert t.base_witt == _refit_base_witt(variety.field, t) == 1
+        assert (t.v, t.d_base, t.base_ovoid, t.fit_count) == shape + (True, 1)
 
 
 def test_tube_tangent_matches_combinatorial(variety_f2, variety_f3):
@@ -364,7 +396,7 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
     assert set(inf_space.points()) <= ytilde
 
 
-def test_counterexample_pg13(counterexample):
+def test_counterexample_pg13(counterexample, counterexample_h2):
     ce = counterexample
     assert len(ce.points) == 1080
     assert len(ce.tubes) == 1170
@@ -372,7 +404,7 @@ def test_counterexample_pg13(counterexample):
     assert len(rows) == 14               # X spans PG(13, 3)
     assert vr.check_tubes(ce, d_base=1, v=1)["ok"]
     assert vr.check_h1(ce)["ok"]
-    assert vr.check_h2(ce)["ok"]
+    assert counterexample_h2["ok"]
     rep = vr.check_h2star(ce)
     assert rep["violation_count"] == 426465
     assert rep["violations"][0] == (0, 153, "disjoint")
@@ -395,8 +427,8 @@ def test_check_h2_rejects_a_y_part_that_is_not_a_subspace(counterexample):
     assert {w[2] for w in rep["violations"]} == {"Y part not a subspace"}
 
 
-def test_counterexample_h3(counterexample):
-    rep = vr.check_h3(counterexample, 6)
+def test_counterexample_h3(counterexample_h3):
+    rep = counterexample_h3
     assert rep["ok"] and rep["tangent_dims"] == {6: 1080}
 
 
