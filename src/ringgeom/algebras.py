@@ -412,46 +412,27 @@ def _division_detail(A, samples=2000, seed=0):
     return True, False, None
 
 
-def norm_gram_rows(A):
-    """Gram matrix of f(x,y) = N(x+y) - N(x) - N(y) on the basis."""
+def _norm_form(A):
+    """The norm as a quadratic form on the basis: c_ii = N(e_i) and
+    c_ij = f(e_i, e_j) for i < j, with f(x, y) = N(x+y) - N(x) - N(y)."""
     field = A.field
-    rows = []
-    for i in range(A.dim):
-        ei = A.basis(i)
-        ni = A.norm(ei)
-        row = []
-        for j in range(A.dim):
-            ej = A.basis(j)
-            s = A.norm(A.add(ei, ej))
-            row.append(field.sub(field.sub(s, ni), A.norm(ej)))
-        rows.append(tuple(row))
-    return rows
+    basis = [A.basis(i) for i in range(A.dim)]
+    norms = [A.norm(e) for e in basis]
+    return pj.QuadraticForm(field, A.dim, tuple(
+        norms[i] if i == j else
+        field.sub(field.sub(A.norm(A.add(basis[i], basis[j])), norms[i]),
+                  norms[j])
+        for i, j in pj.monomial_order(A.dim)))
 
 
 def radical_bases(A):
-    """(rad(f), R) as echelonized basis lists.
-
-    rad(f) is the kernel of the Gram matrix of the norm bilinearization;
-    R is its norm-zero part (all of rad(f) in characteristic != 2, by
-    exhaustive filtering in characteristic 2).
-    """
-    field = A.field
-    rad = pj.nullspace(field, norm_gram_rows(A), A.dim)
-    rad_rows, _ = pj.rref(field, rad)
-    if field.p != 2:
-        return list(rad_rows), list(rad_rows)
-    if not rad_rows:
-        return [], []
-    # char 2: N restricted to rad(f) is additive, its kernel is a subspace
-    radspace = pj.Subspace(field, A.dim, tuple(rad_rows))
-    zeros = [p for p in radspace.points() if A.norm(p) == field.zero]
-    if not zeros:
-        return list(rad_rows), []
-    r_rows, _ = pj.rref(field, zeros)
-    for p in pj.Subspace(field, A.dim, tuple(r_rows)).points():
-        if A.norm(p) != field.zero:
-            raise AlgebraError("norm-zero part of rad(f) is not a subspace")
-    return list(rad_rows), list(r_rows)
+    """(rad(f), R) as echelonized basis lists: the kernel of the Gram
+    matrix of the norm bilinearization, and the vertex of the norm form
+    (its norm-zero part; all of rad(f) in characteristic != 2)."""
+    qf = _norm_form(A)
+    rad = pj.nullspace(A.field, qf.gram_rows(), A.dim)
+    return (list(pj.span(A.field, rad, A.dim).rows),
+            list(pj.quadric_vertex(qf).rows))
 
 
 @dataclass
@@ -511,15 +492,10 @@ def _split_decomposition(A, R):
     if len(all_rows) != A.dim:
         return None
     # B-perp = R  (w.r.t. the norm bilinearization)
-    gram = norm_gram_rows(A)
-    for r in r_rows:
-        for b in b_rows:
-            acc = field.zero
-            for i, x in enumerate(b):
-                for j, y in enumerate(r):
-                    acc = field.add(acc, field.mul(field.mul(x, y), gram[i][j]))
-            if acc != field.zero:
-                return None
+    qf = _norm_form(A)
+    if any(pj.dot(field, qf.polar(b), r) != field.zero
+           for r in r_rows for b in b_rows):
+        return None
     return (b_rows, r_rows)
 
 

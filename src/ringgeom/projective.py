@@ -489,16 +489,8 @@ def quadric_vertex(qf):
     field = qf.field
     rad = nullspace(field, qf.gram_rows(), qf.n)
     radspace = span(field, rad, qf.n) if rad else Subspace(field, qf.n, ())
-    if field.p != 2:
-        # char != 2: Q vanishes on the radical automatically only when
-        # 2 is invertible and b determines Q; filter anyway for safety
-        rows = [r for r in radspace.rows if qf.evaluate(r) == field.zero]
-        if len(rows) == len(radspace.rows):
-            return radspace
-        if not field.is_finite:
-            kept, _ = rref(field, rows)
-            return Subspace(field, qf.n, tuple(kept))
-    if not radspace.rows:
+    # when 2 is invertible, Q(v) = b(v, v)/2 vanishes on rad(b)
+    if field.p != 2 or not radspace.rows:
         return radspace
     zero_pts = [p for p in radspace.points() if qf.evaluate(p) == field.zero]
     if not zero_pts:

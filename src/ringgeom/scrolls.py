@@ -4,24 +4,19 @@ and regular d-scrolls with their quadric families.
 Projectivities between a quadric and a spread are stored extensionally
 as pairing lists together with a cross-ratio certifier; the geometric
 constructions compose them through projections where no single matrix is
-canonical.  All searches are exhaustive with rank pruning (q <= 5).
+canonical.  A scroll's quadric family is read off one linear system; the
+affine-section search is exhaustive with rank pruning.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .fields import GF, subfield_embedding, FieldError
 from . import projective as pj
 from .projective import (Subspace, span, meet, rref, normalize_point,
                          GeometryError, intrinsic_coords, cross_ratio)
-
-# largest number of seed tuples (one point off the spread side on each of
-# the first d+2 transversals) scroll_quadrics enumerates: the regular
-# 2-scroll over F4 needs 16^4 = 65536, over F5 25^4 = 390625
-SCROLL_SEED_BUDGET = 100000
 
 
 def normal_rational_curve(field, m):
@@ -284,60 +279,49 @@ def canonical_regular_scroll(d, q):
 
 def scroll_quadrics(scroll):
     """All Witt-index-1 quadrics on the scroll meeting every transversal
-    exactly once off the spread side.
+    exactly once off the spread side, as a sorted list of point tuples.
 
-    A quadric spans a (d+1)-space, seeded with one point on each of the
-    first d+2 transversals.  Each seed span u gets its annihilator H
-    once; u meets a later transversal T in the points c.T.rows with
-    (c.T.rows).H = 0, i.e. in the left kernel of the small matrix of dot
-    products of T's rows with H.  A seed is dropped at the first
-    transversal it meets in other than one point, or in a point of the
-    spread side.  Refuses up front when the seeds outnumber
-    SCROLL_SEED_BUDGET."""
+    Write Pi = <Q> for the quadric side and Sigma for the spread side.
+    Suppose a (d+1)-space U meets each transversal <p, phi(p)> in one
+    point off Sigma.  Its projection along Sigma then contains every p,
+    so it is all of Pi; hence U meets Sigma in 0, and U is the graph
+    {x + psi(x)} of a linear map psi: Pi -> Sigma with psi(p) in phi(p)
+    for each p in Q.  Conversely such a graph meets <p, phi(p)> exactly
+    in p + psi(p).  Those conditions are d linear equations per point on
+    the (d+2).2d entries of psi, and the family is the q^dim(W) graphs
+    over their solution space W.  A graph's points are the image of Q
+    under a linear isomorphism, so they carry an exact Witt-index-1 form
+    iff Q does: that form is fitted once, on Q."""
     field = scroll.field
-    n = scroll.n
-    d = scroll.transversals[0].vdim - 1       # quadric lives in a (d+1)-space
-    spread_pts = frozenset(scroll.spread_side.points())
-    off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
-    seed_count = math.prod(len(pts) for pts in off[:d + 2])
-    if seed_count > SCROLL_SEED_BUDGET:
-        raise GeometryError("scroll quadric search needs %d seed tuples, "
-                            "over scrolls.SCROLL_SEED_BUDGET = %d"
-                            % (seed_count, SCROLL_SEED_BUDGET))
-    found = {}
-    rest = [scroll.transversals[ti].rows
-            for ti in range(d + 2, len(scroll.transversals))]
-
-    def complete(u):
-        annihilator = pj.nullspace(field, u.rows, n)
-        pts = []
-        for t_rows in rest:
-            ker = pj.nullspace(field, [tuple(pj.dot(field, r, h)
-                                             for r in t_rows)
-                                       for h in annihilator], len(t_rows))
-            if len(ker) != 1:
-                return None
-            p = normalize_point(field, pj.vec_mat(field, ker[0], t_rows))
-            if p in spread_pts:
-                return None
-            pts.append(p)
-        return pts
-
-    for seed in itertools.product(*off[:d + 2]):
-        u = span(field, seed, n)
-        if u.vdim != d + 2:
-            continue
-        tail = complete(u)
-        if tail is None:
-            continue
-        pts = tuple(sorted(set(seed) | set(tail)))
-        if len(pts) != len(scroll.transversals) or pts in found:
-            continue
-        forms = pj.exact_zero_set_forms(
-            field, [intrinsic_coords(u, x) for x in pts], u.vdim, witt=1)
-        if forms:
-            found[pts] = (u, forms[0])
-    return found
+    pi = span(field, scroll.quadric_pts, scroll.n)
+    sigma = scroll.spread_side
+    if span(field, pi.rows + sigma.rows).vdim != pi.vdim + sigma.vdim:
+        raise GeometryError("quadric side meets the spread side")
+    coords = [intrinsic_coords(pi, p) for p in scroll.quadric_pts]
+    if not pj.exact_zero_set_forms(field, coords, pi.vdim, witt=1):
+        return []
+    # psi(x) = coords(x).M in Sigma coordinates, M flattened row by row;
+    # psi(p) lies in phi(p) iff coords(p).M.h = 0 for each row h of the
+    # annihilator of phi(p) in Sigma coordinates
+    k = sigma.vdim
+    eqs = []
+    for a, m in zip(coords, scroll.members):
+        member = [intrinsic_coords(sigma, r) for r in m.rows]
+        eqs.extend(tuple(field.mul(x, y) for x in a for y in h)
+                   for h in pj.nullspace(field, member, k))
+    maps = [[w[i:i + k] for i in range(0, len(w), k)]
+            for w in pj.nullspace(field, eqs, pi.vdim * k)]
+    # per point p: p itself, then its image under each basis map of W
+    rows = [[p] + [pj.vec_mat(field, pj.vec_mat(field, a, mat), sigma.rows)
+                   for mat in maps]
+            for p, a in zip(scroll.quadric_pts, coords)]
+    family = []
+    for c in itertools.product(field.elements(), repeat=len(maps)):
+        c = (field.one,) + c
+        family.append(tuple(sorted(normalize_point(field,
+                                                   pj.vec_mat(field, c, r))
+                                   for r in rows)))
+    return sorted(family)
 
 
 def verify_unique_quadrics(scroll, quadrics):
@@ -357,8 +341,9 @@ def verify_unique_quadrics(scroll, quadrics):
                 if pair_count.get(key, 0) != 1:
                     return False, ("pair", a, b, pair_count.get(key, 0))
                 valid_pairs += 1
-    for s1, s2 in itertools.combinations(quadrics, 2):
-        inter = set(s1) & set(s2)
+    sets = [(pts, frozenset(pts)) for pts in quadrics]
+    for (s1, set1), (s2, set2) in itertools.combinations(sets, 2):
+        inter = set1 & set2
         if len(inter) != 1 or next(iter(inter)) in spread_pts:
             return False, ("intersection", s1, s2, len(inter))
     return True, valid_pairs

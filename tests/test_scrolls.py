@@ -5,6 +5,7 @@ import pytest
 from ringgeom.fields import GF
 from ringgeom import projective as pj
 from ringgeom import scrolls as sc
+from ringgeom import veronese as vr
 
 
 def test_normal_rational_curve_conic():
@@ -87,9 +88,12 @@ def test_cubic_scroll_tangent_planes_at_base_point():
     tang = pj.span(F, [pj.from_intrinsic(conic_plane, r)
                        for r in pj.nullspace(F, [row], 3)], s.n)
     target = pj.span(F, [phi_c] + list(tang.rows), s.n)
-    for pts, (u, qf) in quads.items():
+    for pts in quads:
         if c not in pts:
             continue
+        u = pj.span(F, list(pts), s.n)
+        qf, = pj.exact_zero_set_forms(
+            F, [pj.intrinsic_coords(u, p) for p in pts], u.vdim, witt=1)
         ciq = pj.intrinsic_coords(u, c)
         row = tuple(qf.bilinear(ciq, tuple(
             F.one if j == i else F.zero for j in range(u.vdim)))
@@ -121,29 +125,39 @@ def _swap_members(scroll, p, r):
     return sc.build_scroll(scroll.field, list(pair), list(pair.values()))
 
 
+def _conics(scroll):
+    F = scroll.field
+    return pj.conic_sections(F, scroll.quadric_pts,
+                             pj.span(F, list(scroll.quadric_pts), scroll.n))
+
+
+def _late_pair(scroll):
+    # the two quadric points whose members the pairing tests swap: the
+    # last two points of a conic, or the two points of the q = 3
+    # elliptic quadric on none of its first three conics
+    if scroll.members[0].vdim == 1:
+        return sorted(scroll.quadric_pts)[-2:]
+    early = set().union(*_conics(scroll)[:3])
+    return [x for x in scroll.quadric_pts if x not in early]
+
+
 def test_pairing_swap_on_late_conic_points_is_rejected():
     # q >= 4: PGL(2, 3) is all of S_4 on a 4-point conic, so a swap at
     # q = 3 would still be a projectivity there
     s = sc.canonical_cubic_scroll(GF(5))
-    p, r = sorted(s.quadric_pts)[-2:]
+    p, r = _late_pair(s)
     bad = _swap_members(s, p, r)
     assert sc.pairing_witness(bad)["point"] in (p, r)
 
 
 def test_pairing_off_regulus_on_late_conic_is_rejected():
-    # the two points of the q = 3 elliptic quadric on none of its first
-    # three conics: swapping their spread members breaks the regulus of
-    # a later conic through one of them
+    # swapping the spread members of the two points on none of the first
+    # three conics breaks the regulus of a later conic through one of them
     s = sc.canonical_regular_scroll(2, 3)
-    F = s.field
-    conics = pj.conic_sections(F, s.quadric_pts,
-                               pj.span(F, list(s.quadric_pts), s.n))
-    early = set().union(*conics[:3])
-    p, r = [x for x in s.quadric_pts if x not in early]
-    bad = _swap_members(s, p, r)
-    witness = sc.pairing_witness(bad)
+    p, r = _late_pair(s)
+    witness = sc.pairing_witness(_swap_members(s, p, r))
     assert witness["point"] in (p, r)
-    assert witness["conic"] in conics[3:]
+    assert witness["conic"] in _conics(s)[3:]
 
 
 def test_regular_1_scroll_agrees_with_cubic_scroll():
@@ -179,7 +193,6 @@ def test_alpha_section_cubic_scroll():
         pairing = [(side1[i], side2[i]) for i in sorted(side1)]
         al, images, inf_space = sc.alpha_section(F, pairing, s.n)
         assert len(images) == F.q
-        u1, qf1 = quads[k1]
         for quad in itertools.permutations(sorted(k1)):
             val = pj.conic_cross_ratio(
                 F, pj.span(F, list(k1), s.n), list(k1), list(quad))
@@ -227,7 +240,7 @@ def _scroll_quadrics_by_meet(scroll):
     d = scroll.transversals[0].vdim - 1
     spread_pts = frozenset(scroll.spread_side.points())
     off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
-    found = {}
+    found = set()
     for seed in itertools.product(*off[:d + 2]):
         u = pj.span(field, seed, n)
         if u.vdim != d + 2:
@@ -245,21 +258,42 @@ def _scroll_quadrics_by_meet(scroll):
             pts = tuple(sorted(set(seed) | set(tail)))
             if len(pts) != len(scroll.transversals) or pts in found:
                 continue
-            forms = pj.exact_zero_set_forms(
-                field, [pj.intrinsic_coords(u, x) for x in pts], u.vdim,
-                witt=1)
-            if forms:
-                found[pts] = (u, forms[0])
+            if pj.exact_zero_set_forms(
+                    field, [pj.intrinsic_coords(u, x) for x in pts], u.vdim,
+                    witt=1):
+                found.add(pts)
     return found
 
 
-@pytest.mark.parametrize("kind,d,q", [("cubic", 1, 3), ("cubic", 1, 4),
-                                      ("regular", 1, 3), ("regular", 2, 3)])
-def test_scroll_quadrics_match_meet_completion(kind, d, q):
-    s = sc.canonical_cubic_scroll(GF(q)) if kind == "cubic" \
+def _scroll(kind, d, q):
+    s = sc.canonical_cubic_scroll(GF(q)) if kind.endswith("cubic") \
         else sc.canonical_regular_scroll(d, q)
-    got = sc.scroll_quadrics(s)
-    assert list(got.items()) == list(_scroll_quadrics_by_meet(s).items())
+    if kind.startswith("swapped"):
+        return _swap_members(s, *_late_pair(s))
+    return s
+
+
+@pytest.mark.parametrize("kind,d,q", [
+    ("cubic", 1, 2), ("cubic", 1, 3), ("cubic", 1, 4), ("regular", 1, 3),
+    ("regular", 2, 2), ("regular", 2, 3), ("swapped-cubic", 1, 5),
+    ("swapped-regular", 2, 3)])
+def test_scroll_quadrics_match_meet_completion(kind, d, q):
+    s = _scroll(kind, d, q)
+    assert sc.scroll_quadrics(s) == sorted(_scroll_quadrics_by_meet(s))
+
+
+def test_vertex_local_scroll_quadrics_match_meet_completion(
+        variety_f3, projection_f3, monkeypatch):
+    # the scroll that local_structure_at_vertex builds at one vertex
+    scrolls = []
+    family = sc.scroll_quadrics
+    monkeypatch.setattr(sc, "scroll_quadrics",
+                        lambda s: scrolls.append(s) or family(s))
+    vertex = variety_f3.tubes[0].vertex
+    vr.local_structure_at_vertex(variety_f3, vertex, projection_f3[1])
+    s, = scrolls
+    assert len(s.transversals) == 4
+    assert family(s) == sorted(_scroll_quadrics_by_meet(s))
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +305,7 @@ def regular_2_scroll_q3():
 def test_unique_quadrics_reject_a_dropped_quadric(regular_2_scroll_q3):
     s, quads = regular_2_scroll_q3
     dropped = sorted(quads)[5]
-    rest = {k: v for k, v in quads.items() if k != dropped}
+    rest = [k for k in quads if k != dropped]
     ok, info = sc.verify_unique_quadrics(s, rest)
     assert not ok
     kind, a, b, count = info
@@ -287,7 +321,7 @@ def test_unique_quadrics_reject_a_moved_point(regular_2_scroll_q3):
     ti = s.transversal_index_of(old)
     new = sorted(s.point_sets[ti] - spread_pts - {old})[0]
     moved = tuple(sorted(set(victim) - {old} | {new}))
-    bent = {(moved if k == victim else k): v for k, v in quads.items()}
+    bent = [moved if k == victim else k for k in quads]
     ok, info = sc.verify_unique_quadrics(s, bent)
     assert not ok
     kind, a, b, count = info

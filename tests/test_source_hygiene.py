@@ -2,8 +2,10 @@
 module-level import goes unused, no function-local name is assigned
 without ever being read (tuple-unpacking targets and `_` are exempt), no
 parameter goes unread (`self`, `cls` and `_`-prefixed names are exempt),
-and no module-level function, class or constant goes unreferenced by the
-package, its scripts and its benchmark, unless TEST_ONLY names it."""
+no module-level function, class or constant goes unreferenced by the
+package, its scripts and its benchmark, unless TEST_ONLY names it, and no
+method of a module-level class goes unread there as an attribute, unless
+TEST_ONLY_METHODS names it."""
 
 import ast
 import collections
@@ -36,6 +38,20 @@ TEST_ONLY = {
     # constructors for test inputs
     "quadratic_form": "quadratic forms from coefficient maps",
     "random_scalar": "random field elements for property tests",
+}
+# methods that only tests read, each with its reason
+TEST_ONLY_METHODS = {
+    # references the tests compare the code against
+    "IncidenceStructure.incident": "incidence from incidence_value, "
+                                   "against the constructive point lists",
+    "IncidenceStructure.point_neighbouring": "neighbouring from "
+                                             "tilde_triple, against the "
+                                             "neighbour keys",
+    "QuadraticForm.bilinear": "b(u, v) = Q(u+v) - Q(u) - Q(v), against "
+                              "the Gram rows and polar",
+    # behind an acceptance criterion
+    "Scroll.transversal_index_of": "criterion 15: pairing quadric points "
+                                   "by transversal for alpha sections",
 }
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -160,10 +176,44 @@ def unreferenced_names(tree, counts, allowed=()):
             if not counts[name] and name not in allowed]
 
 
+def defined_methods(tree):
+    """(line, "Class.method") of each method of a module-level class,
+    dunder names exempt."""
+    return sorted((fn.lineno, "%s.%s" % (node.name, fn.name))
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  for fn in node.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not fn.name.startswith("__"))
+
+
+def read_attributes(trees):
+    """The attribute names read in the trees."""
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unreferenced_methods(tree, attributes, allowed=()):
+    """(line, "Class.method") of each method of `tree` whose name is not
+    among `attributes`, the attributes the searched sources read, and
+    that is not `allowed`."""
+    return [(line, name) for line, name in defined_methods(tree)
+            if name.split(".")[1] not in attributes and name not in allowed]
+
+
 @pytest.fixture(scope="module")
-def searched_counts():
-    return referenced_names(ast.parse(p.read_text()) for d in SEARCHED
-                            for p in sorted((ROOT / d).rglob("*.py")))
+def searched_trees():
+    return [ast.parse(p.read_text()) for d in SEARCHED
+            for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+@pytest.fixture(scope="module")
+def searched_attributes(searched_trees):
+    return read_attributes(searched_trees)
+
+
+@pytest.fixture(scope="module")
+def searched_counts(searched_trees):
+    return referenced_names(searched_trees)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -179,6 +229,20 @@ def test_test_only_names_are_test_only(searched_counts):
                for _, name in defined_names(ast.parse(path.read_text()))}
     assert set(TEST_ONLY) <= defined
     assert [n for n in TEST_ONLY if searched_counts[n]] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unreferenced_methods(path, searched_attributes):
+    assert unreferenced_methods(ast.parse(path.read_text()),
+                                searched_attributes, TEST_ONLY_METHODS) == []
+
+
+def test_test_only_methods_are_test_only(searched_attributes):
+    defined = {name for path in SOURCES
+               for _, name in defined_methods(ast.parse(path.read_text()))}
+    assert set(TEST_ONLY_METHODS) <= defined
+    assert [m for m in TEST_ONLY_METHODS
+            if m.split(".")[1] in searched_attributes] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -260,3 +324,27 @@ def test_scanner_finds_planted_test_only_function():
     tree = ast.parse(source)
     assert unreferenced_names(tree, counts) == [(3, "only_tested")]
     assert unreferenced_names(tree, counts, {"only_tested": "why"}) == []
+
+
+def test_scanner_finds_planted_test_only_method():
+    # a method only a test reads is reported; a module-level function or
+    # a stored attribute of the same name is no read of it
+    source = ("class C:\n"
+              "    def __init__(self):\n"
+              "        self.only_tested = None\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 1\n"
+              "    def used(self):\n"
+              "        return self.size\n"
+              "    def only_tested(self):\n"
+              "        return 2\n"
+              "def only_tested():\n"
+              "    return C().used()\n")
+    test = "from m import C\nassert C().only_tested() == 2\n"
+    attributes = read_attributes([ast.parse(source)])
+    assert "only_tested" in read_attributes([ast.parse(test)])
+    tree = ast.parse(source)
+    assert unreferenced_methods(tree, attributes) == [(9, "C.only_tested")]
+    assert unreferenced_methods(tree, attributes,
+                                {"C.only_tested": "why"}) == []
