@@ -44,24 +44,19 @@ def bits_rank(vectors):
 
 
 def echelon(vectors):
+    """Reduced row echelon basis of the span, rows in decreasing order.
+    Each new vector is reduced by the rows so far, and its leading bit
+    then cleared from them, so the rows stay reduced."""
     rows = []
     for v in vectors:
         for r in rows:
             if v ^ r < v:
                 v ^= r
         if v:
+            top = 1 << (v.bit_length() - 1)
+            rows = [r ^ v if r & top else r for r in rows]
             rows.append(v)
             rows.sort(reverse=True)
-    # fully reduce
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if i != j and rows[i] ^ rows[j] < rows[i]:
-                    rows[i] ^= rows[j]
-                    changed = True
-        rows.sort(reverse=True)
     return rows
 
 

@@ -542,18 +542,12 @@ def witt_index(qf, within_points=None):
 def _directions_from(field, pts, x):
     """Projection of the points other than x from x onto the coordinate
     hyperplane x_c = 0, c the pivot of the normalized x: returns c and the
-    number of points on the line through x and each hit direction."""
+    direction of each of those points, in order."""
     c = next(i for i, a in enumerate(x) if a != field.zero)
     sub, mul = field.sub, field.mul
-    hits = {}
-    for y in pts:
-        if y == x:
-            continue
-        yc = y[c]
-        d = normalize_point(field, tuple(sub(a, mul(yc, b))
-                                         for a, b in zip(y, x)))
-        hits[d] = hits.get(d, 0) + 1
-    return c, hits
+    return c, [normalize_point(field, tuple(sub(a, mul(y[c], b))
+                                            for a, b in zip(y, x)))
+               for y in pts if y != x]
 
 
 def _hyperplane_directions(field, k, c):
@@ -576,8 +570,9 @@ def is_ovoid(field, points, within):
     if len(sp) != k:
         return False
     for x in pts:
-        c, hits = _directions_from(field, pts, x)
-        if len(hits) != len(pts) - 1:
+        c, dirs = _directions_from(field, pts, x)
+        hits = set(dirs)
+        if len(hits) != len(dirs):
             return False
         tangent = [d for d in _hyperplane_directions(field, k, c)
                    if d not in hits]
@@ -594,10 +589,10 @@ def ovoid_tangent_hyperplane(field, points, within, x):
     from x is hit by 0 or q other points, a secant's by 1."""
     pts = {intrinsic_coords(within, p) for p in points}
     xi = intrinsic_coords(within, x)
-    c, hits = _directions_from(field, pts, xi)
+    c, dirs = _directions_from(field, pts, xi)
     tangent = [xi]
     for d in _hyperplane_directions(field, within.vdim, c):
-        h = hits.get(d, 0)
+        h = dirs.count(d)
         if h in (0, field.q):
             tangent.append(d)
         elif h != 1:
@@ -643,28 +638,16 @@ def quadric_to_json(qf):
     return out
 
 
-def _line_coords(field, basis_u, basis_v, p):
-    sol = solve(field, [tuple(basis_u), tuple(basis_v)], tuple(p))
-    if sol is None:
-        raise GeometryError("points not collinear")
-    return sol
-
-
 def cross_ratio(field, p1, p2, p3, p4):
     """Cross-ratio ((l1-l3)(l2-l4)) / ((l1-l4)(l2-l3)), INF for zero
     denominator.  Requires four collinear points, at least three distinct."""
     pts = [tuple(normalize_point(field, p)) for p in (p1, p2, p3, p4)]
     if len(set(pts)) < 3:
         raise GeometryError("need at least three distinct points")
-    distinct = []
-    for p in pts:
-        if p not in distinct:
-            distinct.append(p)
-    u, v = distinct[0], distinct[1]
-    sp, _ = rref(field, list(pts))
-    if len(sp) != 2:
+    line = span(field, pts)
+    if line.vdim != 2:
         raise GeometryError("points not collinear")
-    cs = [_line_coords(field, u, v, p) for p in pts]
+    cs = [intrinsic_coords(line, p) for p in pts]
 
     def det(a, b):
         return field.sub(field.mul(cs[a][0], cs[b][1]),
@@ -677,40 +660,23 @@ def cross_ratio(field, p1, p2, p3, p4):
     return field.div(num, den)
 
 
-def conic_cross_ratio(field, plane, conic_pts, quad):
-    """Cross-ratio of four points of a conic, via projection from a conic
-    point onto an auxiliary line of the plane.
+def conic_parameters(field, conic):
+    """PG(1, K) coordinates of the points of a conic, in order.
 
-    `plane` is the Subspace spanned by the conic, `conic_pts` its full
-    point set and `quad` the ordered quadruple.  If the projection centre
-    has to be one of the quadruple (q = 3), its image is cut out by the
-    tangent line of the conic fitted in plane coordinates.
-    """
-    pts = [intrinsic_coords(plane, p) for p in conic_pts]
-    quad_i = [intrinsic_coords(plane, p) for p in quad]
-    centre = None
-    for p in pts:
-        if p not in quad_i:
-            centre = p
-            break
-    if centre is None:
-        centre = quad_i[0]
-    # auxiliary line through two conic points distinct from the centre
-    aux = [p for p in pts if p != centre][:2]
-    aux_line = span(field, aux, 3)
-    images = []
-    for p in quad_i:
-        if p == centre:
-            forms = exact_zero_set_forms(field, pts, 3)
-            if not forms:
-                raise GeometryError("no conic through the points")
-            # tangent line at the centre: kernel of b(centre, .)
-            tline = span(field, nullspace(field, [forms[0].polar(centre)],
-                                          3), 3)
-            img = meet(tline, aux_line)
-        else:
-            img = meet(span(field, [centre, p], 3), aux_line)
-        if img.vdim != 1:
-            raise GeometryError("conic projection degenerated")
-        images.append(img.rows[0])
-    return cross_ratio(field, *images)
+    Steiner: projecting the conic from its point conic[0] onto a line of
+    its plane, with conic[0] sent to the image of its tangent, is a
+    projectivity, so cross-ratios of these coordinates are the conic's.
+    The line is x_c = 0 in the plane's coordinates (see `_directions_from`)
+    and the tangent is the one direction that no secant takes."""
+    if len(conic) != field.q + 1:
+        raise GeometryError("conic has %d != q+1 points" % len(conic))
+    plane = span(field, conic)
+    if plane.vdim != 3:
+        raise GeometryError("conic does not span a plane")
+    pts = [intrinsic_coords(plane, p) for p in conic]
+    c, dirs = _directions_from(field, pts, pts[0])
+    if len(set(dirs)) != field.q:
+        raise GeometryError("two conic points share a direction")
+    tangent = [d for d in _hyperplane_directions(field, 3, c)
+               if d not in dirs]
+    return [d[:c] + d[c + 1:] for d in tangent + dirs]

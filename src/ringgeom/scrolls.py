@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from .fields import GF, subfield_embedding, FieldError
 from . import projective as pj
 from .projective import (Subspace, span, meet, rref, normalize_point,
-                         GeometryError, intrinsic_coords, cross_ratio)
+                         GeometryError, intrinsic_coords, cross_ratio,
+                         Projection, complement)
 
 
 def normal_rational_curve(field, m):
     """{(x0^m, x0^{m-1} x1, ..., x1^m)} in K^{m+1}; q+1 points."""
     pts = []
-    for x0, x1 in [(field.one, t) for t in field.elements()] + \
-                  [(field.zero, field.one)]:
+    for x0, x1 in pj.pg_points(field, 2):
         coords = []
         for i in range(m + 1):
             coords.append(field.mul(field.pow(x0, m - i), field.pow(x1, i)))
@@ -42,33 +42,23 @@ class Spread:
 
 
 def vector_space_view(L, K):
-    """A K-basis of L and the coordinate map L -> K^e, via exhaustive
-    combination tables (fields are tiny here)."""
+    """A K-basis of L and the coordinate map L -> K^e.  L's elements are
+    base-p digit vectors of polynomials in its generator w, so w is the
+    integer p (read only when L is not prime); w generates L over F_p,
+    hence has degree e over K, and the basis is 1, w, ..., w^(e-1)."""
     if L.p != K.p or L.k % K.k != 0:
         raise FieldError("no reduction of %r over %r" % (L, K))
     e = L.k // K.k
     emb = subfield_embedding(K, L)
-    basis = [L.one]
-    for cand in L.elements():
-        if len(basis) == e:
-            break
-        trial = basis + [cand]
-        spanned = set()
-        for combo in itertools.product(K.elements(), repeat=len(trial)):
-            acc = L.zero
-            for c, b in zip(combo, trial):
-                acc = L.add(acc, L.mul(emb[c], b))
-            spanned.add(acc)
-        if len(spanned) == K.q ** len(trial):
-            basis = trial
-    if len(basis) != e:
-        raise FieldError("basis construction failed")
+    basis = [L.pow(L.p, i) for i in range(e)]
     coords = {}
     for combo in itertools.product(K.elements(), repeat=e):
         acc = L.zero
         for c, b in zip(combo, basis):
             acc = L.add(acc, L.mul(emb[c], b))
         coords[acc] = tuple(combo)
+    if len(coords) != L.q:
+        raise FieldError("basis construction failed")
     return emb, basis, coords
 
 
@@ -92,15 +82,20 @@ def regular_spread(d, q, m=2):
     return Spread(K, m * d, tuple(members))
 
 
+def transversal(p, s2, s3):
+    """Meet of <s2, p> and <s3, p>: the line through the point p meeting
+    s2 and s3, when it has vector dimension 2."""
+    field, n = s2.field, s2.n
+    return meet(span(field, list(s2.rows) + [p], n),
+                span(field, list(s3.rows) + [p], n))
+
+
 def transversals_of_triple(s1, s2, s3):
     """Common transversal lines of three pairwise disjoint (e-1)-spaces
     spanning a (2e-1)-space; one through each point of s1."""
-    field = s1.field
     out = []
     for p in s1.points():
-        u2 = span(field, list(s2.rows) + [p], s1.n)
-        u3 = span(field, list(s3.rows) + [p], s1.n)
-        t = meet(u2, u3)
+        t = transversal(p, s2, s3)
         if t.vdim != 2:
             raise GeometryError("triple admits no transversal through %r" % (p,))
         for s in (s1, s2, s3):
@@ -349,46 +344,60 @@ def verify_unique_quadrics(scroll, quadrics):
     return True, valid_pairs
 
 
-def spread_cross_ratio(field, members, avoid=None):
-    """Cross-ratio of four pairwise disjoint subspaces of a regulus or
-    pencil, measured on a common transversal line avoiding `avoid`."""
-    if avoid is not None and not avoid.rows:
-        avoid = None
-    m1, m2 = members[0], members[1]
-    for p in m1.points():
-        if avoid is not None and avoid.contains(p):
-            continue
-        for r in m2.points():
-            if avoid is not None and avoid.contains(r):
-                continue
-            line = span(field, [p, r], m1.n)
-            if line.vdim != 2:
-                continue
-            hits = []
-            for m in members:
-                mm = meet(line, m)
-                if mm.vdim != 1:
-                    break
-                hits.append(mm.rows[0])
-            else:
-                if avoid is None or not meet(line, avoid).rows:
-                    return cross_ratio(field, *hits)
-    raise GeometryError("no common transversal found")
+def member_parameters(field, members, avoid=None):
+    """PG(1, K) coordinates of the members of a pencil of points, a
+    regulus, or a pencil of subspaces through `avoid`, in order.
+
+    Members are first taken modulo `avoid`.  Every common transversal of
+    a pencil or regulus meets its members in the same cross-ratios, so
+    one is built from the first image m0 and the next other images of
+    its dimension: the span of m0 and the next point image, or the line
+    through a point of m0 meeting the next two.  A member's coordinates
+    are those of its meet with that line.  A member whose image differs
+    in dimension from m0 or does not meet the line in one point gets
+    None, and every member does when there is no such line."""
+    n = members[0].n
+    if avoid is not None and avoid.rows:
+        proj = Projection(avoid, complement(avoid))
+        members = [span(field, [x for x in map(proj.apply, m.rows)
+                                if x is not None], n) for m in members]
+    m0 = members[0]
+    rest = [m for m in members[1:]
+            if m.vdim == m0.vdim and m.rows != m0.rows]
+    if m0.vdim == 1 and rest:
+        line = span(field, m0.rows + rest[0].rows, n)
+    elif m0.rows and len(rest) >= 2:
+        line = transversal(m0.rows[0], rest[0], rest[1])
+    else:
+        line = None
+    if line is None or line.vdim != 2:
+        return [None] * len(members)
+    out = []
+    for m in members:
+        mm = meet(line, m)
+        out.append(intrinsic_coords(line, mm.rows[0])
+                   if mm.vdim == 1 and m.vdim == m0.vdim else None)
+    return out
 
 
 def projectivity_witness(field, conic, members, avoid=None):
     """None iff conic[i] -> members[i] (points of a line, lines of a
     regulus, or a pencil through `avoid`) is a projectivity, else the
-    first conic point that fails.  A projectivity of PG(1, q) is fixed by
-    three pairs, and cross-ratio against a fixed triple is a coordinate,
-    so it is enough that cr(c0, c1, c2, x) = cr(m0, m1, m2, m_x) for each
-    later conic point x: q - 2 comparisons."""
-    if len(conic) != field.q + 1:
-        raise GeometryError("conic has %d != q+1 points" % len(conic))
-    plane = span(field, list(conic), len(conic[0]))
-    for x, m in zip(conic[3:], members[3:]):
-        val = pj.conic_cross_ratio(field, plane, conic, list(conic[:3]) + [x])
-        if val != spread_cross_ratio(field, list(members[:3]) + [m], avoid):
+    first conic point that fails.  Both sides are given PG(1, K)
+    coordinates once (`pj.conic_parameters`, `member_parameters`).  A
+    projectivity of PG(1, q) is fixed by three pairs, and cross-ratio
+    against a fixed triple is a coordinate, so it is enough that the
+    members get distinct coordinates and cr(a0, a1, a2, a_x) =
+    cr(b0, b1, b2, b_x) for each later conic point x."""
+    a = pj.conic_parameters(field, conic)
+    b = member_parameters(field, members, avoid)
+    seen = set()
+    for i, (x, bx) in enumerate(zip(conic, b)):
+        if bx is None or bx in seen:
+            return x
+        seen.add(bx)
+        if i >= 3 and (cross_ratio(field, *a[:3], a[i])
+                       != cross_ratio(field, *b[:3], bx)):
             return x
     return None
 

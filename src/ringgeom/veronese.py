@@ -768,13 +768,11 @@ def _tubes_over_line(field, a, b):
         for i, c in zip(free, tail):
             coeffs[i] = c
         reps.append(pj.vec_mat(field, coeffs, sols))
-    params = [(field.one, t) for t in field.elements()] + \
-             [(field.zero, field.one)]
     out = []
     for w in reps:
         wa, wm, wb = w[:4], w[4:8], w[8:12]
         base = []
-        for (s, u) in params:
+        for (s, u) in pj.pg_points(field, 2):
             p = tuple(field.add(field.mul(s, x), field.mul(u, y))
                       for x, y in zip(a, b))
             head = _nu(field, p)

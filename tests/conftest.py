@@ -2,6 +2,7 @@ import pytest
 
 from ringgeom.fields import GF
 from ringgeom import algebras as alg
+from ringgeom import projective as pj
 from ringgeom import veronese as vr
 from ringgeom import f2geom as f2
 
@@ -107,3 +108,22 @@ def counterexample_h2(counterexample):
 @pytest.fixture(scope="session")
 def counterexample_h3(counterexample):
     return vr.check_h3(counterexample, 6)
+
+
+def _chi_member_off_pencil(variety, data, chi, pos):
+    """chi with the member of the first conic's point `pos` replaced by a
+    line that misses the vertex space Y, hence the conic's vertex: no
+    line meets it and three lines of the pencil.  Returns that chi, the
+    first conic that `_chi_cross_ratio` reads and the replaced point."""
+    field = variety.field
+    qpts = next(iter(data["quadrics"].values()))
+    pts = sorted(qpts)
+    conic = pj.conic_sections(field, pts, pj.span(field, pts))[0]
+    broken = dict(chi)
+    broken[conic[pos]] = pj.span(field, pj.complement(data["y"]).rows[:2])
+    return broken, conic, conic[pos]
+
+
+@pytest.fixture(scope="session")
+def chi_member_off_pencil():
+    return _chi_member_off_pencil

@@ -209,6 +209,28 @@ def test_projectivity_failures_name_conic_and_point(variety_f3,
     assert c.witnesses == [first.rows, wit]
 
 
+@pytest.mark.parametrize("pos", [1, 3])
+def test_cor_reports_a_chi_member_off_its_pencil(pos, tmp_path, monkeypatch,
+                                                 chi_member_off_pencil):
+    real = cli.vr._chi_cross_ratio
+    seen = []
+
+    def broken(V, data, chi):
+        bad, conic, x = chi_member_off_pencil(V, data, chi, pos)
+        seen.append({"conic": conic, "point": x})
+        return real(V, data, bad)
+
+    monkeypatch.setattr(cli.vr, "_chi_cross_ratio", broken)
+    out = tmp_path / "cor.json"
+    rc = cli.main(["veronese", "--algebra", "CD(F3,0)", "--check", "cor",
+                   "--out", str(out)])
+    assert rc == 1
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert check["cor.chi"]["status"] == "fail"
+    assert check["cor.chi"]["computed"]["cross_ratio"] is False
+    assert check["cor.chi"]["witnesses"] == json.loads(json.dumps(seen))
+
+
 @pytest.mark.parametrize("name,producer,key", [
     ("cor.spread", "vertex_space_y", "x_disjoint"),
     ("cor.F_section", "project_from_y", "xi_cap_f_matches"),

@@ -193,9 +193,9 @@ def test_alpha_section_cubic_scroll():
         pairing = [(side1[i], side2[i]) for i in sorted(side1)]
         al, images, inf_space = sc.alpha_section(F, pairing, s.n)
         assert len(images) == F.q
+        coords = dict(zip(k1, pj.conic_parameters(F, k1)))
         for quad in itertools.permutations(sorted(k1)):
-            val = pj.conic_cross_ratio(
-                F, pj.span(F, list(k1), s.n), list(k1), list(quad))
+            val = pj.cross_ratio(F, *[coords[p] for p in quad])
             imgs = []
             for p in quad:
                 if p == c:

@@ -275,15 +275,16 @@ def test_chi_preserves_harmonic_quadruple(variety_f3, projection_f3):
     for key, qpts in data["quadrics"].items():
         v = data["vertices"][key]
         conic = sorted(qpts)
-        plane_sub = pj.span(field, conic, variety_f3.n)
+        coords = dict(zip(conic, pj.conic_parameters(field, conic)))
         import itertools as it
         for quad in it.permutations(conic):
-            val = pj.conic_cross_ratio(field, plane_sub, conic, list(quad))
+            val = pj.cross_ratio(field, *[coords[p] for p in quad])
             if val != minus_one:
                 continue
             imgs = [chi[p] for p in quad]
             from ringgeom import scrolls as sc
-            tval = sc.spread_cross_ratio(field, imgs, v)
+            tval = pj.cross_ratio(field,
+                                  *sc.member_parameters(field, imgs, v))
             assert tval == minus_one
             found = True
             break
@@ -316,6 +317,31 @@ def test_chi_cross_ratio_reads_every_conic(variety_cd_f4):
     assert verdict is False
     assert witness["conic"] == conics[2]
     assert witness["point"] in conics[2]
+
+
+def test_chi_swap_across_pencils_is_rejected(variety_f3, projection_f3):
+    # a and b lie on quadrics with different vertices, so after the swap
+    # chi(a) misses the vertex of a's conic: it is off that pencil, even
+    # where some line meets all four members
+    _, data = projection_f3
+    chi, _ = vr.connection_chi(variety_f3, data)
+    a, b = (0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 2, 0, 0, 0, 0, 0)
+    swapped = dict(chi)
+    swapped[a], swapped[b] = chi[b], chi[a]
+    verdict, witness = vr._chi_cross_ratio(variety_f3, data, swapped)
+    assert verdict is False
+    assert {a, b} & set(witness["conic"])
+    assert witness["point"] in (a, b)
+
+
+@pytest.mark.parametrize("pos", [1, 3])
+def test_chi_member_off_pencil_is_a_witness(variety_f3, projection_f3, pos,
+                                           chi_member_off_pencil):
+    _, data = projection_f3
+    chi, _ = vr.connection_chi(variety_f3, data)
+    broken, conic, x = chi_member_off_pencil(variety_f3, data, chi, pos)
+    assert vr._chi_cross_ratio(variety_f3, data, broken) == \
+        (False, {"conic": conic, "point": x})
 
 
 def test_equivalence_certificate_f3(variety_f3, projection_f3, f3_field):
