@@ -11,6 +11,7 @@ symbol by symbol.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import RinggeomError
@@ -498,8 +499,7 @@ def check_design(points, octads):
             counts[five] = counts.get(five, 0) + 1
             if counts[five] > 1:
                 return False
-    total = len(list(itertools.combinations(range(len(points)), 5)))
-    return len(counts) == total and set(counts.values()) == {1}
+    return len(counts) == math.comb(len(points), 5)
 
 
 def converse_projection(points24):

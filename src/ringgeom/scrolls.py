@@ -10,6 +10,8 @@ affine-section search is exhaustive with rank pruning.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -90,94 +92,74 @@ def transversal(p, s2, s3):
                 span(field, list(s3.rows) + [p], n))
 
 
-def transversals_of_triple(s1, s2, s3):
-    """Common transversal lines of three pairwise disjoint (e-1)-spaces
-    spanning a (2e-1)-space; one through each point of s1."""
-    out = []
-    for p in s1.points():
-        t = transversal(p, s2, s3)
-        if t.vdim != 2:
-            raise GeometryError("triple admits no transversal through %r" % (p,))
-        for s in (s1, s2, s3):
-            if meet(t, s).vdim != 1:
-                raise GeometryError("transversal misses a member")
-        out.append(t)
-    return out
+def frame_transversals(m0, m1, m2):
+    """The lines meeting m1 and m2 through the frame of m0 (its echelon
+    rows and their sum), or None unless m0, m1, m2 are pairwise disjoint
+    e-spaces spanning a 2e-space.
 
-
-def regulus(s1, s2, s3):
-    """The regulus through three pairwise disjoint lines of a PG(3, q):
-    all lines meeting every common transversal."""
-    field = s1.field
-    for a, b in itertools.combinations((s1, s2, s3), 2):
-        if meet(a, b).rows:
-            raise GeometryError("regulus inputs are not pairwise disjoint")
-    if s1.vdim != 2:
-        raise GeometryError("regulus implemented for line spreads only")
-    ts = transversals_of_triple(s1, s2, s3)
-    t0, t1, t2 = ts[0], ts[1], ts[2]
-    members = []
-    for x in t0.points():
-        u1 = span(field, list(t1.rows) + [x], s1.n)
-        u2 = span(field, list(t2.rows) + [x], s1.n)
-        m = meet(u1, u2)
-        if m.vdim != 2:
-            raise GeometryError("regulus reconstruction failed")
-        if all(meet(m, t).vdim == 1 for t in ts):
-            members.append(m)
-    if len(members) != field.q + 1:
-        raise GeometryError("regulus has %d != q+1 members" % len(members))
-    return members
+    An e-space lies in the regulus of m0, m1, m2 iff it meets each of
+    these e + 1 lines in one point.  Write the span as m0 + m1 with m2 the
+    graph of an isomorphism f: m0 -> m1; the regulus is the spaces
+    {s.x + t.f(x)} over (s : t) in PG(1), and the line through x is
+    <x, f(x)>.  An e-space meeting the line through each row x_i in
+    s_i.x_i + t_i.f(x_i) is spanned by these e independent points, and it
+    holds a point s.x + t.f(x) of the line through x = sum(x_i) only if
+    every (s_i : t_i) is (s : t).  The lines lie in m0 + m1 and m0 + m2,
+    and a point v of m1 and m2 would make them the lines <x_i, v>, which
+    span e + 1 dimensions; so they are lines spanning 2e dimensions
+    exactly when the premise holds."""
+    field, e = m0.field, m0.vdim
+    if not e == m1.vdim == m2.vdim:
+        return None
+    frame = m0.rows + (functools.reduce(
+        lambda u, v: pj.vec_add(field, u, v), m0.rows),)
+    lines = [transversal(x, m1, m2) for x in frame]
+    if any(t.vdim != 2 for t in lines) or span(
+            field, [r for t in lines for r in t.rows], m0.n).vdim != 2 * e:
+        return None
+    return lines
 
 
 def is_regular_spread(spread, within=None):
-    """Regulus closure.  Point spreads are trivially regular; line spreads
-    are checked classically; spreads in larger ambients are checked on the
-    subspaces spanned by pairs of members (the induced spreads there must
-    exist and be regular).  `within` restricts the covering condition to a
-    subspace (e.g. the vertex space of a variety)."""
-    members = list(spread.members)
+    """Regulus closure.  Each point is mapped to the one member holding
+    it, which checks that the members are disjoint and cover PG(n-1), or
+    `within` (e.g. the vertex space of a variety).  Point spreads are
+    trivially regular.  Otherwise every member meeting the span u of two
+    members must lie in u, and the regulus of each trio of them must lie
+    in the spread.  The q + 1 points of a frame transversal of the trio
+    (`frame_transversals`) lie on q + 1 distinct members, since a member
+    holding two of them would hold the line, which meets two members of
+    the trio; so
+    the regulus, which has q + 1 members, lies in the spread iff every
+    frame transversal hits the same members."""
+    members = spread.members
     if not members:
         return False
-    e = members[0].vdim
-    field = spread.field
-    covered = set()
-    for m in members:
-        pts = set(m.points())
-        if pts & covered:
-            return False
-        covered |= pts
-    target = set(within.points()) if within is not None else \
-        set(pj.pg_points(field, spread.n))
-    if covered != target:
+    holder = {}
+    for i, m in enumerate(members):
+        for p in m.points():
+            if holder.setdefault(p, i) != i:
+                return False
+    target = within.points() if within is not None else \
+        pj.pg_points(spread.field, spread.n)
+    if set(holder) != set(target):
         return False
-    if e == 1:
+    if members[0].vdim == 1:
         return True
-    if e != 2:
-        raise GeometryError("regularity check implemented for e <= 2")
-    member_rows = {m.rows for m in members}
+    size = collections.Counter(holder.values())
     pair_spans = {}
     for a, b in itertools.combinations(members, 2):
-        u = span(field, list(a.rows) + list(b.rows), spread.n)
+        u = span(spread.field, a.rows + b.rows, spread.n)
         pair_spans.setdefault(u.rows, u)
     for u in pair_spans.values():
-        inside = []
-        for m in members:
-            mm = meet(m, u)
-            if mm.vdim == 0:
-                continue
-            if mm.vdim != m.vdim:
-                return False     # member meets the 3-space partially
-            inside.append(m)
-        cov = set()
-        for m in inside:
-            cov |= set(m.points())
-        if cov != set(u.points()):
-            return False
-        for trio in itertools.combinations(inside, 3):
-            for r in regulus(*trio):
-                if r.rows not in member_rows:
-                    return False
+        inside = collections.Counter(holder[p] for p in u.points())
+        if any(size[i] != c for i, c in inside.items()):
+            return False     # a member meets u partially
+        for trio in itertools.combinations(sorted(inside), 3):
+            lines = frame_transversals(*(members[i] for i in trio))
+            if lines is None or len({frozenset(holder[p] for p in t.points())
+                                     for t in lines}) != 1:
+                return False
     return True
 
 
@@ -348,14 +330,15 @@ def member_parameters(field, members, avoid=None):
     """PG(1, K) coordinates of the members of a pencil of points, a
     regulus, or a pencil of subspaces through `avoid`, in order.
 
-    Members are first taken modulo `avoid`.  Every common transversal of
-    a pencil or regulus meets its members in the same cross-ratios, so
-    one is built from the first image m0 and the next other images of
-    its dimension: the span of m0 and the next point image, or the line
-    through a point of m0 meeting the next two.  A member's coordinates
-    are those of its meet with that line.  A member whose image differs
-    in dimension from m0 or does not meet the line in one point gets
-    None, and every member does when there is no such line."""
+    Members are first taken modulo `avoid`.  The family is fixed by the
+    first image m0 and the next other images of its dimension: point
+    images must lie on the span of m0 and the next one, and larger ones
+    must meet each frame transversal of m0 and the next two once
+    (`frame_transversals`).  Every common transversal of a pencil or
+    regulus meets its members in the same cross-ratios, so a member's
+    coordinates are those of its meet with the first of these lines.  A
+    member off the family gets None, and every member does when the first
+    three images span no pencil or regulus."""
     n = members[0].n
     if avoid is not None and avoid.rows:
         proj = Projection(avoid, complement(avoid))
@@ -365,18 +348,18 @@ def member_parameters(field, members, avoid=None):
     rest = [m for m in members[1:]
             if m.vdim == m0.vdim and m.rows != m0.rows]
     if m0.vdim == 1 and rest:
-        line = span(field, m0.rows + rest[0].rows, n)
+        lines = [span(field, m0.rows + rest[0].rows, n)]
     elif m0.rows and len(rest) >= 2:
-        line = transversal(m0.rows[0], rest[0], rest[1])
+        lines = frame_transversals(m0, rest[0], rest[1])
     else:
-        line = None
-    if line is None or line.vdim != 2:
+        lines = None
+    if lines is None:
         return [None] * len(members)
     out = []
     for m in members:
-        mm = meet(line, m)
-        out.append(intrinsic_coords(line, mm.rows[0])
-                   if mm.vdim == 1 and m.vdim == m0.vdim else None)
+        meets = [meet(t, m) for t in lines] if m.vdim == m0.vdim else ()
+        out.append(intrinsic_coords(lines[0], meets[0].rows[0])
+                   if meets and all(mm.vdim == 1 for mm in meets) else None)
     return out
 
 
@@ -405,19 +388,13 @@ def projectivity_witness(field, conic, members, avoid=None):
 def pairing_witness(scroll):
     """None when every conic of the quadric side goes to a regulus (a
     pencil, for point members) by a projectivity; else {"conic", "point"}
-    for the first conic point whose member is off the regulus or that
-    fails `projectivity_witness`.  Needs q >= 3."""
+    for the first conic point that fails `projectivity_witness`, where a
+    member off the regulus of the first three fails too.  Needs q >= 3."""
     field = scroll.field
     pair = dict(zip(scroll.quadric_pts, scroll.members))
     qspan = span(field, list(scroll.quadric_pts), scroll.n)
     for conic in pj.conic_sections(field, scroll.quadric_pts, qspan):
-        members = [pair[p] for p in conic]
-        if members[0].vdim >= 2:
-            reg = {m.rows for m in regulus(*members[:3])}
-            off = [p for p, m in zip(conic, members) if m.rows not in reg]
-            if off:
-                return {"conic": conic, "point": off[0]}
-        x = projectivity_witness(field, conic, members)
+        x = projectivity_witness(field, conic, [pair[p] for p in conic])
         if x is not None:
             return {"conic": conic, "point": x}
     return None

@@ -502,6 +502,13 @@ def project_from_y(variety, F=None):
     return report, data
 
 
+def _vertex_span(variety, i):
+    """Pi_x^Y: the span of the vertices of the tubes through point i."""
+    return span(variety.field, [r for ti in variety.tubes_through[i]
+                                for r in variety.tubes[ti].vertex.rows],
+                variety.n)
+
+
 def connection_chi(variety, data):
     """chi: rho(X) -> {Pi_x^Y}; verified to be an incidence-reversing
     bijection whose restrictions preserve cross-ratio, with X recovered
@@ -510,12 +517,7 @@ def connection_chi(variety, data):
     fibers = data["fibers"]
     chi = {}
     for img, fib in fibers.items():
-        pis = set()
-        for i in fib:
-            rows = []
-            for ti in variety.tubes_through[i]:
-                rows.extend(variety.tubes[ti].vertex.rows)
-            pis.add(span(field, rows, variety.n).rows)
+        pis = {_vertex_span(variety, i).rows for i in fib}
         if len(pis) != 1:
             raise GeometryError("Pi_x^Y differs within a fiber")
         chi[img] = Subspace(field, variety.n, pis.pop())
@@ -563,8 +565,9 @@ def connection_chi(variety, data):
 def _chi_cross_ratio(variety, data, chi):
     """(verdict, witness): chi maps every conic of every quadric of X'
     onto the pencil of that quadric's vertex by a projectivity
-    (`scrolls.projectivity_witness`).  The witness is None, or the conic
-    and the first point of it that fails."""
+    (`scrolls.projectivity_witness`, where a member off the pencil fails
+    too).  The witness is None, or the conic and the first point of it
+    that fails."""
     field = variety.field
     if field.q < 3:
         return "vacuous", None
@@ -622,13 +625,7 @@ def local_structure_at_vertex(variety, vertex, data):
     c0 = cv[0]
     chi_v = {}
     for g in gens:
-        x = sorted(g)[0]
-        # Pi_x^Y: span of the vertices of all tubes through x
-        xi_idx = variety.point_index[x]
-        rows = []
-        for ti in variety.tubes_through[xi_idx]:
-            rows.extend(variety.tubes[ti].vertex.rows)
-        piy = span(field, rows, n)
+        piy = _vertex_span(variety, variety.point_index[sorted(g)[0]])
         chi_v[g] = span(field, [p for p in (proj_v.apply(r)
                                             for r in piy.rows)
                                 if p is not None], n)

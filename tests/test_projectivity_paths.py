@@ -1,4 +1,5 @@
-"""Cross-path tests for the PG(1) coordinates that certify projectivities.
+"""Cross-path tests for the PG(1) coordinates that certify projectivities
+and for regulus membership.
 
 `pj.conic_parameters` (Steiner projection from one conic point) and
 `sc.member_parameters` (one common transversal per family) must give the
@@ -6,7 +7,11 @@ same cross-ratio, on every ordered quadruple, as the references below:
 a projection from a conic point outside the quadruple onto an auxiliary
 line, with a tangent from the refitted conic when the centre has to be
 in the quadruple, and a common transversal searched afresh for every
-quadruple.  Cross-ratios of the references are read through `solve`."""
+quadruple.  Cross-ratios of the references are read through `solve`.
+
+`sc.frame_transversals` (the e + 1 transversals through a frame) must
+select the same spread members as a reference regulus rebuilt from all
+q + 1 transversals of a trio, on every trio of a spread."""
 
 import itertools
 
@@ -154,3 +159,84 @@ def test_lifted_pencils_of_3_spaces_match_reference(q):
         members[3], members[4] = members[4], members[3]
         assert sc.projectivity_witness(s.field, conic, members,
                                        avoid) == conic[3]
+
+
+def _transversals_of_triple(s1, s2, s3):
+    """Reference: common transversal lines of three pairwise disjoint
+    (e-1)-spaces spanning a (2e-1)-space; one through each point of s1."""
+    out = []
+    for p in s1.points():
+        t = sc.transversal(p, s2, s3)
+        if t.vdim != 2:
+            raise pj.GeometryError("triple admits no transversal through %r"
+                                   % (p,))
+        for s in (s1, s2, s3):
+            if pj.meet(t, s).vdim != 1:
+                raise pj.GeometryError("transversal misses a member")
+        out.append(t)
+    return out
+
+
+def _regulus(s1, s2, s3):
+    """Reference: the regulus through three pairwise disjoint lines of a
+    PG(3, q), all lines meeting every common transversal."""
+    field = s1.field
+    for a, b in itertools.combinations((s1, s2, s3), 2):
+        if pj.meet(a, b).rows:
+            raise pj.GeometryError("regulus inputs are not pairwise disjoint")
+    if s1.vdim != 2:
+        raise pj.GeometryError("regulus implemented for line spreads only")
+    ts = _transversals_of_triple(s1, s2, s3)
+    t0, t1, t2 = ts[0], ts[1], ts[2]
+    members = []
+    for x in t0.points():
+        u1 = pj.span(field, list(t1.rows) + [x], s1.n)
+        u2 = pj.span(field, list(t2.rows) + [x], s1.n)
+        m = pj.meet(u1, u2)
+        if m.vdim != 2:
+            raise pj.GeometryError("regulus reconstruction failed")
+        if all(pj.meet(m, t).vdim == 1 for t in ts):
+            members.append(m)
+    if len(members) != field.q + 1:
+        raise pj.GeometryError("regulus has %d != q+1 members" % len(members))
+    return members
+
+
+def _reversed_spread(q):
+    """regular_spread(2, q) with the regulus of its first three members
+    replaced by the opposite regulus, their transversals: a spread again
+    (the derivation behind the Hall plane), and not a regular one."""
+    sp = sc.regular_spread(2, q)
+    reg = {m.rows for m in _regulus(*sp.members[:3])}
+    return sc.Spread(sp.field, sp.n, tuple(
+        [m for m in sp.members if m.rows not in reg]
+        + _transversals_of_triple(*sp.members[:3])))
+
+
+@pytest.mark.parametrize("kind,q", [("regular", 2), ("regular", 3),
+                                    ("regular", 4), ("regular", 5),
+                                    ("reversed", 3), ("reversed", 4)])
+def test_frame_transversals_select_the_reference_regulus(kind, q):
+    sp = sc.regular_spread(2, q) if kind == "regular" else _reversed_spread(q)
+    points = {m.rows: set(m.points()) for m in sp.members}
+    # three lines of a regulus determine it, so the reference is rebuilt
+    # once per regulus and read for each trio of its lines
+    reguli = {}
+    for trio in itertools.combinations(sp.members, 3):
+        key = frozenset(m.rows for m in trio)
+        if key not in reguli:
+            reg = frozenset(m.rows for m in _regulus(*trio))
+            reguli.update(dict.fromkeys(
+                map(frozenset, itertools.combinations(reg, 3)), reg))
+        # a member meets a line in one point iff they share one point
+        lines = [set(t.points()) for t in sc.frame_transversals(*trio)]
+        selected = {r for r, pts in points.items()
+                    if all(len(pts & t) == 1 for t in lines)}
+        assert selected == reguli[key] & set(points)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_reversed_spread_is_not_regular(q):
+    sp = _reversed_spread(q)
+    assert len(sp.members) == q * q + 1
+    assert not sc.is_regular_spread(sp)

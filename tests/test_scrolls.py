@@ -43,22 +43,84 @@ def test_pg32_spread_has_5_lines():
 
 
 def test_regulus_q3_has_4_lines():
+    # the spread members meeting each frame transversal of three members
+    # in one point: the regulus, which holds the three
     sp = sc.regular_spread(2, 3)
-    reg = sc.regulus(sp.members[0], sp.members[1], sp.members[2])
-    assert len(reg) == 4
+    lines = sc.frame_transversals(*sp.members[:3])
+    assert len(lines) == 3
+    reg = [m for m in sp.members
+           if all(pj.meet(t, m).vdim == 1 for t in lines)]
+    assert len(reg) == 4 and reg[:3] == list(sp.members[:3])
 
 
 def test_regulus_requires_disjoint_inputs():
     sp = sc.regular_spread(2, 3)
     line = sp.members[0]
-    with pytest.raises(pj.GeometryError):
-        sc.regulus(line, line, sp.members[1])
+    assert sc.frame_transversals(line, line, sp.members[1]) is None
+    assert sc.member_parameters(
+        sp.field, [line, line, sp.members[1]]) == [None] * 3
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 2)])
+def test_frame_transversals_reject_meeting_members(i, j):
+    # member j replaced by a line through the point x0 - x1 of member i,
+    # off the frame: the frame transversals are still lines, but they
+    # span too little
+    sp = sc.regular_spread(2, 3)
+    trio = list(sp.members[:3])
+    x0, x1 = trio[i].rows
+    trio[j] = pj.span(sp.field, [pj.vec_sub(sp.field, x0, x1),
+                                 sp.members[3].rows[0]])
+    assert sc.frame_transversals(*trio) is None
+
+
+def test_member_off_the_regulus_gets_no_coordinate():
+    # a line meeting the first frame transversal, where the regulus does,
+    # but neither of the other two
+    sp = sc.regular_spread(2, 3)
+    lines = sc.frame_transversals(*sp.members[:3])
+    reg = [m for m in sp.members
+           if all(pj.meet(t, m).vdim == 1 for t in lines)]
+    y = pj.meet(lines[0], reg[3]).rows[0]
+    joins = (pj.span(sp.field, [y, z]) for m in sp.members if m not in reg
+             for z in m.points())
+    bad = next(j for j in joins
+               if not any(pj.meet(t, j).rows for t in lines[1:]))
+    coords = sc.member_parameters(sp.field, reg[:3] + [bad, reg[3]])
+    assert None not in coords[:3] and coords[3] is None
+    assert coords[4] is not None
 
 
 def test_line_spread_of_pg52_from_field_reduction():
     sp = sc.regular_spread(2, 2, m=3)
     assert len(sp.members) == 21
     assert sc.is_regular_spread(sp)
+
+
+def test_plane_spread_of_pg52_is_regular():
+    sp = sc.regular_spread(3, 2)
+    assert len(sp.members) == 9
+    assert sc.is_regular_spread(sp)
+
+
+def _with_members(spread, members):
+    return sc.Spread(spread.field, spread.n, tuple(members))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_spread_missing_a_member_is_not_regular(q):
+    sp = sc.regular_spread(2, q)
+    assert not sc.is_regular_spread(_with_members(sp, sp.members[1:]))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_spread_with_a_meeting_member_is_not_regular(q):
+    # members[1] replaced by a line through a point of members[0]
+    sp = sc.regular_spread(2, q)
+    m0, m1 = sp.members[:2]
+    bent = pj.span(sp.field, [m0.rows[0], m1.rows[0]])
+    assert not sc.is_regular_spread(
+        _with_members(sp, (m0, bent) + sp.members[2:]))
 
 
 @pytest.mark.parametrize("q,expected", [(3, 9), (4, 16)])
@@ -158,6 +220,33 @@ def test_pairing_off_regulus_on_late_conic_is_rejected():
     witness = sc.pairing_witness(_swap_members(s, p, r))
     assert witness["point"] in (p, r)
     assert witness["conic"] in _conics(s)[3:]
+
+
+def test_pairing_with_meeting_members_on_first_conic_is_rejected():
+    # the member of the second point of the first conic replaced by a line
+    # meeting the member of its first point: no regulus, and a witness
+    # on that conic, not an error
+    s = sc.canonical_regular_scroll(2, 3)
+    conic = _conics(s)[0]
+    pair = dict(zip(s.quadric_pts, s.members))
+    m0, m1 = pair[conic[0]], pair[conic[1]]
+    pair[conic[1]] = pj.span(s.field, [m0.rows[0], m1.rows[0]])
+    bad = sc.build_scroll(s.field, list(pair), list(pair.values()))
+    assert sc.pairing_witness(bad)["conic"] == conic
+
+
+def test_pairing_witness_is_the_earliest_failing_conic_point():
+    # q = 4, on the first conic: point 3 takes the regulus member of
+    # point 4, which breaks the cross-ratio there, and point 4 takes a
+    # line off the regulus; the witness is point 3, the first to fail
+    s = sc.canonical_regular_scroll(2, 4)
+    conic = _conics(s)[0]
+    pair = dict(zip(s.quadric_pts, s.members))
+    m0, m1, m4 = (pair[conic[i]] for i in (0, 1, 4))
+    pair[conic[3]] = m4
+    pair[conic[4]] = pj.span(s.field, [m0.rows[0], m1.rows[0]])
+    bad = sc.build_scroll(s.field, list(pair), list(pair.values()))
+    assert sc.pairing_witness(bad) == {"conic": conic, "point": conic[3]}
 
 
 def test_regular_1_scroll_agrees_with_cubic_scroll():
@@ -327,3 +416,15 @@ def test_unique_quadrics_reject_a_moved_point(regular_2_scroll_q3):
     kind, a, b, count = info
     assert kind == "pair" and count in (0, 2)
     assert {a, b} & {old, new}
+
+
+def test_unique_quadrics_reject_a_point_missing_other_quadrics(
+        regular_2_scroll_q3):
+    # one point of a quadric as an extra "quadric": no pair is counted
+    # twice, but it misses most quadrics
+    s, quads = regular_2_scroll_q3
+    extra = (sorted(quads)[5][0],)
+    ok, info = sc.verify_unique_quadrics(s, list(quads) + [extra])
+    assert not ok
+    kind, first, second, count = info
+    assert kind == "intersection" and count == 0 and extra in (first, second)
