@@ -376,32 +376,24 @@ def is_quadratic(A):
 
 def is_division(A):
     """Anisotropy of the norm.  Exact over finite fields; over Q exact when
-    the norm is diagonal positive definite, otherwise sampled."""
+    the norm has a nonzero radical or is diagonal positive definite,
+    otherwise sampled."""
     return _division_detail(A)[0]
 
 
 def _division_detail(A, samples=2000, seed=0):
     field = A.field
+    qf = _norm_form(A)
     if field.is_finite:
-        # Chevalley-Warning: a quadratic form in >= 3 variables over F_q
-        # has a nonzero zero, so span(e_0, e_1, e_2) carries one when
-        # dim A >= 3; for dim A <= 2 that span is all of A
-        m = min(A.dim, 3)
-        tail = (field.zero,) * (A.dim - m)
-        for head in itertools.product(list(field.elements()), repeat=m):
-            a = head + tail
-            if a != A.zero() and A.norm(a) == field.zero:
-                return False, True, a
-        return True, True, None
-    # diagonal test: N(e_i) on the diagonal, no cross terms
-    diag = [A.norm(A.basis(i)) for i in range(A.dim)]
-    cross_free = True
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            s = A.norm(A.add(A.basis(i), A.basis(j)))
-            if s - diag[i] - diag[j] != 0:
-                cross_free = False
-    if cross_free and all(d > 0 for d in diag):
+        a = pj.isotropic_vector(qf)
+        return a is None, True, a
+    # a nonzero r in rad(f) has N(r) = f(r, r)/2 = 0
+    rad_f, _ = radical_bases(A)
+    if rad_f:
+        return False, True, rad_f[0]
+    # a diagonal positive definite norm is anisotropic
+    if all(c > 0 if i == j else c == 0
+           for (i, j), c in zip(pj.monomial_order(A.dim), qf.coeffs)):
         return True, True, None
     # integer coordinates keep the Fraction arithmetic cheap
     rng = random.Random(seed)
@@ -415,14 +407,7 @@ def _division_detail(A, samples=2000, seed=0):
 def _norm_form(A):
     """The norm as a quadratic form on the basis: c_ii = N(e_i) and
     c_ij = f(e_i, e_j) for i < j, with f(x, y) = N(x+y) - N(x) - N(y)."""
-    field = A.field
-    basis = [A.basis(i) for i in range(A.dim)]
-    norms = [A.norm(e) for e in basis]
-    return pj.QuadraticForm(field, A.dim, tuple(
-        norms[i] if i == j else
-        field.sub(field.sub(A.norm(A.add(basis[i], basis[j])), norms[i]),
-                  norms[j])
-        for i, j in pj.monomial_order(A.dim)))
+    return pj.form_on_basis(A.field, A.norm, pj.unit_vectors(A.field, A.dim))
 
 
 def radical_bases(A):
@@ -447,7 +432,7 @@ class AlgebraReport:
     rad_f: list
     radical: list
     decomposition: tuple    # (B_basis, R_basis) or None
-    sampled: bool           # division over Q with a non-diagonal norm
+    sampled: bool           # division over Q decided on samples
     witnesses: dict = dc_field(default_factory=dict)
 
 

@@ -7,7 +7,11 @@ plain data comparison.
 
 Quadratic forms are kept as upper-triangular coefficient tables and
 never as symmetric Gram matrices: in characteristic 2 the associated
-bilinear form is alternating and does not determine the form.
+bilinear form is alternating and does not determine the form.  A form
+over F_q is read by its class and never by enumerating points: its
+vertex, the dimension m of its nondegenerate part and that part's Witt
+index w (`quadric_class`), from which its number of zeros follows
+(`zero_count`).
 """
 
 from __future__ import annotations
@@ -448,14 +452,6 @@ def quadratic_form(field, n, coeff_map):
     return QuadraticForm(field, n, tuple(flat))
 
 
-def quadric_zero_set(qf, points=None):
-    field = qf.field
-    if points is None:
-        points = pg_points(field, qf.n)
-    z = field.zero
-    return [p for p in points if qf.evaluate(p) == z]
-
-
 def forms_through(field, points, n):
     """Basis of the space of quadratic forms vanishing on the points."""
     order = monomial_order(n)
@@ -463,81 +459,102 @@ def forms_through(field, points, n):
     return nullspace(field, rows, len(order))
 
 
-def exact_zero_set_forms(field, points, n, witt=None):
-    """All forms (up to scalar) whose zero set is exactly the given point
-    set; for small fields the solution pencil is enumerated when the
-    linear fit alone is underdetermined (e.g. 4 conic points at q = 3)."""
-    ker = forms_through(field, points, n)
-    if not ker:
-        return []
-    target = set(tuple(p) for p in points)
-    ambient = pg_points(field, n)
-    out = []
-    for coeffs in pg_parameters(field, len(ker)):
-        flat = vec_mat(field, coeffs, ker)
-        qf = QuadraticForm(field, n, normalize_point(field, flat))
-        if set(quadric_zero_set(qf, ambient)) != target:
-            continue
-        if witt is not None and witt_index(qf) != witt:
-            continue
-        out.append(qf)
-    return out
+def form_on_basis(field, Q, basis):
+    """The form x -> Q(sum_i x_i basis[i]), by polarisation: c_ii = Q(b_i)
+    and c_ij = Q(b_i + b_j) - Q(b_i) - Q(b_j) for i < j."""
+    vals = [Q(b) for b in basis]
+    sub = field.sub
+    return QuadraticForm(field, len(basis), tuple(
+        vals[i] if i == j else
+        sub(sub(Q(vec_add(field, basis[i], basis[j])), vals[i]), vals[j])
+        for i, j in monomial_order(len(basis))))
 
 
 def quadric_vertex(qf):
-    """Vertex {v : Q(v)=0 and b(v,.)==0} as a Subspace (char-2 correct)."""
+    """Vertex {v : Q(v)=0 and b(v,.)==0} as a Subspace (char-2 correct).
+    When 2 is invertible, Q(v) = b(v, v)/2 vanishes on rad(b).  In
+    characteristic 2, Q is additive on rad(b) and Q(cv) = c^2 Q(v), so on
+    a basis r_i of rad(b), Q(sum x_i r_i) = (sum x_i s_i)^2 with
+    s_i = Q(r_i)^(q/2), and the vertex is the kernel of that linear form."""
     field = qf.field
     rad = nullspace(field, qf.gram_rows(), qf.n)
-    radspace = span(field, rad, qf.n) if rad else Subspace(field, qf.n, ())
-    # when 2 is invertible, Q(v) = b(v, v)/2 vanishes on rad(b)
-    if field.p != 2 or not radspace.rows:
-        return radspace
-    zero_pts = [p for p in radspace.points() if qf.evaluate(p) == field.zero]
-    if not zero_pts:
-        return Subspace(field, qf.n, ())
-    vert = span(field, zero_pts, qf.n)
-    # Q must vanish on the whole span for the vertex to be a subspace
-    for p in vert.points():
-        if qf.evaluate(p) != field.zero:
-            raise GeometryError("singular zero locus is not a subspace")
-    return vert
+    if field.p == 2 and rad:
+        roots = [field.pow(qf.evaluate(r), field.q // 2) for r in rad]
+        rad = [vec_mat(field, c, rad)
+               for c in nullspace(field, [roots], len(rad))]
+    return span(field, rad, qf.n)
 
 
-def witt_index(qf, within_points=None):
-    """1 + max projective dimension of a totally singular subspace.
+def isotropic_vector(qf):
+    """A point where the finite-field form qf vanishes, or None when qf is
+    anisotropic.  By Chevalley-Warning a form in 3 variables over F_q has
+    a nonzero zero, so only the points of the first min(n, 3)
+    coordinates are tried: at most q^2 + q + 1 of them."""
+    field, n = qf.field, qf.n
+    tail = (field.zero,) * (n - min(n, 3))
+    return next((p + tail for p in pg_parameters(field, min(n, 3))
+                 if qf.evaluate(p + tail) == field.zero), None)
 
-    Exhaustive greedy search over the zero set; only for finite fields
-    and the small ambients used here.
-    """
+
+def quadric_class(qf):
+    """The class of a form over F_q: (vertex, m, w), with m the dimension
+    of its nondegenerate part and w that part's Witt index.  The part is
+    qf on the unit vectors off the vertex's pivot columns, a complement
+    of the vertex.  While it has an isotropic vector v, the plane <v, u>
+    with b(v, u) != 0 is hyperbolic and splits off: the part is
+    <v, u> + <v, u>^perp, and by Witt cancellation w is the number of
+    splits."""
     field = qf.field
-    zeros = quadric_zero_set(qf, within_points)
-    if not zeros:
-        return 0
-    z = field.zero
-    polar = {p: qf.polar(p) for p in zeros}
-    best = [0]
+    vert = quadric_vertex(qf)
+    pivots = {next(i for i, a in enumerate(r) if a != field.zero)
+              for r in vert.rows}
+    form = form_on_basis(field, qf.evaluate, [
+        e for i, e in enumerate(unit_vectors(field, qf.n))
+        if i not in pivots])
+    w = 0
+    while (v := isotropic_vector(form)) is not None:
+        gram = form.gram_rows()
+        pv = vec_mat(field, v, gram)
+        j = next(i for i, a in enumerate(pv) if a != field.zero)
+        form = form_on_basis(field, form.evaluate,
+                             nullspace(field, [pv, gram[j]], form.n))
+        w += 1
+    return vert, qf.n - vert.vdim, w
 
-    def extend(basis, sub, candidates):
-        best[0] = max(best[0], len(basis))
-        for idx, p in enumerate(candidates):
-            if not all(dot(field, polar[b], p) == z for b in basis):
-                continue
-            if sub is not None and sub.contains(p):
-                continue
-            bp = polar[p]
-            rest = []
-            for quad in candidates[idx + 1:]:
-                if dot(field, bp, quad) == z:
-                    rest.append(quad)
-            nxt = span(field, basis + [p], qf.n)
-            extend(basis + [p], nxt, rest)
 
-    extend([], None, zeros)
-    return best[0]
+def zero_count(q, r, m, w):
+    """Projective zeros over F_q of a nonzero form of class (vertex of
+    vector dimension r, m, w): its nondegenerate part has
+    (q^(m-1) - 1)/(q - 1) + s q^(m/2 - 1), s = 0 for m odd, 1 when it is
+    hyperbolic (2w = m) and -1 when it is elliptic (Hirschfeld,
+    Projective Geometries over Finite Fields, ch. 5), and the cone over
+    N zeros has q^r N plus the vertex's (q^r - 1)/(q - 1)."""
+    s = 0 if m % 2 else 1 if 2 * w == m else -1
+    base = (q ** (m - 1) - 1) // (q - 1) + s * q ** (m // 2) // q
+    return q ** r * base + (q ** r - 1) // (q - 1)
+
+
+def cone_forms(field, points, n):
+    """Yields (form, vertex, w) for each form of the pencil through the
+    points, in pencil order, whose zero set is the points plus its vertex,
+    with the vertex missing the points.  Every form of the pencil
+    vanishes on the points and on its vertex, so the zero set is that
+    union exactly when the vertex misses the points and the class has
+    |points| + |vertex| zeros: no form is evaluated on its ambient."""
+    kernel = forms_through(field, points, n)
+    q = field.q
+    for coeffs in pg_parameters(field, len(kernel)):
+        qf = QuadraticForm(field, n, normalize_point(
+            field, vec_mat(field, coeffs, kernel)))
+        vert, m, w = quadric_class(qf)
+        r = vert.vdim
+        if zero_count(q, r, m, w) == len(points) + (q ** r - 1) // (q - 1) \
+                and not any(vert.contains(p) for p in points):
+            yield qf, vert, w
 
 
 # --------------------------------------------------------------------------
-# ovoids and tangent hyperplanes
+# ovoids
 
 def _directions_from(field, pts, x):
     """Projection of the points other than x from x onto the coordinate
@@ -580,25 +597,6 @@ def is_ovoid(field, points, within):
         if len(tsp) != k - 1:
             return False
     return True
-
-
-def ovoid_tangent_hyperplane(field, points, within, x):
-    """Tangent hyperplane at x of an ovoid or cone point set, in ambient
-    coordinates.  A tangent line has one or all of its points in the set
-    (the latter happens along the generators of a cone): its direction
-    from x is hit by 0 or q other points, a secant's by 1."""
-    pts = {intrinsic_coords(within, p) for p in points}
-    xi = intrinsic_coords(within, x)
-    c, dirs = _directions_from(field, pts, xi)
-    tangent = [xi]
-    for d in _hyperplane_directions(field, within.vdim, c):
-        h = dirs.count(d)
-        if h in (0, field.q):
-            tangent.append(d)
-        elif h != 1:
-            raise GeometryError("line meets the set in %d points" % (h + 1))
-    rows, _ = rref(field, tangent)
-    return span(field, [from_intrinsic(within, r) for r in rows], within.n)
 
 
 # --------------------------------------------------------------------------

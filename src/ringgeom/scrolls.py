@@ -268,14 +268,20 @@ def scroll_quadrics(scroll):
     the (d+2).2d entries of psi, and the family is the q^dim(W) graphs
     over their solution space W.  A graph's points are the image of Q
     under a linear isomorphism, so they carry an exact Witt-index-1 form
-    iff Q does: that form is fitted once, on Q."""
+    iff Q does: that form is fitted once, on Q, by class
+    (`pj.cone_forms`).  A form through Q vanishes exactly on Q iff its
+    vertex is empty and its class has |Q| zeros; its Witt index w is the
+    number of hyperbolic planes that split off it, each around an
+    isotropic vector, which a Chevalley-Warning search over three
+    coordinates finds whenever one exists."""
     field = scroll.field
     pi = span(field, scroll.quadric_pts, scroll.n)
     sigma = scroll.spread_side
     if span(field, pi.rows + sigma.rows).vdim != pi.vdim + sigma.vdim:
         raise GeometryError("quadric side meets the spread side")
     coords = [intrinsic_coords(pi, p) for p in scroll.quadric_pts]
-    if not pj.exact_zero_set_forms(field, coords, pi.vdim, witt=1):
+    if not any(w == 1 and not vert.rows
+               for _, vert, w in pj.cone_forms(field, coords, pi.vdim)):
         return []
     # psi(x) = coords(x).M in Sigma coordinates, M flattened row by row;
     # psi(p) lies in phi(p) iff coords(p).M.h = 0 for each row h of the

@@ -7,7 +7,9 @@ the connection duality, the local structure at a vertex, and the
 Tube extraction trusts only point-set data: X(xi) = X intersect xi is
 recomputed by membership and the cone is reconstructed by quadric
 fitting, never from the algebraic parametrization, so the same code
-verifies hand-built or projected varieties.
+verifies hand-built or projected varieties.  A fitted form is accepted
+by its class (vertex, nondegenerate dimension, Witt index) and the zero
+count that follows from it, not by evaluating it on xi.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import projective as pj
 from . import scrolls as sc
 from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
-                         Projection, quadric_vertex, witt_index, is_ovoid)
+                         Projection, is_ovoid)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       partition_mismatch, pair_violations)
 
@@ -140,10 +142,17 @@ def _tubes_through(npoints, tubes):
 def extract_tube(field, xi, point_set, point_index, index=0):
     """Reconstruct the cone on X(xi) = X intersect xi by quadric fitting.
 
-    Accepts exactly the quadratic forms whose zero set inside xi equals
-    X(xi) plus the form's own vertex, with the vertex disjoint from X;
-    fit_count records how many distinct cone varieties survive (expected
-    one)."""
+    Accepts exactly the forms through X(xi) whose zero set inside xi is
+    X(xi) plus the form's own vertex, the vertex missing X.  No form is
+    evaluated on xi (`pj.cone_forms`): a form through X(xi) vanishes on
+    X(xi) and on its vertex, so its zero set is their union exactly when
+    the vertex misses X(xi) and its class (vertex, nondegenerate
+    dimension m, Witt index w) counts |X(xi)| + |vertex| zeros.  w is
+    the number of hyperbolic planes split off around isotropic vectors,
+    found by a Chevalley-Warning search over three coordinates.  Forms
+    share a zero set iff they share a vertex; fit_count counts the
+    distinct cones (expected one), and the form kept is the first, in
+    pencil order, of the zero set that sorts first."""
     k = xi.vdim
     # xi.rows is in RREF, so c . rows is normalized and has coordinates c
     intr = {pj.vec_mat(field, c, xi.rows): c
@@ -152,49 +161,34 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     x_pts = sorted(xi_pts & point_set)
     if not x_pts:
         raise GeometryError("xi carries no points of X")
-    x_intr = set(intr[p] for p in x_pts)
-    kernel = pj.forms_through(field, sorted(x_intr), k)
-    # the vertex points are zeros, so an accepted form has as many zeros
-    # off X(xi) as some subspace has points
-    q = field.q
-    vertex_sizes = {(q ** m - 1) // (q - 1) for m in range(k + 1)}
+    x_intr = sorted(intr[p] for p in x_pts)
     accepted = {}
-    for coeffs in pj.pg_parameters(field, len(kernel)):
-        flat = pj.vec_mat(field, coeffs, kernel)
-        qf = pj.QuadraticForm(field, k, normalize_point(field, flat))
-        zeros = {c for c in intr.values() if qf.evaluate(c) == field.zero}
-        if len(zeros) - len(x_intr) not in vertex_sizes:
-            continue
-        vert = quadric_vertex(qf)
-        vert_pts = set(vert.points()) if vert.rows else set()
-        if zeros != x_intr | vert_pts:
-            continue
-        if vert_pts & x_intr:
-            continue
-        key = frozenset(zeros)
-        accepted.setdefault(key, (qf, vert))
+    for qf, vert, w in pj.cone_forms(field, x_intr, k):
+        accepted.setdefault(vert.rows, (qf, vert, w))
     if not accepted:
         raise GeometryError("no cone form matches X(xi) in tube %d" % index)
     fit_count = len(accepted)
-    qf, vert_intr = accepted[sorted(accepted, key=sorted)[0]]
+    qf, vert_intr, base_witt = min(
+        accepted.values(), key=lambda a: sorted(x_intr + a[1].points()))
     vertex = span(field, [from_intrinsic(xi, r) for r in vert_intr.rows],
-                  xi.n) if vert_intr.rows else Subspace(field, xi.n, ())
-    vertex_pts = frozenset(vertex.points()) if vertex.rows else frozenset()
+                  xi.n)
+    vertex_pts = frozenset(vertex.points())
     v = vertex.pdim
     d_base = xi.pdim - v - 2
-    base_witt, base_ovoid, generators = _analyze_base(
-        field, xi, qf, vert_intr, x_pts, intr)
+    base_ovoid, generators = _analyze_base(field, xi, vert_intr, x_pts,
+                                           intr)
     x_idx = tuple(sorted(point_index[p] for p in x_pts))
     return Tube(index, xi, xi_pts, frozenset(x_pts), x_idx, qf, fit_count,
                 vertex, vertex_pts, frozenset(x_pts) | vertex_pts, v,
                 d_base, base_witt, base_ovoid, generators)
 
 
-def _analyze_base(field, xi, qf, vert_intr, x_pts, intr):
-    """Base Witt index, ovoid test and generators of the accepted cone.
-    On a complement of the vertex the form vanishes exactly on the
-    projected X points, and the Witt index depends only on the zero set,
-    so it is read off the form restricted to those points."""
+def _analyze_base(field, xi, vert_intr, x_pts, intr):
+    """Ovoid test and generators of the accepted cone, from the X points
+    projected from the vertex onto its coordinate complement inside xi.
+    The form vanishes there exactly on the projected points, so the base
+    Witt index is w of the form's class, not read again here; `is_ovoid`
+    tests the points by definition, independently of the class."""
     if vert_intr.rows:
         proj = Projection(vert_intr, pj.complement(vert_intr))
         base_map = {}
@@ -205,8 +199,8 @@ def _analyze_base(field, xi, qf, vert_intr, x_pts, intr):
     else:
         base_pts = [intr[p] for p in x_pts]
         generators = (frozenset(x_pts),)
-    ovoid = is_ovoid(field, base_pts, span(field, base_pts, xi.vdim))
-    return witt_index(qf, base_pts), ovoid, generators
+    return is_ovoid(field, base_pts, span(field, base_pts, xi.vdim)), \
+        generators
 
 
 def variety_dump(variety):

@@ -226,6 +226,29 @@ def test_classify_never_enumerates_elements(monkeypatch):
     assert not rep.sampled and "division" in rep.witnesses
 
 
+@pytest.mark.parametrize("expr, rad_dim", [("CD(Q,-1,0)", 2),
+                                           ("CD(Q,-1,-1,0)", 4),
+                                           ("CD(Q,-1,-1,-1,0)", 8)])
+def test_dual_algebras_over_q_are_exactly_not_division(expr, rad_dim):
+    # the quaternions and octonions doubled with zeta = 0: a vector of
+    # rad(f) has norm f(r, r)/2 = 0, so the verdict needs no sampling
+    A = alg.parse_algebra(expr)
+    rep = classify(A)
+    assert rep.quadratic and not rep.division and not rep.nondegenerate
+    assert not rep.sampled and rep.decomposition is not None
+    assert len(rep.rad_f) == len(rep.radical) == rad_dim
+    r = rep.witnesses["division"]
+    assert r != A.zero() and A.norm(r) == 0
+
+
+def test_division_over_q_samples_a_nondegenerate_indefinite_norm():
+    # N = x0^2 - x1^2 has no radical and is not definite: the one case
+    # still decided on sampled elements
+    A = alg.parse_algebra("CD(Q,1)")
+    div, exact, witness = alg._division_detail(A)
+    assert not div and not exact and A.norm(witness) == 0
+
+
 def test_is_alternative_rejects_sedenions():
     F3 = GF(3)
     for S in (cd_chain(QQ(), [Fraction(-1)] * 4, name="Q"),

@@ -8,6 +8,8 @@ from ringgeom import cli
 from ringgeom import (algebras, f2geom, fields, hjplane, motions,
                       projective, scrolls, veronese)
 
+import quadric_reference as ref
+
 MODULES = (algebras, cli, f2geom, fields, hjplane, motions, projective,
            scrolls, veronese)
 ERROR_TYPES = sorted({obj for mod in MODULES for obj in vars(mod).values()
@@ -273,3 +275,24 @@ def test_point_line_neighbouring_reports_its_witness(monkeypatch):
         "point_line_neighbouring"]
     assert status == 1 and check["status"] == "fail"
     assert check["witnesses"] == [cli._jsonable(wit)]
+
+
+def test_scroll_quadrics_fail_with_swapped_zero_counts(monkeypatch):
+    # the quadrics of the regular 2-scroll are elliptic quadrics of
+    # PG(3, 3): with the hyperbolic and elliptic counts swapped, no form
+    # through them has exactly their zeros and Witt index 1
+    monkeypatch.setattr(projective, "zero_count",
+                        ref.swap_hyperbolic_elliptic(projective.zero_count))
+    report, status, _ = run_cli(["scroll", "--d", "2", "--field", "F3"])
+    checks = {c["name"]: c for c in report["checks"]}
+    assert status == 1 and checks["quadrics"]["status"] == "fail"
+    assert checks["quadrics"]["computed"] == 0
+
+
+@pytest.mark.parametrize("expr", ["CD(Q,-1,0)", "CD(Q,-1,-1,0)"])
+def test_algebra_over_q_with_a_radical_is_decided_exactly(expr):
+    report, status, _ = run_cli(["algebra", "--algebra", expr])
+    checks = {c["name"]: c for c in report["checks"]}
+    assert status == 0
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert checks["classify.division"]["computed"] is False

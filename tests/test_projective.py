@@ -2,15 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringgeom.fields import GF, parse_field, random_scalar
 from ringgeom import projective as pj
 from ringgeom.projective import (span, meet, complement,
                                  normalize_point, quadratic_form,
-                                 quadric_zero_set, quadric_vertex,
-                                 witt_index, is_ovoid, cross_ratio, INF,
-                                 Projection, exact_zero_set_forms)
+                                 quadric_vertex, is_ovoid, cross_ratio, INF,
+                                 Projection)
+
+from quadric_reference import (quadric_zero_set, witt_index,
+                               exact_zero_set_forms, vertex_points)
 
 
 def test_pg_point_counts():
@@ -337,3 +339,73 @@ def test_gram_rows_match_polarization(name):
             for a, b in zip(pj.vec_mat(F, u, gram), v):
                 ugv = F.add(ugv, F.mul(a, b))
             assert ugv == qf.bilinear(u, v)
+
+
+# --------------------------------------------------------------------------
+# the class of a form against enumeration
+
+def _assert_class_matches_enumeration(qf):
+    # the vertex, the zero count and the Witt index read off the class
+    # are those of the zero set: a maximal totally singular subspace is
+    # the vertex plus one of the nondegenerate part
+    vert, m, w = pj.quadric_class(qf)
+    r = vert.vdim
+    assert set(vert.points()) == vertex_points(qf)
+    assert m == qf.n - r and 0 <= 2 * w <= m
+    assert pj.zero_count(qf.field.q, r, m, w) == len(quadric_zero_set(qf))
+    assert r + w == witt_index(qf)
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                  (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
+def test_class_matches_enumeration_on_every_form(q, n):
+    F = GF(q)
+    for coeffs in itertools.product(F.elements(), repeat=n * (n + 1) // 2):
+        if any(coeffs):
+            _assert_class_matches_enumeration(pj.QuadraticForm(F, n, coeffs))
+
+
+@st.composite
+def _forms(draw):
+    """A nonzero form in 4 to 6 variables over F3, F4 or F5, degenerate
+    ones included: some variables are dropped and most coefficients are
+    0."""
+    q = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(4, 6))
+    dropped = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    coeffs = tuple(0 if i in dropped or j in dropped else
+                   draw(st.sampled_from([0, 0] + list(range(1, q))))
+                   for i, j in pj.monomial_order(n))
+    assume(any(coeffs))
+    return pj.QuadraticForm(GF(q), n, coeffs)
+
+
+@given(_forms())
+@settings(max_examples=60, deadline=None)
+def test_class_matches_enumeration_hypothesis(qf):
+    _assert_class_matches_enumeration(qf)
+
+
+def test_cone_forms_reject_a_vertex_on_the_points():
+    # the cone x0 x1 = x2^2 of PG(3, 3) less one point off its vertex:
+    # the cone form has |points| + |vertex| zeros, but its vertex is one
+    # of the points and the dropped point is a zero too
+    F = GF(3)
+    cone = quadratic_form(F, 4, {(0, 1): 1, (2, 2): F.neg(1)})
+    zeros = quadric_zero_set(cone)
+    assert zeros[0] == (1, 0, 0, 0) and len(zeros) == 13
+    assert list(pj.cone_forms(F, zeros[1:], 4)) == []
+    (qf, vert, w), = pj.cone_forms(F, [p for p in zeros
+                                       if p != (0, 0, 0, 1)], 4)
+    assert vert.rows == ((0, 0, 0, 1),) and w == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_zero_counts_of_the_nondegenerate_classes(q):
+    # parabolic, hyperbolic and elliptic quadrics of PG(2), PG(3), PG(5)
+    # and a cone with a vertex line over a conic
+    assert pj.zero_count(q, 0, 3, 1) == q + 1
+    assert pj.zero_count(q, 0, 4, 2) == (q + 1) ** 2
+    assert pj.zero_count(q, 0, 4, 1) == q * q + 1
+    assert pj.zero_count(q, 0, 6, 2) == (q ** 3 + 1) * (q + 1)
+    assert pj.zero_count(q, 2, 3, 1) == q * q * (q + 1) + q + 1

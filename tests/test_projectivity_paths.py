@@ -22,6 +22,8 @@ from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 from ringgeom.fields import GF
 
+import quadric_reference as ref
+
 
 def _cross_ratio_by_solve(field, p1, p2, p3, p4):
     pts = [tuple(pj.normalize_point(field, p)) for p in (p1, p2, p3, p4)]
@@ -48,7 +50,7 @@ def _conic_cross_ratio(field, plane, conic_pts, quad):
     images = []
     for p in quad_i:
         if p == centre:
-            form = pj.exact_zero_set_forms(field, pts, 3)[0]
+            form = ref.exact_zero_set_forms(field, pts, 3)[0]
             line = pj.span(field, pj.nullspace(field, [form.polar(centre)],
                                                3), 3)
         else:

@@ -7,6 +7,8 @@ from ringgeom import projective as pj
 from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 
+import quadric_reference as ref
+
 
 def test_normal_rational_curve_conic():
     F3 = GF(3)
@@ -142,7 +144,7 @@ def test_cubic_scroll_tangent_planes_at_base_point():
     c = s.quadric_pts[0]
     phi_c = s.members[0].rows[0]
     conic_plane = pj.span(F, list(s.quadric_pts), s.n)
-    base_forms = pj.exact_zero_set_forms(
+    base_forms = ref.exact_zero_set_forms(
         F, [pj.intrinsic_coords(conic_plane, p) for p in s.quadric_pts], 3)
     ci = pj.intrinsic_coords(conic_plane, c)
     row = tuple(base_forms[0].bilinear(ci, tuple(
@@ -154,7 +156,7 @@ def test_cubic_scroll_tangent_planes_at_base_point():
         if c not in pts:
             continue
         u = pj.span(F, list(pts), s.n)
-        qf, = pj.exact_zero_set_forms(
+        qf, = ref.exact_zero_set_forms(
             F, [pj.intrinsic_coords(u, p) for p in pts], u.vdim, witt=1)
         ciq = pj.intrinsic_coords(u, c)
         row = tuple(qf.bilinear(ciq, tuple(
@@ -347,7 +349,7 @@ def _scroll_quadrics_by_meet(scroll):
             pts = tuple(sorted(set(seed) | set(tail)))
             if len(pts) != len(scroll.transversals) or pts in found:
                 continue
-            if pj.exact_zero_set_forms(
+            if ref.exact_zero_set_forms(
                     field, [pj.intrinsic_coords(u, x) for x in pts], u.vdim,
                     witt=1):
                 found.add(pts)

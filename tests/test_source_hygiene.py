@@ -31,8 +31,6 @@ TEST_ONLY = {
     "compose": "criterion 08: composed motions",
     # references the tests compare the code against
     "line_points": "the points of a line, against span and the tubes",
-    "ovoid_tangent_hyperplane": "tangent hyperplanes by lines, against "
-                                "the tube forms",
     "lift_stabilizes_points": "lifted motions point by point, against "
                               "the generator checks",
     # constructors for test inputs

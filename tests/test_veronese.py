@@ -8,6 +8,8 @@ from ringgeom import f2geom as f2
 from ringgeom import projective as pj
 from ringgeom import veronese as vr
 
+import quadric_reference as ref
+
 
 def test_veronese_point_images(algebra_cd_f3):
     A = algebra_cd_f3
@@ -145,28 +147,52 @@ def test_tangent_space_complementarity(variety_f3):
             break
 
 
-def test_zero_count_skip_keeps_accepted_forms(variety_f4big):
-    # every pencil form that the vertex test accepts has as many zeros off
-    # X(xi) as a subspace has points, so extract_tube may skip the others
-    # before computing their vertex
-    field = variety_f4big.field
-    q = field.q
-    for t in variety_f4big.tubes:
-        k = t.xi.vdim
-        sizes = {(q ** m - 1) // (q - 1) for m in range(k + 1)}
-        intr = [pj.intrinsic_coords(t.xi, p) for p in t.xi_pts]
-        x_intr = {pj.intrinsic_coords(t.xi, p) for p in t.x_pts}
-        kernel = pj.forms_through(field, sorted(x_intr), k)
-        accepted = 0
-        for coeffs in pj.pg_parameters(field, len(kernel)):
-            qf = pj.QuadraticForm(field, k, pj.normalize_point(
-                field, pj.vec_mat(field, coeffs, kernel)))
-            zeros = {c for c in intr if qf.evaluate(c) == field.zero}
-            vert = set(pj.quadric_vertex(qf).points())
-            if zeros == x_intr | vert and not vert & x_intr:
-                accepted += 1
-                assert len(zeros - x_intr) in sizes
-        assert accepted == t.fit_count == 1
+@pytest.mark.parametrize("name", ["variety_f2", "variety_f3",
+                                  "variety_cd_f4", "variety_f4big",
+                                  "counterexample"])
+def test_fit_by_class_matches_fit_by_evaluation(name, request):
+    # the cone of every tube, fitted again by evaluating each pencil form
+    # on every point of xi, has the fit_count, vertex, form and base Witt
+    # index that extract_tube read off the forms' classes
+    variety = request.getfixturevalue(name)
+    for t in variety.tubes:
+        assert ref.refit_tube(variety.field, t) == (
+            t.fit_count, t.vertex, t.form, t.base_witt), t.index
+
+
+def test_swapped_hyperbolic_and_elliptic_counts_misfit_tubes(
+        variety_f4big, monkeypatch):
+    # the tube bases of V2(F2, CD(F4,0)) are elliptic quadrics of PG(3, 2):
+    # counted as hyperbolic, the genuine cone is rejected, and a
+    # hyperbolic cone on the same vertex line is counted as elliptic and
+    # taken in its place, which check_tubes names by its Witt index
+    t = variety_f4big.tubes[0]
+    monkeypatch.setattr(pj, "zero_count",
+                        ref.swap_hyperbolic_elliptic(pj.zero_count))
+    bad = vr.extract_tube(variety_f4big.field, t.xi,
+                          variety_f4big.point_set, variety_f4big.point_index,
+                          t.index)
+    assert bad.form != t.form and bad.vertex == t.vertex
+    rep = vr.check_tubes(dataclasses.replace(variety_f4big, tubes=[bad]))
+    assert rep["violations"] == [(0, "base_witt", 2)]
+
+
+def test_witt_index_off_by_one_is_reported(variety_f3, monkeypatch):
+    # the conic bases have odd m, whose zero count does not read w, so
+    # every tube is still extracted and check_tubes names the Witt index
+    real = pj.quadric_class
+
+    def off_by_one(qf):
+        vert, m, w = real(qf)
+        return vert, m, w + 1
+
+    monkeypatch.setattr(pj, "quadric_class", off_by_one)
+    V = variety_f3
+    tubes = [vr.extract_tube(V.field, t.xi, V.point_set, V.point_index,
+                             t.index) for t in V.tubes]
+    rep = vr.check_tubes(dataclasses.replace(V, tubes=tubes))
+    assert not rep["ok"]
+    assert rep["violations"][0] == (0, "base_witt", 2)
 
 
 def _refit_base_witt(field, tube):
@@ -181,9 +207,9 @@ def _refit_base_witt(field, tube):
         proj = pj.Projection(vert, pj.complement(vert))
         intr = sorted({proj.apply(c) for c in intr})
     base = pj.span(field, intr, k)
-    forms = pj.exact_zero_set_forms(
+    forms = ref.exact_zero_set_forms(
         field, [pj.intrinsic_coords(base, c) for c in intr], base.vdim)
-    return pj.witt_index(forms[0])
+    return ref.witt_index(forms[0])
 
 
 @pytest.mark.parametrize("name", ["variety_f2", "variety_f3", "frame5",
@@ -205,7 +231,7 @@ def test_tube_tangent_matches_combinatorial(variety_f2, variety_f3):
         for t in variety.tubes[:4]:
             for x in sorted(t.x_pts):
                 via_form = vr.tube_tangent_space(variety, t, x)
-                via_lines = pj.ovoid_tangent_hyperplane(
+                via_lines = ref.tangent_hyperplane(
                     variety.field, sorted(t.cone_pts), t.xi, x)
                 assert via_form == via_lines
 
