@@ -4,12 +4,14 @@ deterministic JSON/CSV/text reports.
 Every check pairs the expected value (where one is pinned) with the
 computed one; the driver never hardcodes a pass without computing.
 Identical config and seed give byte-identical JSON output; wall-clock
-data is isolated under the separate "timings" key.
+data is isolated under the separate "timings" key, and the deterministic
+size counters of a run go under "stats".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -56,6 +58,39 @@ class Check:
     witnesses: list = dc_field(default_factory=list)
 
 
+class Stages:
+    """Wall-clock seconds per stage of one run (`timings`, by
+    time.perf_counter) and its deterministic size counters (`stats`)."""
+
+    def __init__(self):
+        self.timings = {}
+        self.stats = {}
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name + "_s"] = round(time.perf_counter() - t0, 3)
+
+    def each(self, prefix, names):
+        """Yields the names, timing the loop body of each as a stage."""
+        for name in names:
+            with self.stage(prefix + name):
+                yield name
+
+    def variety(self, algebra):
+        """The variety of the plane over the algebra, with its build's
+        stages and counters."""
+        with self.stage("variety_build"):
+            V = vr.build_variety(parse_algebra(algebra))
+        self.timings.update({"variety_build.%s_s" % k: round(v, 3)
+                             for k, v in V.timings.items()})
+        self.stats.update(V.stats)
+        return V
+
+
 def check(name, ok, expected=None, computed=None, witnesses=()):
     return Check(name, "pass" if ok else "fail", expected, computed,
                  list(witnesses))
@@ -74,7 +109,7 @@ def _jsonable(x):
     return repr(x)
 
 
-def build_report(config, checks, timings):
+def build_report(config, checks, timings, stats):
     return {
         "artifact": {"name": "ringgeom", "version": __version__},
         "config": {
@@ -89,6 +124,7 @@ def build_report(config, checks, timings):
             "computed": _jsonable(c.computed),
             "witnesses": _jsonable(c.witnesses),
         } for c in checks],
+        "stats": stats,
         "timings": timings,
     }
 
@@ -131,10 +167,11 @@ def emit(report, config):
 # --------------------------------------------------------------------------
 # subcommand implementations
 
-def run_algebra(config):
+def run_algebra(config, stages):
     A = parse_algebra(config.algebra)
     checks = []
-    rep = classify(A, samples=config.samples, seed=config.seed)
+    with stages.stage("classify"):
+        rep = classify(A, samples=config.samples, seed=config.seed)
     for name in ("commutative", "associative", "alternative", "quadratic",
                  "nondegenerate", "division"):
         checks.append(Check("classify." + name,
@@ -154,12 +191,14 @@ def run_algebra(config):
     return checks
 
 
-def run_plane(config):
-    plane = hp.build_plane(parse_algebra(config.algebra))
-    return plane_checks(plane, config.checks or ("hjelmslev",))
+def run_plane(config, stages):
+    with stages.stage("plane_build"):
+        plane = hp.build_plane(parse_algebra(config.algebra))
+    return plane_checks(plane, config.checks or ("hjelmslev",), stages)
 
 
-def plane_checks(plane, wanted):
+def plane_checks(plane, wanted, stages=None):
+    stages = stages or Stages()
     A, B = plane.algebra, plane.base
     checks = []
     expected_pts = hp.expected_point_count(A, B, plane.is_cd)
@@ -169,12 +208,14 @@ def plane_checks(plane, wanted):
                         len(plane.points) == len(plane.lines),
                         len(plane.points), len(plane.lines)))
     if "hjelmslev" in wanted:
-        rep = hp.verify_hjelmslev_level2(plane)
+        with stages.stage("plane.hjelmslev"):
+            rep = hp.verify_hjelmslev_level2(plane)
         for k in ("hj1", "hj2", "hj3", "hj4"):
             checks.append(check(k, rep[k], True, rep[k],
                                 witnesses=rep["violations"][:3]))
     if "epimorphism" in wanted and plane.is_cd:
-        pm = hp.epimorphism_to_residue(plane)[0]
+        with stages.stage("plane.epimorphism"):
+            pm = hp.epimorphism_to_residue(plane)[0]
         sizes = {}
         for v in pm.values():
             sizes[v] = sizes.get(v, 0) + 1
@@ -182,20 +223,22 @@ def plane_checks(plane, wanted):
                             {B.size() ** 2}, B.size() ** 2,
                             sorted(set(sizes.values()))))
     if "neighbour-consistency" in wanted:
-        ok, wit = hp.nonneighbouring_point_line_consistency(plane)
+        with stages.stage("plane.neighbour-consistency"):
+            ok, wit = hp.nonneighbouring_point_line_consistency(plane)
         checks.append(check("point_line_neighbouring", ok, True, ok,
                             witnesses=[] if ok else [wit]))
     return checks
 
 
-def run_veronese(config):
+def run_veronese(config, stages):
     wanted = config.checks or ("H1", "H2star", "V", "tubes")
     if "counterexample" in wanted:
-        return counterexample_checks(parse_field(config.field or "F3"))
-    V = vr.build_variety(parse_algebra(config.algebra))
+        return counterexample_checks(parse_field(config.field or "F3"),
+                                     stages)
+    V = stages.variety(config.algebra)
     if config.extra.get("dump"):
         _write_json(vr.variety_dump(V), config.extra["dump"])
-    return veronese_checks(V, wanted)
+    return veronese_checks(V, wanted, stages)
 
 
 def _verifier_check(name, rep):
@@ -204,22 +247,30 @@ def _verifier_check(name, rep):
                  witnesses=rep["violations"])
 
 
-def counterexample_checks(field):
-    ce = vr.build_h2_counterexample(field)
-    checks = [_verifier_check("ce.tubes_11", vr.check_tubes(ce, d_base=1,
-                                                            v=1)),
-              _verifier_check("ce.H1", vr.check_h1(ce)),
-              _verifier_check("ce.H2", vr.check_h2(ce))]
-    h3 = vr.check_h3(ce, 6)
+def counterexample_checks(field, stages):
+    with stages.stage("variety_build"):
+        ce = vr.build_h2_counterexample(field)
+    stages.stats.update(ce.stats)
+    with stages.stage("ce.tubes_11"):
+        checks = [_verifier_check("ce.tubes_11", vr.check_tubes(
+            ce, d_base=1, v=1))]
+    with stages.stage("ce.H1"):
+        checks.append(_verifier_check("ce.H1", vr.check_h1(ce)))
+    with stages.stage("ce.H2"):
+        checks.append(_verifier_check("ce.H2", vr.check_h2(ce)))
+    with stages.stage("ce.H3_le_6"):
+        h3 = vr.check_h3(ce, 6)
     checks.append(check("ce.H3_le_6", h3["ok"], True, h3["tangent_dims"]))
-    wit = next((v[:2] for v in vr.check_h2star(ce)["violations"]
-                if v[2] == "disjoint"), None)
+    with stages.stage("ce.H2star_fails"):
+        wit = next((v[:2] for v in vr.check_h2star(ce)["violations"]
+                    if v[2] == "disjoint"), None)
     checks.append(check("ce.H2star_fails", wit is not None,
                         "disjoint pair exists", wit))
     return checks
 
 
-def veronese_checks(V, wanted):
+def veronese_checks(V, wanted, stages=None):
+    stages = stages or Stages()
     checks = []
     # the paper's tube type: d = dim B, with a vertex of dimension
     # dim B - 1 over CD(B, 0) and none over a division algebra B
@@ -229,7 +280,7 @@ def veronese_checks(V, wanted):
                  "MM1": vr.check_mm1, "MM2star": vr.check_mm2star,
                  "V": vr.check_property_v}
     data = crep = None
-    for name in wanted:
+    for name in stages.each("veronese.", wanted):
         if name in verifiers:
             checks.append(_verifier_check(name, verifiers[name](V)))
         elif name == "tubes":
@@ -301,13 +352,13 @@ def veronese_checks(V, wanted):
     return checks
 
 
-def run_motions(config):
-    V = vr.build_variety(parse_algebra(config.algebra))
+def run_motions(config, stages):
+    V = stages.variety(config.algebra)
     return motion_checks(
-        V, config.checks or ("triality", "elations", "equivariance"))
+        V, config.checks or ("triality", "elations", "equivariance"), stages)
 
 
-def motion_checks(V, wanted):
+def motion_checks(V, wanted, stages=None):
     """Triality, elation and lift checks for every algebra, complete from
     the F_p-basis G = {w^j e_i} of A over F_{p^k}, w^j = p^j in F.
 
@@ -321,6 +372,7 @@ def motion_checks(V, wanted):
     lifts to L_Y(Y) L_X(X), compared with linear_lift(A, "phi", X, Y) on
     all pairs.  A failing check names its first failing generator or pair.
     """
+    stages = stages or Stages()
     A, plane, F = V.algebra, V.plane, V.field
     elems = A.elements()
     checks, perms = [], {}
@@ -346,47 +398,52 @@ def motion_checks(V, wanted):
     additive = (sums, lambda k, e, b, total: tuple(map(
         mo.perm_mul, perms_of(k, e), perms_of(k, b))) == perms_of(k, total))
     if "triality" in wanted:
-        pp, lp = perms_of("tau")
-        ident = tuple(range(len(plane.points)))
-        ok3 = mo.perm_mul(pp, mo.perm_mul(pp, pp)) == ident
-        oki, _ = mo.perms_preserve_incidence(pp, lp, plane)
-        checks.append(check("triality.order3", ok3, True, ok3))
-        checks.append(check("triality.incidence", oki, True, oki))
+        with stages.stage("motions.triality"):
+            pp, lp = perms_of("tau")
+            ident = tuple(range(len(plane.points)))
+            ok3 = mo.perm_mul(pp, mo.perm_mul(pp, pp)) == ident
+            oki, _ = mo.perms_preserve_incidence(pp, lp, plane)
+            checks.append(check("triality.order3", ok3, True, ok3))
+            checks.append(check("triality.incidence", oki, True, oki))
     if "elations" in wanted:
-        verdict("elations.incidence", (gens, lambda k, e: (
-            mo.perms_preserve_incidence(*perms_of(k, e), plane)[0])))
-        verdict("elations.neighbouring", (gens, lambda k, e: (
-            mo.perm_preserves_neighbouring(perms_of(k, e)[0], plane)[0])))
-        verdict("elations.additive", additive)
+        with stages.stage("motions.elations"):
+            verdict("elations.incidence", (gens, lambda k, e: (
+                mo.perms_preserve_incidence(*perms_of(k, e), plane)[0])))
+            verdict("elations.neighbouring", (gens, lambda k, e: (
+                mo.perm_preserves_neighbouring(perms_of(k, e)[0], plane)[0])))
+            verdict("elations.additive", additive)
     if "equivariance" in wanted:
-        tau = mo.triality(A)
-        okt, _ = mo.verify_equivariance(mo.linear_lift(A, "tau"), tau, V)
-        checks.append(check("lift.tau", okt, True, okt))
-        lift = ({("phi13", a): mo.linear_lift(A, "phi", X=a) for a in elems}
-                | {("phi23", a): mo.linear_lift(A, "phi", Y=a)
-                   for a in elems})
-        unit = pj.unit_vectors(F, 3 * A.dim + 3)
-        verdict("lift.phi_equivariant", additive,
-                (gens, lambda k, e: mo.verify_equivariance(
-                    lift[k, e], mo.elation(A, k, e), V)[0]),
-                (sums, lambda k, e, b, total: pj.mat_mul(
-                    F, lift[k, b], lift[k, e]) == lift[k, total]),
-                ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
-                (itertools.product(elems, elems), lambda X, Y: (
-                    mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
-                        F, lift["phi23", Y], lift["phi13", X]))))
+        with stages.stage("motions.equivariance"):
+            tau = mo.triality(A)
+            okt, _ = mo.verify_equivariance(mo.linear_lift(A, "tau"), tau, V)
+            checks.append(check("lift.tau", okt, True, okt))
+            lift = ({("phi13", a): mo.linear_lift(A, "phi", X=a)
+                     for a in elems}
+                    | {("phi23", a): mo.linear_lift(A, "phi", Y=a)
+                       for a in elems})
+            unit = pj.unit_vectors(F, 3 * A.dim + 3)
+            verdict("lift.phi_equivariant", additive,
+                    (gens, lambda k, e: mo.verify_equivariance(
+                        lift[k, e], mo.elation(A, k, e), V)[0]),
+                    (sums, lambda k, e, b, total: pj.mat_mul(
+                        F, lift[k, b], lift[k, e]) == lift[k, total]),
+                    ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
+                    (itertools.product(elems, elems), lambda X, Y: (
+                        mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
+                            F, lift["phi23", Y], lift["phi13", X]))))
     if "transitivity" in wanted:
-        # an orbit under tau and the generator elations lies in one under
-        # all elations, so a full orbit is full there too
-        group = [perms_of("tau")[0]] + [perms_of(k, e)[0] for k, e in gens]
-        keys = plane.point_keys
-        pairs = ([], [])                    # neighbouring, far
-        for i, j in itertools.combinations(range(len(keys)), 2):
-            pairs[keys[i] != keys[j]].append((i, j))
-        for name, cls in zip(("neighbouring_pairs", "far_pairs"), pairs):
-            size = len(mo.pair_orbit(group, cls[0]))
-            checks.append(check("transitive." + name, size == len(cls),
-                                len(cls), size))
+        with stages.stage("motions.transitivity"):
+            # an orbit under tau and the generator elations lies in one under
+            # all elations, so a full orbit is full there too
+            group = [perms_of("tau")[0]] + [perms_of(k, e)[0] for k, e in gens]
+            keys = plane.point_keys
+            pairs = ([], [])                    # neighbouring, far
+            for i, j in itertools.combinations(range(len(keys)), 2):
+                pairs[keys[i] != keys[j]].append((i, j))
+            for name, cls in zip(("neighbouring_pairs", "far_pairs"), pairs):
+                size = len(mo.pair_orbit(group, cls[0]))
+                checks.append(check("transitive." + name, size == len(cls),
+                                    len(cls), size))
     return checks
 
 
@@ -395,12 +452,13 @@ M10_EXPECTED = {"x": 21, "elliptic": 210, "triangle_centers": 1120,
 M_EXPECTED = ["124689", "135678", "234579"]
 
 
-def run_m10(config):
+def run_m10(config, stages):
     m10 = f2.build_m10()
     checks = []
     wanted = set(config.checks or ("census",))
     if wanted & {"census", "projections", "stabilizer"}:
-        cen = f2.census(m10)
+        with stages.stage("census"):
+            cen = f2.census(m10)
     if "census" in wanted:
         for k, v in M10_EXPECTED.items():
             checks.append(check("census." + k, cen[k] == v, v, cen[k]))
@@ -449,9 +507,10 @@ def run_m10(config):
     return checks
 
 
-def run_witt(config):
+def run_witt(config, stages):
     m10 = f2.build_m10()
-    w = f2.witt_lift(m10)
+    with stages.stage("witt_lift"):
+        w = f2.witt_lift(m10)
     checks = [
         check("points", len(w["points"]) == 24, 24, len(w["points"])),
         check("octads", w["octad_count"] == 759, 759, w["octad_count"]),
@@ -465,7 +524,7 @@ def run_witt(config):
     return checks
 
 
-def run_scroll(config):
+def run_scroll(config, stages):
     field = parse_field(config.field or "F3")
     d = config.d
     checks = []
@@ -473,7 +532,8 @@ def run_scroll(config):
         s = sc.canonical_cubic_scroll(field)
     else:
         s = sc.canonical_regular_scroll(d, field.q)
-    quads = sc.scroll_quadrics(s)
+    with stages.stage("scroll_quadrics"):
+        quads = sc.scroll_quadrics(s)
     expected = field.q ** (2 * d)
     checks.append(check("quadrics", len(quads) == expected, expected,
                         len(quads)))
@@ -497,17 +557,17 @@ def _prefixed(prefix, checks):
                   c.witnesses) for c in checks]
 
 
-def run_verify_all(config):
-    V = vr.build_variety(parse_algebra(config.algebra))
+def run_verify_all(config, stages):
+    V = stages.variety(config.algebra)
     if V.tubes[0].v >= 0:
         names = ("H1", "H2star", "V", "tubes", "cor", "chi")
     else:
         names = ("MM1", "MM2star", "tubes")
-    return (_prefixed("plane.", plane_checks(V.plane,
-                                             ("hjelmslev", "epimorphism")))
-            + _prefixed("veronese.", veronese_checks(V, names))
+    return (_prefixed("plane.", plane_checks(
+        V.plane, ("hjelmslev", "epimorphism"), stages))
+            + _prefixed("veronese.", veronese_checks(V, names, stages))
             + _prefixed("motions.", motion_checks(
-                V, ("triality", "elations", "equivariance"))))
+                V, ("triality", "elations", "equivariance"), stages)))
 
 
 COMMANDS = {
@@ -566,12 +626,14 @@ def config_from_args(args):
 
 def run(config):
     """Dispatch; returns (report, exit_status)."""
-    t0 = time.time()
-    checks = COMMANDS[config.command](config)
+    stages = Stages()
+    t0 = time.perf_counter()
+    checks = COMMANDS[config.command](config, stages)
     if config.command == "m10" and config.extra.get("witt"):
-        checks += _prefixed("witt.", run_witt(config))
-    timings = {"total_s": round(time.time() - t0, 3)}
-    report = build_report(config, checks, timings)
+        checks += _prefixed("witt.", run_witt(config, stages))
+    timings = {"total_s": round(time.perf_counter() - t0, 3),
+               **stages.timings}
+    report = build_report(config, checks, timings, stages.stats)
     status = 0 if all(c.status != "fail" for c in checks) else 1
     return report, status
 

@@ -14,10 +14,12 @@ positive denominator), guarded by a configurable height bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import xor
 
 from . import RinggeomError
 
@@ -212,6 +214,44 @@ class FiniteField:
     def frobenius(self, a):
         return self.frob_t[a]
 
+    # --- row operations -------------------------------------------------
+    # One call per vector, read off the table rows.  In characteristic 2
+    # an index is the element's coordinate vector in base 2, so addition
+    # is XOR of indices.
+    def row_scale(self, c, u):
+        """The vector c u."""
+        m = self.mul_t[c]
+        return tuple([m[a] for a in u])
+
+    def row_add(self, u, v):
+        """The vector u + v."""
+        if self.p == 2:
+            return tuple(map(xor, u, v))
+        add = self.add_t
+        return tuple([add[a][b] for a, b in zip(u, v)])
+
+    def row_sub_scaled(self, u, c, v):
+        """The vector u - c v."""
+        m = self.mul_t[self.neg_t[c]]
+        if self.p == 2:
+            return tuple([a ^ m[b] for a, b in zip(u, v)])
+        add = self.add_t
+        return tuple([add[a][m[b]] for a, b in zip(u, v)])
+
+    def row_dot(self, u, v):
+        """The scalar sum_i u_i v_i."""
+        mul = self.mul_t
+        products = [mul[a][b] for a, b in zip(u, v)]
+        if self.p == 2:
+            return functools.reduce(xor, products, 0)
+        if self.k == 1:
+            return sum(products) % self.p
+        add = self.add_t
+        acc = 0
+        for x in products:
+            acc = add[acc][x]
+        return acc
+
     def elements(self):
         return range(self.q)
 
@@ -292,6 +332,23 @@ class RationalField:
         for _ in range(n):
             r = self.mul(r, a)
         return r
+
+    # --- row operations, each entry under the height guard ---------------
+    def row_scale(self, c, u):
+        guard = self._guard
+        return tuple(guard(c * a) for a in u)
+
+    def row_add(self, u, v):
+        guard = self._guard
+        return tuple(guard(a + b) for a, b in zip(u, v))
+
+    def row_sub_scaled(self, u, c, v):
+        guard = self._guard
+        return tuple(guard(a - guard(c * b)) for a, b in zip(u, v))
+
+    def row_dot(self, u, v):
+        guard = self._guard
+        return guard(sum(guard(a * b) for a, b in zip(u, v)))
 
     def elements(self):
         raise FieldError("cannot enumerate the rationals")

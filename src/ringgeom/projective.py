@@ -32,18 +32,15 @@ class GeometryError(RinggeomError):
 # vectors and matrices
 
 def vec_add(field, u, v):
-    add = field.add
-    return tuple(add(a, b) for a, b in zip(u, v))
+    return field.row_add(u, v)
 
 
 def vec_sub(field, u, v):
-    sub = field.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
+    return field.row_sub_scaled(u, field.one, v)
 
 
 def vec_scale(field, c, u):
-    mul = field.mul
-    return tuple(mul(c, a) for a in u)
+    return field.row_scale(c, u)
 
 
 def is_zero_vec(field, u):
@@ -58,55 +55,54 @@ def normalize_point(field, v):
         if a != z:
             if a == field.one:
                 return tuple(v)
-            c = field.inv(a)
-            return tuple(field.mul(c, x) for x in v)
+            return field.row_scale(field.inv(a), v)
     return None
 
 
 def rref(field, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot_columns).  Rows at
+    and below the current one vanish left of the current column, so the
+    pivot row is zero there and only its tail enters the updates."""
+    mat = [tuple(r) for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
-    z = field.zero
+    z, one = field.zero, field.one
+    scale, sub_scaled = field.row_scale, field.row_sub_scaled
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != z:
-                pr = i
+        for pr in range(r, len(mat)):
+            if mat[pr][c] != z:
                 break
-        if pr is None:
+        else:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        if mat[r][c] != field.one:
-            mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != z:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(mat[i], mat[r])]
+        tail = mat[r][c:]
+        if tail[0] != one:
+            tail = scale(field.inv(tail[0]), tail)
+            mat[r] = mat[r][:c] + tail
+        for i, row in enumerate(mat):
+            if i != r and row[c] != z:
+                mat[i] = row[:c] + sub_scaled(row[c:], row[c], tail)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def nullspace(field, rows, ncols):
     """Basis of the right kernel of the matrix with the given rows."""
     red, pivots = rref(field, rows)
-    z, one = field.zero, field.one
+    z, one, neg = field.zero, field.one, field.neg
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [z] * ncols
         v[fc] = one
         for r, pc in zip(red, pivots):
-            v[pc] = field.neg(r[fc])
+            v[pc] = neg(r[fc])
         basis.append(tuple(v))
     return basis
 
@@ -126,13 +122,8 @@ def solve(field, rows, rhs):
             return None
         x[pc] = r[ncols]
     # consistency
-    for j in range(nc):
-        acc = z
-        for i in range(ncols):
-            acc = field.add(acc, field.mul(x[i], rows[i][j]))
-        if acc != rhs[j]:
-            return None
-    return tuple(x)
+    x = tuple(x)
+    return x if vec_mat(field, x, rows) == tuple(rhs) else None
 
 
 def mat_inverse(field, rows):
@@ -145,38 +136,20 @@ def mat_inverse(field, rows):
     return [r[n:] for r in red]
 
 
-def mat_vec(field, rows, v):
-    add, mul, z = field.add, field.mul, field.zero
-    out = []
-    for row in rows:
-        acc = z
-        for a, b in zip(row, v):
-            if a != z and b != z:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
-
-
 def dot(field, u, v):
     """The scalar product sum_i u_i v_i."""
-    add, mul, z = field.add, field.mul, field.zero
-    acc = z
-    for a, b in zip(u, v):
-        if a != z and b != z:
-            acc = add(acc, mul(a, b))
-    return acc
+    return field.row_dot(u, v)
 
 
 def vec_mat(field, v, rows):
-    add, mul, z = field.add, field.mul, field.zero
-    ncols = len(rows[0])
-    out = [z] * ncols
+    """The combination sum_i v_i rows[i]."""
+    z = field.zero
+    out = None
     for c, row in zip(v, rows):
         if c != z:
-            for j, a in enumerate(row):
-                if a != z:
-                    out[j] = add(out[j], mul(c, a))
-    return tuple(out)
+            out = field.row_scale(c, row) if out is None else \
+                field.row_sub_scaled(out, field.neg(c), row)
+    return (z,) * len(rows[0]) if out is None else out
 
 
 def apply_matrix(field, matrix, v):
@@ -214,25 +187,17 @@ class Subspace:
     def reduce(self, v):
         """Residual of v after elimination against the echelon rows."""
         field = self.field
-        v = list(v)
         z = field.zero
+        v = tuple(v)
         for row in self.rows:
             pc = next(i for i, a in enumerate(row) if a != z)
             if v[pc] != z:
-                f = v[pc]
-                for j in range(pc, self.n):
-                    v[j] = field.sub(v[j], field.mul(f, row[j]))
-        return tuple(v)
+                v = field.row_sub_scaled(v, v[pc], row)
+        return v
 
     def points(self):
         """All projective points, normalized (finite fields only)."""
-        field = self.field
-        if not self.rows:
-            return []
-        out = []
-        for coeffs in pg_parameters(field, len(self.rows)):
-            out.append(vec_mat(field, coeffs, self.rows))
-        return out
+        return span_points(self.field, self.rows)
 
     def __le__(self, other):
         return all(other.contains(r) for r in self.rows)
@@ -246,6 +211,25 @@ def pg_parameters(field, k):
         prefix = (z,) * lead + (one,)
         for tail in itertools.product(elems, repeat=k - lead - 1):
             yield prefix + tail
+
+
+def span_points(field, rows):
+    """The points c . rows of the span of echelon rows, c running over
+    `pg_parameters`, so each is normalized; at most one row addition per
+    point.  The points with leading coefficient at row i are built row
+    by row: each partial sum b is followed by b plus the nonzero
+    multiples of the next row (0 is the first element)."""
+    add, scale = field.row_add, field.row_scale
+    nonzero = list(field.elements())[1:]
+    out = []
+    for lead, row in enumerate(rows):
+        level = [tuple(row)]
+        for nxt in rows[lead + 1:]:
+            multiples = [scale(c, nxt) for c in nonzero]
+            level = [p for b in level
+                     for p in [b] + [add(b, m) for m in multiples]]
+        out.extend(level)
+    return out
 
 
 def pg_points(field, n):
@@ -333,11 +317,11 @@ class Projection:
         self.target = target
         self._k = kernel.vdim
         # v = x . basis  =>  x = v . basis^{-1}  (row-vector convention)
-        self._binv = mat_inverse(field, [list(r) for r in zip(*basis)])
+        self._binv = mat_inverse(field, basis)
 
     def coords(self, v):
         """Target-basis coordinates of the image (None if v in kernel)."""
-        x = mat_vec(self.field, self._binv, v)
+        x = vec_mat(self.field, v, self._binv)
         beta = x[self._k:]
         if is_zero_vec(self.field, beta):
             return None
@@ -452,11 +436,15 @@ def quadratic_form(field, n, coeff_map):
     return QuadraticForm(field, n, tuple(flat))
 
 
+def monomials(field, p):
+    """The products p_i p_j, i <= j, in monomial_order."""
+    return sum((field.row_scale(a, p[i:]) for i, a in enumerate(p)), ())
+
+
 def forms_through(field, points, n):
     """Basis of the space of quadratic forms vanishing on the points."""
-    order = monomial_order(n)
-    rows = [tuple(field.mul(p[i], p[j]) for (i, j) in order) for p in points]
-    return nullspace(field, rows, len(order))
+    return nullspace(field, [monomials(field, p) for p in points],
+                     n * (n + 1) // 2)
 
 
 def form_on_basis(field, Q, basis):
@@ -561,9 +549,7 @@ def _directions_from(field, pts, x):
     hyperplane x_c = 0, c the pivot of the normalized x: returns c and the
     direction of each of those points, in order."""
     c = next(i for i, a in enumerate(x) if a != field.zero)
-    sub, mul = field.sub, field.mul
-    return c, [normalize_point(field, tuple(sub(a, mul(y[c], b))
-                                            for a, b in zip(y, x)))
+    return c, [normalize_point(field, field.row_sub_scaled(y, y[c], x))
                for y in pts if y != x]
 
 

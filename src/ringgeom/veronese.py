@@ -1,22 +1,35 @@
-"""The Veronese map on G(2, A), variety assembly, tube extraction, and
-all axiom verifiers: (H1), (H2*), (H2), (H3), (V), (MM1), (MM2*), the
-vertex space Y with its spread, the projection to the nondegenerate part,
-the connection duality, the local structure at a vertex, and the
-13-space counterexample construction.
+"""The Veronese map on G(2, A), variety assembly, tube extraction and
+transport, and all axiom verifiers: (H1), (H2*), (H2), (H3), (V), (MM1),
+(MM2*), the vertex space Y with its spread, the projection to the
+nondegenerate part, the connection duality, the local structure at a
+vertex, and the 13-space counterexample construction.
 
-Tube extraction trusts only point-set data: X(xi) = X intersect xi is
-recomputed by membership and the cone is reconstructed by quadric
-fitting, never from the algebraic parametrization, so the same code
-verifies hand-built or projected varieties.  A fitted form is accepted
-by its class (vertex, nondegenerate dimension, Witt index) and the zero
-count that follows from it, not by evaluating it on xi.
+A tube is built from point-set data, never from the algebraic
+parametrization, in one of two ways.  Extraction (`extract_tube`)
+recomputes X(xi) = X intersect xi by membership and reconstructs the
+cone by quadric fitting, so the same code verifies hand-built or
+projected varieties.  A fitted form is accepted by its class (vertex,
+nondegenerate dimension, Witt index) and the zero count that follows
+from it, not by evaluating it on xi.  Transport (`transport_tube`)
+carries a tube along a lift: a collineation g of the plane with a linear
+map M_g such that rho(g p) = rho(p) M_g at every plane point, which
+`build_variety` checks point by point before it uses the lift.  Such an
+M_g is a linear collineation that maps X onto X and xi(L) = <rho(L)>
+onto xi(gL), so it carries X(xi(L)) onto X(xi(gL)) and with it the
+pencil of quadrics through X(xi): each form's class, vertex and zero
+set.  The cone fitted on xi(L), composed with M_g^-1, is the cone that
+fitting would accept on xi(gL), with the same fit count, base Witt index
+and ovoid verdict.  Every transported tube's X(xi) is still recomputed by
+membership and compared with the line image.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field as dc_field
 
+from . import motions as mo
 from . import projective as pj
 from . import scrolls as sc
 from .projective import (Subspace, span, meet, normalize_point, rref,
@@ -58,6 +71,8 @@ class Variety:
     plane: object = None
     rho: dict = None          # plane point -> variety point
     inverse_rho: dict = None
+    stats: dict = dc_field(default_factory=dict)    # deterministic sizes
+    timings: dict = dc_field(default_factory=dict)  # seconds per stage
 
     @property
     def ambient_pdim(self):
@@ -88,8 +103,18 @@ def veronese_point(A, plane_point):
 
 
 def build_variety(A):
-    """X = rho(P), Xi = spans of rho(line) for lines of G(2, A)."""
+    """X = rho(P) and the tube of every line of G(2, A).
+
+    The lifts of the generators are certified first (`certified_lifts`).
+    Then the lines are visited breadth-first: a line with no tube yet is
+    extracted directly, and every certified g carries the tube of L to
+    the tube of gL (`transport_tube`), so there is one extraction per
+    orbit of the certified generators on the lines.  Every tube, however
+    it was built, must carry exactly the line image in X."""
+    clock = time.perf_counter
+    t0 = clock()
     plane = build_plane(A)
+    t1 = clock()
     field = A.field
     n = 3 * A.dim + 3
     rho = {}
@@ -106,20 +131,83 @@ def build_variety(A):
     if len(ambient_rank) != n:
         raise GeometryError("X does not span the ambient space")
     point_set = frozenset(points)
-    tubes = []
-    for li, line in enumerate(plane.lines):
-        member_pts = [rho[plane.points[pi]] for pi in plane.points_on[li]]
-        xi = span(field, member_pts, n)
-        tube = extract_tube(field, xi, point_set, point_index, li)
-        if set(tube.x_pts) != set(member_pts):
-            raise GeometryError(
-                "xi contains points of X beyond the line image (line %d)" % li)
-        tubes.append(tube)
+    lifts, refused = certified_lifts(A, plane, points)
+    t2 = clock()
+
+    def line_image(li):
+        return [points[pi] for pi in plane.points_on[li]]
+
+    def checked(tube):
+        if tube.x_pts != frozenset(line_image(tube.index)):
+            raise GeometryError("X meet xi is not the line image (line %d)"
+                                % tube.index)
+        return tube
+
+    tubes = [None] * len(plane.lines)
+    extracted = 0
+    for start in range(len(plane.lines)):
+        if tubes[start] is not None:
+            continue
+        tubes[start] = checked(extract_tube(
+            field, span(field, line_image(start), n), point_set,
+            point_index, start))
+        extracted += 1
+        frontier = [start]
+        while frontier:
+            reached = []
+            for li in frontier:
+                for pperm, lperm, lift in lifts:
+                    lj = lperm[li]
+                    if tubes[lj] is None:
+                        tubes[lj] = checked(transport_tube(
+                            field, tubes[li], lift, pperm, points,
+                            point_set, point_index, lj))
+                        reached.append(lj)
+            frontier = reached
     tubes_through = _tubes_through(len(points), tubes)
     inverse_rho = {img: p for p, img in rho.items()}
+    stats = {"points": len(points), "tubes": len(tubes),
+             "tubes_extracted": extracted,
+             "tubes_transported": len(tubes) - extracted,
+             "generators_certified": len(lifts),
+             "generators_refused": refused}
+    timings = {"plane_build": t1 - t0, "lift_certificates": t2 - t1,
+               "tubes": clock() - t2}
     return Variety(field, n, points, point_index, point_set, tubes,
                    tubes_through, algebra=A, plane=plane, rho=rho,
-                   inverse_rho=inverse_rho)
+                   inverse_rho=inverse_rho, stats=stats, timings=timings)
+
+
+def certified_lifts(A, plane, points):
+    """The generators of `cli.motion_checks`: triality and the elations
+    phi13(e), phi23(e) for e in the F_p-basis {p^j e_i} of A.  Returns
+    (lifts, refused): a (point permutation, line permutation, M_g) triple
+    for each generator g that keeps incidence and has rho(g p) =
+    rho(p) M_g at every plane point p (points[i] = rho of plane point i),
+    and the names of the others, in generator order."""
+    field = A.field
+    gens = [(mo.triality(A), mo.linear_lift(A, "tau"))]
+    for i in range(A.dim):
+        for j in range(field.k):
+            e = A.scale(field.p ** j, A.basis(i))
+            gens.append((mo.elation(A, "phi13", e),
+                         mo.linear_lift(A, "phi", X=e)))
+            gens.append((mo.elation(A, "phi23", e),
+                         mo.linear_lift(A, "phi", Y=e)))
+    lifts, refused = [], []
+    for g, lift in gens:
+        try:
+            pperm, lperm = mo.materialize(g, plane)
+        except mo.MotionError:
+            refused.append(g.name)
+            continue
+        if mo.perms_preserve_incidence(pperm, lperm, plane)[0] and all(
+                pj.apply_matrix(field, lift, x) == points[pperm[i]]
+                for i, x in enumerate(points)):
+            lifts.append((pperm, lperm, lift))
+        else:
+            refused.append(g.name)
+    return lifts, refused
 
 
 def build_synthetic_variety(field, n, points, xis):
@@ -128,7 +216,9 @@ def build_synthetic_variety(field, n, points, xis):
     tubes = [extract_tube(field, xi, point_set, point_index, i)
              for i, xi in enumerate(xis)]
     return Variety(field, n, list(points), point_index, point_set, tubes,
-                   _tubes_through(len(points), tubes))
+                   _tubes_through(len(points), tubes),
+                   stats={"points": len(points), "tubes": len(tubes),
+                          "tubes_extracted": len(tubes)})
 
 
 def _tubes_through(npoints, tubes):
@@ -142,8 +232,10 @@ def _tubes_through(npoints, tubes):
 def extract_tube(field, xi, point_set, point_index, index=0):
     """Reconstruct the cone on X(xi) = X intersect xi by quadric fitting.
 
-    Accepts exactly the forms through X(xi) whose zero set inside xi is
-    X(xi) plus the form's own vertex, the vertex missing X.  No form is
+    `build_variety` calls this once per line orbit of its certified
+    generators; synthetic varieties call it for every tube.  Accepts
+    exactly the forms through X(xi) whose zero set inside xi is X(xi)
+    plus the form's own vertex, the vertex missing X.  No form is
     evaluated on xi (`pj.cone_forms`): a form through X(xi) vanishes on
     X(xi) and on its vertex, so its zero set is their union exactly when
     the vertex misses X(xi) and its class (vertex, nondegenerate
@@ -155,8 +247,8 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     pencil order, of the zero set that sorts first."""
     k = xi.vdim
     # xi.rows is in RREF, so c . rows is normalized and has coordinates c
-    intr = {pj.vec_mat(field, c, xi.rows): c
-            for c in pj.pg_parameters(field, k)}
+    intr = dict(zip(pj.span_points(field, xi.rows),
+                    pj.pg_parameters(field, k)))
     xi_pts = frozenset(intr)
     x_pts = sorted(xi_pts & point_set)
     if not x_pts:
@@ -183,19 +275,53 @@ def extract_tube(field, xi, point_set, point_index, index=0):
                 d_base, base_witt, base_ovoid, generators)
 
 
+def transport_tube(field, tube, lift, pperm, points, point_set,
+                   point_index, index):
+    """The tube of gL from the tube of L, along a certified lift M_g of g
+    with point permutation pperm (see the module docstring): xi' =
+    xi . M_g, its points enumerated from xi' and X(xi') read off them;
+    the vertex is vertex . M_g; with D the xi'-intrinsic coordinates of
+    the images of xi's rows, a point of xi' with coordinates y is the
+    image of y D^-1, so the form is Q(y D^-1), normalized; the generators
+    are mapped by pperm; fit count, dimensions, base Witt index and ovoid
+    verdict are kept."""
+    images = [pj.vec_mat(field, r, lift) for r in tube.xi.rows]
+    xi = span(field, images, tube.xi.n)
+    # from a dict the set is sized once, to half the table that growing
+    # it from a list leaves (as in extract_tube; 16 KB a tube in PG(14,3))
+    xi_pts = frozenset(dict.fromkeys(xi.points()))
+    x_pts = xi_pts & point_set
+    back = pj.mat_inverse(field, [intrinsic_coords(xi, r) for r in images])
+    form = pj.form_on_basis(field, tube.form.evaluate, back)
+    form = pj.QuadraticForm(field, form.n,
+                            normalize_point(field, form.coeffs))
+    vertex = span(field, [pj.vec_mat(field, r, lift)
+                          for r in tube.vertex.rows], xi.n)
+    vertex_pts = frozenset(vertex.points())
+    move = {x: points[pperm[point_index[x]]] for x in tube.x_pts}
+    generators = tuple(sorted((frozenset(map(move.__getitem__, g))
+                               for g in tube.generators), key=min))
+    x_idx = tuple(sorted(point_index[p] for p in x_pts))
+    return Tube(index, xi, xi_pts, x_pts, x_idx, form, tube.fit_count,
+                vertex, vertex_pts, x_pts | vertex_pts, tube.v, tube.d_base,
+                tube.base_witt, tube.base_ovoid, generators)
+
+
 def _analyze_base(field, xi, vert_intr, x_pts, intr):
     """Ovoid test and generators of the accepted cone, from the X points
     projected from the vertex onto its coordinate complement inside xi.
     The form vanishes there exactly on the projected points, so the base
     Witt index is w of the form's class, not read again here; `is_ovoid`
-    tests the points by definition, independently of the class."""
+    tests the points by definition, independently of the class.  The
+    generators are ordered by their least point."""
     if vert_intr.rows:
         proj = Projection(vert_intr, pj.complement(vert_intr))
         base_map = {}
         for p in x_pts:
             base_map.setdefault(proj.apply(intr[p]), []).append(p)
         base_pts = sorted(base_map)
-        generators = tuple(frozenset(base_map[b]) for b in base_pts)
+        generators = tuple(sorted(map(frozenset, base_map.values()),
+                                  key=min))
     else:
         base_pts = [intr[p] for p in x_pts]
         generators = (frozenset(x_pts),)
@@ -679,7 +805,7 @@ def build_h2_counterexample(field):
     pg3 = pj.pg_points(field, 4)
     points = []
     for a in pg3:
-        head = _nu(field, a)
+        head = pj.monomials(field, a)     # the quadric Veronese map of PG(3)
         for w in _orthogonal_vectors(field, a):
             vec = head + w
             points.append(normalize_point(field, vec))
@@ -698,23 +824,10 @@ def build_h2_counterexample(field):
     return build_synthetic_variety(field, n, points, xis)
 
 
-def _nu(field, a):
-    """The quadric Veronese map of PG(3, K) into PG(9, K)."""
-    return tuple(field.mul(a[i], a[j]) for (i, j) in pj.monomial_order(4))
-
-
 def _orthogonal_vectors(field, a):
-    rows = [tuple(a)]
-    ker = pj.nullspace(field, rows, 4)
-    out = []
-    elems = list(field.elements())
-    for coeffs in itertools.product(elems, repeat=len(ker)):
-        w = [field.zero] * 4
-        for c, k in zip(coeffs, ker):
-            if c != field.zero:
-                w = [field.add(x, field.mul(c, y)) for x, y in zip(w, k)]
-        out.append(tuple(w))
-    return out
+    ker = pj.nullspace(field, [tuple(a)], 4)
+    return [pj.vec_mat(field, c, ker)
+            for c in itertools.product(field.elements(), repeat=len(ker))]
 
 
 def _tubes_over_line(field, a, b):
@@ -763,15 +876,9 @@ def _tubes_over_line(field, a, b):
     for w in reps:
         wa, wm, wb = w[:4], w[4:8], w[8:12]
         base = []
-        for (s, u) in pj.pg_points(field, 2):
-            p = tuple(field.add(field.mul(s, x), field.mul(u, y))
-                      for x, y in zip(a, b))
-            head = _nu(field, p)
-            s2, su, u2 = field.mul(s, s), field.mul(s, u), field.mul(u, u)
-            tail = tuple(
-                field.add(field.add(field.mul(s2, wa[i]),
-                                    field.mul(su, wm[i])),
-                          field.mul(u2, wb[i])) for i in range(4))
+        for su in pj.pg_points(field, 2):
+            head = pj.monomials(field, pj.vec_mat(field, su, (a, b)))
+            tail = pj.vec_mat(field, pj.monomials(field, su), (wa, wm, wb))
             base.append(normalize_point(field, head + tail))
         rows = [p for p in base]
         rows += [(field.zero,) * 10 + tuple(v) for v in vertex_rows]
@@ -852,9 +959,9 @@ def _frame_in(field, pts, n):
         basis = pj.extend_basis(field, [], pts[start:] + pts[:start], n)
         if len(basis) != n:
             return None
-        binv = pj.mat_inverse(field, [list(r) for r in zip(*basis)])
+        binv = pj.mat_inverse(field, basis)
         for p in pts:
-            coords = pj.mat_vec(field, binv, p)
+            coords = pj.vec_mat(field, p, binv)
             if all(c != field.zero for c in coords):
                 return basis, p, coords
     return None
@@ -905,8 +1012,8 @@ def projective_equivalence(field, pts1, blocks1, pts2, blocks2):
                 field, [list(r) for r in basis]), dst_basis)
         else:
             dst_unit = pts2[iso[uidx]]
-            binv = pj.mat_inverse(field, [list(r) for r in zip(*dst_basis)])
-            dst_coords = pj.mat_vec(field, binv, dst_unit)
+            dst_coords = pj.vec_mat(field, dst_unit,
+                                    pj.mat_inverse(field, dst_basis))
             if any(c == field.zero for c in dst_coords):
                 continue
             t = projectivity_from_frames(field, (basis, unit, coords),

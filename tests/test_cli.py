@@ -74,6 +74,35 @@ def test_byte_identical_reports():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_verify_all_reports_stage_timings_and_stats():
+    runs = [run_cli(["verify-all", "--algebra", "CD(F2,0)", "--seed",
+                     str(seed)])[0] for seed in (0, 7)]
+    assert runs[0]["stats"] == runs[1]["stats"] == {
+        "points": 28, "tubes": 28, "tubes_extracted": 1,
+        "tubes_transported": 27, "generators_certified": 5,
+        "generators_refused": []}
+    stages = {"total_s", "variety_build_s", "variety_build.plane_build_s",
+              "variety_build.lift_certificates_s", "variety_build.tubes_s",
+              "plane.hjelmslev_s", "plane.epimorphism_s",
+              "motions.triality_s", "motions.elations_s",
+              "motions.equivariance_s"} | {
+        "veronese.%s_s" % n for n in ("H1", "H2star", "V", "tubes", "cor",
+                                      "chi")}
+    for report in runs:
+        assert set(report["timings"]) == stages
+        assert all(isinstance(t, float) and t >= 0
+                   for t in report["timings"].values())
+
+
+def test_veronese_stages_follow_the_checks():
+    report, status, _ = run_cli(["veronese", "--algebra", "CD(F3,0)",
+                                 "--check", "H1,H3:4,V"])
+    assert status == 0
+    assert {k for k in report["timings"] if k.startswith("veronese.")} == {
+        "veronese.H1_s", "veronese.H3:4_s", "veronese.V_s"}
+    assert report["stats"]["tubes_extracted"] == 1
+
+
 def test_scroll_subcommand():
     report, status, _ = run_cli(["scroll", "--field", "F3", "--d", "1"])
     assert status == 0
@@ -151,7 +180,7 @@ def test_error_types_share_one_base():
 
 @pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda e: e.__name__)
 def test_every_error_type_exits_2_with_one_line(err, monkeypatch, capsys):
-    def fail(config):
+    def fail(config, stages):
         raise err("refused")
     monkeypatch.setitem(cli.COMMANDS, "algebra", fail)
     rc = cli.main(["algebra", "--algebra", "F5"])

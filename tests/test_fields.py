@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -127,3 +128,50 @@ def test_height_bound_guard():
     Q = RationalField(height_bound=10)
     with pytest.raises(FieldError):
         Q.mul(Fraction(9), Fraction(9))
+
+
+def _scalar_rows(F, c, u, v):
+    """The row operations entry by entry, from the scalar operations."""
+    return (tuple(F.mul(c, a) for a in u),
+            tuple(F.add(a, b) for a, b in zip(u, v)),
+            tuple(F.sub(a, F.mul(c, b)) for a, b in zip(u, v)),
+            functools.reduce(F.add, (F.mul(a, b) for a, b in zip(u, v)),
+                             F.zero))
+
+
+@pytest.mark.parametrize("q", ORDERS + [16, 25])
+def test_row_operations_match_scalar_operations(q):
+    F = GF(q)
+    rng = random.Random(q)
+    for n in (0, 1, 2, 7):
+        for _ in range(30):
+            u, v = ([rng.randrange(q) for _ in range(n)] for _ in "uv")
+            c = rng.randrange(q)
+            assert (F.row_scale(c, u), F.row_add(u, v),
+                    F.row_sub_scaled(u, c, v),
+                    F.row_dot(u, v)) == _scalar_rows(F, c, u, v)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_characteristic_2_addition_is_xor_of_indices(q):
+    F = GF(q)
+    assert all(F.add(a, b) == a ^ b
+               for a, b in itertools.product(F.elements(), repeat=2))
+
+
+def test_rational_row_operations_match_and_keep_the_height_guard():
+    from ringgeom.fields import RationalField
+    Q = QQ()
+    u = [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]
+    v = [Fraction(2), Fraction(1, 3), Fraction(4), Fraction(-1)]
+    c = Fraction(-2, 5)
+    assert (Q.row_scale(c, u), Q.row_add(u, v), Q.row_sub_scaled(u, c, v),
+            Q.row_dot(u, v)) == _scalar_rows(Q, c, u, v)
+    small = RationalField(height_bound=10)
+    nine = (Fraction(9),)
+    for op in (lambda: small.row_scale(Fraction(9), nine),
+               lambda: small.row_add(nine, nine),
+               lambda: small.row_sub_scaled(nine, Fraction(-9), nine),
+               lambda: small.row_dot(nine, nine)):
+        with pytest.raises(FieldError):
+            op()

@@ -409,3 +409,21 @@ def test_zero_counts_of_the_nondegenerate_classes(q):
     assert pj.zero_count(q, 0, 4, 1) == q * q + 1
     assert pj.zero_count(q, 0, 6, 2) == (q ** 3 + 1) * (q + 1)
     assert pj.zero_count(q, 2, 3, 1) == q * q * (q + 1) + q + 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_span_points_match_coefficient_enumeration(q):
+    # the points of a span in pg_parameters order of their coordinates,
+    # each normalized, against one vec_mat per coefficient tuple
+    F = GF(q)
+    rng = random.Random(q)
+    for k, n in ((1, 3), (2, 4), (3, 6), (4, 5)):
+        rows = pj.span(F, [tuple(rng.randrange(q) for _ in range(n))
+                           for _ in range(k)], n).rows
+        ref = [pj.vec_mat(F, c, rows)
+               for c in pj.pg_parameters(F, len(rows))]
+        pts = pj.span_points(F, rows)
+        assert pts == ref
+        assert len(set(pts)) == (q ** len(rows) - 1) // (q - 1)
+        assert all(pj.normalize_point(F, p) == p for p in pts)
+    assert pj.span_points(F, ()) == []
