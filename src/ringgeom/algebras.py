@@ -11,6 +11,7 @@ fields, Fractions over Q).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -118,6 +119,15 @@ class Algebra:
         return self.field.q ** self.dim
 
     # structural parts for CD(B, zeta) tables
+    @functools.cached_property
+    def radical_t(self):
+        """True for the CD(B, 0) shape (t = e_base_dim with t^2 = 0);
+        False for division algebras, where tB = {0}."""
+        if self.base_dim >= self.dim:
+            return False
+        t = self.basis(self.base_dim)
+        return self.mul(t, t) == self.zero()
+
     def b_part(self, a):
         return a[: self.base_dim]
 

@@ -332,9 +332,8 @@ def veronese_checks(V, wanted, stages=None):
         elif name == "vertexlocal":
             if data is None:
                 _, data = vr.project_from_y(V)
-            verts = {t.vertex.rows: t.vertex for t in V.tubes}
             # reports the first failing vertex, or the last one
-            for v in verts.values():
+            for v in V.vertices():
                 rep = vr.local_structure_at_vertex(V, v, data)
                 ok = (rep["dual_affine"] and rep["spread_regular"]
                       and rep["scroll_quadrics_match"]
@@ -362,6 +361,12 @@ def motion_checks(V, wanted, stages=None):
     """Triality, elation and lift checks for every algebra, complete from
     the F_p-basis G = {w^j e_i} of A over F_{p^k}, w^j = p^j in F.
 
+    Tau and the elations at G are read from the certificate that
+    `build_variety` transported its tubes along
+    (`mo.generator_certificate`), so the report is that certificate; a
+    generator that is not a plane bijection raises its MotionError when
+    a check reaches it.
+
     Maps with rho(g p) = rho(p) M_g (row vectors) compose: rho(g h p) =
     rho(p) M_h M_g, and g h keeps incidence and neighbourhood if g and h
     do.  Let P(a) be an elation's point and line permutations and L(a)
@@ -376,15 +381,25 @@ def motion_checks(V, wanted, stages=None):
     A, plane, F = V.algebra, V.plane, V.field
     elems = A.elements()
     checks, perms = [], {}
-    gens = [(k, A.scale(F.p ** j, A.basis(i))) for k in ("phi23", "phi13")
-            for i in range(A.dim) for j in range(F.k)]
+    cert = {g.key: g for g in V.certificate}
+    gens = [g.key for g in V.certificate[1:]]
     sums = [(k, e, b, A.add(e, b)) for k, e in gens for b in elems]
 
+    def generator(kind, param=None):
+        """The certificate of tau or a generator elation."""
+        g = cert[kind, param]
+        if g.error:
+            raise g.error
+        return g
+
     def perms_of(kind, param=None):
-        """Point and line permutations of tau or an elation, made once."""
+        """Point and line permutations of tau or an elation: a
+        generator's from the certificate, any other made once."""
+        if (kind, param) in cert:
+            return generator(kind, param).perms
         if (kind, param) not in perms:
-            g = mo.triality(A) if kind == "tau" else mo.elation(A, kind, param)
-            perms[kind, param] = mo.materialize(g, plane)
+            perms[kind, param] = mo.materialize(mo.elation(A, kind, param),
+                                                plane)
         return perms[kind, param]
 
     def verdict(name, *tests):
@@ -399,32 +414,30 @@ def motion_checks(V, wanted, stages=None):
         mo.perm_mul, perms_of(k, e), perms_of(k, b))) == perms_of(k, total))
     if "triality" in wanted:
         with stages.stage("motions.triality"):
-            pp, lp = perms_of("tau")
+            tau = generator("tau")
+            pp = tau.perms[0]
             ident = tuple(range(len(plane.points)))
             ok3 = mo.perm_mul(pp, mo.perm_mul(pp, pp)) == ident
-            oki, _ = mo.perms_preserve_incidence(pp, lp, plane)
             checks.append(check("triality.order3", ok3, True, ok3))
-            checks.append(check("triality.incidence", oki, True, oki))
+            checks.append(check("triality.incidence", tau.incidence, True,
+                                tau.incidence))
     if "elations" in wanted:
         with stages.stage("motions.elations"):
             verdict("elations.incidence", (gens, lambda k, e: (
-                mo.perms_preserve_incidence(*perms_of(k, e), plane)[0])))
+                generator(k, e).incidence)))
             verdict("elations.neighbouring", (gens, lambda k, e: (
                 mo.perm_preserves_neighbouring(perms_of(k, e)[0], plane)[0])))
             verdict("elations.additive", additive)
     if "equivariance" in wanted:
         with stages.stage("motions.equivariance"):
-            tau = mo.triality(A)
-            okt, _ = mo.verify_equivariance(mo.linear_lift(A, "tau"), tau, V)
+            okt = generator("tau").equivariant
             checks.append(check("lift.tau", okt, True, okt))
-            lift = ({("phi13", a): mo.linear_lift(A, "phi", X=a)
-                     for a in elems}
-                    | {("phi23", a): mo.linear_lift(A, "phi", Y=a)
-                       for a in elems})
+            lift = {(k, a): cert[k, a].lift if (k, a) in cert
+                    else mo.motion_lift(A, k, a)
+                    for k in ("phi13", "phi23") for a in elems}
             unit = pj.unit_vectors(F, 3 * A.dim + 3)
             verdict("lift.phi_equivariant", additive,
-                    (gens, lambda k, e: mo.verify_equivariance(
-                        lift[k, e], mo.elation(A, k, e), V)[0]),
+                    (gens, lambda k, e: generator(k, e).equivariant),
                     (sums, lambda k, e, b, total: pj.mat_mul(
                         F, lift[k, b], lift[k, e]) == lift[k, total]),
                     ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
@@ -435,7 +448,7 @@ def motion_checks(V, wanted, stages=None):
         with stages.stage("motions.transitivity"):
             # an orbit under tau and the generator elations lies in one under
             # all elations, so a full orbit is full there too
-            group = [perms_of("tau")[0]] + [perms_of(k, e)[0] for k, e in gens]
+            group = [perms_of(*g.key)[0] for g in V.certificate]
             keys = plane.point_keys
             pairs = ([], [])                    # neighbouring, far
             for i, j in itertools.combinations(range(len(keys)), 2):

@@ -32,16 +32,7 @@ T_PAIRS = ("168", "249", "357")
 
 
 def bits_rank(vectors):
-    rank = 0
-    rows = []
-    for v in vectors:
-        for r in rows:
-            v = min(v, v ^ r)
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(echelon(vectors))
 
 
 def echelon(vectors):
@@ -50,9 +41,7 @@ def echelon(vectors):
     then cleared from them, so the rows stay reduced."""
     rows = []
     for v in vectors:
-        for r in rows:
-            if v ^ r < v:
-                v ^= r
+        v = reduce_vec(v, rows)
         if v:
             top = 1 << (v.bit_length() - 1)
             rows = [r ^ v if r & top else r for r in rows]
@@ -621,7 +610,7 @@ def stabilizer_report(m10, cen):
     while adm:
         o = orbit(min(adm), mats, _apply_linear)
         adm_orbits.append(o)
-        adm -= o
+        adm -= o.keys()
     pt_orbit = point_orbit(gens, 0)
     return {"order": len(reached) * len(fixers),
             "pair_orbit": len(reached), "pair_fixer": len(fixers),

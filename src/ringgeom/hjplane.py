@@ -75,7 +75,6 @@ class IncidenceStructure:
     points: list
     lines: list
     points_on: list      # per line index: list of point indices
-    lines_through: list  # per point index
     point_index: dict
     line_index: dict
     point_keys: list     # per point index: its neighbour key, tilde_triple
@@ -147,12 +146,8 @@ def build_plane(A):
 
     points_on = [line_point_list(A, B, is_cd, l, point_index)
                  for l in lines]
-    lines_through = [[] for _ in points]
-    for li, pts in enumerate(points_on):
-        for pi in pts:
-            lines_through[pi].append(li)
     return IncidenceStructure(A, B, is_cd, points, lines, points_on,
-                              lines_through, point_index, line_index,
+                              point_index, line_index,
                               [tilde_triple(A, B, p) for p in points])
 
 

@@ -3,7 +3,10 @@ map, their induced linear action on the ambient projective space of the
 Veronese variety, and orbits of permutation groups by closure.
 
 The conjugates of the elations under the triality map are obtained by
-map composition, never by re-derived formulas.
+map composition, never by re-derived formulas.  The generators are
+certified once (`generator_certificate`): the tube transport of
+`veronese.build_variety` uses that certificate, and the motion report of
+`cli.motion_checks` is that certificate.
 """
 
 from __future__ import annotations
@@ -22,52 +25,31 @@ class MotionError(RinggeomError):
 @dataclass
 class PlaneMap:
     name: str
-    algebra: object
-    point_map: object
-    line_map: object
-
-    def apply_point(self, p):
-        return self.point_map(p)
-
-    def apply_line(self, l):
-        return self.line_map(l)
+    apply_point: object       # plane point -> plane point
+    apply_line: object        # line -> line
 
 
 def compose(f, g):
     """f after g."""
-    return PlaneMap("%s*%s" % (f.name, g.name), f.algebra,
-                    lambda p: f.point_map(g.point_map(p)),
-                    lambda l: f.line_map(g.line_map(l)))
-
-
-def _has_radical_t(A):
-    """True for the CD(B, 0) shape (t^2 = 0); False for division algebras,
-    where tB = {0} and the t-corrections all vanish."""
-    cached = getattr(A, "_radical_t", None)
-    if cached is None:
-        if A.base_dim >= A.dim:
-            cached = False
-        else:
-            t = A.basis(A.base_dim)
-            cached = A.mul(t, t) == A.zero()
-        object.__setattr__(A, "_radical_t", cached)
-    return cached
+    return PlaneMap("%s*%s" % (f.name, g.name),
+                    lambda p: f.apply_point(g.apply_point(p)),
+                    lambda l: f.apply_line(g.apply_line(l)))
 
 
 def _is_t_multiple(A, a):
-    if _has_radical_t(A):
+    if A.radical_t:
         return all(c == A.field.zero for c in A.b_part(a))
     return a == A.zero()
 
 
 def _t_mul(A, a):
     """t * a (kills the t-part of a)."""
-    return A.t_times(A.b_part(a)) if _has_radical_t(A) else A.zero()
+    return A.t_times(A.b_part(a)) if A.radical_t else A.zero()
 
 
 def _t_slot(A, a):
     """b as an element of A, for a template slot holding a = t*b."""
-    if not _has_radical_t(A):
+    if not A.radical_t:
         return A.zero()
     return A.embed_b(A.t_part(a))
 
@@ -98,7 +80,7 @@ def elation(A, kind, param):
                 corr = _t_mul(A, A.mul(Y, _t_slot(A, b)))
                 return ("L", 1, a, b, A.sub(c, corr))
             return l
-        return PlaneMap("phi23(%s)" % A.label(Y), A, pmap, lmap)
+        return PlaneMap("phi23(%s)" % A.label(Y), pmap, lmap)
     if kind == "phi13":
         X = param
         Xc = A.conj(X)
@@ -120,7 +102,7 @@ def elation(A, kind, param):
             if tag == 1:
                 return ("L", 1, a, b, A.sub(c, X))
             return l
-        return PlaneMap("phi13(%s)" % A.label(X), A, pmap, lmap)
+        return PlaneMap("phi13(%s)" % A.label(X), pmap, lmap)
     raise MotionError("unknown elation kind %r" % kind)
 
 
@@ -156,7 +138,7 @@ def triality(A):
         if tag == 1:
             return ("L", 0, c, one, b)
         return ("L", 1, one, a, b)
-    return PlaneMap("tau", A, pmap, lmap)
+    return PlaneMap("tau", pmap, lmap)
 
 
 def materialize(plane_map, plane):
@@ -243,28 +225,74 @@ def linear_lift(A, kind, X=None, Y=None):
     return [tuple(image(e)) for e in pj.unit_vectors(field, n)]
 
 
-def verify_equivariance(lift_matrix, plane_map, variety):
+def motion_lift(A, kind, param=None):
+    """The lift of tau or of the elation phi13(param) or phi23(param)."""
+    if kind == "tau":
+        return linear_lift(A, "tau")
+    if kind == "phi13":
+        return linear_lift(A, "phi", X=param)
+    return linear_lift(A, "phi", Y=param)
+
+
+def verify_equivariance(field, lift_matrix, image, rho):
     """rho(g p) = lift . rho(p) as projective points for all plane points
-    p, and lift . X = X, applying the lift once per point.  Returns
-    (ok, p): p is the first point where equivariance fails, else one whose
-    image rho(p) the lift misses."""
-    field = variety.field
+    p, and lift . X = X, applying the lift once per point; image(p) is
+    g p, and rho maps each plane point to its point of X.  Returns
+    (ok, p): p is the first point where equivariance fails, else the
+    point of least image rho(p) that the lift misses, else None."""
     images = set()
-    for p, img in variety.rho.items():
+    for p, img in rho.items():
         rhs = pj.apply_matrix(field, lift_matrix, img)
-        if variety.rho[plane_map.apply_point(p)] != rhs:
+        if rho[image(p)] != rhs:
             return False, p
         images.add(rhs)
-    missed = variety.point_set - images
-    if missed:
-        return False, variety.inverse_rho[min(missed)]
-    return True, None
+    missed = [p for p, img in rho.items() if img not in images]
+    return not missed, min(missed, key=rho.get, default=None)
 
 
-def lift_stabilizes_points(lift_matrix, field, points):
-    """Whether a set of points (X or the vertex space Y) is preserved."""
-    pts = set(points)
-    return {pj.apply_matrix(field, lift_matrix, p) for p in pts} == pts
+@dataclass
+class Generator:
+    """A generator g with its certificate: its point and line permutations
+    (None if g is not a plane bijection, with the MotionError that says
+    so), its lift M_g, and whether g keeps incidence and equivariance."""
+    key: tuple                # ("tau", None) or (elation kind, parameter)
+    name: str
+    lift: list
+    perms: tuple = None
+    error: MotionError = None
+    incidence: bool = False
+    equivariant: bool = False
+
+    @property
+    def certified(self):
+        return self.incidence and self.equivariant
+
+
+def generator_certificate(A, plane, rho):
+    """tau, then phi23(e), then phi13(e) for e in the F_p-basis {p^j e_i}
+    of A, each with its certificate (`Generator`); rho maps each plane
+    point to its point of X.  A map that is not a plane bijection keeps
+    its MotionError and no verdicts."""
+    field = A.field
+    basis = [A.scale(field.p ** j, A.basis(i))
+             for i in range(A.dim) for j in range(field.k)]
+    out = []
+    for kind, e in [("tau", None)] + [(k, e) for k in ("phi23", "phi13")
+                                      for e in basis]:
+        g = triality(A) if kind == "tau" else elation(A, kind, e)
+        gen = Generator((kind, e), g.name, motion_lift(A, kind, e))
+        try:
+            gen.perms = materialize(g, plane)
+        except MotionError as err:
+            gen.error = err
+        else:
+            pperm, lperm = gen.perms
+            gen.incidence = perms_preserve_incidence(pperm, lperm, plane)[0]
+            gen.equivariant = verify_equivariance(
+                field, gen.lift,
+                lambda p: plane.points[pperm[plane.point_index[p]]], rho)[0]
+        out.append(gen)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -277,19 +305,21 @@ def perm_mul(p, q):
 
 def orbit(start, gens, act):
     """Orbit of `start` under the generators, by breadth-first closure;
-    act(x, g) is the image of x under g."""
-    seen = {start}
+    act(x, g) is the image of x under g.  Returns a dict, in breadth-first
+    insertion order, from each element reached to the (element,
+    generator) it was first reached from, None for `start`."""
+    reached = {start: None}
     frontier = [start]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 y = act(x, g)
-                if y not in seen:
-                    seen.add(y)
+                if y not in reached:
+                    reached[y] = x, g
                     new.append(y)
         frontier = new
-    return seen
+    return reached
 
 
 def point_orbit(generators, start):

@@ -177,7 +177,6 @@ class Scroll:
     transversals: tuple         # Subspaces <p, phi(p)>
     point_sets: tuple           # per transversal: frozenset of its points
     spread_side: Subspace       # span of all members
-    all_points: frozenset
 
     def transversal_index_of(self, p):
         for i, ps in enumerate(self.point_sets):
@@ -191,19 +190,15 @@ def build_scroll(field, quadric_pts, members):
     n = len(quadric_pts[0])
     transversals = []
     point_sets = []
-    allpts = set()
     for p, m in zip(quadric_pts, members):
         t = span(field, [p] + list(m.rows), n)
         if t.vdim != m.vdim + 1:
             raise GeometryError("quadric point lies on its spread member")
         transversals.append(t)
-        pts = frozenset(t.points())
-        point_sets.append(pts)
-        allpts |= pts
+        point_sets.append(frozenset(t.points()))
     spread_side = span(field, [r for m in members for r in m.rows], n)
     return Scroll(field, n, tuple(quadric_pts), tuple(members),
-                  tuple(transversals), tuple(point_sets), spread_side,
-                  frozenset(allpts))
+                  tuple(transversals), tuple(point_sets), spread_side)
 
 
 def canonical_cubic_scroll(field):

@@ -13,14 +13,15 @@ nondegenerate dimension, Witt index) and the zero count that follows
 from it, not by evaluating it on xi.  Transport (`transport_tube`)
 carries a tube along a lift: a collineation g of the plane with a linear
 map M_g such that rho(g p) = rho(p) M_g at every plane point, which
-`build_variety` checks point by point before it uses the lift.  Such an
-M_g is a linear collineation that maps X onto X and xi(L) = <rho(L)>
-onto xi(gL), so it carries X(xi(L)) onto X(xi(gL)) and with it the
-pencil of quadrics through X(xi): each form's class, vertex and zero
-set.  The cone fitted on xi(L), composed with M_g^-1, is the cone that
-fitting would accept on xi(gL), with the same fit count, base Witt index
-and ovoid verdict.  Every transported tube's X(xi) is still recomputed by
-membership and compared with the line image.
+`mo.generator_certificate` checks point by point before `build_variety`
+uses the lift; the motion report of `cli.motion_checks` is that
+certificate.  Such an M_g is a linear collineation that maps X onto X
+and xi(L) = <rho(L)> onto xi(gL), so it carries X(xi(L)) onto X(xi(gL))
+and with it the pencil of quadrics through X(xi): each form's class,
+vertex and zero set.  The cone fitted on xi(L), composed with M_g^-1, is
+the cone that fitting would accept on xi(gL), with the same fit count,
+base Witt index and ovoid verdict.  Every transported tube's X(xi) is
+still recomputed by membership and compared with the line image.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Variety:
     algebra: object = None
     plane: object = None
     rho: dict = None          # plane point -> variety point
-    inverse_rho: dict = None
+    certificate: list = None  # mo.Generator per generator of the motions
     stats: dict = dc_field(default_factory=dict)    # deterministic sizes
     timings: dict = dc_field(default_factory=dict)  # seconds per stage
 
@@ -80,6 +81,10 @@ class Variety:
 
     def blocks(self):
         return [t.x_idx for t in self.tubes]
+
+    def vertices(self):
+        """The distinct tube vertices, in tube order."""
+        return list(dict.fromkeys(t.vertex for t in self.tubes))
 
 
 def veronese_point(A, plane_point):
@@ -105,12 +110,13 @@ def veronese_point(A, plane_point):
 def build_variety(A):
     """X = rho(P) and the tube of every line of G(2, A).
 
-    The lifts of the generators are certified first (`certified_lifts`).
-    Then the lines are visited breadth-first: a line with no tube yet is
-    extracted directly, and every certified g carries the tube of L to
-    the tube of gL (`transport_tube`), so there is one extraction per
-    orbit of the certified generators on the lines.  Every tube, however
-    it was built, must carry exactly the line image in X."""
+    The generators are certified first (`mo.generator_certificate`), and
+    the certificate is kept on the variety for `cli.motion_checks` to
+    report.  Then each line orbit of the certified generators is walked
+    as `mo.orbit` records it: the tube at its root is extracted, and each
+    edge from L by g carries the tube of L to the tube of gL
+    (`transport_tube`), so there is one extraction per line orbit.  Every
+    tube, however it was built, must carry exactly the line image in X."""
     clock = time.perf_counter
     t0 = clock()
     plane = build_plane(A)
@@ -131,83 +137,45 @@ def build_variety(A):
     if len(ambient_rank) != n:
         raise GeometryError("X does not span the ambient space")
     point_set = frozenset(points)
-    lifts, refused = certified_lifts(A, plane, points)
+    certificate = mo.generator_certificate(A, plane, rho)
+    moves = [g for g in certificate if g.certified]
     t2 = clock()
 
     def line_image(li):
         return [points[pi] for pi in plane.points_on[li]]
-
-    def checked(tube):
-        if tube.x_pts != frozenset(line_image(tube.index)):
-            raise GeometryError("X meet xi is not the line image (line %d)"
-                                % tube.index)
-        return tube
 
     tubes = [None] * len(plane.lines)
     extracted = 0
     for start in range(len(plane.lines)):
         if tubes[start] is not None:
             continue
-        tubes[start] = checked(extract_tube(
-            field, span(field, line_image(start), n), point_set,
-            point_index, start))
-        extracted += 1
-        frontier = [start]
-        while frontier:
-            reached = []
-            for li in frontier:
-                for pperm, lperm, lift in lifts:
-                    lj = lperm[li]
-                    if tubes[lj] is None:
-                        tubes[lj] = checked(transport_tube(
-                            field, tubes[li], lift, pperm, points,
-                            point_set, point_index, lj))
-                        reached.append(lj)
-            frontier = reached
+        walk = mo.orbit(start, moves, lambda li, g: g.perms[1][li])
+        for li, edge in walk.items():
+            if edge is None:
+                tube = extract_tube(field, span(field, line_image(li), n),
+                                    point_set, point_index, li)
+                extracted += 1
+            else:
+                parent, g = edge
+                tube = transport_tube(field, tubes[parent], g.lift,
+                                      g.perms[0], points, point_set,
+                                      point_index, li)
+            if tube.x_pts != frozenset(line_image(li)):
+                raise GeometryError("X meet xi is not the line image "
+                                    "(line %d)" % li)
+            tubes[li] = tube
     tubes_through = _tubes_through(len(points), tubes)
-    inverse_rho = {img: p for p, img in rho.items()}
     stats = {"points": len(points), "tubes": len(tubes),
              "tubes_extracted": extracted,
              "tubes_transported": len(tubes) - extracted,
-             "generators_certified": len(lifts),
-             "generators_refused": refused}
+             "generators_certified": len(moves),
+             "generators_refused": [g.name for g in certificate
+                                    if not g.certified]}
     timings = {"plane_build": t1 - t0, "lift_certificates": t2 - t1,
                "tubes": clock() - t2}
     return Variety(field, n, points, point_index, point_set, tubes,
                    tubes_through, algebra=A, plane=plane, rho=rho,
-                   inverse_rho=inverse_rho, stats=stats, timings=timings)
-
-
-def certified_lifts(A, plane, points):
-    """The generators of `cli.motion_checks`: triality and the elations
-    phi13(e), phi23(e) for e in the F_p-basis {p^j e_i} of A.  Returns
-    (lifts, refused): a (point permutation, line permutation, M_g) triple
-    for each generator g that keeps incidence and has rho(g p) =
-    rho(p) M_g at every plane point p (points[i] = rho of plane point i),
-    and the names of the others, in generator order."""
-    field = A.field
-    gens = [(mo.triality(A), mo.linear_lift(A, "tau"))]
-    for i in range(A.dim):
-        for j in range(field.k):
-            e = A.scale(field.p ** j, A.basis(i))
-            gens.append((mo.elation(A, "phi13", e),
-                         mo.linear_lift(A, "phi", X=e)))
-            gens.append((mo.elation(A, "phi23", e),
-                         mo.linear_lift(A, "phi", Y=e)))
-    lifts, refused = [], []
-    for g, lift in gens:
-        try:
-            pperm, lperm = mo.materialize(g, plane)
-        except mo.MotionError:
-            refused.append(g.name)
-            continue
-        if mo.perms_preserve_incidence(pperm, lperm, plane)[0] and all(
-                pj.apply_matrix(field, lift, x) == points[pperm[i]]
-                for i, x in enumerate(points)):
-            lifts.append((pperm, lperm, lift))
-        else:
-            refused.append(g.name)
-    return lifts, refused
+                   certificate=certificate, stats=stats, timings=timings)
 
 
 def build_synthetic_variety(field, n, points, xis):
@@ -462,10 +430,7 @@ def check_h3(variety, bound):
 
 def check_property_v(variety):
     """Two vertices either coincide or are disjoint, and both cases occur."""
-    seen = {}
-    for t in variety.tubes:
-        seen.setdefault(t.vertex.rows, t.vertex)
-    verts = list(seen.values())
+    verts = variety.vertices()
     same_exists = len(verts) < len(variety.tubes)
     distinct_exists = len(verts) > 1
     bad = []
@@ -515,10 +480,7 @@ def check_tubes(variety, d_base=None, v=None):
 
 def vertex_space_y(variety):
     field = variety.field
-    vert_map = {}
-    for t in variety.tubes:
-        vert_map.setdefault(t.vertex.rows, t.vertex)
-    vertices = list(vert_map.values())
+    vertices = variety.vertices()
     rows = [r for v in vertices for r in v.rows]
     y = span(field, rows, variety.n)
     y_pts = set(y.points())
@@ -575,10 +537,9 @@ def project_from_y(variety, F=None):
         images[i] = img
         fibers.setdefault(img, []).append(i)
     xprime = sorted(fibers)
-    # well-definedness: same image iff neighbouring source points
-    plane = variety.plane
-    keys = [plane.point_keys[plane.point_index[variety.inverse_rho[x]]]
-            for x in variety.points]
+    # well-definedness: same image iff neighbouring source points; the
+    # points of X are listed in plane point order
+    keys = variety.plane.point_keys
     pair = partition_mismatch(keys, [images[i] for i in range(len(keys))])
     if pair is not None:
         if keys[pair[0]] == keys[pair[1]]:
@@ -760,8 +721,7 @@ def local_structure_at_vertex(variety, vertex, data):
     members = [chi_v[g] for g in c0.generators]
     ytilde = span(field, [p for p in (proj_v.apply(r) for r in data["y"].rows)
                           if p is not None], n)
-    spread = sc.Spread(field, n, tuple({m.rows: m for m in chi_v.values()}
-                                       .values()))
+    spread = sc.Spread(field, n, tuple(dict.fromkeys(chi_v.values())))
     report["spread_size"] = len(spread.members)
     report["spread_regular"] = sc.is_regular_spread(spread, within=ytilde)
     # chi_V preserves cross-ratio (projectivity), vacuous at q = 2 where
@@ -817,11 +777,8 @@ def build_h2_counterexample(field):
     xis = []
     for _, (a, b) in sorted(lines.items()):
         xis.extend(_tubes_over_line(field, a, b))
-    seen = {}
-    for xi in xis:
-        seen.setdefault(xi.rows, xi)
-    xis = list(seen.values())
-    return build_synthetic_variety(field, n, points, xis)
+    return build_synthetic_variety(field, n, points,
+                                   list(dict.fromkeys(xis)))
 
 
 def _orthogonal_vectors(field, a):

@@ -20,6 +20,8 @@ from ringgeom import motions as mo
 from ringgeom import f2geom as f2
 from ringgeom import scrolls as sc
 
+from motion_reference import lift_stabilizes_points
+
 
 def report(num, desc, ok, elapsed=None):
     stamp = "" if elapsed is None else " (%.1fs)" % elapsed
@@ -219,9 +221,10 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
             M = mo.linear_lift(A, "phi", X=X, Y=Y)
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
-            ok = ok and mo.verify_equivariance(M, g, variety_f2)[0]
-            ok = ok and mo.lift_stabilizes_points(M, variety_f2.field,
-                                                  variety_f2.points)
+            ok = ok and mo.verify_equivariance(
+                variety_f2.field, M, g.apply_point, variety_f2.rho)[0]
+            ok = ok and lift_stabilizes_points(M, variety_f2.field,
+                                               variety_f2.points)
     # CD(F3,0): sampled
     A3 = algebra_cd_f3
     rng = random.Random(0)
@@ -232,7 +235,8 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
         M = mo.linear_lift(A3, "phi", X=X, Y=Y)
         g = mo.compose(mo.elation(A3, "phi13", X),
                        mo.elation(A3, "phi23", Y))
-        ok = ok and mo.verify_equivariance(M, g, variety_f3)[0]
+        ok = ok and mo.verify_equivariance(variety_f3.field, M,
+                                           g.apply_point, variety_f3.rho)[0]
     report(8, "tau^3 = id, elation additivity, incidence/neighbouring "
            "preservation, rho-equivariant lifts (exhaustive at F2, 20 "
            "sampled pairs at F3)", ok, time.time() - t0)

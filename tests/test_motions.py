@@ -7,6 +7,8 @@ from ringgeom import hjplane as hp
 from ringgeom import motions as mo
 from ringgeom import veronese as vr
 
+from motion_reference import lift_stabilizes_points
+
 
 @pytest.fixture(scope="module")
 def plane_f2(algebra_cd_f2):
@@ -134,12 +136,13 @@ def test_equivariance_exhaustive_f2(algebra_cd_f2, variety_f2):
             M = mo.linear_lift(A, "phi", X=X, Y=Y)
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
-            ok, wit = mo.verify_equivariance(M, g, variety_f2)
+            ok, wit = mo.verify_equivariance(A.field, M, g.apply_point,
+                                             variety_f2.rho)
             assert ok, (X, Y, wit)
-            assert mo.lift_stabilizes_points(M, A.field, variety_f2.points)
-            assert mo.lift_stabilizes_points(M, A.field, ypts)
+            assert lift_stabilizes_points(M, A.field, variety_f2.points)
+            assert lift_stabilizes_points(M, A.field, ypts)
     tauM = mo.linear_lift(A, "tau")
-    assert mo.lift_stabilizes_points(tauM, A.field, ypts)
+    assert lift_stabilizes_points(tauM, A.field, ypts)
 
 
 def test_transitivity_on_pairs_f2(algebra_cd_f2, plane_f2):
@@ -230,10 +233,12 @@ def test_equivariance_rejects_one_wrong_row(row, algebra_cd_f2,
     X = Y = A.one()
     M = mo.linear_lift(A, "phi", X=X, Y=Y)
     g = mo.compose(mo.elation(A, "phi13", X), mo.elation(A, "phi23", Y))
-    assert mo.verify_equivariance(M, g, variety_f2) == (True, None)
+    assert mo.verify_equivariance(A.field, M, g.apply_point,
+                                  variety_f2.rho) == (True, None)
     bad = list(M)
     bad[row] = mo.pj.vec_add(A.field, M[row], M[(row + 1) % len(M)])
-    ok, p = mo.verify_equivariance(bad, g, variety_f2)
+    ok, p = mo.verify_equivariance(A.field, bad, g.apply_point,
+                                   variety_f2.rho)
     assert not ok
     assert (mo.pj.apply_matrix(A.field, bad, variety_f2.rho[p])
             != variety_f2.rho[g.apply_point(p)])
@@ -265,7 +270,8 @@ def _all_pairs_verdicts(V):
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
             M = mo.linear_lift(A, "phi", X=X, Y=Y)
-            lift = lift and mo.verify_equivariance(M, g, V)[0]
+            lift = lift and mo.verify_equivariance(V.field, M, g.apply_point,
+                                                   V.rho)[0]
     return dict(zip(PAIR_CHECKS, (inc, nb, add, lift)))
 
 
@@ -298,11 +304,14 @@ def _substitute_phi23(monkeypatch, at, by):
 
 
 def test_generator_checks_match_all_pairs_on_a_broken_family(
-        variety_f2, monkeypatch):
-    A = variety_f2.algebra
+        algebra_cd_f2, monkeypatch):
+    # the basis elation phi23(1) is replaced before the build, which
+    # certifies the generators the checks report
+    A = algebra_cd_f2
     _substitute_phi23(monkeypatch, A.one(), A.zero())
-    verdicts = _verdicts(variety_f2)
-    assert verdicts == _all_pairs_verdicts(variety_f2)
+    V = vr.build_variety(A)
+    verdicts = _verdicts(V)
+    assert verdicts == _all_pairs_verdicts(V)
     assert not verdicts["elations.additive"]
 
 

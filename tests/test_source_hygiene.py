@@ -31,8 +31,6 @@ TEST_ONLY = {
     "compose": "criterion 08: composed motions",
     # references the tests compare the code against
     "line_points": "the points of a line, against span and the tubes",
-    "lift_stabilizes_points": "lifted motions point by point, against "
-                              "the generator checks",
     # constructors for test inputs
     "quadratic_form": "quadratic forms from coefficient maps",
     "random_scalar": "random field elements for property tests",

@@ -3,15 +3,17 @@
 `build_variety` extracts one tube per line orbit of its certified
 generators and transports the rest.  The reference here extracts every
 tube of the same variety directly, and the two must agree field by
-field.  A wrong lift must be refused by the certificate, and a wrong
-lift that slips past the certificate must be caught by the per-tube
-recheck of X(xi)."""
+field.  A wrong lift must be refused by the certificate, which the
+motion checks then report as failed, and a wrong lift that slips past
+the certificate must be caught by the per-tube recheck of X(xi)."""
 
+import collections
 import dataclasses
 
 import pytest
 
 from ringgeom import algebras as alg
+from ringgeom import cli
 from ringgeom import motions as mo
 from ringgeom import projective as pj
 from ringgeom import veronese as vr
@@ -81,6 +83,10 @@ def _corrupt_lift(monkeypatch, field, kind, at, row):
     monkeypatch.setattr(mo, "linear_lift", lift)
 
 
+# lines extracted with tau refused: the line orbits of the elations
+ELATION_LINE_ORBITS = {"algebra_cd_f2": 10, "algebra_cd_f3": 21}
+
+
 @pytest.mark.parametrize("row", [0, 4, 8])
 @pytest.mark.parametrize("kind", ["tau", "phi"])
 @pytest.mark.parametrize("fixture", ["algebra_cd_f2", "algebra_cd_f3"])
@@ -93,7 +99,14 @@ def test_lift_with_one_wrong_row_is_refused(fixture, kind, row, request,
     name = "tau" if kind == "tau" else "phi13(%s)" % A.label(X)
     assert V.stats["generators_refused"] == [name]
     assert V.stats["generators_certified"] == 4
+    if kind == "tau":
+        assert V.stats["tubes_extracted"] == ELATION_LINE_ORBITS[fixture]
     assert _mismatches(V) == []
+    # the motion checks report the certificate the build refused it by
+    checks = cli.motion_checks(V, ("triality", "elations", "equivariance"))
+    failed = [(c.name, c.witnesses) for c in checks if c.status == "fail"]
+    assert failed == ([("lift.tau", [])] if kind == "tau" else
+                      [("lift.phi_equivariant", [("phi13", X)])])
 
 
 def test_recheck_catches_a_wrong_lift_the_certificate_missed(
@@ -102,13 +115,74 @@ def test_recheck_catches_a_wrong_lift_the_certificate_missed(
     # carries points of X off the line image
     A = algebra_cd_f3
     _corrupt_lift(monkeypatch, A.field, "tau", None, 0)
-    certified = vr.certified_lifts
+    certificate = mo.generator_certificate
 
-    def uncertified(A_, plane, points):
-        lifts, _ = certified(A_, plane, points)
-        pperm, lperm = mo.materialize(mo.triality(A_), plane)
-        return lifts + [(pperm, lperm, mo.linear_lift(A_, "tau"))], []
+    def uncertified(A_, plane, rho):
+        tau, *elations = certificate(A_, plane, rho)
+        assert not tau.certified
+        return [dataclasses.replace(tau, equivariant=True)] + elations
 
-    monkeypatch.setattr(vr, "certified_lifts", uncertified)
+    monkeypatch.setattr(mo, "generator_certificate", uncertified)
     with pytest.raises(GeometryError, match="not the line image"):
         vr.build_variety(A)
+
+
+def test_each_generator_is_materialized_and_lifted_once(monkeypatch):
+    # the motion checks read tau and the basis elations from the build's
+    # certificate; only the other elations are materialized again
+    calls = collections.Counter()
+    materialize, linear_lift = mo.materialize, mo.linear_lift
+
+    def counted_materialize(g, plane):
+        calls[g.name] += 1
+        return materialize(g, plane)
+
+    def counted_lift(A, kind, X=None, Y=None):
+        calls[kind, X, Y] += 1
+        return linear_lift(A, kind, X=X, Y=Y)
+
+    monkeypatch.setattr(mo, "materialize", counted_materialize)
+    monkeypatch.setattr(mo, "linear_lift", counted_lift)
+    cli.run_verify_all(cli.RunConfig("verify-all", algebra="CD(F4,0)"),
+                       cli.Stages())
+    A = alg.parse_algebra("CD(F4,0)")
+    F = A.field
+    basis = [A.scale(F.p ** j, A.basis(i)) for i in range(A.dim)
+             for j in range(F.k)]
+    names = ["tau"] + ["%s(%s)" % (k, A.label(e)) for k in ("phi23", "phi13")
+                       for e in basis]
+    lifts = ([("tau", None, None)] + [("phi", None, e) for e in basis]
+             + [("phi", e, None) for e in basis])
+    assert len(names) == len(set(names)) == 9
+    assert [calls[n] for n in names] == [1] * 9
+    assert [calls[k] for k in lifts] == [1] * 9
+    # 9 generators and the 2 * 12 other elations
+    assert sum(calls[g] for g in calls if isinstance(g, str)) == 33
+
+
+def test_a_generator_off_the_plane_is_refused_and_raised(
+        algebra_cd_f2, monkeypatch, capsys):
+    # phi23(1) sends every point off the plane: the build refuses it, and
+    # the motion checks raise its MotionError where they reach it
+    A = algebra_cd_f2
+    real = mo.elation
+
+    def elation(A_, kind, param):
+        g = real(A_, kind, param)
+        if kind == "phi23" and param == A.one():
+            return mo.PlaneMap(g.name, lambda p: ("P", 3) + p[2:],
+                               g.apply_line)
+        return g
+
+    monkeypatch.setattr(mo, "elation", elation)
+    V = vr.build_variety(A)
+    assert V.stats["generators_refused"] == ["phi23(%s)" % A.label(A.one())]
+    assert _mismatches(V) == []
+    assert [c.status for c in cli.motion_checks(V, ("triality",))] == [
+        "pass", "pass"]
+    with pytest.raises(mo.MotionError, match="is not a plane point"):
+        cli.motion_checks(V, ("elations",))
+    assert cli.main(["motions", "--algebra", "CD(F2,0)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ringgeom: MotionError: image ")
+    assert err.count("\n") == 1
