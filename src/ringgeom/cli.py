@@ -294,7 +294,8 @@ def veronese_checks(V, wanted, stages=None):
             checks.append(check(name, rep["ok"], "<=%d" % bound,
                                 rep["tangent_dims"]))
         elif name == "cor":
-            y, verts, yrep = vr.vertex_space_y(V)
+            prep, data = vr.project_from_y(V)
+            y, yrep = data["y"], data["y_report"]
             expect_dim = 3 * dims["v"] + 2
             checks.append(check("cor.dim_y", y.pdim == expect_dim,
                                 expect_dim, y.pdim))
@@ -302,7 +303,6 @@ def veronese_checks(V, wanted, stages=None):
                                 and yrep["regular_spread"]
                                 and yrep["covers"] and yrep["x_disjoint"],
                                 True, yrep))
-            prep, data = vr.project_from_y(V)
             section = {k: prep[k] for k in
                        ("mm1", "mm2star", "f_cap_x_equals_projection",
                         "xi_cap_f_matches")}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import RinggeomError
 from .fields import GF
+from . import hjplane as hp
 from . import veronese as vr
 from . import projective as pj
 from .motions import orbit, perm_mul, point_orbit
@@ -137,30 +138,20 @@ def _derive_m10(seed, dim):
 
 
 def _validate_m10(m10):
-    if len(set(m10.blocks)) != 21:
-        raise F2Error("expected 21 distinct blocks")
+    """21 blocks, each a frame of a 3-space (5 points of zero sum and rank
+    4), forming a projective plane of order 4 on the 21 points: the
+    projective case of `hjplane.check_hjelmslev`, where every point and
+    every block is its own neighbour class."""
     for b in m10.blocks:
         if len(b) != 5:
             raise F2Error("block is not a 5-set")
-        acc = 0
-        for v in b:
-            acc ^= v
-        if acc != 0 or bits_rank(list(b)) != 4:
+        if _xor_all(b) != 0 or bits_rank(list(b)) != 4:
             raise F2Error("block is not a frame of a 3-space")
-    join = {}
-    for bi, b in enumerate(m10.blocks):
-        for p, q in itertools.combinations(sorted(b), 2):
-            if (p, q) in join:
-                raise F2Error("two blocks share two points")
-            join[(p, q)] = bi
-    if len(join) != 210:
-        raise F2Error("not every point pair is joined")
-    per_point = {p: 0 for p in m10.points}
-    for b in m10.blocks:
-        for p in b:
-            per_point[p] += 1
-    if set(per_point.values()) != {5}:
-        raise F2Error("points do not lie on 5 blocks each")
+    index = {p: i for i, p in enumerate(m10.points)}
+    keys = range(21)
+    if not hp.check_hjelmslev(21, [[index[p] for p in b] for b in m10.blocks],
+                              keys, keys, 4)["ok"]:
+        raise F2Error("blocks do not form a projective plane of order 4")
 
 
 # --------------------------------------------------------------------------

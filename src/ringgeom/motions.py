@@ -234,20 +234,18 @@ def motion_lift(A, kind, param=None):
     return linear_lift(A, "phi", Y=param)
 
 
-def verify_equivariance(field, lift_matrix, image, rho):
-    """rho(g p) = lift . rho(p) as projective points for all plane points
-    p, and lift . X = X, applying the lift once per point; image(p) is
-    g p, and rho maps each plane point to its point of X.  Returns
-    (ok, p): p is the first point where equivariance fails, else the
-    point of least image rho(p) that the lift misses, else None."""
-    images = set()
-    for p, img in rho.items():
-        rhs = pj.apply_matrix(field, lift_matrix, img)
-        if rho[image(p)] != rhs:
-            return False, p
-        images.add(rhs)
-    missed = [p for p, img in rho.items() if img not in images]
-    return not missed, min(missed, key=rho.get, default=None)
+def verify_equivariance(field, lift_matrix, pperm, points):
+    """rho(g p_i) = rho(p_i) M_g as projective points for every plane
+    point p_i, applying the lift once per point; pperm is g's materialised
+    point permutation (g p_i = p_pperm[i]) and points[i] = rho(p_i), the
+    list X in plane point order.  M_g then maps X onto X: its image is
+    {points[pperm[i]]}, all of X since g is a bijection and rho is
+    injective.  Returns (ok, i): i is the first index where equivariance
+    fails, else None."""
+    for i, x in enumerate(points):
+        if pj.apply_matrix(field, lift_matrix, x) != points[pperm[i]]:
+            return False, i
+    return True, None
 
 
 @dataclass
@@ -268,11 +266,11 @@ class Generator:
         return self.incidence and self.equivariant
 
 
-def generator_certificate(A, plane, rho):
+def generator_certificate(A, plane, points):
     """tau, then phi23(e), then phi13(e) for e in the F_p-basis {p^j e_i}
-    of A, each with its certificate (`Generator`); rho maps each plane
-    point to its point of X.  A map that is not a plane bijection keeps
-    its MotionError and no verdicts."""
+    of A, each with its certificate (`Generator`); points is X in plane
+    point order.  A map that is not a plane bijection keeps its
+    MotionError and no verdicts."""
     field = A.field
     basis = [A.scale(field.p ** j, A.basis(i))
              for i in range(A.dim) for j in range(field.k)]
@@ -288,9 +286,8 @@ def generator_certificate(A, plane, rho):
         else:
             pperm, lperm = gen.perms
             gen.incidence = perms_preserve_incidence(pperm, lperm, plane)[0]
-            gen.equivariant = verify_equivariance(
-                field, gen.lift,
-                lambda p: plane.points[pperm[plane.point_index[p]]], rho)[0]
+            gen.equivariant = verify_equivariance(field, gen.lift, pperm,
+                                                  points)[0]
         out.append(gen)
     return out
 

@@ -37,7 +37,8 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, is_ovoid)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
-                      partition_mismatch, pair_violations)
+                      partition_mismatch, pair_violations,
+                      epimorphism_to_residue)
 
 
 @dataclass
@@ -63,14 +64,13 @@ class Tube:
 class Variety:
     field: object
     n: int                    # ambient vector dimension
-    points: list
+    points: list              # X; in plane point order when built
     point_index: dict
     point_set: frozenset
     tubes: list
     tubes_through: list
     algebra: object = None
     plane: object = None
-    rho: dict = None          # plane point -> variety point
     certificate: list = None  # mo.Generator per generator of the motions
     stats: dict = dc_field(default_factory=dict)    # deterministic sizes
     timings: dict = dc_field(default_factory=dict)  # seconds per stage
@@ -123,21 +123,15 @@ def build_variety(A):
     t1 = clock()
     field = A.field
     n = 3 * A.dim + 3
-    rho = {}
-    points = []
-    point_index = {}
-    for p in plane.points:
-        img = veronese_point(A, p)
-        rho[p] = img
-        if img in point_index:
-            raise GeometryError("Veronese map is not injective on points")
-        point_index[img] = len(points)
-        points.append(img)
+    points = [veronese_point(A, p) for p in plane.points]
+    point_index = {x: i for i, x in enumerate(points)}
+    if len(point_index) != len(points):
+        raise GeometryError("Veronese map is not injective on points")
     ambient_rank, _ = rref(field, points)
     if len(ambient_rank) != n:
         raise GeometryError("X does not span the ambient space")
     point_set = frozenset(points)
-    certificate = mo.generator_certificate(A, plane, rho)
+    certificate = mo.generator_certificate(A, plane, points)
     moves = [g for g in certificate if g.certified]
     t2 = clock()
 
@@ -174,7 +168,7 @@ def build_variety(A):
     timings = {"plane_build": t1 - t0, "lift_certificates": t2 - t1,
                "tubes": clock() - t2}
     return Variety(field, n, points, point_index, point_set, tubes,
-                   tubes_through, algebra=A, plane=plane, rho=rho,
+                   tubes_through, algebra=A, plane=plane,
                    certificate=certificate, stats=stats, timings=timings)
 
 
@@ -493,8 +487,8 @@ def vertex_space_y(variety):
         "covers": union == y_pts,
         "pairwise_disjoint": len(union) == sum(map(len, vert_pts)),
         "x_disjoint": not (y_pts & variety.point_set),
+        "regular_spread": sc.is_regular_spread(spread, within=y),
     }
-    report["regular_spread"] = sc.is_regular_spread(spread, within=y)
     return y, vertices, report
 
 
@@ -506,19 +500,15 @@ def rational_section(variety):
     A = variety.algebra
     plane = variety.plane
     field = variety.field
-    imgs = []
-    for p in plane.points:
-        _, tag, x, y, z = p
-        if (all(c == field.zero for c in A.t_part(x)) and
-                all(c == field.zero for c in A.t_part(y)) and
-                all(c == field.zero for c in A.t_part(z))):
-            imgs.append(variety.rho[p])
+    imgs = [img for p, img in zip(plane.points, variety.points)
+            if all(c == field.zero for u in p[2:] for c in A.t_part(u))]
     return span(field, imgs, variety.n), imgs
 
 
 def project_from_y(variety, F=None):
-    """Projection rho: X -> F from Y; returns (report, data) with the
-    projected structure, fibers, and the elliptic spaces by vertex."""
+    """Projection rho: X -> F from Y; returns (report, data) with Y and
+    its `vertex_space_y` report, the projected structure, fibers, and the
+    elliptic spaces by vertex."""
     field = variety.field
     y, vertices, yrep = vertex_space_y(variety)
     canonical = False
@@ -555,9 +545,9 @@ def project_from_y(variety, F=None):
     elliptics = {k: span(field, sorted(q), variety.n)
                  for k, q in quadrics.items()}
     data = {
-        "y": y, "F": F, "proj": proj, "images": images, "fibers": fibers,
-        "xprime": xprime, "quadrics": quadrics, "elliptics": elliptics,
-        "vertices": {v.rows: v for v in vertices},
+        "y": y, "y_report": yrep, "F": F, "proj": proj, "images": images,
+        "fibers": fibers, "xprime": xprime, "quadrics": quadrics,
+        "elliptics": elliptics, "vertices": {v.rows: v for v in vertices},
     }
     report = dict(yrep)
     report["fiber_sizes"] = sorted({len(f) for f in fibers.values()})
@@ -593,54 +583,67 @@ def _vertex_span(variety, i):
 def connection_chi(variety, data):
     """chi: rho(X) -> {Pi_x^Y}; verified to be an incidence-reversing
     bijection whose restrictions preserve cross-ratio, with X recovered
-    as the union of <x', chi(x')> minus chi(x')."""
+    as the union of <x', chi(x')> minus chi(x'), and with P*_Y (points
+    chi(x'), lines the vertices V, V on chi(x') iff V <= chi(x')) carried
+    onto the residue plane by the tilde map (`_tilde_on_pstar`)."""
     field = variety.field
-    fibers = data["fibers"]
     chi = {}
-    for img, fib in fibers.items():
+    for img, fib in data["fibers"].items():
         pis = {_vertex_span(variety, i).rows for i in fib}
         if len(pis) != 1:
             raise GeometryError("Pi_x^Y differs within a fiber")
         chi[img] = Subspace(field, variety.n, pis.pop())
-    report = {}
-    report["bijective"] = len({s.rows for s in chi.values()}) == len(chi)
+    report = {"bijective": len({s.rows for s in chi.values()}) == len(chi)}
     # incidence reversal: x' on the quadric of vertex V iff V <= chi(x')
-    ok = True
-    for key, qpts in data["quadrics"].items():
-        v = data["vertices"][key]
-        for img in chi:
-            if (img in qpts) != (v <= chi[img]):
-                ok = False
-    report["incidence_reversing"] = ok
+    under = {(key, img): v <= s for key, v in data["vertices"].items()
+             for img, s in chi.items()}
+    report["incidence_reversing"] = all(
+        (img in qpts) == under[key, img]
+        for key, qpts in data["quadrics"].items() for img in chi)
     # union property
     union = set()
-    affine_ok = True
     for img, piy in chi.items():
         u = span(field, [img] + list(piy.rows), variety.n)
-        aff = set(u.points()) - set(piy.points())
-        if not aff <= variety.point_set:
-            affine_ok = False
-        union |= aff
-    report["x_is_union"] = affine_ok and union == set(variety.point_set)
-    # abstract plane P*_Y against the residue plane
-    pstar_points = sorted({s.rows for s in chi.values()})
-    pstar_index = {r: i for i, r in enumerate(pstar_points)}
-    pstar_lines = []
-    for key, v in data["vertices"].items():
-        line = frozenset(pstar_index[s.rows] for s in chi.values()
-                         if v <= s)
-        pstar_lines.append(line)
-    residue = build_plane(variety.plane.base)
-    res_blocks = [frozenset(ps) for ps in residue.points_on]
-    iso = next(abstract_plane_isos(len(pstar_points),
-                                   [frozenset(l) for l in pstar_lines],
-                                   len(residue.points), res_blocks), None)
-    report["pstar_is_residue_plane"] = iso is not None
+        union |= set(u.points()) - set(piy.points())
+    report["x_is_union"] = union == variety.point_set
+    report["pstar_is_residue_plane"] = _tilde_on_pstar(variety, data, under)
     # cross-ratio preservation, conic by conic (vacuous at q = 2)
     report["cross_ratio"], report["cross_ratio_witness"] = \
         _chi_cross_ratio(variety, data, chi)
     report["hjelmslev"] = variety_hjelmslev(variety, data)
     return chi, report
+
+
+def _tilde_on_pstar(variety, data, under):
+    """Whether the tilde map (`hjplane.epimorphism_to_residue`) is an
+    isomorphism from P*_Y onto the residue plane G(2, B), with no search:
+    x' goes to the residue point of the plane points in its fibre, a
+    vertex V to the residue line of the lines of its tubes, both maps must
+    be well defined and bijective, and V <= chi(x') (`under`) must hold
+    exactly when the images are incident.  A bijection on points and on
+    lines that keeps incidence both ways is an isomorphism (chi is then
+    injective, as a residue line parts any two residue points), so True
+    means that P*_Y and G(2, B) are isomorphic."""
+    plane = variety.plane
+    point_map, line_map, residue = epimorphism_to_residue(plane)
+
+    def onto(groups, index):
+        """key -> its group's one residue index; None unless bijective."""
+        image = {k: index[g[0]] for k, g in groups.items() if len(set(g)) == 1}
+        ok = sorted(image.values()) == list(range(len(index)))
+        return image if ok and len(image) == len(groups) else None
+
+    tubes = {}
+    for t in variety.tubes:
+        tubes.setdefault(t.vertex.rows, []).append(
+            line_map[plane.lines[t.index]])
+    pts = onto({x: [point_map[plane.points[i]] for i in fib]
+                for x, fib in data["fibers"].items()}, residue.point_index)
+    lines = onto(tubes, residue.line_index)
+    on = [set(ps) for ps in residue.points_on]
+    return pts is not None and lines is not None and all(
+        under[key, x] == (pts[x] in on[li])
+        for key, li in lines.items() for x in pts)
 
 
 def _chi_cross_ratio(variety, data, chi):
@@ -844,144 +847,3 @@ def _tubes_over_line(field, a, b):
             raise GeometryError("tubic space has wrong dimension")
         out.append(xi)
     return out
-
-
-# --------------------------------------------------------------------------
-# abstract plane isomorphisms and projective equivalence
-
-def abstract_plane_isos(n1, blocks1, n2, blocks2):
-    """Generator of incidence-preserving point bijections between two
-    finite linear spaces given as index blocks (backtracking)."""
-    if n1 != n2 or len(blocks1) != len(blocks2):
-        return
-    deg1, deg2 = ([sum(p in b for b in blocks) for p in range(n1)]
-                  for blocks in (blocks1, blocks2))
-    blocks2_set = set(blocks2)
-    join1, join2 = ({pq: bi for bi, b in enumerate(blocks)
-                     for pq in itertools.combinations(sorted(b), 2)}
-                    for blocks in (blocks1, blocks2))
-
-    order = sorted(range(n1), key=lambda p: -deg1[p])
-    mapping = {}
-    bmap = {}
-    used = set()
-
-    def backtrack(k):
-        if k == n1:
-            img_blocks = {frozenset(mapping[p] for p in b) for b in blocks1}
-            if img_blocks == blocks2_set:
-                yield dict(mapping)
-            return
-        p = order[k]
-        for q in range(n2):
-            if q in used or deg2[q] != deg1[p]:
-                continue
-            new_b = []
-            ok = True
-            for r in mapping:
-                key1 = (p, r) if p < r else (r, p)
-                b1 = join1.get(key1)
-                qq = mapping[r]
-                key2 = (q, qq) if q < qq else (qq, q)
-                b2 = join2.get(key2)
-                if (b1 is None) != (b2 is None):
-                    ok = False
-                    break
-                if b1 is not None:
-                    if b1 in bmap:
-                        if bmap[b1] != b2:
-                            ok = False
-                            break
-                    elif b2 in bmap.values():
-                        ok = False
-                        break
-                    else:
-                        new_b.append((b1, b2))
-                        bmap[b1] = b2
-            if ok:
-                mapping[p] = q
-                used.add(q)
-                yield from backtrack(k + 1)
-                del mapping[p]
-                used.discard(q)
-            for b1, _ in new_b:
-                del bmap[b1]
-    yield from backtrack(0)
-
-
-def _frame_in(field, pts, n):
-    """n independent points plus one with all coordinates nonzero in that
-    basis, taken from pts; None if there is none."""
-    for start in range(min(len(pts), n + 2)):
-        basis = pj.extend_basis(field, [], pts[start:] + pts[:start], n)
-        if len(basis) != n:
-            return None
-        binv = pj.mat_inverse(field, basis)
-        for p in pts:
-            coords = pj.vec_mat(field, p, binv)
-            if all(c != field.zero for c in coords):
-                return basis, p, coords
-    return None
-
-
-def projectivity_from_frames(field, src, dst):
-    """The unique projectivity mapping the ordered source frame (n
-    independent points plus unit) to the destination frame; as a matrix
-    acting on row vectors."""
-    b1, _, c1 = src
-    b2, _, c2 = dst
-    rows1 = [pj.vec_scale(field, c, b) for c, b in zip(c1, b1)]
-    rows2 = [pj.vec_scale(field, c, b) for c, b in zip(c2, b2)]
-    # row-vector action: x -> x . (M1^{-1} M2)
-    return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
-
-
-def projective_equivalence(field, pts1, blocks1, pts2, blocks2):
-    """A matrix carrying (pts1, blocks1) onto (pts2, blocks2), found by
-    matching abstract plane isomorphisms with frame-determined linear
-    maps."""
-    n = len(pts1[0])
-    if len(pts1) != len(pts2):
-        return None
-    if field.q == 2:
-        # no scalar freedom: a basis determines the map
-        basis = pj.extend_basis(field, [], pts1, n)
-        if len(basis) != n:
-            raise GeometryError("points do not span the space")
-        unit = None
-        coords = None
-    else:
-        frame = _frame_in(field, pts1, n)
-        if frame is None:
-            raise GeometryError("no frame inside the point set")
-        basis, unit, coords = frame
-    bidx = [pts1.index(b) for b in basis]
-    uidx = pts1.index(unit) if unit is not None else None
-    pts2_set = set(pts2)
-    for iso in abstract_plane_isos(len(pts1), [frozenset(b) for b in blocks1],
-                                   len(pts2), [frozenset(b) for b in blocks2]):
-        dst_basis = [pts2[iso[i]] for i in bidx]
-        test, _ = rref(field, dst_basis)
-        if len(test) != n:
-            continue
-        if unit is None:
-            t = pj.mat_mul(field, pj.mat_inverse(
-                field, [list(r) for r in basis]), dst_basis)
-        else:
-            dst_unit = pts2[iso[uidx]]
-            dst_coords = pj.vec_mat(field, dst_unit,
-                                    pj.mat_inverse(field, dst_basis))
-            if any(c == field.zero for c in dst_coords):
-                continue
-            t = projectivity_from_frames(field, (basis, unit, coords),
-                                         (dst_basis, dst_unit, dst_coords))
-        image = [pj.apply_matrix(field, t, p) for p in pts1]
-        if set(image) != pts2_set:
-            continue
-        img_index = {p: i for i, p in enumerate(pts2)}
-        img_blocks = {frozenset(img_index[image[i]] for i in b)
-                      for b in (tuple(bb) for bb in blocks1)}
-        if img_blocks != {frozenset(b) for b in blocks2}:
-            continue
-        return t
-    return None

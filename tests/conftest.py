@@ -65,6 +65,12 @@ def variety_cd_f4(f4_field):
 
 
 @pytest.fixture(scope="session")
+def variety_cd_f5(f5_field):
+    return vr.build_variety(alg.cd_chain(f5_field, [f5_field.zero],
+                                         name="F5"))
+
+
+@pytest.fixture(scope="session")
 def variety_f4big(algebra_cd_f4_over_f2):
     # V2(F2, CD(F4,0)) in PG(14, 2)
     return vr.build_variety(algebra_cd_f4_over_f2)

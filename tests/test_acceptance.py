@@ -21,6 +21,7 @@ from ringgeom import f2geom as f2
 from ringgeom import scrolls as sc
 
 from motion_reference import lift_stabilizes_points
+from plane_reference import projective_equivalence
 
 
 def report(num, desc, ok, elapsed=None):
@@ -130,8 +131,8 @@ def _cor_suite(V, data, crep, base_algebra):
     blocks1 = [tuple(sorted(idx1[p] for p in data["quadrics"][k]))
                for k in sorted(data["quadrics"])]
     direct = vr.build_variety(base_algebra)
-    cert = vr.projective_equivalence(field, pts1, blocks1, direct.points,
-                                     direct.blocks())
+    cert = projective_equivalence(field, pts1, blocks1, direct.points,
+                                  direct.blocks())
     ok = ok and cert is not None
     ok = ok and crep["bijective"] and crep["incidence_reversing"]
     ok = ok and crep["cross_ratio"] in (True, "vacuous")
@@ -222,7 +223,8 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
             ok = ok and mo.verify_equivariance(
-                variety_f2.field, M, g.apply_point, variety_f2.rho)[0]
+                variety_f2.field, M, mo.materialize(g, variety_f2.plane)[0],
+                variety_f2.points)[0]
             ok = ok and lift_stabilizes_points(M, variety_f2.field,
                                                variety_f2.points)
     # CD(F3,0): sampled
@@ -235,8 +237,9 @@ def test_criterion_08_motions(algebra_cd_f2, variety_f2, algebra_cd_f3,
         M = mo.linear_lift(A3, "phi", X=X, Y=Y)
         g = mo.compose(mo.elation(A3, "phi13", X),
                        mo.elation(A3, "phi23", Y))
-        ok = ok and mo.verify_equivariance(variety_f3.field, M,
-                                           g.apply_point, variety_f3.rho)[0]
+        ok = ok and mo.verify_equivariance(
+            variety_f3.field, M, mo.materialize(g, variety_f3.plane)[0],
+            variety_f3.points)[0]
     report(8, "tau^3 = id, elation additivity, incidence/neighbouring "
            "preservation, rho-equivariant lifts (exhaustive at F2, 20 "
            "sampled pairs at F3)", ok, time.time() - t0)
@@ -268,8 +271,8 @@ def test_criterion_10_projections(m10, m10_census, f2_field):
     idx1 = {v: i for i, v in enumerate(projM.points)}
     blocks1 = [tuple(sorted(idx1[v] for v in b)) for b in projM.blocks]
     direct = vr.build_variety(alg.quadratic_field_algebra(f2_field))
-    cert = vr.projective_equivalence(f2_field, pts1, blocks1,
-                                     direct.points, direct.blocks())
+    cert = projective_equivalence(f2_field, pts1, blocks1,
+                                  direct.points, direct.blocks())
     ok = ok and cert is not None
     _, rep_on = f2.project_m10(m10, [m[0]])
     ok = ok and sorted(set(rep_on["tangent_profile"])) == [5]
@@ -321,7 +324,7 @@ def test_criterion_13_d1_examples(f2_field):
     ok = True
     for name, v in ex.items():
         ok = ok and vr.check_mm1(v)["ok"] and vr.check_mm2star(v)["ok"]
-    t = vr.projective_equivalence(
+    t = projective_equivalence(
         f2_field, ex["frame5"].points, ex["frame5"].blocks(),
         ex["frame4_plus_point"].points, ex["frame4_plus_point"].blocks())
     ok = ok and t is None

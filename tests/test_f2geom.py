@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,8 @@ from ringgeom import algebras as alg
 from ringgeom import f2geom as f2
 from ringgeom import motions as mo
 from ringgeom import veronese as vr
+
+from plane_reference import projective_equivalence
 
 
 def test_m10_counts(m10):
@@ -39,6 +42,36 @@ def test_bad_seed_rejected():
     seed["2"] = seed["1"]
     with pytest.raises(f2.F2Error):
         f2.build_m10(seed)
+
+
+def _moved_point(m10):
+    """m10 with one point of its first block moved to its second."""
+    a, b = m10.blocks[:2]
+    p = min(a - b)
+    return dataclasses.replace(m10, blocks=[a - {p}, b | {p}]
+                               + m10.blocks[2:])
+
+
+def test_m10_with_a_moved_point_is_rejected(m10, monkeypatch):
+    points24 = f2.witt_lift(m10)["points"]
+    with pytest.raises(f2.F2Error, match="5-set"):
+        f2._validate_m10(_moved_point(m10))
+    # the same move in every structure the module assembles
+    real = f2.M10Structure
+    monkeypatch.setattr(f2, "M10Structure",
+                        lambda *args: _moved_point(real(*args)))
+    with pytest.raises(f2.F2Error, match="5-set"):
+        f2.build_m10()
+    conv = f2.converse_projection(points24)
+    assert conv["ok"] is False and "5-set" in conv["why"]
+
+
+def test_m10_frames_that_are_no_plane_are_rejected(m10):
+    # the second block replaced by the first: every block is still a
+    # frame, but two blocks share five points
+    blocks = m10.blocks[:1] * 2 + m10.blocks[2:]
+    with pytest.raises(f2.F2Error, match="projective plane of order 4"):
+        f2._validate_m10(dataclasses.replace(m10, blocks=blocks))
 
 
 def test_census_counts(m10_census):
@@ -111,8 +144,8 @@ def test_m_projection_equivalent_to_veronese(m10, m10_census, f2_field):
     blocks1 = [tuple(sorted(idx1[v] for v in b)) for b in proj.blocks]
     A4 = alg.quadratic_field_algebra(f2_field)
     direct = vr.build_variety(A4)
-    t = vr.projective_equivalence(f2_field, pts1, blocks1, direct.points,
-                                  direct.blocks())
+    t = projective_equivalence(f2_field, pts1, blocks1, direct.points,
+                               direct.blocks())
     assert t is not None
 
 
@@ -187,9 +220,9 @@ def test_d1_any_fano_choice_works(f2_field):
 def test_frame5_is_v2_f2_f2(f2_field):
     ex = f2.d1_q2_examples()
     direct = vr.build_variety(alg.ground_algebra(f2_field, "F2"))
-    t = vr.projective_equivalence(f2_field, ex["frame5"].points,
-                                  ex["frame5"].blocks(), direct.points,
-                                  direct.blocks())
+    t = projective_equivalence(f2_field, ex["frame5"].points,
+                               ex["frame5"].blocks(), direct.points,
+                               direct.blocks())
     assert t is not None
 
 

@@ -136,8 +136,9 @@ def test_equivariance_exhaustive_f2(algebra_cd_f2, variety_f2):
             M = mo.linear_lift(A, "phi", X=X, Y=Y)
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
-            ok, wit = mo.verify_equivariance(A.field, M, g.apply_point,
-                                             variety_f2.rho)
+            ok, wit = mo.verify_equivariance(
+                A.field, M, mo.materialize(g, variety_f2.plane)[0],
+                variety_f2.points)
             assert ok, (X, Y, wit)
             assert lift_stabilizes_points(M, A.field, variety_f2.points)
             assert lift_stabilizes_points(M, A.field, ypts)
@@ -233,15 +234,14 @@ def test_equivariance_rejects_one_wrong_row(row, algebra_cd_f2,
     X = Y = A.one()
     M = mo.linear_lift(A, "phi", X=X, Y=Y)
     g = mo.compose(mo.elation(A, "phi13", X), mo.elation(A, "phi23", Y))
-    assert mo.verify_equivariance(A.field, M, g.apply_point,
-                                  variety_f2.rho) == (True, None)
+    pperm = mo.materialize(g, variety_f2.plane)[0]
+    pts = variety_f2.points
+    assert mo.verify_equivariance(A.field, M, pperm, pts) == (True, None)
     bad = list(M)
     bad[row] = mo.pj.vec_add(A.field, M[row], M[(row + 1) % len(M)])
-    ok, p = mo.verify_equivariance(A.field, bad, g.apply_point,
-                                   variety_f2.rho)
+    ok, i = mo.verify_equivariance(A.field, bad, pperm, pts)
     assert not ok
-    assert (mo.pj.apply_matrix(A.field, bad, variety_f2.rho[p])
-            != variety_f2.rho[g.apply_point(p)])
+    assert mo.pj.apply_matrix(A.field, bad, pts[i]) != pts[pperm[i]]
 
 
 MOTION_CHECKS = ("triality", "elations", "equivariance")
@@ -270,8 +270,8 @@ def _all_pairs_verdicts(V):
             g = mo.compose(mo.elation(A, "phi13", X),
                            mo.elation(A, "phi23", Y))
             M = mo.linear_lift(A, "phi", X=X, Y=Y)
-            lift = lift and mo.verify_equivariance(V.field, M, g.apply_point,
-                                                   V.rho)[0]
+            lift = lift and mo.verify_equivariance(
+                V.field, M, mo.materialize(g, plane)[0], V.points)[0]
     return dict(zip(PAIR_CHECKS, (inc, nb, add, lift)))
 
 

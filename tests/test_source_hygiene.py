@@ -20,8 +20,6 @@ SEARCHED = ("src/ringgeom", "scripts", "bench")
 # top-level names that only tests reference, each with its reason
 TEST_ONLY = {
     # behind an acceptance criterion
-    "projective_equivalence": "criteria 04, 10 and 13: projective "
-                              "equivalence certificates",
     "alpha_section": "criterion 15: affine sections of quadric pairs",
     "d1_q2_examples": "criterion 13: the d = 1, q = 2 examples",
     "fano_relabelled": "the criterion 13 examples under other Fano "

@@ -38,12 +38,6 @@ def _mismatches(V):
 
 
 @pytest.fixture(scope="module")
-def variety_cd_f5(f5_field):
-    return vr.build_variety(alg.cd_chain(f5_field, [f5_field.zero],
-                                         name="F5"))
-
-
-@pytest.fixture(scope="module")
 def variety_f9():
     # CD(F3,-1) = F9 is a division algebra: tubes without a vertex
     return vr.build_variety(alg.parse_algebra("CD(F3,-1)"))
@@ -117,8 +111,8 @@ def test_recheck_catches_a_wrong_lift_the_certificate_missed(
     _corrupt_lift(monkeypatch, A.field, "tau", None, 0)
     certificate = mo.generator_certificate
 
-    def uncertified(A_, plane, rho):
-        tau, *elations = certificate(A_, plane, rho)
+    def uncertified(A_, plane, points):
+        tau, *elations = certificate(A_, plane, points)
         assert not tau.certified
         return [dataclasses.replace(tau, equivariant=True)] + elations
 

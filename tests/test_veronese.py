@@ -1,14 +1,18 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
 from ringgeom import algebras as alg
+from ringgeom import cli
 from ringgeom import f2geom as f2
 from ringgeom import projective as pj
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
+from plane_reference import (projective_equivalence,
+                             pstar_is_residue_plane_by_search)
 
 
 def test_veronese_point_images(algebra_cd_f3):
@@ -290,6 +294,67 @@ def test_chi_f3(variety_f3, projection_f3):
     assert crep["hjelmslev"]["ok"]
 
 
+# CD(F2,0), CD(F3,0), CD(F4,0), CDu(F2,1,0) and CD(F5,0)
+@pytest.mark.parametrize("name", ["variety_f2", "variety_f3",
+                                  "variety_cd_f4", "variety_f4big",
+                                  "variety_cd_f5"])
+def test_tilde_map_verdict_agrees_with_the_search(name, request):
+    V = request.getfixturevalue(name)
+    _, data = vr.project_from_y(V)
+    chi, crep = vr.connection_chi(V, data)
+    assert crep["pstar_is_residue_plane"] is True
+    assert pstar_is_residue_plane_by_search(V, data, chi) is True
+
+
+def _swap(a, b):
+    return lambda x: {a: b, b: a}.get(x, x)
+
+
+def _break_tilde(mutation, plane, pm, lm, residue):
+    """The tilde maps with two residue points or two residue lines
+    swapped, or with the first line sent to another residue line, which
+    splits its vertex's tubes over two residue lines."""
+    if mutation == "points":
+        s = _swap(*residue.points[:2])
+        return {p: s(r) for p, r in pm.items()}, lm
+    if mutation == "lines":
+        s = _swap(*residue.lines[:2])
+        return pm, {l: s(r) for l, r in lm.items()}
+    first = plane.lines[0]
+    other = next(r for r in residue.lines if r != lm[first])
+    return pm, {**lm, first: other}
+
+
+@pytest.fixture(params=["points", "lines", "split_vertex"])
+def broken_tilde(request, monkeypatch):
+    real = vr.epimorphism_to_residue
+
+    def broken(plane):
+        pm, lm, residue = real(plane)
+        return (*_break_tilde(request.param, plane, pm, lm, residue),
+                residue)
+
+    monkeypatch.setattr(vr, "epimorphism_to_residue", broken)
+
+
+def test_broken_tilde_map_fails_only_the_residue_plane(
+        broken_tilde, variety_f2, projection_f2):
+    _, crep = vr.connection_chi(variety_f2, projection_f2[1])
+    assert crep["pstar_is_residue_plane"] is False
+    assert crep["bijective"] and crep["incidence_reversing"]
+    assert crep["x_is_union"]
+
+
+def test_broken_tilde_map_fails_cor_chi(broken_tilde, tmp_path):
+    out = tmp_path / "cor.json"
+    assert cli.main(["veronese", "--algebra", "CD(F2,0)", "--check", "cor",
+                     "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [n for n, c in checks.items() if c["status"] == "fail"] == \
+        ["cor.chi"]
+    assert checks["cor.chi"]["computed"]["pstar_is_residue_plane"] is False
+
+
 def test_chi_preserves_harmonic_quadruple(variety_f3, projection_f3):
     # an ordering of four conic points with cross-ratio -1 maps to lines
     # of the pencil with cross-ratio -1
@@ -379,8 +444,8 @@ def test_equivalence_certificate_f3(variety_f3, projection_f3, f3_field):
     blocks1 = [tuple(sorted(idx1[p] for p in data["quadrics"][k]))
                for k in sorted(data["quadrics"])]
     direct = vr.build_variety(alg.ground_algebra(f3_field, "F3"))
-    t = vr.projective_equivalence(f3_field, pts1, blocks1, direct.points,
-                                  direct.blocks())
+    t = projective_equivalence(f3_field, pts1, blocks1, direct.points,
+                               direct.blocks())
     assert t is not None
     # certify: t really maps points onto points
     img = {pj.apply_matrix(f3_field, t, p) for p in pts1}
@@ -493,8 +558,8 @@ def test_equivalence_rejects_distinct_structures(f2_field):
     from ringgeom import f2geom as f2
     ex = f2.d1_q2_examples()
     a, b = ex["frame5"], ex["frame4_plus_point"]
-    t = vr.projective_equivalence(f2_field, a.points, a.blocks(),
-                                  b.points, b.blocks())
+    t = projective_equivalence(f2_field, a.points, a.blocks(),
+                               b.points, b.blocks())
     assert t is None
 
 
