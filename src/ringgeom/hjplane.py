@@ -266,19 +266,78 @@ def pair_meets(sets):
         yield meets
 
 
-def pair_violations(sets, verdict, skip_disjoint=False):
+def pair_violations(sets, verdict):
     """The violations verdict(i, j, shared) returns (None for none) over
-    the pairs i < j of `sets` in order; shared lists the common elements,
-    () for a disjoint pair, and skip_disjoint leaves disjoint pairs out."""
-    n = len(sets)
+    the meeting pairs i < j of `sets` in order; shared lists the common
+    elements."""
     for i, meets in enumerate(pair_meets(sets)):
         bad = [(j, v) for j, shared in meets.items()
                if (v := verdict(i, j, shared)) is not None]
-        if not skip_disjoint and len(meets) < n - 1 - i:
-            bad += [(j, v) for j in range(i + 1, n) if j not in meets
-                    and (v := verdict(i, j, ())) is not None]
         bad.sort(key=lambda jv: jv[0])
         yield from (v for _, v in bad)
+
+
+def shared_elements(sets):
+    """The elements that at least two of the sets hold, by set operations
+    alone (which reuse the hashes the sets store)."""
+    seen, shared = set(), set()
+    for s in sets:
+        shared |= seen & s
+        seen |= s
+    return shared
+
+
+def holder_masks(sets):
+    """The dict from each element to the bitmask of the sets holding it."""
+    holders = defaultdict(int)
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for e in s:
+            holders[e] |= bit
+    return holders
+
+
+def pair_masks(sets):
+    """The lists (once, twice) of bitmasks over the indices of `sets`: bit
+    j != i of once[i] (of twice[i]) is set iff sets i and j share at
+    least one (at least two) elements, and bit i is clear.
+
+    One dict from each element to the mask of the sets holding it, folded
+    over each set's elements as twice |= once & m, once |= m: three
+    big-int operations per incidence, with no step per pair."""
+    holders = holder_masks(sets)
+    once, twice = [], []
+    for i, s in enumerate(sets):
+        o = t = 0
+        for e in s:
+            m = holders[e]
+            t |= o & m
+            o |= m
+        own = ~(1 << i)
+        once.append(o & own)
+        twice.append(t & own)
+    return once, twice
+
+
+def bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    j = 0
+    while mask:
+        skip = (mask & -mask).bit_length() - 1
+        j += skip
+        yield j
+        mask >>= skip + 1
+        j += 1
+
+
+def mask_pairs(rows):
+    """The pairs (i, j), in order, for the bits j of rows[i]."""
+    return ((i, j) for i, row in enumerate(rows) for j in bits(row))
+
+
+def later_bits(i, n):
+    """The mask of the indices i + 1 .. n - 1."""
+    return (1 << n) - (1 << i + 1)
 
 
 def is_affine_plane(points, line_sets, order):
@@ -293,8 +352,7 @@ def is_affine_plane(points, line_sets, order):
             or len(set(lines)) != len(lines)
             or any(len(l) != n or not l <= points for l in lines)):
         return False
-    return all(len(shared) == 1 for meets in pair_meets(lines)
-               for shared in meets.values())
+    return not any(pair_masks(lines)[1])
 
 
 def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
@@ -316,21 +374,29 @@ def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
     # exactly one element iff they are not neighbours, and by at least one
     for tag, joins, keys in (("Hj1", through, point_keys),
                              ("Hj2", blocks, block_keys)):
-        def verdict(i, j, common):
-            nb = keys[i] == keys[j]
-            if not common or (len(common) == 1) == nb:
-                return tag, i, j, len(common), nb
-        violations.extend(pair_violations(joins, verdict))
-    # (Hj3) on point classes with block traces, (Hj4) dually
+        n = len(joins)
+        classes = holder_masks([key] for key in keys)  # key -> class mask
+        once, twice = pair_masks(joins)
+        bad = []
+        for i, (o, t, key) in enumerate(zip(once, twice, keys)):
+            nb = classes[key]
+            bad.append((~o | (o & ~t & nb) | (t & ~nb)) & later_bits(i, n))
+        violations.extend((tag, i, j, len(joins[i] & joins[j]),
+                           keys[i] == keys[j]) for i, j in mask_pairs(bad))
+    # (Hj3) on point classes with block traces, (Hj4) dually; a class's
+    # traces are read from the incidences of its own members
     projective = npoints == order * order + order + 1
-    for tag, keys, duals in (("Hj3", point_keys, blocks),
-                             ("Hj4", block_keys, through)):
+    for tag, keys, incident in (("Hj3", point_keys, through),
+                                ("Hj4", block_keys, blocks)):
         classes = {}
         for i, key in enumerate(keys):
             classes.setdefault(key, []).append(i)
         for key, cls in classes.items():
-            cset = set(cls)
-            traces = {frozenset(tr) for tr in (d & cset for d in duals)
+            traces = defaultdict(set)
+            for i in cls:
+                for d in incident[i]:
+                    traces[d].add(i)
+            traces = {frozenset(tr) for tr in traces.values()
                       if len(tr) >= 2}
             if projective:
                 ok = len(cls) == 1 and not traces

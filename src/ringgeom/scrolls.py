@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import GF, subfield_embedding, FieldError
+from . import hjplane as hp
 from . import projective as pj
 from .projective import (Subspace, span, meet, rref, normalize_point,
                          GeometryError, intrinsic_coords, cross_ratio,
@@ -319,11 +320,18 @@ def verify_unique_quadrics(scroll, quadrics):
                 if pair_count.get(key, 0) != 1:
                     return False, ("pair", a, b, pair_count.get(key, 0))
                 valid_pairs += 1
-    sets = [(pts, frozenset(pts)) for pts in quadrics]
-    for (s1, set1), (s2, set2) in itertools.combinations(sets, 2):
-        inter = set1 & set2
-        if len(inter) != 1 or next(iter(inter)) in spread_pts:
-            return False, ("intersection", s1, s2, len(inter))
+    # a pair fails iff it shares no point off the spread or two points
+    sets = [frozenset(pts) for pts in quadrics]
+    off_meets = hp.pair_masks([q - spread_pts for q in sets])[0]
+    twice = hp.pair_masks(sets)[1]
+    n = len(sets)
+    bad = ((~o | t) & hp.later_bits(i, n)
+           for i, (o, t) in enumerate(zip(off_meets, twice)))
+    first = next(hp.mask_pairs(bad), None)
+    if first is not None:
+        i, j = first
+        return False, ("intersection", quadrics[i], quadrics[j],
+                       len(sets[i] & sets[j]))
     return True, valid_pairs
 
 

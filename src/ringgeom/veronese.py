@@ -37,8 +37,9 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, is_ovoid)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
-                      partition_mismatch, pair_violations,
-                      epimorphism_to_residue)
+                      partition_mismatch, pair_violations, holder_masks,
+                      shared_elements, pair_masks, bits, mask_pairs,
+                      later_bits, epimorphism_to_residue)
 
 
 @dataclass
@@ -353,41 +354,61 @@ def check_h1(variety):
             "violations": list(itertools.islice(missing, 10))}
 
 
-def _pair_report(name, variety, verdict, skip_disjoint=False):
-    """The report of an axiom on tube pairs: verdict(t1, t2, shared) is
-    None or why the pair fails, with shared listing xi1 ^ xi2 (() when
-    disjoint).  The pairs come in index order from one walk over the
-    tubic spaces (`hjplane.pair_violations`); ten violations are kept."""
-    tubes = variety.tubes
-
-    def tube_verdict(i, j, shared):
-        why = verdict(tubes[i], tubes[j], shared)
-        return why if why is None else (tubes[i].index, tubes[j].index, why)
-
-    found = pair_violations([t.xi_pts for t in tubes], tube_verdict,
-                            skip_disjoint)
-    first = list(itertools.islice(found, 10))
-    count = len(first) + sum(1 for _ in found)
+def _report(name, tubes, violations, count):
+    """The report of an axiom on tube pairs, from its `count` violations
+    in pair order; ten are kept."""
     return {"name": name, "ok": not count,
             "pairs": len(tubes) * (len(tubes) - 1) // 2,
-            "violation_count": count, "violations": first}
+            "violation_count": count,
+            "violations": list(itertools.islice(violations, 10))}
 
 
-def _outside_cones(t1, t2, shared):
-    return not (t1.cone_pts.issuperset(shared)
-                and t2.cone_pts.issuperset(shared))
+def _mask_report(name, tubes, bad, why):
+    """The report from bad[i], the bitmask of the j > i whose pair with
+    tube i fails; why(i, j) names the failure of one pair."""
+    return _report(name, tubes,
+                   ((tubes[i].index, tubes[j].index, why(i, j))
+                    for i, j in mask_pairs(bad)),
+                   sum(b.bit_count() for b in bad))
+
+
+def _x_meets(variety):
+    """pair_masks's `once` over the points of X in each tubic space."""
+    xset = variety.point_set
+    return pair_masks([t.xi_pts & xset for t in variety.tubes])[0]
 
 
 def check_h2star(variety):
-    """xi1 ^ xi2 lies in both cones and carries a point of X."""
-    def verdict(t1, t2, shared):
-        if not shared:
+    """xi1 ^ xi2 lies in both cones and carries a point of X.
+
+    Decided on bitmasks over the tubes (`hjplane.pair_masks`): a pair has
+    no X point off its bit of `once` over the X points of the tubic
+    spaces.  It leaves the cones iff one tubic space holds a point of the
+    other's off that other's cone: a shared point off a cone, whose
+    holder mask names the pairs.  A failing pair is named by the first
+    of "disjoint", "outside cones" and "no X point" that holds."""
+    tubes = variety.tubes
+    n = len(tubes)
+    xis = [t.xi_pts for t in tubes]
+    shared = shared_elements(xis)
+    off = [(t.xi_pts - t.cone_pts) & shared for t in tubes]
+    stray = set().union(*off)
+    holders = holder_masks([xi & stray for xi in xis])
+    outside = [0] * n
+    for i, pts in enumerate(off):
+        for e in pts:
+            m = holders[e] & ~(1 << i)
+            outside[i] |= m
+            for j in bits(m):
+                outside[j] |= 1 << i
+    bad = [(~x | out) & later_bits(i, n)
+           for i, (x, out) in enumerate(zip(_x_meets(variety), outside))]
+
+    def why(i, j):
+        if xis[i].isdisjoint(xis[j]):
             return "disjoint"
-        if _outside_cones(t1, t2, shared):
-            return "outside cones"
-        if variety.point_set.isdisjoint(shared):
-            return "no X point"
-    return _pair_report("H2*", variety, verdict)
+        return "outside cones" if outside[i] >> j & 1 else "no X point"
+    return _mask_report("H2*", tubes, bad, why)
 
 
 def check_h2(variety):
@@ -395,19 +416,29 @@ def check_h2(variety):
 
     xi_pts is the full point set of xi, so the meet is a subspace, and
     its Y-part is a hyperplane of it iff the Y-part is a subspace and the
-    meet has q |Y| + 1 points."""
+    meet has q |Y| + 1 points.  Each meeting pair is judged on its shared
+    points, read from one incidence walk (`hjplane.pair_violations`)."""
     field, q = variety.field, variety.field.q
+    tubes = variety.tubes
 
-    def verdict(t1, t2, shared):
-        if _outside_cones(t1, t2, shared):
-            return "outside cones"
+    def verdict(i, j, shared):
+        t1, t2 = tubes[i], tubes[j]
         ypart = [p for p in shared if p not in variety.point_set]
-        if len(ypart) > 1 and len(ypart) != (q ** span(
+        if not (t1.cone_pts.issuperset(shared)
+                and t2.cone_pts.issuperset(shared)):
+            why = "outside cones"
+        elif len(ypart) > 1 and len(ypart) != (q ** span(
                 field, sorted(ypart), variety.n).vdim - 1) // (q - 1):
-            return "Y part not a subspace"
-        if ypart and len(shared) != q * len(ypart) + 1:
-            return "Y part wrong codimension"
-    return _pair_report("H2", variety, verdict, skip_disjoint=True)
+            why = "Y part not a subspace"
+        elif ypart and len(shared) != q * len(ypart) + 1:
+            why = "Y part wrong codimension"
+        else:
+            return None
+        return t1.index, t2.index, why
+
+    found = pair_violations([t.xi_pts for t in tubes], verdict)
+    first = list(itertools.islice(found, 10))
+    return _report("H2", tubes, first, len(first) + sum(1 for _ in found))
 
 
 def check_h3(variety, bound):
@@ -444,11 +475,17 @@ def check_mm1(variety):
 
 
 def check_mm2star(variety):
-    """Pairwise intersections of elliptic spaces are single points of X."""
-    def verdict(_t1, _t2, shared):
-        if len(shared) != 1 or shared[0] not in variety.point_set:
-            return len(shared)
-    return _pair_report("MM2*", variety, verdict)
+    """Pairwise intersections of elliptic spaces are single points of X:
+    no pair may miss X (`once` over the X points) or share two points
+    (`twice` over the tubic spaces)."""
+    tubes = variety.tubes
+    n = len(tubes)
+    xis = [t.xi_pts for t in tubes]
+    twice = pair_masks(xis)[1]
+    bad = [(~x | t) & later_bits(i, n)
+           for i, (x, t) in enumerate(zip(_x_meets(variety), twice))]
+    return _mask_report("MM2*", tubes, bad,
+                        lambda i, j: len(xis[i] & xis[j]))
 
 
 def check_tubes(variety, d_base=None, v=None):

@@ -307,18 +307,38 @@ def test_pair_meets_matches_brute_force(sets):
         assert all(len(s) == len(set(s)) for s in meets.values())
 
 
-@given(_families, st.booleans())
+@given(_families)
 @settings(max_examples=300)
-def test_pair_violations_match_brute_force(sets, skip_disjoint):
+def test_pair_masks_match_brute_force(sets):
+    once, twice = hp.pair_masks(sets)
+    for i, j in itertools.product(range(len(sets)), repeat=2):
+        shared = len(sets[i] & sets[j]) if i != j else 0
+        assert (once[i] >> j & 1, twice[i] >> j & 1) == (
+            int(shared >= 1), int(shared >= 2))
+    assert all(0 <= m < 1 << len(sets) for m in once + twice)
+    for i, j in hp.mask_pairs(once):
+        assert sets[i] & sets[j]
+    assert sum(1 for _ in hp.mask_pairs(once)) == sum(
+        m.bit_count() for m in once)
+
+
+@given(st.integers(0, 1 << 80))
+def test_bits_lists_the_set_bits(mask):
+    assert list(hp.bits(mask)) == [j for j in range(mask.bit_length())
+                                   if mask >> j & 1]
+
+
+@given(_families)
+@settings(max_examples=300)
+def test_pair_violations_match_brute_force(sets):
     def verdict(i, j, shared):
         if len(shared) != 1:
             return i, j, len(shared)
 
     expect = [(i, j, len(sets[i] & sets[j]))
               for i, j in itertools.combinations(range(len(sets)), 2)
-              if len(sets[i] & sets[j]) != 1
-              and not (skip_disjoint and not sets[i] & sets[j])]
-    assert list(hp.pair_violations(sets, verdict, skip_disjoint)) == expect
+              if len(sets[i] & sets[j]) > 1]
+    assert list(hp.pair_violations(sets, verdict)) == expect
 
 
 def _hj12_all_pairs(npoints, blocks, point_keys, block_keys):
@@ -380,3 +400,38 @@ def test_hj1_hj2_match_all_pairs_loop(case, request):
     rep = hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)
     walked = [v for v in rep["violations"] if v[0] in ("Hj1", "Hj2")]
     assert walked == _hj12_all_pairs(npts, blocks, pkeys, bkeys)
+
+
+def _hj34_by_intersection(npoints, blocks, point_keys, block_keys, order):
+    """Reference: (Hj3) and (Hj4) with each class's traces taken by
+    intersecting every dual with the class."""
+    blocks = [set(b) for b in blocks]
+    through = [{bi for bi, b in enumerate(blocks) if p in b}
+               for p in range(npoints)]
+    projective = npoints == order * order + order + 1
+    violations = []
+    for tag, keys, duals in (("Hj3", point_keys, blocks),
+                             ("Hj4", block_keys, through)):
+        classes = {}
+        for i, key in enumerate(keys):
+            classes.setdefault(key, []).append(i)
+        for key, cls in classes.items():
+            traces = {frozenset(d & set(cls)) for d in duals
+                      if len(d & set(cls)) >= 2}
+            ok = (len(cls) == 1 and not traces if projective
+                  else hp.is_affine_plane(cls, traces, order))
+            if not ok:
+                violations.append((tag, key))
+    return violations
+
+
+@pytest.mark.parametrize("case", [
+    "plane_f2", "plane_cd_f3", "variety_f2", "plane_f2_moved",
+    "plane_f2_merged_points", "plane_f2_merged_blocks", "variety_f2_moved",
+    "variety_f2_merged_points", "variety_f2_merged_blocks"])
+def test_hj3_hj4_match_traces_by_intersection(case, request):
+    npts, blocks, pkeys, bkeys, order = _hj_cases(request)[case]
+    rep = hp.check_hjelmslev(npts, blocks, pkeys, bkeys, order)
+    from_incidences = [v for v in rep["violations"] if v[0] in ("Hj3", "Hj4")]
+    assert from_incidences == _hj34_by_intersection(npts, blocks, pkeys,
+                                                    bkeys, order)

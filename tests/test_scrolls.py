@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -430,3 +431,49 @@ def test_unique_quadrics_reject_a_point_missing_other_quadrics(
     assert not ok
     kind, first, second, count = info
     assert kind == "intersection" and count == 0 and extra in (first, second)
+
+
+def _unique_quadrics_by_all_pairs(scroll, quadrics):
+    """Reference: verify_unique_quadrics with its intersections taken
+    over all quadric pairs in `combinations` order."""
+    spread_pts = frozenset(scroll.spread_side.points())
+    pair_count = collections.Counter(
+        frozenset(ab) for pts in quadrics
+        for ab in itertools.combinations(pts, 2))
+    valid_pairs = 0
+    for i, j in itertools.combinations(range(len(scroll.point_sets)), 2):
+        for a in scroll.point_sets[i] - spread_pts:
+            for b in scroll.point_sets[j] - spread_pts:
+                count = pair_count[frozenset((a, b))]
+                if count != 1:
+                    return False, ("pair", a, b, count)
+                valid_pairs += 1
+    for s1, s2 in itertools.combinations(quadrics, 2):
+        inter = set(s1) & set(s2)
+        if len(inter) != 1 or next(iter(inter)) in spread_pts:
+            return False, ("intersection", s1, s2, len(inter))
+    return True, valid_pairs
+
+
+@pytest.mark.parametrize("mutation", [
+    "none", "point_in_front", "spread_point_twice_in_front",
+    "spread_point_on_two_quadrics", "point_and_spread_point_last"])
+def test_unique_quadrics_match_all_pairs(regular_2_scroll_q3, mutation):
+    s, quads = regular_2_scroll_q3
+    quads = sorted(quads)
+    spread_pt = min(s.spread_side.points())
+    x = quads[5][0]
+    family = {
+        "none": quads,
+        "point_in_front": [(x,)] + quads,
+        "spread_point_twice_in_front": [(spread_pt,), (spread_pt,)] + quads,
+        "spread_point_on_two_quadrics": [
+            tuple(sorted(k + (spread_pt,))) if i in (3, 7) else k
+            for i, k in enumerate(quads)],
+        "point_and_spread_point_last": quads + [(x, spread_pt)],
+    }[mutation]
+    got = sc.verify_unique_quadrics(s, family)
+    assert got == _unique_quadrics_by_all_pairs(s, family)
+    assert got[0] == (mutation == "none")
+    if mutation != "none":
+        assert got[1][0] == "intersection"

@@ -7,6 +7,7 @@ import pytest
 from ringgeom import algebras as alg
 from ringgeom import cli
 from ringgeom import f2geom as f2
+from ringgeom import hjplane as hp
 from ringgeom import projective as pj
 from ringgeom import veronese as vr
 
@@ -808,6 +809,9 @@ def _pair_check_cases(request):
             f3.field, list(t0.vertex.rows) + list(other.rows), f3.n)),
         "f3_outside_cone": _mutated(
             f3, t0, xi_pts=t0.xi_pts | {min(t1.xi_pts - t0.cone_pts)}),
+        "f3_cone_point_dropped": _mutated(
+            f3, t0, cone_pts=t0.cone_pts - {
+                min(t0.xi_pts & t1.xi_pts & f3.point_set)}),
         "f3_zero_form": _mutated(
             f3, t0, form=pj.quadratic_form(f3.field, t0.xi.vdim, {})),
         "frame5_second_point": _mutated(
@@ -821,9 +825,9 @@ def _pair_check_cases(request):
 
 
 PAIR_CASES = ["f2", "f3", "f3_dropped_tube", "f3_empty_xi",
-              "f3_joined_vertex", "f3_outside_cone", "f3_zero_form",
-              "frame5_second_point", "d1_frame5", "d1_frame4_plus_point",
-              "d1_basis6"]
+              "f3_joined_vertex", "f3_outside_cone", "f3_cone_point_dropped",
+              "f3_zero_form", "frame5_second_point", "d1_frame5",
+              "d1_frame4_plus_point", "d1_basis6"]
 
 
 @pytest.mark.parametrize("case", PAIR_CASES)
@@ -833,3 +837,26 @@ def test_pair_checks_match_all_pairs_loops(case, request):
     assert vr.check_h2star(V) == _h2star_all_pairs(V)
     assert vr.check_h2(V) == _h2_all_pairs(V)
     assert vr.check_mm2star(V) == _mm2star_all_pairs(V)
+
+
+def test_cone_point_dropped_is_outside_cones_from_the_cone_side(request):
+    V = _pair_check_cases(request)["f3_cone_point_dropped"]
+    t0, t1 = V.tubes[0], V.tubes[1]
+    assert t0.xi_pts & t1.xi_pts <= t1.cone_pts
+    rep = vr.check_h2star(V)
+    assert not rep["ok"]
+    assert (t0.index, t1.index, "outside cones") in rep["violations"]
+    assert {w[2] for w in rep["violations"]} == {"outside cones"}
+
+
+def test_pair_axioms_pass_without_the_pair_walk(variety_f3, monkeypatch):
+    def walk(*_args, **_kwargs):
+        raise AssertionError("pair walk reached")
+
+    for module in (hp, vr):
+        monkeypatch.setattr(module, "pair_violations", walk)
+    monkeypatch.setattr(hp, "pair_meets", walk)
+    h2star = vr.check_h2star(variety_f3)
+    assert h2star["ok"] and h2star == _h2star_all_pairs(variety_f3)
+    assert vr.check_mm2star(variety_f3) == _mm2star_all_pairs(variety_f3)
+    assert hp.verify_hjelmslev_level2(variety_f3.plane)["ok"]
