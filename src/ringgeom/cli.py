@@ -276,9 +276,9 @@ def veronese_checks(V, wanted, stages=None):
     # dim B - 1 over CD(B, 0) and none over a division algebra B
     base_dim = V.plane.base.dim
     dims = {"d": base_dim, "v": base_dim - 1 if V.plane.is_cd else -1}
-    verifiers = {"H1": vr.check_h1, "H2star": vr.check_h2star,
-                 "MM1": vr.check_mm1, "MM2star": vr.check_mm2star,
-                 "V": vr.check_property_v}
+    verifiers = {"H1": vr.check_h1, "H2": vr.check_h2,
+                 "H2star": vr.check_h2star, "MM1": vr.check_mm1,
+                 "MM2star": vr.check_mm2star, "V": vr.check_property_v}
     data = crep = None
     for name in stages.each("veronese.", wanted):
         if name in verifiers:

@@ -247,36 +247,6 @@ def epimorphism_to_residue(plane):
     return point_map, line_map, residue
 
 
-def pair_meets(sets):
-    """For each i in order, the dict j -> list of the elements shared by
-    sets i and j, over the j > i whose set meets set i.  The walk is over
-    one index from each element to the sets holding it, so the work is
-    the sum of the intersection sizes, not pairs x set size."""
-    holders = defaultdict(list)         # element -> holders, last first
-    for i in range(len(sets) - 1, -1, -1):
-        for e in sets[i]:
-            holders[e].append(i)
-    for s in sets:
-        meets = defaultdict(list)
-        for e in s:
-            later = holders[e]
-            later.pop()                 # set i itself, the first holder left
-            for j in later:
-                meets[j].append(e)
-        yield meets
-
-
-def pair_violations(sets, verdict):
-    """The violations verdict(i, j, shared) returns (None for none) over
-    the meeting pairs i < j of `sets` in order; shared lists the common
-    elements."""
-    for i, meets in enumerate(pair_meets(sets)):
-        bad = [(j, v) for j, shared in meets.items()
-               if (v := verdict(i, j, shared)) is not None]
-        bad.sort(key=lambda jv: jv[0])
-        yield from (v for _, v in bad)
-
-
 def shared_elements(sets):
     """The elements that at least two of the sets hold, by set operations
     alone (which reuse the hashes the sets store)."""

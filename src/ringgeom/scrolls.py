@@ -305,21 +305,30 @@ def scroll_quadrics(scroll):
 
 def verify_unique_quadrics(scroll, quadrics):
     """Every valid pair lies in exactly one quadric; pairwise intersections
-    are single scroll points off the spread."""
+    are single scroll points off the spread.
+
+    A valid pair is two points off the spread on different transversals.
+    Read as the sets of quadrics through them, two points lie in as many
+    quadrics as their sets share, so a valid pair fails iff its bit is
+    off `once` or on `twice` of `hjplane.pair_masks` over those sets.
+    The first failure is the first in transversal-pair, then point order.
+    """
     spread_pts = frozenset(scroll.spread_side.points())
-    pair_count = {}
-    for pts in quadrics:
-        for a, b in itertools.combinations(pts, 2):
-            key = (a, b) if a < b else (b, a)
-            pair_count[key] = pair_count.get(key, 0) + 1
-    valid_pairs = 0
-    for i, j in itertools.combinations(range(len(scroll.point_sets)), 2):
-        for a in scroll.point_sets[i] - spread_pts:
-            for b in scroll.point_sets[j] - spread_pts:
-                key = (a, b) if a < b else (b, a)
-                if pair_count.get(key, 0) != 1:
-                    return False, ("pair", a, b, pair_count.get(key, 0))
-                valid_pairs += 1
+    sides = [list(ps - spread_pts) for ps in scroll.point_sets]
+    starts = list(itertools.accumulate(map(len, sides), initial=0))
+    holders = hp.holder_masks(quadrics)
+    once, twice = hp.pair_masks([list(hp.bits(holders[p]))
+                                 for p in itertools.chain(*sides)])
+    fails = [~o | t for o, t in zip(once, twice)]
+    for i, j in itertools.combinations(range(len(sides)), 2):
+        for k, a in enumerate(sides[i], starts[i]):
+            f = (fails[k] >> starts[j]) & ((1 << len(sides[j])) - 1)
+            if f:
+                b = sides[j][next(hp.bits(f))]
+                return False, ("pair", a, b,
+                               (holders[a] & holders[b]).bit_count())
+    valid_pairs = sum(len(t) * len(u)
+                      for t, u in itertools.combinations(sides, 2))
     # a pair fails iff it shares no point off the spread or two points
     sets = [frozenset(pts) for pts in quadrics]
     off_meets = hp.pair_masks([q - spread_pts for q in sets])[0]

@@ -37,7 +37,7 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
                          GeometryError, intrinsic_coords, from_intrinsic,
                          Projection, is_ovoid)
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
-                      partition_mismatch, pair_violations, holder_masks,
+                      partition_mismatch, holder_masks,
                       shared_elements, pair_masks, bits, mask_pairs,
                       later_bits, epimorphism_to_residue)
 
@@ -354,22 +354,16 @@ def check_h1(variety):
             "violations": list(itertools.islice(missing, 10))}
 
 
-def _report(name, tubes, violations, count):
-    """The report of an axiom on tube pairs, from its `count` violations
-    in pair order; ten are kept."""
+def _mask_report(name, tubes, bad, why):
+    """The report of an axiom on tube pairs from bad[i], the bitmask of
+    the j > i whose pair with tube i fails; why(i, j) names the failure
+    of one pair, and the first ten in pair order are kept."""
+    count = sum(b.bit_count() for b in bad)
     return {"name": name, "ok": not count,
             "pairs": len(tubes) * (len(tubes) - 1) // 2,
             "violation_count": count,
-            "violations": list(itertools.islice(violations, 10))}
-
-
-def _mask_report(name, tubes, bad, why):
-    """The report from bad[i], the bitmask of the j > i whose pair with
-    tube i fails; why(i, j) names the failure of one pair."""
-    return _report(name, tubes,
-                   ((tubes[i].index, tubes[j].index, why(i, j))
-                    for i, j in mask_pairs(bad)),
-                   sum(b.bit_count() for b in bad))
+            "violations": [(tubes[i].index, tubes[j].index, why(i, j))
+                           for i, j in itertools.islice(mask_pairs(bad), 10)]}
 
 
 def _x_meets(variety):
@@ -378,29 +372,37 @@ def _x_meets(variety):
     return pair_masks([t.xi_pts & xset for t in variety.tubes])[0]
 
 
-def check_h2star(variety):
-    """xi1 ^ xi2 lies in both cones and carries a point of X.
-
-    Decided on bitmasks over the tubes (`hjplane.pair_masks`): a pair has
-    no X point off its bit of `once` over the X points of the tubic
-    spaces.  It leaves the cones iff one tubic space holds a point of the
-    other's off that other's cone: a shared point off a cone, whose
-    holder mask names the pairs.  A failing pair is named by the first
-    of "disjoint", "outside cones" and "no X point" that holds."""
-    tubes = variety.tubes
-    n = len(tubes)
+def _outside_cones(tubes):
+    """The symmetric bitmasks of the tube pairs whose meet leaves a cone:
+    one tubic space holds a point of the other's that is off the other's
+    cone, and the holder mask of each such shared point names the pairs."""
     xis = [t.xi_pts for t in tubes]
     shared = shared_elements(xis)
     off = [(t.xi_pts - t.cone_pts) & shared for t in tubes]
     stray = set().union(*off)
     holders = holder_masks([xi & stray for xi in xis])
-    outside = [0] * n
+    outside = [0] * len(tubes)
     for i, pts in enumerate(off):
         for e in pts:
             m = holders[e] & ~(1 << i)
             outside[i] |= m
             for j in bits(m):
                 outside[j] |= 1 << i
+    return outside
+
+
+def check_h2star(variety):
+    """xi1 ^ xi2 lies in both cones and carries a point of X.
+
+    Decided on bitmasks over the tubes (`hjplane.pair_masks`): a pair has
+    no X point off its bit of `once` over the X points of the tubic
+    spaces, and leaves the cones on its bit of `_outside_cones`.  A
+    failing pair is named by the first of "disjoint", "outside cones"
+    and "no X point" that holds."""
+    tubes = variety.tubes
+    n = len(tubes)
+    xis = [t.xi_pts for t in tubes]
+    outside = _outside_cones(tubes)
     bad = [(~x | out) & later_bits(i, n)
            for i, (x, out) in enumerate(zip(_x_meets(variety), outside))]
 
@@ -416,29 +418,39 @@ def check_h2(variety):
 
     xi_pts is the full point set of xi, so the meet is a subspace, and
     its Y-part is a hyperplane of it iff the Y-part is a subspace and the
-    meet has q |Y| + 1 points.  Each meeting pair is judged on its shared
-    points, read from one incidence walk (`hjplane.pair_violations`)."""
-    field, q = variety.field, variety.field.q
+    meet has q |Y| + 1 points.  Inside both cones (`_outside_cones`),
+    the Y-part (xi1 ^ xi2) - X is cy1 ^ cy2 for cy = (cone - X) ^ xi, as
+    its points lie in both cones and both tubic spaces.  So only the
+    pairs on `once` over the cy sets have a Y-part to judge, each on
+    cy1 ^ cy2 and on the X points that xi1 and xi2 share."""
+    q = variety.field.q
     tubes = variety.tubes
+    xset = variety.point_set
+    outside = _outside_cones(tubes)
+    cys = [(t.cone_pts - xset) & t.xi_pts for t in tubes]
+    xmasks = [sum(1 << variety.point_index[p] for p in t.xi_pts & xset)
+              for t in tubes]
+    subspace = {}   # Y-part -> whether it holds every point of its span
 
-    def verdict(i, j, shared):
-        t1, t2 = tubes[i], tubes[j]
-        ypart = [p for p in shared if p not in variety.point_set]
-        if not (t1.cone_pts.issuperset(shared)
-                and t2.cone_pts.issuperset(shared)):
-            why = "outside cones"
-        elif len(ypart) > 1 and len(ypart) != (q ** span(
-                field, sorted(ypart), variety.n).vdim - 1) // (q - 1):
-            why = "Y part not a subspace"
-        elif ypart and len(shared) != q * len(ypart) + 1:
-            why = "Y part wrong codimension"
-        else:
-            return None
-        return t1.index, t2.index, why
+    def why(i, j):
+        if outside[i] >> j & 1:
+            return "outside cones"
+        ypart = cys[i] & cys[j]
+        if ypart not in subspace:
+            subspace[ypart] = len(ypart) == (q ** span(
+                variety.field, sorted(ypart), variety.n).vdim - 1) // (q - 1)
+        if not subspace[ypart]:
+            return "Y part not a subspace"
+        if (xmasks[i] & xmasks[j]).bit_count() != (q - 1) * len(ypart) + 1:
+            return "Y part wrong codimension"
+        return None
 
-    found = pair_violations([t.xi_pts for t in tubes], verdict)
-    first = list(itertools.islice(found, 10))
-    return _report("H2", tubes, first, len(first) + sum(1 for _ in found))
+    bad = []
+    for i, (o, out) in enumerate(zip(pair_masks(cys)[0], outside)):
+        later = later_bits(i, len(tubes))
+        bad.append(out & later | sum(1 << j for j in bits(o & ~out & later)
+                                     if why(i, j)))
+    return _mask_report("H2", tubes, bad, why)
 
 
 def check_h3(variety, bound):

@@ -103,6 +103,15 @@ def test_veronese_stages_follow_the_checks():
     assert report["stats"]["tubes_extracted"] == 1
 
 
+def test_veronese_check_h2_on_cd_f3():
+    report, status, _ = run_cli(["veronese", "--algebra", "CD(F3,0)",
+                                 "--check", "H2"])
+    assert status == 0
+    h2, = report["checks"]
+    assert (h2["name"], h2["status"]) == ("H2", "pass")
+    assert set(report["timings"]) >= {"veronese.H2_s"}
+
+
 def test_scroll_subcommand():
     report, status, _ = run_cli(["scroll", "--field", "F3", "--d", "1"])
     assert status == 0

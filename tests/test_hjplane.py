@@ -289,22 +289,10 @@ def test_checker_rejects_merged_classes(plane_f2):
 
 
 # --------------------------------------------------------------------------
-# the pair walk against brute force and the all-pairs (Hj1), (Hj2) loop
+# the pair masks against brute force and the all-pairs (Hj1), (Hj2) loop
 
 _families = st.lists(st.frozensets(st.integers(0, 9), max_size=6),
                      max_size=8)
-
-
-@given(_families)
-@settings(max_examples=300)
-def test_pair_meets_matches_brute_force(sets):
-    walked = list(hp.pair_meets(sets))
-    assert len(walked) == len(sets)
-    for i, meets in enumerate(walked):
-        expect = {j: sets[i] & sets[j] for j in range(i + 1, len(sets))
-                  if sets[i] & sets[j]}
-        assert {j: frozenset(s) for j, s in meets.items()} == expect
-        assert all(len(s) == len(set(s)) for s in meets.values())
 
 
 @given(_families)
@@ -326,19 +314,6 @@ def test_pair_masks_match_brute_force(sets):
 def test_bits_lists_the_set_bits(mask):
     assert list(hp.bits(mask)) == [j for j in range(mask.bit_length())
                                    if mask >> j & 1]
-
-
-@given(_families)
-@settings(max_examples=300)
-def test_pair_violations_match_brute_force(sets):
-    def verdict(i, j, shared):
-        if len(shared) != 1:
-            return i, j, len(shared)
-
-    expect = [(i, j, len(sets[i] & sets[j]))
-              for i, j in itertools.combinations(range(len(sets)), 2)
-              if len(sets[i] & sets[j]) > 1]
-    assert list(hp.pair_violations(sets, verdict)) == expect
 
 
 def _hj12_all_pairs(npoints, blocks, point_keys, block_keys):

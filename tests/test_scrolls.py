@@ -394,10 +394,24 @@ def regular_2_scroll_q3():
     return s, sc.scroll_quadrics(s)
 
 
+def _quadric_mutations(scroll, quads):
+    """(dropped, bent, old, new): the sorted family without quads[5], and
+    with the point old of quads[5] moved to new, another point off the
+    spread on its transversal."""
+    spread_pts = frozenset(scroll.spread_side.points())
+    victim = quads[5]
+    old = victim[3]
+    ti = scroll.transversal_index_of(old)
+    new = sorted(scroll.point_sets[ti] - spread_pts - {old})[0]
+    moved = tuple(sorted(set(victim) - {old} | {new}))
+    return ([k for k in quads if k != victim],
+            [moved if k == victim else k for k in quads], old, new)
+
+
 def test_unique_quadrics_reject_a_dropped_quadric(regular_2_scroll_q3):
     s, quads = regular_2_scroll_q3
     dropped = sorted(quads)[5]
-    rest = [k for k in quads if k != dropped]
+    rest = _quadric_mutations(s, sorted(quads))[0]
     ok, info = sc.verify_unique_quadrics(s, rest)
     assert not ok
     kind, a, b, count = info
@@ -407,13 +421,7 @@ def test_unique_quadrics_reject_a_dropped_quadric(regular_2_scroll_q3):
 
 def test_unique_quadrics_reject_a_moved_point(regular_2_scroll_q3):
     s, quads = regular_2_scroll_q3
-    spread_pts = frozenset(s.spread_side.points())
-    victim = sorted(quads)[5]
-    old = victim[3]
-    ti = s.transversal_index_of(old)
-    new = sorted(s.point_sets[ti] - spread_pts - {old})[0]
-    moved = tuple(sorted(set(victim) - {old} | {new}))
-    bent = [moved if k == victim else k for k in quads]
+    _, bent, old, new = _quadric_mutations(s, sorted(quads))
     ok, info = sc.verify_unique_quadrics(s, bent)
     assert not ok
     kind, a, b, count = info
@@ -457,12 +465,14 @@ def _unique_quadrics_by_all_pairs(scroll, quadrics):
 
 @pytest.mark.parametrize("mutation", [
     "none", "point_in_front", "spread_point_twice_in_front",
-    "spread_point_on_two_quadrics", "point_and_spread_point_last"])
+    "spread_point_on_two_quadrics", "point_and_spread_point_last",
+    "dropped_quadric", "moved_point"])
 def test_unique_quadrics_match_all_pairs(regular_2_scroll_q3, mutation):
     s, quads = regular_2_scroll_q3
     quads = sorted(quads)
     spread_pt = min(s.spread_side.points())
     x = quads[5][0]
+    dropped, bent = _quadric_mutations(s, quads)[:2]
     family = {
         "none": quads,
         "point_in_front": [(x,)] + quads,
@@ -471,9 +481,13 @@ def test_unique_quadrics_match_all_pairs(regular_2_scroll_q3, mutation):
             tuple(sorted(k + (spread_pt,))) if i in (3, 7) else k
             for i, k in enumerate(quads)],
         "point_and_spread_point_last": quads + [(x, spread_pt)],
+        "dropped_quadric": dropped,
+        "moved_point": bent,
     }[mutation]
     got = sc.verify_unique_quadrics(s, family)
     assert got == _unique_quadrics_by_all_pairs(s, family)
     assert got[0] == (mutation == "none")
     if mutation != "none":
-        assert got[1][0] == "intersection"
+        kind = "pair" if mutation in ("dropped_quadric", "moved_point") \
+            else "intersection"
+        assert got[1][0] == kind
