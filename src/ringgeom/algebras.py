@@ -6,7 +6,13 @@ the truncated twisted-series construction are constructive transforms on
 these tables, so algebra equality is table comparison.
 
 Elements are coordinate tuples over the base field (ints for finite
-fields, Fractions over Q).
+fields, Fractions over Q), and the operations of `Algebra` on them are
+the reference.  A finite algebra of at most TABLE_BOUND elements also
+carries its element tables (`Algebra.tables`, an `ElementTables`): each
+element is numbered by its rank in `Algebra.elements()`, and sums,
+products, conjugates, norms and inverses are list lookups on the ranks.
+The ring plane, its motions and the Veronese map work on the ranks;
+`classify` and the algebras over Q keep the coordinates.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from . import projective as pj
 
 class AlgebraError(RinggeomError):
     pass
+
+
+# the most elements an algebra may have for its element tables; the
+# plane over it has about |A|^2 points
+TABLE_BOUND = 1024
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,18 @@ class Algebra:
     def size(self):
         return self.field.q ** self.dim
 
+    @functools.cached_property
+    def tables(self):
+        """The element tables (`ElementTables`), built on first use; an
+        AlgebraError over Q or past TABLE_BOUND elements."""
+        if not self.field.is_finite:
+            raise AlgebraError("cannot enumerate over an infinite field")
+        if self.size() > TABLE_BOUND:
+            raise AlgebraError(
+                "algebra %s has %d elements; element tables stop at %d"
+                % (self.tag, self.size(), TABLE_BOUND))
+        return ElementTables(self)
+
     # structural parts for CD(B, zeta) tables
     @functools.cached_property
     def radical_t(self):
@@ -146,6 +169,69 @@ class Algebra:
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.tag or repr(self.field), self.dim)
+
+
+class ElementTables:
+    """The operations of a finite algebra A on element ranks: the rank of
+    an element is its position in `A.elements()`, the lexicographic order
+    of the coordinate tuples, so rank 0 is zero and every `sorted`, `min`
+    or first-witness rule over ranks picks what it picks over
+    coordinates.  Every entry is computed once from the coordinate
+    operations of `Algebra`, which stay the reference:
+
+        elems[i], index[a]      coordinate tuple of rank i, rank of a
+        one, basis[i]           rank of 1, of e_i
+        add, sub, mul [i][j]    rank of a_i + a_j, a_i - a_j, a_i a_j
+        neg[i], conj[i]         rank of -a_i, conj(a_i)
+        norm[i], trace[i]       N(a_i) and T(a_i), field scalars
+        inverse[i]              rank of a_i^-1
+                                (each None where Algebra refuses it)
+        b_part[i]               rank of the B-part of a_i (its first
+                                base_dim coordinates) among their tuples
+
+    and, for the CD(B, 0) shape (`A.radical_t`, t = e_base_dim, t^2 = 0;
+    otherwise tB = {0}):
+
+        t_mul[i]                rank of t b, where b is the B-part of a_i
+        t_slot[i]               rank of b, where t b is the t-part of a_i
+        t_multiple[i]           whether a_i lies in tB
+    """
+
+    def __init__(self, A):
+        z = A.field.zero
+        self.elems = elems = A.elements()
+        self.index = index = {a: i for i, a in enumerate(elems)}
+        self.one = index[A.one()]
+        self.basis = [index[A.basis(i)] for i in range(A.dim)]
+        self.add = [[index[A.add(a, b)] for b in elems] for a in elems]
+        self.neg = [index[A.neg(a)] for a in elems]
+        self.sub = [[row[j] for j in self.neg] for row in self.add]
+        self.mul = [[index[A.mul(a, b)] for b in elems] for a in elems]
+        self.conj = [index[A.conj(a)] for a in elems]
+
+        def partial(op, a):
+            """op(a), None where the coordinate operation refuses."""
+            try:
+                return op(a)
+            except AlgebraError:
+                return None
+
+        self.norm = [partial(A.norm, a) for a in elems]
+        self.trace = [partial(A.trace, a) for a in elems]
+        self.inverse = [None if b is None else index[b]
+                        for b in (partial(A.inverse, a) for a in elems)]
+        # ranks are lexicographic: the leading base_dim coordinates rank
+        # as the quotient by the number of their tails
+        tails = A.field.q ** (A.dim - A.base_dim)
+        self.b_part = [i // tails for i in range(len(elems))]
+        if A.radical_t:
+            self.t_mul = [index[A.t_times(A.b_part(a))] for a in elems]
+            self.t_slot = [index[A.embed_b(A.t_part(a))] for a in elems]
+            self.t_multiple = [all(c == z for c in A.b_part(a))
+                               for a in elems]
+        else:
+            self.t_mul = self.t_slot = [0] * len(elems)
+            self.t_multiple = [i == 0 for i in range(len(elems))]
 
 
 # --------------------------------------------------------------------------

@@ -194,6 +194,7 @@ def run_algebra(config, stages):
 def run_plane(config, stages):
     with stages.stage("plane_build"):
         plane = hp.build_plane(parse_algebra(config.algebra))
+    stages.stats["algebra_elements"] = plane.algebra.size()
     return plane_checks(plane, config.checks or ("hjelmslev",), stages)
 
 
@@ -226,7 +227,8 @@ def plane_checks(plane, wanted, stages=None):
         with stages.stage("plane.neighbour-consistency"):
             ok, wit = hp.nonneighbouring_point_line_consistency(plane)
         checks.append(check("point_line_neighbouring", ok, True, ok,
-                            witnesses=[] if ok else [wit]))
+                            witnesses=[] if ok else [tuple(
+                                hp.coords(A, obj) for obj in wit)]))
     return checks
 
 
@@ -376,6 +378,10 @@ def motion_checks(V, wanted, stages=None):
     P(e) is bijective, and L(0) = I is checked.  Then phi13(X) phi23(Y)
     lifts to L_Y(Y) L_X(X), compared with linear_lift(A, "phi", X, Y) on
     all pairs.  A failing check names its first failing generator or pair.
+
+    Counters in `stats`: elations_materialized adds the maps materialized
+    here to the build's (tau and the generator elations), and
+    lift_pairs_checked counts the pairs (X, Y) whose lift was compared.
     """
     stages = stages or Stages()
     A, plane, F = V.algebra, V.plane, V.field
@@ -436,14 +442,19 @@ def motion_checks(V, wanted, stages=None):
                     else mo.motion_lift(A, k, a)
                     for k in ("phi13", "phi23") for a in elems}
             unit = pj.unit_vectors(F, 3 * A.dim + 3)
+            stages.stats["lift_pairs_checked"] = 0
+
+            def lift_pair(X, Y):
+                stages.stats["lift_pairs_checked"] += 1
+                return mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
+                    F, lift["phi23", Y], lift["phi13", X])
+
             verdict("lift.phi_equivariant", additive,
                     (gens, lambda k, e: generator(k, e).equivariant),
                     (sums, lambda k, e, b, total: pj.mat_mul(
                         F, lift[k, b], lift[k, e]) == lift[k, total]),
                     ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
-                    (itertools.product(elems, elems), lambda X, Y: (
-                        mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
-                            F, lift["phi23", Y], lift["phi13", X]))))
+                    (itertools.product(elems, elems), lift_pair))
     if "transitivity" in wanted:
         with stages.stage("motions.transitivity"):
             # an orbit under tau and the generator elations lies in one under
@@ -457,6 +468,8 @@ def motion_checks(V, wanted, stages=None):
                 size = len(mo.pair_orbit(group, cls[0]))
                 checks.append(check("transitive." + name, size == len(cls),
                                     len(cls), size))
+    stages.stats["elations_materialized"] = (
+        stages.stats.get("elations_materialized", 0) + len(perms))
     return checks
 
 

@@ -12,6 +12,11 @@ three point orbits are
 and dually L0: [a, 1, c], L1: [1, t b1, c], L2: [t a1, t b1, 1].
 Incidence of (x, y, z) with [a, b, c] is a*x + b*y + c*z = 0, evaluated
 left to right with one algebra product per summand.
+
+A point or line is the tuple ("P" or "L", tag, u, v, w) of the ranks of
+its entries in A (`algebras.ElementTables`), so the plane is built and
+indexed by table lookups on small ints; `coords` turns one back into
+coordinate tuples for witnesses and messages.
 """
 
 from __future__ import annotations
@@ -80,72 +85,68 @@ class IncidenceStructure:
     point_keys: list     # per point index: its neighbour key, tilde_triple
 
     def incident(self, p, l):
-        return incidence_value(self.algebra, p, l) == self.algebra.zero()
+        return incidence_value(self.algebra, p, l) == 0
 
     def point_neighbouring(self, p, q):
         return tilde_triple(self.algebra, self.base, p) == \
             tilde_triple(self.algebra, self.base, q)
 
     def point_line_neighbouring(self, p, l):
-        v = incidence_value(self.algebra, p, l)
-        return all(x == self.algebra.field.zero
-                   for x in self.algebra.b_part(v))
+        T = self.algebra.tables
+        return T.b_part[incidence_value(self.algebra, p, l)] == 0
+
+
+def coords(A, obj):
+    """A point or line with its element ranks read as coordinate tuples,
+    for reports and messages."""
+    elems = A.tables.elems
+    return obj[:2] + tuple(elems[u] for u in obj[2:])
 
 
 def incidence_value(A, point, line):
     _, _, x, y, z = point
     _, _, a, b, c = line
-    return A.add(A.add(A.mul(a, x), A.mul(b, y)), A.mul(c, z))
+    add, mul = A.tables.add, A.tables.mul
+    return add[add[mul[a][x]][mul[b][y]]][mul[c][z]]
 
 
 def tilde_triple(A, B, obj):
+    """The neighbour key of a point or line: the ranks in B of the
+    B-parts of its three entries (the entries themselves over B)."""
     _, _, u, v, w = obj
     if not A.base_dim or A.dim == B.dim:
         return (u, v, w)
-    return (A.b_part(u), A.b_part(v), A.b_part(w))
+    bp = A.tables.b_part
+    return (bp[u], bp[v], bp[w])
 
 
 def build_plane(A):
-    """Enumerate G(2, A) with constructive per-line point lists."""
+    """Enumerate G(2, A) with constructive per-line point lists.
+
+    Points and lines are tuples ("P" or "L", tag, u, v, w) of the element
+    ranks of A (`algebras.ElementTables`).  An algebra of more than
+    `algebras.TABLE_BOUND` (1024) elements is refused with an
+    AlgebraError before anything is enumerated."""
     B, is_cd = extract_base(A)
-    one, zero = A.one(), A.zero()
-    a_elems = A.elements()
-    if is_cd:
-        b_elems = B.elements()
-        t_of = A.t_times
-    else:
-        b_elems = [B.zero()]
-        t_of = lambda _b: zero
+    T = A.tables
+    one = T.one
+    a_elems = range(len(T.elems))
+    # the ranks of the elements t*b, b in B, in the order of B's elements
+    tb = [T.index[A.t_times(b)] for b in B.elements()] if is_cd else [0]
 
-    points = []
-    for x in a_elems:
-        for y in a_elems:
-            points.append(("P", 0, x, y, one))
-    for y in a_elems:
-        for z1 in b_elems:
-            points.append(("P", 1, one, y, t_of(z1)))
-    for x1 in b_elems:
-        for z1 in b_elems:
-            points.append(("P", 2, t_of(x1), one, t_of(z1)))
-
-    lines = []
-    for a in a_elems:
-        for c in a_elems:
-            lines.append(("L", 0, a, one, c))
-    for b1 in b_elems:
-        for c in a_elems:
-            lines.append(("L", 1, one, t_of(b1), c))
-    for a1 in b_elems:
-        for b1 in b_elems:
-            lines.append(("L", 2, t_of(a1), t_of(b1), one))
+    points = [("P", 0, x, y, one) for x in a_elems for y in a_elems]
+    points += [("P", 1, one, y, tz) for y in a_elems for tz in tb]
+    points += [("P", 2, tx, one, tz) for tx in tb for tz in tb]
+    lines = [("L", 0, a, one, c) for a in a_elems for c in a_elems]
+    lines += [("L", 1, one, tb1, c) for tb1 in tb for c in a_elems]
+    lines += [("L", 2, ta1, tb1, one) for ta1 in tb for tb1 in tb]
 
     point_index = {p: i for i, p in enumerate(points)}
     line_index = {l: i for i, l in enumerate(lines)}
     if len(point_index) != len(points) or len(line_index) != len(lines):
         raise PlaneError("template enumeration produced duplicates")
 
-    points_on = [line_point_list(A, B, is_cd, l, point_index)
-                 for l in lines]
+    points_on = [line_point_list(A, tb, l, point_index) for l in lines]
     return IncidenceStructure(A, B, is_cd, points, lines, points_on,
                               point_index, line_index,
                               [tilde_triple(A, B, p) for p in points])
@@ -165,43 +166,33 @@ def partition_mismatch(a, b):
     return None
 
 
-def line_point_list(A, B, is_cd, line, point_index):
-    """Solve a*x + b*y + c*z = 0 template by template."""
-    one, zero = A.one(), A.zero()
-    b_elems = B.elements() if is_cd else [B.zero()]
-    t_of = A.t_times if is_cd else (lambda _b: zero)
+def line_point_list(A, tb, line, point_index):
+    """Solve a*x + b*y + c*z = 0 template by template, by lookups in the
+    element tables of A; tb lists the ranks of tB."""
+    T = A.tables
+    add, mul, neg, one = T.add, T.mul, T.neg, T.one
     _, tag, a, b, c = line
-    out = []
-
-    def emit(p):
-        out.append(point_index[p])
-
+    elems = range(len(T.elems))
     if tag == 0:
         # [a,1,c]: affine points with free x; mid points with free z1
-        for x in A.elements():
-            y = A.neg(A.add(A.mul(a, x), c))
-            emit(("P", 0, x, y, one))
-        for z1 in b_elems:
-            tz = t_of(z1)
-            y = A.neg(A.add(a, A.mul(c, tz)))
-            emit(("P", 1, one, y, tz))
+        ma, mc = mul[a], mul[c]
+        pts = [("P", 0, x, neg[add[ma[x]][c]], one) for x in elems]
+        pts += [("P", 1, one, neg[add[a][mc[tz]]], tz) for tz in tb]
     elif tag == 1:
         # [1, tb1, c]: affine points with free y; deep points with free z1
-        for y in A.elements():
-            x = A.neg(A.add(A.mul(b, y), c))
-            emit(("P", 0, x, y, one))
-        for z1 in b_elems:
-            tz = t_of(z1)
-            v = A.add(b, A.mul(c, tz))
-            emit(("P", 2, A.neg(v), one, tz))
+        mb, mc = mul[b], mul[c]
+        pts = [("P", 0, neg[add[mb[y]][c]], y, one) for y in elems]
+        pts += [("P", 2, neg[add[b][mc[tz]]], one, tz) for tz in tb]
     else:
         # [ta1, tb1, 1]: mid points with free y; deep points with free x1
-        for y in A.elements():
-            tz = A.neg(A.add(a, A.mul(b, y)))
-            emit(("P", 1, one, y, tz))
-        for x1 in b_elems:
-            tx = t_of(x1)
-            emit(("P", 2, tx, one, A.neg(b)))
+        mb, nb = mul[b], neg[b]
+        pts = [("P", 1, one, y, neg[add[a][mb[y]]]) for y in elems]
+        pts += [("P", 2, tx, one, nb) for tx in tb]
+    out = [point_index.get(p) for p in pts]
+    if None in out:
+        p = pts[out.index(None)]
+        raise PlaneError("solution %r of line %r is not a plane point"
+                         % (coords(A, p), coords(A, line)))
     return out
 
 
@@ -217,33 +208,33 @@ def epimorphism_to_residue(plane):
         raise PlaneError("plane is already over a division algebra")
     A, B = plane.algebra, plane.base
     residue = build_plane(B)
-    zero_b = B.zero()
-    one_b = B.one()
+    bp = A.tables.b_part
+    one_b = B.tables.one
 
     def tilde_point(p):
-        _, tag, x, y, z = p
+        _, tag, x, y, _ = p
         if tag == 0:
-            return ("P", 0, A.b_part(x), A.b_part(y), one_b)
+            return ("P", 0, bp[x], bp[y], one_b)
         if tag == 1:
-            return ("P", 1, one_b, A.b_part(y), zero_b)
-        return ("P", 2, zero_b, one_b, zero_b)
+            return ("P", 1, one_b, bp[y], 0)
+        return ("P", 2, 0, one_b, 0)
 
     def tilde_line(l):
-        _, tag, a, b, c = l
+        _, tag, a, _, c = l
         if tag == 0:
-            return ("L", 0, A.b_part(a), one_b, A.b_part(c))
+            return ("L", 0, bp[a], one_b, bp[c])
         if tag == 1:
-            return ("L", 1, one_b, zero_b, A.b_part(c))
-        return ("L", 2, zero_b, zero_b, one_b)
+            return ("L", 1, one_b, 0, bp[c])
+        return ("L", 2, 0, 0, one_b)
 
     point_map = {p: tilde_point(p) for p in plane.points}
     line_map = {l: tilde_line(l) for l in plane.lines}
-    for p, img in point_map.items():
-        if img not in residue.point_index:
-            raise PlaneError("tilde image %r is not a residue point" % (img,))
-    for l, img in line_map.items():
-        if img not in residue.line_index:
-            raise PlaneError("tilde image %r is not a residue line" % (img,))
+    for kind, images, index in (("point", point_map, residue.point_index),
+                                ("line", line_map, residue.line_index)):
+        for img in images.values():
+            if img not in index:
+                raise PlaneError("tilde image %r is not a residue %s"
+                                 % (coords(B, img), kind))
     return point_map, line_map, residue
 
 
@@ -392,7 +383,8 @@ def verify_hjelmslev_level2(plane):
 
 def nonneighbouring_point_line_consistency(plane):
     """A point P and line L are non-neighbouring iff P is non-neighbouring
-    with every point on L."""
+    with every point on L.  Returns (ok, (p, l)) with the first failing
+    point and line."""
     keys = plane.point_keys
     for li, l in enumerate(plane.lines):
         on_keys = {keys[i] for i in plane.points_on[li]}

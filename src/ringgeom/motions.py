@@ -7,10 +7,15 @@ map composition, never by re-derived formulas.  The generators are
 certified once (`generator_certificate`): the tube transport of
 `veronese.build_variety` uses that certificate, and the motion report of
 `cli.motion_checks` is that certificate.
+
+The maps act on plane points and lines as the plane holds them, by the
+element ranks of A, through its element tables (`algebras.ElementTables`);
+elation parameters, names and lift arguments stay coordinate tuples.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import RinggeomError
@@ -36,104 +41,92 @@ def compose(f, g):
                     lambda l: f.apply_line(g.apply_line(l)))
 
 
-def _is_t_multiple(A, a):
-    if A.radical_t:
-        return all(c == A.field.zero for c in A.b_part(a))
-    return a == A.zero()
-
-
-def _t_mul(A, a):
-    """t * a (kills the t-part of a)."""
-    return A.t_times(A.b_part(a)) if A.radical_t else A.zero()
-
-
-def _t_slot(A, a):
-    """b as an element of A, for a template slot holding a = t*b."""
-    if not A.radical_t:
-        return A.zero()
-    return A.embed_b(A.t_part(a))
-
-
 def elation(A, kind, param):
     """phi_23(Y) (center (0,1,0), axis [0,0,1]) or phi_13(X) (center
-    (1,0,0), same axis), by the explicit case formulas."""
+    (1,0,0), same axis), by the explicit case formulas on element ranks
+    (`algebras.ElementTables`); param is a coordinate tuple."""
+    T = A.tables
+    add, sub, mul, conj = T.add, T.sub, T.mul, T.conj
+    t_mul, t_slot = T.t_mul, T.t_slot
     if kind == "phi23":
-        Y = param
-        Yc = A.conj(Y)
+        Y = T.index[param]
+        Yc = conj[Y]
 
         def pmap(p):
             _, tag, x, y, z = p
             if tag == 0:
-                return ("P", 0, x, A.add(y, Y), z)
+                return ("P", 0, x, add[y][Y], z)
             if tag == 1:
                 # sign differs from the printed formula: the plus is forced
                 # by incidence preservation and the lift equivariance
-                corr = _t_mul(A, A.mul(Yc, _t_slot(A, z)))
-                return ("P", 1, x, A.add(y, corr), z)
+                corr = t_mul[mul[Yc][t_slot[z]]]
+                return ("P", 1, x, add[y][corr], z)
             return p
 
         def lmap(l):
             _, tag, a, b, c = l
             if tag == 0:
-                return ("L", 0, a, b, A.sub(c, Y))
+                return ("L", 0, a, b, sub[c][Y])
             if tag == 1:
-                corr = _t_mul(A, A.mul(Y, _t_slot(A, b)))
-                return ("L", 1, a, b, A.sub(c, corr))
+                corr = t_mul[mul[Y][t_slot[b]]]
+                return ("L", 1, a, b, sub[c][corr])
             return l
-        return PlaneMap("phi23(%s)" % A.label(Y), pmap, lmap)
+        return PlaneMap("phi23(%s)" % A.label(param), pmap, lmap)
     if kind == "phi13":
-        X = param
-        Xc = A.conj(X)
+        X = T.index[param]
+        Xc = conj[X]
 
         def pmap(p):
             _, tag, x, y, z = p
             if tag == 0:
-                return ("P", 0, A.add(x, X), y, z)
+                return ("P", 0, add[x][X], y, z)
             if tag == 1:
-                corr = _t_mul(A, A.mul(A.mul(Xc, A.conj(y)), _t_slot(A, z)))
-                return ("P", 1, x, A.sub(y, corr), z)
-            corr = _t_mul(A, A.mul(Xc, _t_slot(A, z)))
-            return ("P", 2, A.add(x, corr), y, z)
+                corr = t_mul[mul[mul[Xc][conj[y]]][t_slot[z]]]
+                return ("P", 1, x, sub[y][corr], z)
+            corr = t_mul[mul[Xc][t_slot[z]]]
+            return ("P", 2, add[x][corr], y, z)
 
         def lmap(l):
             _, tag, a, b, c = l
             if tag == 0:
-                return ("L", 0, a, b, A.sub(c, A.mul(a, X)))
+                return ("L", 0, a, b, sub[c][mul[a][X]])
             if tag == 1:
-                return ("L", 1, a, b, A.sub(c, X))
+                return ("L", 1, a, b, sub[c][X])
             return l
-        return PlaneMap("phi13(%s)" % A.label(X), pmap, lmap)
+        return PlaneMap("phi13(%s)" % A.label(param), pmap, lmap)
     raise MotionError("unknown elation kind %r" % kind)
 
 
 def triality(A):
-    """The order-3 map with inverse tau^2; total case dispatch."""
-    one = A.one()
+    """The order-3 map with inverse tau^2; total case dispatch on element
+    ranks."""
+    T = A.tables
+    one, mul, conj, inverse = T.one, T.mul, T.conj, T.inverse
+    t_mul, t_slot, t_multiple = T.t_mul, T.t_slot, T.t_multiple
 
     def pmap(p):
         _, tag, x, y, z = p
         if tag == 0:
-            if not _is_t_multiple(A, y):
-                yi = A.inverse(y)
-                return ("P", 0, yi, A.mul(x, yi), one)
+            if not t_multiple[y]:
+                yi = inverse[y]
+                return ("P", 0, yi, mul[x][yi], one)
             return ("P", 1, one, x, y)
         if tag == 1:
-            if not _is_t_multiple(A, y):
-                yi = A.inverse(y)
-                return ("P", 0, _t_mul(A, A.mul(yi, _t_slot(A, z))), yi, one)
+            if not t_multiple[y]:
+                yi = inverse[y]
+                return ("P", 0, t_mul[mul[yi][t_slot[z]]], yi, one)
             return ("P", 2, z, one, y)
         return ("P", 0, z, x, one)
 
     def lmap(l):
         _, tag, a, b, c = l
         if tag == 0:
-            if not _is_t_multiple(A, a):
-                ai = A.inverse(a)
-                return ("L", 0, A.mul(ai, c), one, ai)
-            if not _is_t_multiple(A, c):
-                ci = A.inverse(c)
-                return ("L", 1, one,
-                        _t_mul(A, A.mul(A.conj(ci), _t_slot(A, a))), ci)
+            if not t_multiple[a]:
+                ai = inverse[a]
+                return ("L", 0, mul[ai][c], one, ai)
+            if not t_multiple[c]:
+                ci = inverse[c]
+                return ("L", 1, one, t_mul[mul[conj[ci]][t_slot[a]]], ci)
             return ("L", 2, c, a, one)
         if tag == 1:
             return ("L", 0, c, one, b)
@@ -143,21 +136,19 @@ def triality(A):
 
 def materialize(plane_map, plane):
     """Point and line permutations as index tuples; checks bijectivity."""
-    pperm = []
-    for p in plane.points:
-        q = plane_map.apply_point(p)
-        if q not in plane.point_index:
-            raise MotionError("image %r is not a plane point" % (q,))
-        pperm.append(plane.point_index[q])
-    lperm = []
-    for l in plane.lines:
-        m = plane_map.apply_line(l)
-        if m not in plane.line_index:
-            raise MotionError("image %r is not a plane line" % (m,))
-        lperm.append(plane.line_index[m])
-    if len(set(pperm)) != len(pperm) or len(set(lperm)) != len(lperm):
+    perms = []
+    for kind, objs, index, apply in (
+            ("point", plane.points, plane.point_index, plane_map.apply_point),
+            ("line", plane.lines, plane.line_index, plane_map.apply_line)):
+        perm = [index.get(img) for img in map(apply, objs)]
+        if None in perm:
+            img = apply(objs[perm.index(None)])
+            raise MotionError("image %r is not a plane %s"
+                              % (hp.coords(plane.algebra, img), kind))
+        perms.append(tuple(perm))
+    if any(len(set(perm)) != len(perm) for perm in perms):
         raise MotionError("map is not bijective")
-    return tuple(pperm), tuple(lperm)
+    return tuple(perms)
 
 
 def perms_preserve_incidence(pperm, lperm, plane):
@@ -182,47 +173,60 @@ def perm_preserves_neighbouring(pperm, plane):
 # --------------------------------------------------------------------------
 # linear lifts on PG(3d+2, K)
 
+LiftBlocks = namedtuple("LiftBlocks", "norm coords conj tr trc mc cm")
+
+
+def lift_blocks(A, a):
+    """What the element of rank a puts into the lift of phi(X, Y) as X or
+    as Y (`linear_lift`), by table lookups: N(a), the coordinates of a
+    and of conj(a), and for each basis element e_j the scalars T(a e_j)
+    (tr) and T(a conj(e_j)) (trc) and the coordinates of a conj(e_j) (mc)
+    and of conj(e_j) conj(a) (cm)."""
+    T = A.tables
+    elems, mul, conj, trace = T.elems, T.mul, T.conj, T.trace
+    row, ca = mul[a], conj[a]
+    cb = [conj[e] for e in T.basis]
+    return LiftBlocks(T.norm[a], elems[a], elems[ca],
+                      tuple(trace[row[e]] for e in T.basis),
+                      tuple(trace[row[c]] for c in cb),
+                      tuple(elems[row[c]] for c in cb),
+                      tuple(elems[mul[c][ca]] for c in cb))
+
+
 def linear_lift(A, kind, X=None, Y=None):
     """Matrix of phi(X, Y) or of the triality shuffle, acting on row
-    vectors in the (x, y, z; xi, ups, zeta) block coordinates."""
-    field = A.field
-    m = A.dim
-    n = 3 * m + 3
-    zero = A.zero()
-    X = X if X is not None else zero
-    Y = Y if Y is not None else zero
+    vectors in the (x, y, z; xi, ups, zeta) block coordinates; X and Y
+    are coordinate tuples, zero if None.
 
-    def unpack(v):
-        return (v[0], v[1], v[2], tuple(v[3:3 + m]),
-                tuple(v[3 + m:3 + 2 * m]), tuple(v[3 + 2 * m:]))
+    tau:  (x, y, z; xi, ups, zeta) -> (z, x, y; zeta, xi, ups).
+    phi:  (x, y, z; xi, ups, zeta) ->
+          (x + T(X ups) + N(X) z, y + T(Y conj(xi)) + N(Y) z, z;
+           xi + z Y, ups + z conj(X),
+           zeta + conj(ups) conj(Y) + X conj(xi) + z X conj(Y)).
 
-    def pack(x, y, z, xi, ups, zeta):
-        return (x, y, z) + tuple(xi) + tuple(ups) + tuple(zeta)
-
+    Both are linear, so the row of a unit vector is its image: the rows
+    of z, xi = e_j and ups = e_j are read off the blocks of X and Y
+    (`lift_blocks`) and the product X conj(Y); x, y and zeta are fixed."""
+    field, m = A.field, A.dim
+    unit = pj.unit_vectors(field, 3 * m + 3)
     if kind == "tau":
-        def image(v):
-            x, y, z, xi, ups, zeta = unpack(v)
-            return pack(z, x, y, zeta, xi, ups)
-    elif kind == "phi":
-        Xc, Yc = A.conj(X), A.conj(Y)
-        nX, nY = A.norm(X), A.norm(Y)
-        XYc = A.mul(X, Yc)
-
-        def image(v):
-            x, y, z, xi, ups, zeta = unpack(v)
-            xq = field.add(x, field.add(A.trace(A.mul(X, ups)),
-                                        field.mul(nX, z)))
-            yq = field.add(y, field.add(A.trace(A.mul(Y, A.conj(xi))),
-                                        field.mul(nY, z)))
-            xi_q = A.add(xi, A.scale(z, Y))
-            ups_q = A.add(ups, A.scale(z, Xc))
-            zeta_q = A.add(zeta, A.add(A.mul(A.conj(ups), Yc),
-                                       A.add(A.mul(X, A.conj(xi)),
-                                             A.scale(z, XYc))))
-            return pack(xq, yq, z, xi_q, ups_q, zeta_q)
-    else:
+        return [unit[i] for i in [1, 2, 0] + list(range(3 + m, 3 + 3 * m))
+                + list(range(3, 3 + m))]
+    if kind != "phi":
         raise MotionError("unknown lift kind %r" % kind)
-    return [tuple(image(e)) for e in pj.unit_vectors(field, n)]
+    T = A.tables
+    x, y = (0 if a is None else T.index[a] for a in (X, Y))
+    bx, by = lift_blocks(A, x), lift_blocks(A, y)
+    zero = (field.zero,)
+    o, eye = zero * m, pj.unit_vectors(field, m)
+    return (unit[:2]
+            + [(bx.norm, by.norm, field.one) + by.coords + bx.conj
+               + T.elems[T.mul[x][T.conj[y]]]]
+            + [zero + (by.trc[j],) + zero + eye[j] + o + bx.mc[j]
+               for j in range(m)]
+            + [(bx.tr[j],) + zero * 2 + o + eye[j] + by.cm[j]
+               for j in range(m)]
+            + unit[3 + 2 * m:])
 
 
 def motion_lift(A, kind, param=None):
@@ -297,7 +301,7 @@ def generator_certificate(A, plane, points):
 
 def perm_mul(p, q):
     """(p*q)(i) = p[q[i]]."""
-    return tuple(p[i] for i in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def orbit(start, gens, act):

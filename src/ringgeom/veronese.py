@@ -39,7 +39,7 @@ from .projective import (Subspace, span, meet, normalize_point, rref,
 from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       partition_mismatch, holder_masks,
                       shared_elements, pair_masks, bits, mask_pairs,
-                      later_bits, epimorphism_to_residue)
+                      later_bits, epimorphism_to_residue, coords)
 
 
 @dataclass
@@ -90,21 +90,21 @@ class Variety:
 
 def veronese_point(A, plane_point):
     """rho(x, y, z) = (x conj(x), y conj(y), z conj(z); y conj(z),
-    z conj(x), x conj(y)) as a normalized point of PG(3d+2, K)."""
+    z conj(x), x conj(y)) as a normalized point of PG(3d+2, K), from the
+    norm, conj and mul tables of A; the plane point holds element
+    ranks."""
     _, _, x, y, z = plane_point
-    field = A.field
-    xc, yc, zc = A.conj(x), A.conj(y), A.conj(z)
-    norms = []
-    for u, uc in ((x, xc), (y, yc), (z, zc)):
-        n = A.mul(u, uc)
-        if any(c != field.zero for c in n[1:]):
-            raise GeometryError("norm is not scalar; algebra not quadratic")
-        norms.append(n[0])
-    blocks = (A.mul(y, zc), A.mul(z, xc), A.mul(x, yc))
-    vec = tuple(norms) + tuple(c for b in blocks for c in b)
-    p = normalize_point(field, vec)
+    T = A.tables
+    mul, conj, elems = T.mul, T.conj, T.elems
+    norms = (T.norm[x], T.norm[y], T.norm[z])
+    if None in norms:
+        raise GeometryError("norm is not scalar; algebra not quadratic")
+    vec = (norms + elems[mul[y][conj[z]]] + elems[mul[z][conj[x]]]
+           + elems[mul[x][conj[y]]])
+    p = normalize_point(A.field, vec)
     if p is None:
-        raise GeometryError("Veronese image of %r is zero" % (plane_point,))
+        raise GeometryError("Veronese image of %r is zero"
+                            % (coords(A, plane_point),))
     return p
 
 
@@ -160,7 +160,10 @@ def build_variety(A):
                                     "(line %d)" % li)
             tubes[li] = tube
     tubes_through = _tubes_through(len(points), tubes)
-    stats = {"points": len(points), "tubes": len(tubes),
+    # the certificate materializes tau and each generator elation once
+    stats = {"algebra_elements": A.size(),
+             "elations_materialized": len(certificate),
+             "points": len(points), "tubes": len(tubes),
              "tubes_extracted": extracted,
              "tubes_transported": len(tubes) - extracted,
              "generators_certified": len(moves),
@@ -549,8 +552,10 @@ def rational_section(variety):
     A = variety.algebra
     plane = variety.plane
     field = variety.field
+    elems = A.tables.elems
     imgs = [img for p, img in zip(plane.points, variety.points)
-            if all(c == field.zero for u in p[2:] for c in A.t_part(u))]
+            if all(c == field.zero for u in p[2:]
+                   for c in A.t_part(elems[u]))]
     return span(field, imgs, variety.n), imgs
 
 

@@ -1,17 +1,32 @@
-"""Reference plane isomorphisms by search, for the tests.
+"""Reference plane isomorphisms by search, and the encoding of points
+and lines spelled with coordinates, for the tests.
 
 The package decides P*_Y against the residue plane by checking the tilde
 map (`veronese._tilde_on_pstar`).  The references here search instead:
 `abstract_plane_isos` backtracks over point bijections between two
 linear spaces, and `projective_equivalence` matches those bijections
 with frame-determined linear maps, for the criteria that compare two
-point sets with no bijection given (05, 10 and 13)."""
+point sets with no bijection given (05, 10 and 13).
+
+The package holds a point or line as the ranks of its entries in the
+element tables (`hjplane.build_plane`); `encode` turns one spelled with
+coordinate tuples, or a single element, into that form."""
 
 import itertools
 
 from ringgeom import hjplane as hp
 from ringgeom import projective as pj
 from ringgeom.projective import GeometryError, rref
+
+
+def encode(A, obj):
+    """A point or line ("P" or "L", tag, u, v, w), or an element of A,
+    spelled with coordinate tuples, as the package holds it: by the
+    ranks of its elements in A's element tables."""
+    index = A.tables.index
+    if obj[0] in ("P", "L"):
+        return obj[:2] + tuple(index[u] for u in obj[2:])
+    return index[obj]
 
 
 def pstar_is_residue_plane_by_search(variety, data, chi):

@@ -368,3 +368,117 @@ def test_quadratic_identity_exhaustive(algebra_cd_f3):
         lhs = A.add(A.sub(A.mul(a, a), A.scale(t, a)), A.scalar(n))
         assert lhs == A.zero()
     assert A.trace(A.one()) == A.field.from_int(2)
+
+
+# --------------------------------------------------------------------------
+# element tables against the coordinate operations
+
+TABLE_ALGEBRAS = ["CD(F2,0)", "CDu(F2,1,0)", "CD(F3,0)", "CD(F4,0)",
+                  "CD(F5,0)", "CD(F3,-1,0)"]
+
+
+def table_mismatches(A, T):
+    """(table, i, j) for each entry of the element tables T that differs
+    from the coordinate operation of A on the elements of ranks i and j
+    (j is None for one-argument tables); ranks are positions in
+    A.elements()."""
+    z = A.field.zero
+    elems = A.elements()
+    rank = {a: i for i, a in enumerate(elems)}
+    b_rank = {b: i for i, b in enumerate(
+        itertools.product(A.field.elements(), repeat=A.base_dim))}
+
+    def partial(op):
+        """op, with None where the coordinate path refuses."""
+        def value(a):
+            try:
+                return op(a)
+            except AlgebraError:
+                return None
+        return value
+
+    if A.radical_t:
+        t_mul = lambda a: rank[A.t_times(A.b_part(a))]
+        t_slot = lambda a: rank[A.embed_b(A.t_part(a))]
+        t_multiple = lambda a: all(c == z for c in A.b_part(a))
+    else:
+        t_mul = t_slot = lambda a: rank[A.zero()]
+        t_multiple = lambda a: a == A.zero()
+    inverse = partial(lambda a: rank[A.inverse(a)])
+    unary = {"elems": lambda a: a, "neg": lambda a: rank[A.neg(a)],
+             "conj": lambda a: rank[A.conj(a)], "norm": partial(A.norm),
+             "trace": partial(A.trace), "inverse": inverse,
+             "b_part": lambda a: b_rank[A.b_part(a)], "t_mul": t_mul,
+             "t_slot": t_slot, "t_multiple": t_multiple}
+    binary = {"add": A.add, "sub": A.sub, "mul": A.mul}
+    out = [(name, i, None) for name, op in unary.items()
+           for i, a in enumerate(elems) if getattr(T, name)[i] != op(a)]
+    out += [(name, i, j) for name, op in binary.items()
+            for i, a in enumerate(elems) for j, b in enumerate(elems)
+            if getattr(T, name)[i][j] != rank[op(a, b)]]
+    if T.index != rank or T.one != rank[A.one()] or T.basis != [
+            rank[A.basis(i)] for i in range(A.dim)]:
+        out.append(("index", None, None))
+    return out
+
+
+@pytest.mark.parametrize("expr", TABLE_ALGEBRAS)
+def test_element_tables_match_the_coordinate_operations(expr):
+    A = parse_algebra(expr)
+    assert len(A.tables.elems) == A.size()
+    assert table_mismatches(A, A.tables) == []
+
+
+def test_element_tables_stop_at_the_bound():
+    # 7^4 = 2401 elements; the division algebra CD(F7,3) is not refused
+    assert len(parse_algebra("CD(F7,3)").tables.elems) == 49
+    with pytest.raises(AlgebraError, match="2401 elements"):
+        parse_algebra("CD(F7,3,0)").tables
+    with pytest.raises(AlgebraError, match="infinite field"):
+        parse_algebra("CD(Q,-1,0)").tables
+
+
+def _plant_wrong_product(monkeypatch, tag, a, b):
+    """Element tables in which the product a*b is off by one in the
+    tables of the algebra tagged `tag`; returns their class."""
+    real = alg.ElementTables
+
+    class Planted(real):
+        def __init__(self, A):
+            super().__init__(A)
+            if A.tag == tag:
+                i, j = self.index[a], self.index[b]
+                self.mul[i][j] = self.add[self.mul[i][j]][self.one]
+
+    monkeypatch.setattr(alg, "ElementTables", Planted)
+    return Planted
+
+
+def test_a_planted_table_error_is_caught(monkeypatch, capsys):
+    # a and b are units, so only the affine points of the lines [a, 1, c]
+    # move, and every point solved for is still a plane point
+    from ringgeom import cli
+    a, b = (1, 1), (1, 0)
+    tables = _plant_wrong_product(monkeypatch, "CD(F3,0)", a, b)
+    A = parse_algebra("CD(F3,0)")
+    assert table_mismatches(A, tables(A)) == [
+        ("mul", A.tables.index[a], A.tables.index[b])]
+    assert cli.main(["plane", "--algebra", "CD(F3,0)", "--check",
+                     "hjelmslev"]) == 1
+    assert capsys.readouterr().err == ""
+    report, status = cli.run(cli.RunConfig("plane", algebra="CD(F3,0)",
+                                           checks=("hjelmslev",)))
+    assert status == 1
+    assert [c["name"] for c in report["checks"]
+            if c["status"] == "fail"] == ["hj1", "hj2", "hj3", "hj4"]
+
+
+def test_a_solution_off_the_plane_is_refused(monkeypatch, capsys):
+    # t*t is 1 in the tables: the mid points that the lines [t a1, t, 1]
+    # solve for leave tB, and the build says so in one line
+    from ringgeom import cli
+    _plant_wrong_product(monkeypatch, "CD(F3,0)", (0, 1), (0, 1))
+    assert cli.main(["plane", "--algebra", "CD(F3,0)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ringgeom: PlaneError: solution ('P', ")
+    assert err.count("\n") == 1

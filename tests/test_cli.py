@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 
 import pytest
 
@@ -77,7 +78,10 @@ def test_byte_identical_reports():
 def test_verify_all_reports_stage_timings_and_stats():
     runs = [run_cli(["verify-all", "--algebra", "CD(F2,0)", "--seed",
                      str(seed)])[0] for seed in (0, 7)]
+    # tau and 8 elations materialized; the 4 x 4 lift pairs of |A| = 4
     assert runs[0]["stats"] == runs[1]["stats"] == {
+        "algebra_elements": 4, "elations_materialized": 9,
+        "lift_pairs_checked": 16,
         "points": 28, "tubes": 28, "tubes_extracted": 1,
         "tubes_transported": 27, "generators_certified": 5,
         "generators_refused": []}
@@ -312,7 +316,20 @@ def test_point_line_neighbouring_reports_its_witness(monkeypatch):
     check = {c["name"]: c for c in report["checks"]}[
         "point_line_neighbouring"]
     assert status == 1 and check["status"] == "fail"
-    assert check["witnesses"] == [cli._jsonable(wit)]
+    # the witness is reported with coordinate tuples
+    assert check["witnesses"] == [cli._jsonable(
+        tuple(hjplane.coords(plane.algebra, obj) for obj in wit))]
+
+
+def test_plane_past_the_table_bound_is_refused_at_once(capsys):
+    # |CD(F7,3,0)| = 7^4 = 2401 > 1024: refused before any enumeration
+    t0 = time.perf_counter()
+    assert cli.main(["plane", "--algebra", "CD(F7,3,0)"]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("ringgeom: AlgebraError: ")
+    assert err.count("\n") == 1 and "2401" in err
+    assert str(algebras.TABLE_BOUND) in err
 
 
 def test_scroll_quadrics_fail_with_swapped_zero_counts(monkeypatch):

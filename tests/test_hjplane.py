@@ -8,6 +8,8 @@ from ringgeom.fields import GF
 from ringgeom import algebras as alg
 from ringgeom import hjplane as hp
 
+from plane_reference import encode
+
 
 @pytest.fixture(scope="module")
 def plane_f2(algebra_cd_f2):
@@ -40,8 +42,8 @@ def test_g2_f2_is_fano():
 
 def test_incidence_example(plane_f2, algebra_cd_f2):
     A = algebra_cd_f2
-    p = ("P", 2, A.zero(), A.one(), A.zero())        # (0, 1, 0)
-    l = ("L", 1, A.one(), A.zero(), A.zero())        # [1, 0, 0]
+    p = encode(A, ("P", 2, A.zero(), A.one(), A.zero()))  # (0, 1, 0)
+    l = encode(A, ("L", 1, A.one(), A.zero(), A.zero()))  # [1, 0, 0]
     assert plane_f2.incident(p, l)
 
 
@@ -54,7 +56,7 @@ def test_constructive_lists_match_brute_force(plane_f2):
 
 def test_line_100_has_a_plus_b_points(plane_f2, algebra_cd_f2):
     A = algebra_cd_f2
-    l = ("L", 1, A.one(), A.zero(), A.zero())
+    l = encode(A, ("L", 1, A.one(), A.zero(), A.zero()))
     li = plane_f2.line_index[l]
     assert len(plane_f2.points_on[li]) == A.size() + plane_f2.base.size()
 
@@ -75,9 +77,27 @@ def test_epimorphism_fibers(plane_f2):
 
 def test_neighbouring_tilde_collapse(plane_f2, algebra_cd_f2):
     A = algebra_cd_f2
-    p1 = ("P", 0, A.one(), A.t_times((A.field.one,)), A.one())   # (1, t, 1)
-    p2 = ("P", 0, A.one(), A.zero(), A.one())                    # (1, 0, 1)
+    p1 = encode(A, ("P", 0, A.one(), A.t_times((A.field.one,)),
+                    A.one()))                                    # (1, t, 1)
+    p2 = encode(A, ("P", 0, A.one(), A.zero(), A.one()))         # (1, 0, 1)
     assert plane_f2.point_neighbouring(p1, p2)
+
+
+def test_residue_errors_name_coordinates(plane_f2, monkeypatch):
+    # a residue plane that lacks the point (0, 0, 1)
+    real = hp.build_plane
+
+    def residue_without_first_point(B):
+        residue = real(B)
+        index = dict(residue.point_index)
+        del index[residue.points[0]]
+        return dataclasses.replace(residue, point_index=index)
+
+    monkeypatch.setattr(hp, "build_plane", residue_without_first_point)
+    with pytest.raises(hp.PlaneError) as err:
+        hp.epimorphism_to_residue(plane_f2)
+    assert str(err.value) == ("tilde image ('P', 0, (0,), (0,), (1,)) is "
+                              "not a residue point")
 
 
 def test_residue_of_cd_f3_is_pg23(algebra_cd_f3):

@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from ringgeom import algebras as alg
 from ringgeom import cli
 from ringgeom import hjplane as hp
 from ringgeom import motions as mo
 from ringgeom import veronese as vr
 
-from motion_reference import lift_stabilizes_points
+from motion_reference import lift_stabilizes_points, linear_lift_by_images
+from plane_reference import encode
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +31,17 @@ def test_phi23_zero_is_identity(algebra_cd_f2, plane_f2):
 
 def test_phi23_fixes_axis_and_center_pencil(algebra_cd_f2, plane_f2):
     A = algebra_cd_f2
-    axis = ("L", 2, A.zero(), A.zero(), A.one())          # [0, 0, 1]
-    center = ("P", 2, A.zero(), A.one(), A.zero())        # (0, 1, 0)
+    axis = encode(A, ("L", 2, A.zero(), A.zero(), A.one()))    # [0, 0, 1]
+    center = encode(A, ("P", 2, A.zero(), A.one(), A.zero()))  # (0, 1, 0)
+    zero = encode(A, A.zero())
     axis_pts = [p for p in plane_f2.points
-                if hp.incidence_value(A, p, axis) == A.zero()]
+                if hp.incidence_value(A, p, axis) == zero]
     for Y in A.elements():
         em = mo.elation(A, "phi23", Y)
         for p in axis_pts:
             assert em.apply_point(p) == p
         for l in plane_f2.lines:
-            if hp.incidence_value(A, center, l) == A.zero():
+            if hp.incidence_value(A, center, l) == zero:
                 assert em.apply_line(l) == l
 
 
@@ -82,9 +85,9 @@ def test_triality_deep_point_case(algebra_cd_f2):
     tau = mo.triality(A)
     x1 = (A.field.one,)
     z1 = (A.field.one,)
-    p = ("P", 2, A.t_times(x1), A.one(), A.t_times(z1))
-    assert tau.apply_point(p) == ("P", 0, A.t_times(z1), A.t_times(x1),
-                                  A.one())
+    p = encode(A, ("P", 2, A.t_times(x1), A.one(), A.t_times(z1)))
+    assert tau.apply_point(p) == encode(
+        A, ("P", 0, A.t_times(z1), A.t_times(x1), A.one()))
 
 
 def test_conjugation_by_triality_gives_other_elations(algebra_cd_f2,
@@ -352,3 +355,51 @@ def test_lift_with_one_wrong_row_off_the_basis_fails(fixture, row, request,
     bad = checks["lift.phi_equivariant"]
     assert bad.status == "fail"
     assert off_basis in bad.witnesses[0]
+
+
+@pytest.mark.parametrize("expr", ["CD(F2,0)", "CD(F3,0)", "CDu(F2,1,0)",
+                                  "CD(F4,0)"])
+def test_block_lift_matches_the_unit_vector_images(expr):
+    A = alg.parse_algebra(expr)
+    assert mo.linear_lift(A, "tau") == linear_lift_by_images(A, "tau")
+    params = [None] + A.elements()
+    for X, Y in itertools.product(params, params):
+        assert mo.linear_lift(A, "phi", X=X, Y=Y) == linear_lift_by_images(
+            A, "phi", X=X, Y=Y), (X, Y)
+
+
+@pytest.mark.parametrize("fixture", ["variety_f2", "variety_f3"])
+def test_a_wrong_block_entry_fails_as_in_the_reference(fixture, request,
+                                                       monkeypatch):
+    # T(X e_0) is off by one for X = (1, 1): in the lift of phi(X, Y) that
+    # is the x entry of the row of ups = e_0, for every Y
+    V = request.getfixturevalue(fixture)
+    A, F = V.algebra, V.field
+    off_basis = A.add(A.basis(0), A.basis(1))
+    real = mo.lift_blocks
+
+    def wrong_block(A_, a):
+        b = real(A_, a)
+        if A_.tables.elems[a] == off_basis:
+            b = b._replace(tr=(F.add(b.tr[0], F.one),) + b.tr[1:])
+        return b
+
+    def wrong_reference(A_, kind, X=None, Y=None):
+        M = linear_lift_by_images(A_, kind, X=X, Y=Y)
+        if kind == "phi" and X == off_basis:
+            row = 3 + A.dim
+            M[row] = (F.add(M[row][0], F.one),) + M[row][1:]
+        return M
+
+    runs = []
+    for name, wrong in (("lift_blocks", wrong_block),
+                        ("linear_lift", wrong_reference)):
+        with monkeypatch.context() as m:
+            m.setattr(mo, name, wrong)
+            runs.append([(c.name, c.status, c.witnesses)
+                         for c in cli.motion_checks(V, MOTION_CHECKS)])
+    blocks, reference = runs
+    bad = [c for c in blocks if c[1] == "fail"]
+    assert [c[0] for c in bad] == ["lift.phi_equivariant"]
+    assert off_basis in bad[0][2][0]
+    assert blocks == reference

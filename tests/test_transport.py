@@ -137,8 +137,9 @@ def test_each_generator_is_materialized_and_lifted_once(monkeypatch):
 
     monkeypatch.setattr(mo, "materialize", counted_materialize)
     monkeypatch.setattr(mo, "linear_lift", counted_lift)
+    stages = cli.Stages()
     cli.run_verify_all(cli.RunConfig("verify-all", algebra="CD(F4,0)"),
-                       cli.Stages())
+                       stages)
     A = alg.parse_algebra("CD(F4,0)")
     F = A.field
     basis = [A.scale(F.p ** j, A.basis(i)) for i in range(A.dim)
@@ -152,6 +153,12 @@ def test_each_generator_is_materialized_and_lifted_once(monkeypatch):
     assert [calls[k] for k in lifts] == [1] * 9
     # 9 generators and the 2 * 12 other elations
     assert sum(calls[g] for g in calls if isinstance(g, str)) == 33
+    # the report counts them, and the 16 * 16 lift pairs
+    assert {k: stages.stats[k] for k in (
+        "algebra_elements", "elations_materialized",
+        "lift_pairs_checked")} == {"algebra_elements": 16,
+                                   "elations_materialized": 33,
+                                   "lift_pairs_checked": 256}
 
 
 def test_a_generator_off_the_plane_is_refused_and_raised(
@@ -180,3 +187,5 @@ def test_a_generator_off_the_plane_is_refused_and_raised(
     err = capsys.readouterr().err
     assert err.startswith("ringgeom: MotionError: image ")
     assert err.count("\n") == 1
+    # the first point (0, 0, 1), moved to tag 3, in coordinates
+    assert "image ('P', 3, (0, 0), (0, 0), (1, 0)) is not" in err

@@ -12,7 +12,7 @@ from ringgeom import projective as pj
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
-from plane_reference import (projective_equivalence,
+from plane_reference import (encode, projective_equivalence,
                              pstar_is_residue_plane_by_search)
 
 
@@ -21,14 +21,14 @@ def test_veronese_point_images(algebra_cd_f3):
     F = A.field
     zero, one = A.zero(), A.one()
     # (1, 0, 0) -> (1, 0, 0; 0, 0, 0)
-    img = vr.veronese_point(A, ("P", 1, one, zero, zero))
+    img = vr.veronese_point(A, encode(A, ("P", 1, one, zero, zero)))
     assert img == (1, 0, 0) + (0,) * 6
     # (0, 0, 1) -> (0, 0, 1; 0, 0, 0)
-    img = vr.veronese_point(A, ("P", 0, zero, zero, one))
+    img = vr.veronese_point(A, encode(A, ("P", 0, zero, zero, one)))
     assert img == (0, 0, 1) + (0,) * 6
     # (0, y, 1) -> (0, N(y), 1; y, 0, 0) up to normalization
     for y in A.elements():
-        p = ("P", 0, zero, y, one)
+        p = encode(A, ("P", 0, zero, y, one))
         img = vr.veronese_point(A, p)
         vec = (F.zero, A.norm(y), F.one) + y + zero + zero
         assert img == pj.normalize_point(F, vec)
@@ -43,7 +43,7 @@ def test_line_100_equations(variety_f3, algebra_cd_f3):
     # xi of [1, 0, 0] is cut out by K0 = A1 = A2 = 0 (five conditions)
     A = algebra_cd_f3
     plane = variety_f3.plane
-    l = ("L", 1, A.one(), A.zero(), A.zero())
+    l = encode(A, ("L", 1, A.one(), A.zero(), A.zero()))
     li = plane.line_index[l]
     tube = variety_f3.tubes[li]
     assert tube.xi.pdim == 3
@@ -66,8 +66,8 @@ def test_tube_data(variety_f3):
 def test_tubic_space_intersection_point(variety_f3, algebra_cd_f3):
     A = algebra_cd_f3
     plane = variety_f3.plane
-    l1 = ("L", 1, A.one(), A.zero(), A.zero())
-    l2 = ("L", 0, A.zero(), A.one(), A.zero())
+    l1 = encode(A, ("L", 1, A.one(), A.zero(), A.zero()))
+    l2 = encode(A, ("L", 0, A.zero(), A.one(), A.zero()))
     t1 = variety_f3.tubes[plane.line_index[l1]]
     t2 = variety_f3.tubes[plane.line_index[l2]]
     inter = t1.xi_pts & t2.xi_pts
