@@ -33,7 +33,18 @@ T_PAIRS = ("168", "249", "357")
 
 
 def bits_rank(vectors):
-    return len(echelon(vectors))
+    """The rank of the vectors over GF(2): each is reduced by the pivots
+    kept so far, keyed by leading bit, until it is zero or has a new
+    leading bit, and then kept as that bit's pivot."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def echelon(vectors):
@@ -196,37 +207,24 @@ def line_m(m10):
 # census of PG(10, 2)
 
 def census(m10):
+    """The partition of PG(10, 2) by M10: X, the elliptic points (in a
+    block's span, off X), the triangle and quadrangle centres
+    (`_centres`) and the admissible points, those off every span of two
+    blocks; each such span is spanned by the nine points of the two
+    blocks.  Also M (`line_m`), the admissible lines and planes and the
+    tangent dimensions."""
     n = m10.dim
     all_points = set(range(1, 1 << n))
     xset = set(m10.points)
-    block_spans = [span_set(list(b)) for b in m10.blocks]
     elliptic = set()
-    for s in block_spans:
-        elliptic |= s
+    for b in m10.blocks:
+        elliptic |= span_set(list(b))
     elliptic -= xset
-
-    triangle_centers = {}
-    pts = m10.points
-    blocks = m10.blocks
-    in_block = {frozenset(c) for b in blocks
-                for c in itertools.combinations(sorted(b), 3)}
-    for trio in itertools.combinations(pts, 3):
-        if frozenset(trio) in in_block:
-            continue
-        c = trio[0] ^ trio[1] ^ trio[2]
-        triangle_centers.setdefault(c, []).append(trio)
-    quad_centers = {}
-    for quad in itertools.combinations(pts, 4):
-        if any(frozenset(t) in in_block
-               for t in itertools.combinations(quad, 3)):
-            continue
-        c = quad[0] ^ quad[1] ^ quad[2] ^ quad[3]
-        quad_centers.setdefault(c, []).append(quad)
+    triangle_centers, quad_centers = _centres(m10)
 
     pair_span_union = set()
-    for b1, b2 in itertools.combinations(range(21), 2):
-        pair_span_union |= span_set(sorted(block_spans[b1]
-                                           | block_spans[b2]))
+    for b1, b2 in itertools.combinations(m10.blocks, 2):
+        pair_span_union |= span_set(echelon(list(b1 | b2)))
     admissible = sorted(all_points - pair_span_union)
 
     m = line_m(m10)
@@ -235,24 +233,23 @@ def census(m10):
     for a, b in itertools.combinations(admissible, 2):
         if a ^ b in adm_set:
             adm_lines.add(frozenset((a, b, a ^ b)))
-    adm_planes = []
-    for l1, l2 in itertools.combinations(sorted(adm_lines, key=sorted), 2):
-        if l1 & l2:
-            plane = span_set(sorted(l1 | l2))
-            if plane <= adm_set:
-                adm_planes.append(plane)
+    # two admissible lines through a point span a plane whose other two
+    # points are the sums of a point of each line off the other
+    adm_planes = sum(1 for l1, l2 in itertools.combinations(adm_lines, 2)
+                     if l1 & l2 and all(x ^ y in adm_set for x in l1 - l2
+                                        for y in l2 - l1))
 
+    parts = [xset, elliptic, set(triangle_centers), set(quad_centers),
+             set(admissible)]
+    total = sum(map(len, parts))
     report = {
         "x": len(xset),
         "elliptic": len(elliptic),
         "triangle_centers": len(triangle_centers),
         "quadrangle_centers": len(quad_centers),
         "admissible": len(admissible),
-        "partition_sum": len(xset) + len(elliptic) + len(triangle_centers)
-        + len(quad_centers) + len(admissible),
-        "partition_disjoint": _disjoint(xset, elliptic,
-                                        set(triangle_centers),
-                                        set(quad_centers), set(admissible)),
+        "partition_sum": total,
+        "partition_disjoint": len(set().union(*parts)) == total,
         "triangles": sum(len(v) for v in triangle_centers.values()),
         "one_triangle_per_center": all(len(v) == 1 for v in
                                        triangle_centers.values()),
@@ -262,7 +259,7 @@ def census(m10):
         "m_labels": sorted(_sum_label(m10, v) for v in m),
         "admissible_points": admissible,
         "admissible_lines": len(adm_lines),
-        "admissible_planes": len(adm_planes),
+        "admissible_planes": adm_planes,
         "tangent_dims": sorted({len(tangent_space(m10, x)) - 1
                                 for x in m10.points}),
         "admissible_in_m_planes": _admissible_in_m_planes(m10, m, adm_set),
@@ -270,13 +267,31 @@ def census(m10):
     return report
 
 
-def _disjoint(*sets):
-    seen = set()
-    for s in sets:
-        if s & seen:
-            return False
-        seen |= s
-    return True
+def _centres(m10):
+    """sum -> the 3-subsets, and sum -> the 4-subsets, of X with that sum
+    and no three points in a block, as point tuples in lexicographic
+    order.  Three points lie in a block iff the third is in the index
+    mask of the block through the other two (the blocks form a plane)."""
+    pts = m10.points
+    index = {p: i for i, p in enumerate(pts)}
+    join = {}
+    for b in m10.blocks:
+        mask = sum(1 << index[p] for p in b)
+        for i, j in itertools.permutations(_indices(mask), 2):
+            join[i, j] = mask
+    triangles, quads = {}, {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        for k in range(j + 1, len(pts)):
+            if join[i, j] >> k & 1:
+                continue
+            trio = pts[i], pts[j], pts[k]
+            c = pts[i] ^ pts[j] ^ pts[k]
+            triangles.setdefault(c, []).append(trio)
+            off = join[i, j] | join[i, k] | join[j, k]
+            for l in range(k + 1, len(pts)):
+                if not off >> l & 1:
+                    quads.setdefault(c ^ pts[l], []).append(trio + (pts[l],))
+    return triangles, quads
 
 
 def _sum_label(m10, v):
@@ -315,27 +330,43 @@ def _zero_sum_sets(points):
     in the middle: a k-set splits into its lowest min(k, 4) points A and
     the rest B, with equal sums and max A < min B (B empty for k <= 4)."""
     buckets = _sum_buckets(points, range(5))
-    masks = [m for m in buckets.get(0, ()) if m]
-    for bucket in buckets.values():
-        fours = [m for m in bucket if m.bit_count() == 4]
-        for b in bucket:
-            low = b & -b
-            masks.extend(a | b for a in fours if a < low)
+    masks = [m for k in range(1, 5) for m in buckets[k].get(0, ())]
+    for k in range(1, 5):
+        masks.extend(_joins(buckets[4], buckets[k]))
     return {frozenset(points[i] for i in _indices(m)) for m in masks}
 
 
 def _sum_buckets(points, sizes):
-    """sum -> bitmasks (bit i for points[i]) of the subsets of the given
-    sizes with that sum."""
-    buckets = {}
-    for k in sizes:
-        for combo in itertools.combinations(range(len(points)), k):
-            acc = mask = 0
-            for i in combo:
-                acc ^= points[i]
-                mask |= 1 << i
-            buckets.setdefault(acc, []).append(mask)
-    return buckets
+    """k -> (sum -> bitmasks, bit i for points[i], of the k-subsets with
+    that sum, in lexicographic order) for each of the given sizes k: the
+    k-subsets are the (k-1)-subsets, each extended by a point after its
+    last."""
+    out = {}
+    units = [(p, 1 << i) for i, p in enumerate(points)]
+    level = [(0, 0)]                # (sum, mask) of the k-subsets
+    for k in range(max(sizes) + 1):
+        if k:
+            level = [(acc ^ p, mask | bit) for acc, mask in level
+                     for p, bit in units[mask.bit_length():]]
+        if k in sizes:
+            buckets = out[k] = {}
+            for acc, mask in level:
+                buckets.setdefault(acc, []).append(mask)
+    return out
+
+
+def _joins(lows, highs):
+    """The masks A | B of the zero-sum sets met in the middle: A and B
+    from the buckets of one sum in `lows` and in `highs`, with every
+    point of A before every point of B (A < lowest bit of B)."""
+    for acc, above in highs.items():
+        below = lows.get(acc)
+        if below:
+            for b in above:
+                low = b & -b
+                for a in below:
+                    if a < low:
+                        yield a | b
 
 
 def _indices(mask):
@@ -460,32 +491,48 @@ def enumerate_octads(points):
     its lowest four points and its highest four, with equal sums: joined
     here from the 4-subsets bucketed by sum (meet in the middle)."""
     octads = []
-    for bucket in _sum_buckets(points, (4,)).values():
-        for b in bucket:
-            low = b & -b
-            for a in bucket:
-                if a < low:
-                    combo = tuple(_indices(a | b))
-                    if bits_rank([points[i] for i in combo[:7]]) == 7:
-                        octads.append(combo)
+    fours = _sum_buckets(points, (4,))[4]
+    for mask in _joins(fours, fours):
+        combo = tuple(_indices(mask))
+        if bits_rank([points[i] for i in combo[:7]]) == 7:
+            octads.append(combo)
     return sorted(octads)
 
 
 def check_design(points, octads):
-    """Every 5-subset of the 24 points lies in exactly one octad."""
-    counts = {}
+    """Every 5-subset of the points lies in exactly one octad.  Each
+    5-subset is kept as a bitmask of point indices, its octad's mask XOR
+    the mask of the three octad points it leaves out; False at the first
+    octad holding a 5-subset already met, and otherwise True iff the
+    5-subsets met number C(len(points), 5)."""
+    seen = set()
     for o in octads:
-        for five in itertools.combinations(o, 5):
-            counts[five] = counts.get(five, 0) + 1
-            if counts[five] > 1:
-                return False
-    return len(counts) == math.comb(len(points), 5)
+        bits = [1 << i for i in o]
+        mask = sum(bits)
+        fives = [mask ^ (a | b | c)
+                 for a, b, c in itertools.combinations(bits, 3)]
+        before = len(seen)
+        seen.update(fives)
+        if len(seen) != before + len(fives):
+            return False
+    return len(seen) == math.comb(len(points), 5)
+
+
+def _frames(points):
+    """The 5-subsets of the points with zero sum and rank 4 (frames of
+    3-spaces), as index lists in lexicographic order.  A zero-sum 5-set
+    is its lowest two points and its highest three, with equal sums:
+    joined here from the 2- and 3-subsets bucketed by sum."""
+    buckets = _sum_buckets(points, (2, 3))
+    return [c for c in sorted(map(_indices, _joins(buckets[2], buckets[3])))
+            if bits_rank([points[i] for i in c]) == 4]
 
 
 def converse_projection(points24):
     """Project the 24 points from p1 + p2 + p3; the other 21 images form
     an M10-like structure (21 zero-sum 5-subsets building a plane of
-    order 4) and the images of p1, p2, p3 form its line M."""
+    order 4) and the images of p1, p2, p3 form its line M.  The blocks
+    are the frames among the images (`_frames`)."""
     p1, p2, p3 = points24[:3]
     centre = p1 ^ p2 ^ p3
     ech = echelon([centre])
@@ -497,24 +544,15 @@ def converse_projection(points24):
         return {"ok": False, "why": "projection identified points"}
     if _xor_all(m_imgs) != 0:
         return {"ok": False, "why": "images of p1,p2,p3 not collinear"}
-    blocks = []
-    for sub in itertools.combinations(x_imgs, 5):
-        if _xor_all(sub) == 0 and bits_rank(list(sub)) == 4:
-            blocks.append(frozenset(sub))
+    blocks = [frozenset(x_imgs[i] for i in c) for c in _frames(x_imgs)]
     if len(blocks) != 21:
         return {"ok": False, "why": "found %d candidate blocks" % len(blocks)}
     rec = M10Structure(x_imgs, {}, {}, blocks, dim - 1)
     try:
         _validate_m10(rec)
+        m_rec = line_m(rec)     # must be the image of {p1, p2, p3}
     except F2Error as e:
         return {"ok": False, "why": str(e)}
-    # the recovered M must be the image of {p1, p2, p3}
-    spaces = None
-    for trio in itertools.combinations(x_imgs, 3):
-        if not any(set(trio) <= b for b in blocks):
-            spaces = [span_set(tangent_space(rec, x)) for x in trio]
-            break
-    m_rec = sorted(spaces[0] & spaces[1] & spaces[2])
     return {"ok": m_rec == m_imgs, "m_recovered": m_rec, "m_images": m_imgs,
             "span_dim": bits_rank(x_imgs)}
 

@@ -92,8 +92,9 @@ class IncidenceStructure:
             tilde_triple(self.algebra, self.base, q)
 
     def point_line_neighbouring(self, p, l):
-        T = self.algebra.tables
-        return T.b_part[incidence_value(self.algebra, p, l)] == 0
+        """The residue of the incidence value is zero (rank 0)."""
+        residue = _residue_ranks(self.algebra, self.base)
+        return residue[incidence_value(self.algebra, p, l)] == 0
 
 
 def coords(A, obj):
@@ -110,13 +111,21 @@ def incidence_value(A, point, line):
     return add[add[mul[a][x]][mul[b][y]]][mul[c][z]]
 
 
-def tilde_triple(A, B, obj):
-    """The neighbour key of a point or line: the ranks in B of the
-    B-parts of its three entries (the entries themselves over B)."""
-    _, _, u, v, w = obj
+def _residue_ranks(A, B):
+    """Element rank of A -> the rank in B of its residue: its B-part for
+    CD(B, 0), and itself where A is its own base B (a division algebra),
+    so that neighbouring there is equality, and a point and a line are
+    neighbouring exactly when incident."""
     if not A.base_dim or A.dim == B.dim:
-        return (u, v, w)
-    bp = A.tables.b_part
+        return range(len(A.tables.elems))
+    return A.tables.b_part
+
+
+def tilde_triple(A, B, obj):
+    """The neighbour key of a point or line: the residues
+    (`_residue_ranks`) of its three entries."""
+    _, _, u, v, w = obj
+    bp = _residue_ranks(A, B)
     return (bp[u], bp[v], bp[w])
 
 

@@ -590,15 +590,20 @@ def is_ovoid(field, points, within):
 
 def conic_sections(field, pts, sub):
     """Plane sections with q+1 points of a quadric point set spanning
-    `sub`; the set itself when it already spans a plane."""
+    `sub`; the set itself when it already spans a plane.  A trio inside a
+    section already met spans that section's plane, so it is skipped."""
     if sub.pdim == 2:
         return [tuple(sorted(pts))]
     out = set()
+    met = set()
     for trio in itertools.combinations(sorted(pts), 3):
+        if trio in met:
+            continue
         pl = span(field, list(trio), sub.n)
         if pl.vdim != 3:
             continue
         sect = tuple(sorted(p for p in pts if pl.contains(p)))
+        met.update(itertools.combinations(sect, 3))
         if len(sect) == field.q + 1:
             out.add(sect)
     return sorted(out)

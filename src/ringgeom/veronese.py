@@ -634,19 +634,39 @@ def _vertex_span(variety, i):
                 variety.n)
 
 
+def _pi_xy(variety, fibers):
+    """x' -> Pi_x^Y for the points x over x'.  Each point is keyed by the
+    vertices of its tubes and each distinct key is spanned once
+    (`_vertex_span` per point); Pi_x^Y must be one space over a fiber.
+    The span cache dies on return, before the checks that use chi."""
+    field = variety.field
+    tubes = variety.tubes
+    spans = {}          # the vertex rows of a point's tubes -> their span
+    chi = {}
+    for img, fib in fibers.items():
+        pis = set()
+        for i in fib:
+            key = frozenset(tubes[ti].vertex.rows
+                            for ti in variety.tubes_through[i])
+            if key not in spans:
+                spans[key] = span(field, [r for rows in key for r in rows],
+                                  variety.n).rows
+            pis.add(spans[key])
+        if len(pis) != 1:
+            raise GeometryError("Pi_x^Y differs within a fiber")
+        chi[img] = Subspace(field, variety.n, pis.pop())
+    return chi
+
+
 def connection_chi(variety, data):
     """chi: rho(X) -> {Pi_x^Y}; verified to be an incidence-reversing
     bijection whose restrictions preserve cross-ratio, with X recovered
     as the union of <x', chi(x')> minus chi(x'), and with P*_Y (points
     chi(x'), lines the vertices V, V on chi(x') iff V <= chi(x')) carried
-    onto the residue plane by the tilde map (`_tilde_on_pstar`)."""
+    onto the residue plane by the tilde map (`_tilde_on_pstar`); chi
+    itself is `_pi_xy`."""
     field = variety.field
-    chi = {}
-    for img, fib in data["fibers"].items():
-        pis = {_vertex_span(variety, i).rows for i in fib}
-        if len(pis) != 1:
-            raise GeometryError("Pi_x^Y differs within a fiber")
-        chi[img] = Subspace(field, variety.n, pis.pop())
+    chi = _pi_xy(variety, data["fibers"])
     report = {"bijective": len({s.rows for s in chi.values()}) == len(chi)}
     # incidence reversal: x' on the quadric of vertex V iff V <= chi(x')
     under = {(key, img): v <= s for key, v in data["vertices"].items()

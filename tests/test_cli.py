@@ -321,6 +321,31 @@ def test_point_line_neighbouring_reports_its_witness(monkeypatch):
         tuple(hjplane.coords(plane.algebra, obj) for obj in wit))]
 
 
+@pytest.mark.parametrize("algebra", ["CD(F3,-1)", "CDu(F2,1)"])
+def test_point_line_neighbouring_on_division_algebras(algebra, monkeypatch):
+    # over a division algebra a point and a line are neighbouring iff
+    # incident; a predicate reading only the B-part of the incidence
+    # value, as for CD(B, 0), must fail the check
+    args = ["plane", "--algebra", algebra, "--check",
+            "neighbour-consistency"]
+    report, status, _ = run_cli(args)
+    check = {c["name"]: c for c in report["checks"]}[
+        "point_line_neighbouring"]
+    assert status == 0 and check["status"] == "pass"
+
+    def b_part_only(plane, p, l):
+        value = hjplane.incidence_value(plane.algebra, p, l)
+        return plane.algebra.tables.b_part[value] == 0
+
+    monkeypatch.setattr(hjplane.IncidenceStructure,
+                        "point_line_neighbouring", b_part_only)
+    report, status, _ = run_cli(args)
+    check = {c["name"]: c for c in report["checks"]}[
+        "point_line_neighbouring"]
+    assert status == 1 and check["status"] == "fail"
+    assert len(check["witnesses"]) == 1
+
+
 def test_plane_past_the_table_bound_is_refused_at_once(capsys):
     # |CD(F7,3,0)| = 7^4 = 2401 > 1024: refused before any enumeration
     t0 = time.perf_counter()

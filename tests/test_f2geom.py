@@ -236,6 +236,14 @@ def test_check_design_rejects_one_swapped_point(m10):
     assert not f2.check_design(w["points"], octads)
 
 
+def test_check_design_rejects_a_duplicated_and_a_dropped_octad(m10):
+    w = f2.witt_lift(m10)
+    octads = list(w["octads"])
+    assert not f2.check_design(w["points"], octads + octads[-1:])
+    assert not f2.check_design(w["points"], octads[1:])
+    assert not f2.check_design(w["points"], octads[:1] + octads)
+
+
 def test_mm_axioms_reject_one_moved_block_point(m10):
     assert f2.verify_mm_axioms(m10)["ok"]
     block = m10.blocks[0]
@@ -344,6 +352,84 @@ def test_zero_sum_sets_match_the_combination_loop(m10):
 @settings(max_examples=60, deadline=None)
 def test_zero_sum_sets_match_the_combination_loop_hypothesis(points):
     assert f2._zero_sum_sets(points) == _zero_sums_by_combinations(points)
+
+
+def _frames_by_5_subsets(points):
+    """Reference: every 5-subset with zero sum and rank 4, in
+    lexicographic order."""
+    frames = []
+    for combo in itertools.combinations(range(len(points)), 5):
+        sub = [points[i] for i in combo]
+        acc = 0
+        for v in sub:
+            acc ^= v
+        if acc == 0 and f2.bits_rank(sub) == 4:
+            frames.append(list(combo))
+    return frames
+
+
+def _converse_images(points24):
+    """The 21 images of the converse projection's X, as it computes them."""
+    ech = f2.echelon([points24[0] ^ points24[1] ^ points24[2]])
+    image = f2._projection_from(ech, max(v.bit_length() for v in points24))
+    return sorted({image(p) for p in points24[3:]})
+
+
+@pytest.mark.parametrize("block_index", [0, 7])
+def test_converse_frames_match_the_5_subset_loop(m10, block_index):
+    x_imgs = _converse_images(f2.witt_lift(m10, block_index)["points"])
+    frames = f2._frames(x_imgs)
+    assert len(frames) == 21
+    assert frames == _frames_by_5_subsets(x_imgs)
+    # a zero-sum 5-set through the zero vector has rank 3: no frame
+    assert f2._frames([0, 1, 2, 4, 7]) == _frames_by_5_subsets(
+        [0, 1, 2, 4, 7]) == []
+    assert f2._frames([1, 2, 4, 8, 15]) == [[0, 1, 2, 3, 4]]
+
+
+@given(_small_point_sets)
+@settings(max_examples=60, deadline=None)
+def test_frames_match_the_5_subset_loop_hypothesis(points):
+    assert f2._frames(points) == _frames_by_5_subsets(points)
+
+
+@given(st.lists(st.integers(0, 4095), max_size=14))
+@settings(max_examples=100, deadline=None)
+def test_bits_rank_is_the_echelon_length_hypothesis(vectors):
+    assert f2.bits_rank(vectors) == len(f2.echelon(vectors))
+
+
+def _centres_by_frozensets(m10):
+    """Reference: the triangle and quadrangle centres over frozensets of
+    the points, a 3-set in a block when it lies in a block's 3-subsets."""
+    pts = m10.points
+    in_block = {frozenset(c) for b in m10.blocks
+                for c in itertools.combinations(sorted(b), 3)}
+    triangles = {}
+    for trio in itertools.combinations(pts, 3):
+        if frozenset(trio) not in in_block:
+            triangles.setdefault(trio[0] ^ trio[1] ^ trio[2], []).append(trio)
+    quads = {}
+    for quad in itertools.combinations(pts, 4):
+        if not any(frozenset(t) in in_block
+                   for t in itertools.combinations(quad, 3)):
+            quads.setdefault(quad[0] ^ quad[1] ^ quad[2] ^ quad[3],
+                             []).append(quad)
+    return triangles, quads
+
+
+@pytest.mark.parametrize("case", ["m10", "projection"])
+def test_centres_match_the_frozenset_loop(case, m10, m10_census):
+    struct = m10 if case == "m10" else \
+        f2.project_m10(m10, m10_census["m"])[0]
+    got = f2._centres(struct)
+    want = _centres_by_frozensets(struct)
+    assert got == want
+    # the same centres in the same order, each with its sets in order
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    if case == "m10":
+        assert (len(got[0]), len(got[1])) == (
+            m10_census["triangle_centers"], m10_census["quadrangle_centers"])
 
 
 def _first_meeting_pair_by_span_sets(pair_spans, ech):

@@ -9,6 +9,7 @@ from ringgeom import cli
 from ringgeom import f2geom as f2
 from ringgeom import hjplane as hp
 from ringgeom import projective as pj
+from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
@@ -354,6 +355,57 @@ def test_broken_tilde_map_fails_cor_chi(broken_tilde, tmp_path):
     assert [n for n, c in checks.items() if c["status"] == "fail"] == \
         ["cor.chi"]
     assert checks["cor.chi"]["computed"]["pstar_is_residue_plane"] is False
+
+
+@pytest.mark.parametrize("name", ["variety_f2", "variety_f3",
+                                  "variety_cd_f4"])
+def test_chi_is_the_per_point_vertex_span(name, request):
+    V = request.getfixturevalue(name)
+    _, data = vr.project_from_y(V)
+    chi, _ = vr.connection_chi(V, data)
+    for img, fib in data["fibers"].items():
+        for i in fib:
+            assert vr._vertex_span(V, i).rows == chi[img].rows
+
+
+def test_chi_rejects_two_vertex_spans_in_one_fiber(variety_f3,
+                                                   projection_f3):
+    # two fibers merged into one: its points have two spans Pi_x^Y
+    _, data = projection_f3
+    fibers = dict(data["fibers"])
+    a, b = list(fibers)[:2]
+    fibers[a] = fibers[a] + fibers.pop(b)
+    with pytest.raises(pj.GeometryError, match="differs within a fiber"):
+        vr.connection_chi(variety_f3, {**data, "fibers": fibers})
+
+
+def _conic_sections_by_trios(field, pts, sub):
+    """Reference: the plane of every non-collinear trio of points, kept
+    when it holds q + 1 of them."""
+    out = set()
+    for trio in itertools.combinations(sorted(pts), 3):
+        pl = pj.span(field, list(trio), sub.n)
+        if pl.vdim == 3:
+            sect = tuple(sorted(p for p in pts if pl.contains(p)))
+            if len(sect) == field.q + 1:
+                out.add(sect)
+    return sorted(out)
+
+
+def test_conic_sections_match_the_trio_loop(variety_f4big):
+    # elliptic quadrics of PG(3, q): of the variety over F2 (d = 2) and
+    # of the regular 2-scrolls over F3 and F4
+    _, data = vr.project_from_y(variety_f4big)
+    cases = [(variety_f4big.field, sorted(q), variety_f4big.n)
+             for q in data["quadrics"].values()]
+    for q in (3, 4):
+        s = sc.canonical_regular_scroll(2, q)
+        cases.append((s.field, list(s.quadric_pts), s.n))
+    for field, pts, n in cases:
+        sub = pj.span(field, pts, n)
+        assert sub.pdim == 3
+        assert pj.conic_sections(field, pts, sub) == \
+            _conic_sections_by_trios(field, pts, sub)
 
 
 def test_chi_preserves_harmonic_quadruple(variety_f3, projection_f3):
