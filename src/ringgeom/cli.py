@@ -4,8 +4,9 @@ deterministic JSON/CSV/text reports.
 Every check pairs the expected value (where one is pinned) with the
 computed one; the driver never hardcodes a pass without computing.
 Identical config and seed give byte-identical JSON output; wall-clock
-data is isolated under the separate "timings" key, and the deterministic
-size counters of a run go under "stats".
+data and the process's peak resident memory ("peak_rss_mb") are isolated
+under the separate "timings" key, and the deterministic size counters of
+a run go under "stats".
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import itertools
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -658,7 +660,10 @@ def run(config):
     if config.command == "m10" and config.extra.get("witt"):
         checks += _prefixed("witt.", run_witt(config, stages))
     timings = {"total_s": round(time.perf_counter() - t0, 3),
-               **stages.timings}
+               **stages.timings,
+               # ru_maxrss is in KiB on Linux
+               "peak_rss_mb": round(resource.getrusage(
+                   resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     report = build_report(config, checks, timings, stages.stats)
     status = 0 if all(c.status != "fail" for c in checks) else 1
     return report, status

@@ -10,6 +10,7 @@ symbol by symbol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,6 +89,16 @@ class M10Structure:
     names: dict           # int -> label
     blocks: list          # 21 frozensets of ints
     dim: int              # ambient vector dimension (11 for the full M10)
+
+    @functools.cached_property
+    def pair_ranks(self):
+        """(b1, b2, the points of both blocks, their rank) per block pair,
+        in `combinations` order; computed once per structure."""
+        out = []
+        for b1, b2 in itertools.combinations(range(len(self.blocks)), 2):
+            pair = list(self.blocks[b1] | self.blocks[b2])
+            out.append((b1, b2, pair, bits_rank(pair)))
+        return out
 
 
 def standard_seed():
@@ -406,10 +417,9 @@ def project_m10(m10, centre):
 def _inadmissible_pair(m10, ech):
     """The first pair of blocks (b1, b2) whose span meets the span of the
     independent rows `ech`, or None: <C> and <B1 u B2> meet only in 0
-    iff their ranks add."""
-    for b1, b2 in itertools.combinations(range(len(m10.blocks)), 2):
-        pair = list(m10.blocks[b1] | m10.blocks[b2])
-        if bits_rank(ech + pair) != len(ech) + bits_rank(pair):
+    iff their ranks add (the pair ranks are the structure's own)."""
+    for b1, b2, pair, rank in m10.pair_ranks:
+        if bits_rank(ech + pair) != len(ech) + rank:
             return b1, b2
     return None
 

@@ -408,14 +408,6 @@ def parse_field(name):
     raise FieldError("cannot parse field name %r" % name)
 
 
-def random_scalar(field, rng, height=50):
-    if field.is_finite:
-        return rng.randrange(field.q)
-    num = rng.randint(-height, height)
-    den = rng.randint(1, height)
-    return Fraction(num, den)
-
-
 def scalar_to_json(field, x):
     return x if field.is_finite else str(x)
 

@@ -5,6 +5,16 @@ so that the first nonzero coordinate is 1.  Subspaces are stored as
 canonical reduced row echelon bases, which makes subspace equality a
 plain data comparison.
 
+Over a finite field the points of a subspace are enumerated as packed
+int codes of their normalized coordinates (`Subspace.points`), most
+significant first, so point sets are sets of ints and codes sort as the
+coordinate tuples do.  Each F_p-coordinate of an entry gets its own bit
+field: one bit in characteristic 2, where a code is the F_2 bit vector
+sum_i c_i q^(n-1-i) and a vector sum is one XOR; otherwise the
+(2p-2).bit_length() bits of a sum of two coordinates and a guard bit,
+so a vector sum is one integer add and a carry-free reduction mod p.
+`point_code` and `code_point` convert between codes and vectors.
+
 Quadratic forms are kept as upper-triangular coefficient tables and
 never as symmetric Gram matrices: in characteristic 2 the associated
 bilinear form is alternating and does not determine the form.  A form
@@ -16,6 +26,7 @@ index w (`quadric_class`), from which its number of zeros follows
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -196,8 +207,39 @@ class Subspace:
         return v
 
     def points(self):
-        """All projective points, normalized (finite fields only)."""
-        return span_points(self.field, self.rows)
+        """The codes (`point_code`) of all projective points c . rows, c
+        running over `pg_parameters`, so each is normalized (finite fields
+        only).  The points with leading coefficient at row i are built row
+        by row from the packed multiples 0, 1, ..., q - 1 of each later
+        row: each partial sum b is followed by b plus each nonzero
+        multiple of the next row, one vector sum per point.  Over a prime
+        field the multiples are sums too: c r = (c - 1) r + r."""
+        field, rows = self.field, self.rows
+        p, q = field.p, field.q
+        heads = [point_code(field, r) for r in rows]
+        if p != 2:
+            shift, guard, lift = _guards(p, field.k, self.n)
+        if field.k > 1:
+            mults = [[0, h] + [point_code(field, field.row_scale(c, r))
+                               for c in range(2, q)]
+                     for h, r in zip(heads[1:], rows[1:])]
+        else:
+            mults = [[0, h] for h in heads[1:]]
+            for ms in mults:
+                while len(ms) < q:
+                    s = ms[-1] + ms[1]
+                    ms.append(s - (((s + lift) & guard) >> shift) * p)
+        out = []
+        for lead, head in enumerate(heads):
+            level = [head]
+            for ms in mults[lead:]:
+                if p == 2:
+                    level = [b ^ m for b in level for m in ms]
+                else:
+                    level = [s - (((s + lift) & guard) >> shift) * p
+                             for b in level for m in ms for s in (b + m,)]
+            out.extend(level)
+        return out
 
     def __le__(self, other):
         return all(other.contains(r) for r in self.rows)
@@ -213,23 +255,45 @@ def pg_parameters(field, k):
             yield prefix + tail
 
 
-def span_points(field, rows):
-    """The points c . rows of the span of echelon rows, c running over
-    `pg_parameters`, so each is normalized; at most one row addition per
-    point.  The points with leading coefficient at row i are built row
-    by row: each partial sum b is followed by b plus the nonzero
-    multiples of the next row (0 is the first element)."""
-    add, scale = field.row_add, field.row_scale
-    nonzero = list(field.elements())[1:]
-    out = []
-    for lead, row in enumerate(rows):
-        level = [tuple(row)]
-        for nxt in rows[lead + 1:]:
-            multiples = [scale(c, nxt) for c in nonzero]
-            level = [p for b in level
-                     for p in [b] + [add(b, m) for m in multiples]]
-        out.extend(level)
-    return out
+@functools.cache
+def _layout(p, k):
+    """(bits, enc, dec) of the point codes over F_(p^k): the bits of one
+    entry, enc[a] the packed F_p-coordinates of the element of index a,
+    c_(k-1) highest so that codes order as indices do, and dec its
+    inverse."""
+    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    enc = [sum(a // p ** j % p << (w * j) for j in range(k))
+           for a in range(p ** k)]
+    return w * k, enc, {e: a for a, e in enumerate(enc)}
+
+
+@functools.cache
+def _guards(p, k, n):
+    """(shift, guard, lift) for sums of codes of length-n vectors over
+    F_(p^k), p odd: s + lift, lift holding g - p in every field, reaches
+    the field's guard bit g = 1 << shift exactly where the field's sum s
+    of two coordinates is at least p, and never carries out of the field;
+    `guard` holds g in every field."""
+    w = _layout(p, k)[0] // k
+    ones = sum(1 << (w * j) for j in range(n * k))
+    return w - 1, ones << (w - 1), ones * ((1 << (w - 1)) - p)
+
+
+def point_code(field, v):
+    """The packed int code of the vector v over a finite field, its first
+    entry most significant."""
+    bits, enc, _ = _layout(field.p, field.k)
+    code = 0
+    for a in v:
+        code = code << bits | enc[a]
+    return code
+
+
+def code_point(field, n, code):
+    """The vector of length n with the given code."""
+    bits, _, dec = _layout(field.p, field.k)
+    mask = (1 << bits) - 1
+    return tuple(dec[code >> (bits * i) & mask] for i in range(n - 1, -1, -1))
 
 
 def pg_points(field, n):
@@ -271,8 +335,8 @@ def meet(s1, s2):
 
 def unit_vectors(field, n):
     """The standard basis e_0, ..., e_{n-1} of K^n."""
-    return [tuple(field.one if j == i else field.zero for j in range(n))
-            for i in range(n)]
+    zeros = (field.zero,) * n
+    return [zeros[:i] + (field.one,) + zeros[i + 1:] for i in range(n)]
 
 
 def extend_basis(field, rows, candidates, target):
@@ -360,15 +424,6 @@ def from_intrinsic(subspace, coeffs):
     return vec_mat(subspace.field, tuple(coeffs), subspace.rows)
 
 
-def line_points(field, u, v):
-    """All points of the projective line through distinct points u, v."""
-    pts = [tuple(u)]
-    for lam in field.elements():
-        w = vec_add(field, vec_scale(field, lam, u), v)
-        pts.append(normalize_point(field, w))
-    return pts
-
-
 # --------------------------------------------------------------------------
 # quadratic forms
 
@@ -419,21 +474,6 @@ class QuadraticForm:
 
 def monomial_order(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _mono_index(n, i, j):
-    # index of (i, j), i <= j, in monomial_order(n)
-    return i * n - i * (i - 1) // 2 + (j - i)
-
-
-def quadratic_form(field, n, coeff_map):
-    order = monomial_order(n)
-    flat = [field.zero] * len(order)
-    for (i, j), c in coeff_map.items():
-        if i > j:
-            i, j = j, i
-        flat[_mono_index(n, i, j)] = c
-    return QuadraticForm(field, n, tuple(flat))
 
 
 def monomials(field, p):
@@ -523,14 +563,16 @@ def zero_count(q, r, m, w):
 
 
 def cone_forms(field, points, n):
-    """Yields (form, vertex, w) for each form of the pencil through the
-    points, in pencil order, whose zero set is the points plus its vertex,
-    with the vertex missing the points.  Every form of the pencil
-    vanishes on the points and on its vertex, so the zero set is that
-    union exactly when the vertex misses the points and the class has
-    |points| + |vertex| zeros: no form is evaluated on its ambient."""
+    """(size, cones): the number of forms of the pencil through the
+    points, each classified once, and the (form, vertex, w) of those, in
+    pencil order, whose zero set is the points plus its vertex, with the
+    vertex missing the points.  Every form of the pencil vanishes on the
+    points and on its vertex, so the zero set is that union exactly when
+    the vertex misses the points and the class has |points| + |vertex|
+    zeros: no form is evaluated on its ambient."""
     kernel = forms_through(field, points, n)
     q = field.q
+    cones = []
     for coeffs in pg_parameters(field, len(kernel)):
         qf = QuadraticForm(field, n, normalize_point(
             field, vec_mat(field, coeffs, kernel)))
@@ -538,7 +580,8 @@ def cone_forms(field, points, n):
         r = vert.vdim
         if zero_count(q, r, m, w) == len(points) + (q ** r - 1) // (q - 1) \
                 and not any(vert.contains(p) for p in points):
-            yield qf, vert, w
+            cones.append((qf, vert, w))
+    return (q ** len(kernel) - 1) // (q - 1), cones
 
 
 # --------------------------------------------------------------------------

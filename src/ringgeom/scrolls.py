@@ -141,9 +141,9 @@ def is_regular_spread(spread, within=None):
         for p in m.points():
             if holder.setdefault(p, i) != i:
                 return False
-    target = within.points() if within is not None else \
-        pj.pg_points(spread.field, spread.n)
-    if set(holder) != set(target):
+    if within is None:
+        within = span(spread.field, pj.unit_vectors(spread.field, spread.n))
+    if set(holder) != set(within.points()):
         return False
     if members[0].vdim == 1:
         return True
@@ -176,7 +176,8 @@ class Scroll:
     quadric_pts: tuple          # points of Q, order fixed
     members: tuple              # spread members, aligned with quadric_pts
     transversals: tuple         # Subspaces <p, phi(p)>
-    point_sets: tuple           # per transversal: frozenset of its points
+    point_sets: tuple           # per transversal: frozenset of its points,
+                                # as vectors like the quadric points
     spread_side: Subspace       # span of all members
 
     def transversal_index_of(self, p):
@@ -196,7 +197,8 @@ def build_scroll(field, quadric_pts, members):
         if t.vdim != m.vdim + 1:
             raise GeometryError("quadric point lies on its spread member")
         transversals.append(t)
-        point_sets.append(frozenset(t.points()))
+        point_sets.append(frozenset(pj.code_point(field, n, c)
+                                    for c in t.points()))
     spread_side = span(field, [r for m in members for r in m.rows], n)
     return Scroll(field, n, tuple(quadric_pts), tuple(members),
                   tuple(transversals), tuple(point_sets), spread_side)
@@ -277,7 +279,7 @@ def scroll_quadrics(scroll):
         raise GeometryError("quadric side meets the spread side")
     coords = [intrinsic_coords(pi, p) for p in scroll.quadric_pts]
     if not any(w == 1 and not vert.rows
-               for _, vert, w in pj.cone_forms(field, coords, pi.vdim)):
+               for _, vert, w in pj.cone_forms(field, coords, pi.vdim)[1]):
         return []
     # psi(x) = coords(x).M in Sigma coordinates, M flattened row by row;
     # psi(p) lies in phi(p) iff coords(p).M.h = 0 for each row h of the
@@ -311,9 +313,11 @@ def verify_unique_quadrics(scroll, quadrics):
     Read as the sets of quadrics through them, two points lie in as many
     quadrics as their sets share, so a valid pair fails iff its bit is
     off `once` or on `twice` of `hjplane.pair_masks` over those sets.
-    The first failure is the first in transversal-pair, then point order.
+    The first failure is the first in transversal-pair, then point order,
+    the order of the point sets of vectors.
     """
-    spread_pts = frozenset(scroll.spread_side.points())
+    spread_pts = frozenset(pj.code_point(scroll.field, scroll.n, c)
+                           for c in scroll.spread_side.points())
     sides = [list(ps - spread_pts) for ps in scroll.point_sets]
     starts = list(itertools.accumulate(map(len, sides), initial=0))
     holders = hp.holder_masks(quadrics)
@@ -449,7 +453,8 @@ def alpha_section(field, pairing, n):
     d = _alpha_dim(len(pairing), field)
     head = lines[: min(len(lines), d + 4)]
     for base in itertools.combinations(head, d + 1):
-        choices = [l.points() for l in base]
+        choices = [[pj.code_point(field, n, c) for c in l.points()]
+                   for l in base]
         for combo in itertools.product(*choices):
             al = span(field, list(combo), n)
             if al.vdim != d + 1:
@@ -464,9 +469,10 @@ def alpha_section(field, pairing, n):
                 images.append(normalize_point(field, mm.rows[0]))
             if not ok or len(set(images)) != len(lines):
                 continue
-            img_set = set(images)
+            img_set = {pj.point_code(field, p) for p in images}
             infinity = [p for p in al.points() if p not in img_set]
-            inf_rows, _ = rref(field, infinity)
+            inf_rows, _ = rref(field, [pj.code_point(field, n, c)
+                                       for c in infinity])
             if len(inf_rows) != d:
                 continue
             inf_space = Subspace(field, n, tuple(inf_rows))

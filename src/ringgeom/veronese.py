@@ -22,6 +22,13 @@ vertex and zero set.  The cone fitted on xi(L), composed with M_g^-1, is
 the cone that fitting would accept on xi(gL), with the same fit count,
 base Witt index and ovoid verdict.  Every transported tube's X(xi) is
 still recomputed by membership and compared with the line image.
+
+Point sets are sets of packed int codes (`pj.point_code`): the points of
+each tubic space, of X(xi), of the vertex and cone and of each generator,
+and the keys of `Variety.point_index` and `point_set`.  Codes sort as the
+coordinate tuples do, so every sorted order, minimum and first witness
+is the tuples' one; a point is decoded (`pj.code_point`) only where it is
+used as a vector.
 """
 
 from __future__ import annotations
@@ -46,28 +53,30 @@ from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
 class Tube:
     index: int
     xi: Subspace
-    xi_pts: frozenset
-    x_pts: frozenset          # X(xi), ambient points
+    xi_pts: frozenset         # codes of the points of xi
+    x_pts: frozenset          # codes of X(xi)
     x_idx: tuple              # indices into the variety point list
     form: object              # accepted quadratic form, xi-intrinsic
     fit_count: int            # accepted cone varieties through X(xi)
+    pencil_size: int          # forms of the pencil through X(xi), each
+                              # classified once when fitting
     vertex: Subspace          # ambient
-    vertex_pts: frozenset
+    vertex_pts: frozenset     # codes of the vertex points
     cone_pts: frozenset       # x_pts | vertex_pts
     v: int                    # vertex projective dimension (-1 if empty)
     d_base: int               # tangent-hyperplane dimension of the base
     base_witt: int
     base_ovoid: bool
-    generators: tuple         # frozensets of tube points, one per generator
+    generators: tuple         # frozensets of codes, one per generator
 
 
 @dataclass
 class Variety:
     field: object
     n: int                    # ambient vector dimension
-    points: list              # X; in plane point order when built
-    point_index: dict
-    point_set: frozenset
+    points: list              # X, as vectors; in plane point order when built
+    point_index: dict         # code -> index into points
+    point_set: frozenset      # codes of X
     tubes: list
     tubes_through: list
     algebra: object = None
@@ -125,37 +134,38 @@ def build_variety(A):
     field = A.field
     n = 3 * A.dim + 3
     points = [veronese_point(A, p) for p in plane.points]
-    point_index = {x: i for i, x in enumerate(points)}
+    codes = [pj.point_code(field, x) for x in points]
+    point_index = {c: i for i, c in enumerate(codes)}
     if len(point_index) != len(points):
         raise GeometryError("Veronese map is not injective on points")
     ambient_rank, _ = rref(field, points)
     if len(ambient_rank) != n:
         raise GeometryError("X does not span the ambient space")
-    point_set = frozenset(points)
+    point_set = frozenset(codes)
     certificate = mo.generator_certificate(A, plane, points)
     moves = [g for g in certificate if g.certified]
     t2 = clock()
 
-    def line_image(li):
-        return [points[pi] for pi in plane.points_on[li]]
-
     tubes = [None] * len(plane.lines)
-    extracted = 0
+    extracted = tried = 0
     for start in range(len(plane.lines)):
         if tubes[start] is not None:
             continue
         walk = mo.orbit(start, moves, lambda li, g: g.perms[1][li])
         for li, edge in walk.items():
             if edge is None:
-                tube = extract_tube(field, span(field, line_image(li), n),
-                                    point_set, point_index, li)
+                tube = extract_tube(field, span(field, [
+                    points[pi] for pi in plane.points_on[li]], n),
+                    point_set, point_index, li)
                 extracted += 1
+                tried += tube.pencil_size
             else:
                 parent, g = edge
                 tube = transport_tube(field, tubes[parent], g.lift,
-                                      g.perms[0], points, point_set,
+                                      g.perms[0], codes, point_set,
                                       point_index, li)
-            if tube.x_pts != frozenset(line_image(li)):
+            if tube.x_pts != frozenset(codes[pi]
+                                       for pi in plane.points_on[li]):
                 raise GeometryError("X meet xi is not the line image "
                                     "(line %d)" % li)
             tubes[li] = tube
@@ -166,6 +176,7 @@ def build_variety(A):
              "points": len(points), "tubes": len(tubes),
              "tubes_extracted": extracted,
              "tubes_transported": len(tubes) - extracted,
+             "pencil_forms_tried": tried,
              "generators_certified": len(moves),
              "generators_refused": [g.name for g in certificate
                                     if not g.certified]}
@@ -177,14 +188,16 @@ def build_variety(A):
 
 
 def build_synthetic_variety(field, n, points, xis):
-    point_index = {p: i for i, p in enumerate(points)}
-    point_set = frozenset(points)
+    point_index = {pj.point_code(field, p): i for i, p in enumerate(points)}
+    point_set = frozenset(point_index)
     tubes = [extract_tube(field, xi, point_set, point_index, i)
              for i, xi in enumerate(xis)]
     return Variety(field, n, list(points), point_index, point_set, tubes,
                    _tubes_through(len(points), tubes),
                    stats={"points": len(points), "tubes": len(tubes),
-                          "tubes_extracted": len(tubes)})
+                          "tubes_extracted": len(tubes),
+                          "pencil_forms_tried": sum(
+                              t.pencil_size for t in tubes)})
 
 
 def _tubes_through(npoints, tubes):
@@ -213,21 +226,22 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     pencil order, of the zero set that sorts first."""
     k = xi.vdim
     # xi.rows is in RREF, so c . rows is normalized and has coordinates c
-    intr = dict(zip(pj.span_points(field, xi.rows),
-                    pj.pg_parameters(field, k)))
+    intr = dict(zip(xi.points(), pj.pg_parameters(field, k)))
     xi_pts = frozenset(intr)
     x_pts = sorted(xi_pts & point_set)
     if not x_pts:
         raise GeometryError("xi carries no points of X")
     x_intr = sorted(intr[p] for p in x_pts)
+    x_codes = [pj.point_code(field, c) for c in x_intr]
+    pencil_size, forms = pj.cone_forms(field, x_intr, k)
     accepted = {}
-    for qf, vert, w in pj.cone_forms(field, x_intr, k):
+    for qf, vert, w in forms:
         accepted.setdefault(vert.rows, (qf, vert, w))
     if not accepted:
         raise GeometryError("no cone form matches X(xi) in tube %d" % index)
     fit_count = len(accepted)
     qf, vert_intr, base_witt = min(
-        accepted.values(), key=lambda a: sorted(x_intr + a[1].points()))
+        accepted.values(), key=lambda a: sorted(x_codes + a[1].points()))
     vertex = span(field, [from_intrinsic(xi, r) for r in vert_intr.rows],
                   xi.n)
     vertex_pts = frozenset(vertex.points())
@@ -237,40 +251,54 @@ def extract_tube(field, xi, point_set, point_index, index=0):
                                            intr)
     x_idx = tuple(sorted(point_index[p] for p in x_pts))
     return Tube(index, xi, xi_pts, frozenset(x_pts), x_idx, qf, fit_count,
-                vertex, vertex_pts, frozenset(x_pts) | vertex_pts, v,
-                d_base, base_witt, base_ovoid, generators)
+                pencil_size, vertex, vertex_pts, frozenset(x_pts) | vertex_pts,
+                v, d_base, base_witt, base_ovoid, generators)
 
 
-def transport_tube(field, tube, lift, pperm, points, point_set,
+def transport_tube(field, tube, lift, pperm, codes, point_set,
                    point_index, index):
     """The tube of gL from the tube of L, along a certified lift M_g of g
-    with point permutation pperm (see the module docstring): xi' =
-    xi . M_g, its points enumerated from xi' and X(xi') read off them;
-    the vertex is vertex . M_g; with D the xi'-intrinsic coordinates of
-    the images of xi's rows, a point of xi' with coordinates y is the
-    image of y D^-1, so the form is Q(y D^-1), normalized; the generators
-    are mapped by pperm; fit count, dimensions, base Witt index and ovoid
-    verdict are kept."""
-    images = [pj.vec_mat(field, r, lift) for r in tube.xi.rows]
-    xi = span(field, images, tube.xi.n)
+    with point permutation pperm (see the module docstring); `codes` are
+    the codes of the variety's points.  xi' = xi . M_g with D^-1 from
+    `_carried_basis`, its points enumerated from xi' and X(xi') read off
+    them; the vertex is vertex . M_g.  A point of xi' with coordinates y
+    is the image of y D^-1, so the form is Q(y D^-1), normalized; the
+    generators are mapped by pperm; pencil size, fit count, dimensions,
+    base Witt index and ovoid verdict are kept."""
+    xi, back = _carried_basis(field, tube.xi.rows, lift)
     # from a dict the set is sized once, to half the table that growing
-    # it from a list leaves (as in extract_tube; 16 KB a tube in PG(14,3))
+    # it from a list leaves (as in extract_tube)
     xi_pts = frozenset(dict.fromkeys(xi.points()))
     x_pts = xi_pts & point_set
-    back = pj.mat_inverse(field, [intrinsic_coords(xi, r) for r in images])
     form = pj.form_on_basis(field, tube.form.evaluate, back)
     form = pj.QuadraticForm(field, form.n,
                             normalize_point(field, form.coeffs))
     vertex = span(field, [pj.vec_mat(field, r, lift)
                           for r in tube.vertex.rows], xi.n)
     vertex_pts = frozenset(vertex.points())
-    move = {x: points[pperm[point_index[x]]] for x in tube.x_pts}
+    move = {x: codes[pperm[point_index[x]]] for x in tube.x_pts}
     generators = tuple(sorted((frozenset(map(move.__getitem__, g))
                                for g in tube.generators), key=min))
     x_idx = tuple(sorted(point_index[p] for p in x_pts))
     return Tube(index, xi, xi_pts, x_pts, x_idx, form, tube.fit_count,
-                vertex, vertex_pts, x_pts | vertex_pts, tube.v, tube.d_base,
-                tube.base_witt, tube.base_ovoid, generators)
+                tube.pencil_size, vertex, vertex_pts, x_pts | vertex_pts,
+                tube.v, tube.d_base, tube.base_witt, tube.base_ovoid,
+                generators)
+
+
+def _carried_basis(field, rows, lift):
+    """(xi', D^-1) for the independent rows of xi and the lift M: one
+    elimination of [images | I], the images being rows . M.  Its left
+    block is the echelon basis of xi' = <images>; its right block E has
+    E . images = that basis, so E = D^-1 for D the xi'-intrinsic
+    coordinates of the images."""
+    n = len(rows[0])
+    red, pivots = rref(field, [
+        pj.vec_mat(field, r, lift) + e
+        for r, e in zip(rows, pj.unit_vectors(field, len(rows)))])
+    if pivots[-1] >= n:
+        raise GeometryError("the lift is singular on xi")
+    return Subspace(field, n, tuple(r[:n] for r in red)), [r[n:] for r in red]
 
 
 def _analyze_base(field, xi, vert_intr, x_pts, intr):
@@ -426,7 +454,8 @@ def check_h2(variety):
     its points lie in both cones and both tubic spaces.  So only the
     pairs on `once` over the cy sets have a Y-part to judge, each on
     cy1 ^ cy2 and on the X points that xi1 and xi2 share."""
-    q = variety.field.q
+    field, n = variety.field, variety.n
+    q = field.q
     tubes = variety.tubes
     xset = variety.point_set
     outside = _outside_cones(tubes)
@@ -440,8 +469,9 @@ def check_h2(variety):
             return "outside cones"
         ypart = cys[i] & cys[j]
         if ypart not in subspace:
-            subspace[ypart] = len(ypart) == (q ** span(
-                variety.field, sorted(ypart), variety.n).vdim - 1) // (q - 1)
+            subspace[ypart] = len(ypart) == (q ** span(field, [
+                pj.code_point(field, n, c) for c in ypart], n).vdim - 1) \
+                // (q - 1)
         if not subspace[ypart]:
             return "Y part not a subspace"
         if (xmasks[i] & xmasks[j]).bit_count() != (q - 1) * len(ypart) + 1:
@@ -608,7 +638,8 @@ def project_from_y(variety, F=None):
     report["x_prime_count"] = len(xprime)
     if canonical:
         f_x = set(F.points()) & variety.point_set
-        report["f_cap_x_equals_projection"] = f_x == set(xprime)
+        report["f_cap_x_equals_projection"] = f_x == {
+            pj.point_code(field, x) for x in xprime}
         # Xi' both ways: images of tubes and meets xi ^ F
         d_base = variety.tubes[0].d_base
         meets = set()
@@ -790,7 +821,7 @@ def local_structure_at_vertex(variety, vertex, data):
     # Q = rho_V(c0), aligned with the spread members generator by generator
     q_map = {}
     for g in c0.generators:
-        img = {proj_v.apply(x) for x in g}
+        img = {proj_v.apply(pj.code_point(field, n, x)) for x in g}
         if len(img) != 1:
             raise GeometryError("generator does not project to a point")
         q_map[g] = img.pop()
@@ -817,7 +848,8 @@ def local_structure_at_vertex(variety, vertex, data):
     squads = sc.scroll_quadrics(scroll)
     projected = set()
     for t in cv:
-        projected.add(tuple(sorted({proj_v.apply(x) for x in t.x_pts})))
+        projected.add(tuple(sorted({proj_v.apply(pj.code_point(field, n, x))
+                                    for x in t.x_pts})))
     report["scroll_quadrics_match"] = projected == set(squads)
     # dimension formulas
     span_cv = span(field, [r for t in cv for r in t.xi.rows], n)

@@ -14,6 +14,8 @@ the count for the mutation tests."""
 
 from ringgeom import projective as pj
 
+from projective_reference import line_points, subspace_vectors
+
 
 def quadric_zero_set(qf, points=None):
     """The points (all of PG(n-1) by default) where qf vanishes."""
@@ -76,7 +78,7 @@ def tangent_hyperplane(field, points, within, x):
     for y in pj.pg_points(field, within.vdim):
         if y == xi:
             continue
-        line = pj.line_points(field, xi, y)
+        line = line_points(field, xi, y)
         hits = sum(p in pts for p in line)
         assert hits == 2 or hits in (1, len(line)), (x, y, hits)
         if hits != 2:
@@ -97,7 +99,8 @@ def refit_tube(field, tube):
     # xi's rows are in echelon form: its points in xi coordinates are the
     # normalized coefficient tuples
     intr = list(pj.pg_parameters(field, k))
-    x_intr = {pj.intrinsic_coords(tube.xi, p) for p in tube.x_pts}
+    x_intr = {pj.intrinsic_coords(tube.xi, pj.code_point(field, tube.xi.n, p))
+              for p in tube.x_pts}
     kernel = pj.forms_through(field, sorted(x_intr), k)
     # a pencil form's value at a point is the combination of its basis
     # forms' values there
@@ -116,7 +119,7 @@ def refit_tube(field, tube):
         if len(zeros) - len(x_intr) not in sizes:
             continue
         vert = pj.quadric_vertex(qf)
-        vert_pts = set(vert.points())
+        vert_pts = set(subspace_vectors(vert))
         if zeros == x_intr | vert_pts and not vert_pts & x_intr:
             accepted.setdefault(zeros, (qf, vert))
     if not accepted:

@@ -78,14 +78,16 @@ def test_byte_identical_reports():
 def test_verify_all_reports_stage_timings_and_stats():
     runs = [run_cli(["verify-all", "--algebra", "CD(F2,0)", "--seed",
                      str(seed)])[0] for seed in (0, 7)]
-    # tau and 8 elations materialized; the 4 x 4 lift pairs of |A| = 4
+    # tau and 8 elations materialized; the 4 x 4 lift pairs of |A| = 4;
+    # the one extracted tube's pencil has vector dimension 4 over F2
     assert runs[0]["stats"] == runs[1]["stats"] == {
         "algebra_elements": 4, "elations_materialized": 9,
         "lift_pairs_checked": 16,
         "points": 28, "tubes": 28, "tubes_extracted": 1,
-        "tubes_transported": 27, "generators_certified": 5,
-        "generators_refused": []}
-    stages = {"total_s", "variety_build_s", "variety_build.plane_build_s",
+        "tubes_transported": 27, "pencil_forms_tried": 15,
+        "generators_certified": 5, "generators_refused": []}
+    stages = {"peak_rss_mb",
+              "total_s", "variety_build_s", "variety_build.plane_build_s",
               "variety_build.lift_certificates_s", "variety_build.tubes_s",
               "plane.hjelmslev_s", "plane.epimorphism_s",
               "motions.triality_s", "motions.elations_s",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringgeom import algebras as alg
+from ringgeom import cli
 from ringgeom import f2geom as f2
 from ringgeom import motions as mo
 from ringgeom import veronese as vr
@@ -501,3 +502,42 @@ def test_octads_span_the_golay_code(m10):
         weight = bin(word).count("1")
         enumerator[weight] = enumerator.get(weight, 0) + 1
     assert enumerator == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+
+def _inadmissible_pair_recounting(m10, ech):
+    """Reference: `_inadmissible_pair` with every pair rank computed again
+    on every call."""
+    for b1, b2 in itertools.combinations(range(len(m10.blocks)), 2):
+        pair = list(m10.blocks[b1] | m10.blocks[b2])
+        if f2.bits_rank(ech + pair) != len(ech) + f2.bits_rank(pair):
+            return b1, b2
+    return None
+
+
+def test_pair_ranks_are_computed_once_per_structure(monkeypatch):
+    # m10 --projections projects three times from one M10: its 210 pair
+    # ranks are computed once, not on each of the three calls, and the
+    # three projection reports are those of the recounting rule
+    real = f2.bits_rank
+
+    def run(inadmissible):
+        calls = []
+
+        def counted(vectors):
+            calls.append(len(vectors))
+            return real(vectors)
+
+        monkeypatch.setattr(f2, "bits_rank", counted)
+        monkeypatch.setattr(f2, "_inadmissible_pair", inadmissible)
+        report, status = cli.run(cli.RunConfig("m10",
+                                               checks=("projections",)))
+        report.pop("timings")
+        return len(calls), report, status
+
+    new_calls, new_report, new_status = run(f2._inadmissible_pair)
+    old_calls, old_report, old_status = run(_inadmissible_pair_recounting)
+    assert old_calls - new_calls == 420
+    assert (new_report, new_status) == (old_report, old_status)
+    assert [c["name"] for c in new_report["checks"]] == [
+        "project.from_M", "project.point_on_M", "project.point_off_M"]
+    assert new_status == 0

@@ -10,6 +10,7 @@ from ringgeom import veronese as vr
 
 from motion_reference import lift_stabilizes_points, linear_lift_by_images
 from plane_reference import encode
+from projective_reference import subspace_vectors
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +134,7 @@ def test_equivariance_exhaustive_f2(algebra_cd_f2, variety_f2):
     from ringgeom import veronese as vr
     A = algebra_cd_f2
     y, _, _ = vr.vertex_space_y(variety_f2)
-    ypts = y.points()
+    ypts = subspace_vectors(y)
     for X in A.elements():
         for Y in A.elements():
             M = mo.linear_lift(A, "phi", X=X, Y=Y)

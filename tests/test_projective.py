@@ -4,13 +4,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ringgeom.fields import GF, parse_field, random_scalar
+from ringgeom.fields import GF, parse_field
 from ringgeom import projective as pj
 from ringgeom.projective import (span, meet, complement,
-                                 normalize_point, quadratic_form,
+                                 normalize_point,
                                  quadric_vertex, is_ovoid, cross_ratio, INF,
                                  Projection)
 
+from projective_reference import (line_points, quadratic_form,
+                                  random_scalar, span_points,
+                                  subspace_vectors)
 from quadric_reference import (quadric_zero_set, witt_index,
                                exact_zero_set_forms, vertex_points)
 
@@ -83,7 +86,7 @@ def test_cone_vertex_and_projection():
     v = quadric_vertex(qf)
     assert v.pdim == 0 and v.rows[0] == (0, 0, 0, 1)
     zeros = quadric_zero_set(qf)
-    for r in v.points():
+    for r in subspace_vectors(v):
         assert qf.evaluate(r) == F.zero
     # projecting the zero set from the vertex leaves a vertex-free conic
     proj = Projection(v, complement(v))
@@ -220,7 +223,7 @@ def _is_ovoid_by_lines(field, points, within):
         for y in pj.pg_points(field, k):
             if y == x or y in seen:
                 continue
-            line = pj.line_points(field, x, y)
+            line = line_points(field, x, y)
             seen.update(line)
             hits = sum(1 for p in line if p in pointset)
             if hits > 2:
@@ -350,7 +353,7 @@ def _assert_class_matches_enumeration(qf):
     # the vertex plus one of the nondegenerate part
     vert, m, w = pj.quadric_class(qf)
     r = vert.vdim
-    assert set(vert.points()) == vertex_points(qf)
+    assert set(subspace_vectors(vert)) == vertex_points(qf)
     assert m == qf.n - r and 0 <= 2 * w <= m
     assert pj.zero_count(qf.field.q, r, m, w) == len(quadric_zero_set(qf))
     assert r + w == witt_index(qf)
@@ -394,9 +397,9 @@ def test_cone_forms_reject_a_vertex_on_the_points():
     cone = quadratic_form(F, 4, {(0, 1): 1, (2, 2): F.neg(1)})
     zeros = quadric_zero_set(cone)
     assert zeros[0] == (1, 0, 0, 0) and len(zeros) == 13
-    assert list(pj.cone_forms(F, zeros[1:], 4)) == []
+    assert pj.cone_forms(F, zeros[1:], 4)[1] == []
     (qf, vert, w), = pj.cone_forms(F, [p for p in zeros
-                                       if p != (0, 0, 0, 1)], 4)
+                                       if p != (0, 0, 0, 1)], 4)[1]
     assert vert.rows == ((0, 0, 0, 1),) and w == 1
 
 
@@ -414,16 +417,59 @@ def test_zero_counts_of_the_nondegenerate_classes(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_span_points_match_coefficient_enumeration(q):
     # the points of a span in pg_parameters order of their coordinates,
-    # each normalized, against one vec_mat per coefficient tuple
+    # each normalized, against one vec_mat per coefficient tuple; the
+    # package's codes are those of the same points, in the same order
     F = GF(q)
     rng = random.Random(q)
     for k, n in ((1, 3), (2, 4), (3, 6), (4, 5)):
-        rows = pj.span(F, [tuple(rng.randrange(q) for _ in range(n))
-                           for _ in range(k)], n).rows
+        sub = pj.span(F, [tuple(rng.randrange(q) for _ in range(n))
+                          for _ in range(k)], n)
+        rows = sub.rows
         ref = [pj.vec_mat(F, c, rows)
                for c in pj.pg_parameters(F, len(rows))]
-        pts = pj.span_points(F, rows)
+        pts = span_points(F, rows)
         assert pts == ref
         assert len(set(pts)) == (q ** len(rows) - 1) // (q - 1)
         assert all(pj.normalize_point(F, p) == p for p in pts)
-    assert pj.span_points(F, ()) == []
+        assert sub.points() == [pj.point_code(F, p) for p in pts]
+    assert span_points(F, ()) == []
+    assert pj.Subspace(F, 3, ()).points() == []
+
+
+@st.composite
+def _subspaces(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    F = GF(q)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4 if q < 7 else 3)))
+    vecs = [tuple(draw(st.integers(0, q - 1)) for _ in range(n))
+            for _ in range(k)]
+    return pj.span(F, vecs, n)
+
+
+@given(_subspaces())
+@settings(max_examples=150, deadline=None)
+def test_point_codes_match_the_tuple_enumeration_hypothesis(sub):
+    # the codes are point_code of the reference enumeration, in order;
+    # code_point inverts point_code; sorted codes are the sorted tuples
+    F, n = sub.field, sub.n
+    ref = span_points(F, sub.rows)
+    codes = sub.points()
+    assert codes == [pj.point_code(F, p) for p in ref]
+    assert [pj.code_point(F, n, c) for c in codes] == ref
+    assert [pj.code_point(F, n, c) for c in sorted(codes)] == sorted(ref)
+    assert len(set(codes)) == len(ref)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_codes_order_and_round_trip_on_all_of_pg2(q):
+    # every point of PG(2, q), and every vector of one coordinate: codes
+    # sort as the tuples do and decode to them
+    F = GF(q)
+    pts = pj.pg_points(F, 3)
+    codes = [pj.point_code(F, p) for p in pts]
+    assert [pj.code_point(F, 3, c) for c in codes] == pts
+    assert [pj.code_point(F, 3, c) for c in sorted(codes)] == sorted(pts)
+    singles = [pj.point_code(F, (a,)) for a in F.elements()]
+    assert singles == sorted(singles) and len(set(singles)) == q
+    assert pj.span(F, pj.unit_vectors(F, 3), 3).points() == codes

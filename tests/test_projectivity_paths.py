@@ -23,6 +23,7 @@ from ringgeom import veronese as vr
 from ringgeom.fields import GF
 
 import quadric_reference as ref
+from projective_reference import subspace_vectors
 
 
 def _cross_ratio_by_solve(field, p1, p2, p3, p4):
@@ -65,10 +66,10 @@ def _spread_cross_ratio(field, members, avoid=None):
     """Reference: a common transversal of the four members avoiding
     `avoid`, searched over the lines joining points of the first two."""
     m1, m2 = members[0], members[1]
-    for p in m1.points():
+    for p in subspace_vectors(m1):
         if avoid is not None and avoid.contains(p):
             continue
-        for r in m2.points():
+        for r in subspace_vectors(m2):
             if avoid is not None and avoid.contains(r):
                 continue
             line = pj.span(field, [p, r], m1.n)
@@ -167,7 +168,7 @@ def _transversals_of_triple(s1, s2, s3):
     """Reference: common transversal lines of three pairwise disjoint
     (e-1)-spaces spanning a (2e-1)-space; one through each point of s1."""
     out = []
-    for p in s1.points():
+    for p in subspace_vectors(s1):
         t = sc.transversal(p, s2, s3)
         if t.vdim != 2:
             raise pj.GeometryError("triple admits no transversal through %r"
@@ -191,7 +192,7 @@ def _regulus(s1, s2, s3):
     ts = _transversals_of_triple(s1, s2, s3)
     t0, t1, t2 = ts[0], ts[1], ts[2]
     members = []
-    for x in t0.points():
+    for x in subspace_vectors(t0):
         u1 = pj.span(field, list(t1.rows) + [x], s1.n)
         u2 = pj.span(field, list(t2.rows) + [x], s1.n)
         m = pj.meet(u1, u2)

@@ -9,6 +9,7 @@ from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
+from projective_reference import subspace_vectors
 
 
 def test_normal_rational_curve_conic():
@@ -86,7 +87,7 @@ def test_member_off_the_regulus_gets_no_coordinate():
            if all(pj.meet(t, m).vdim == 1 for t in lines)]
     y = pj.meet(lines[0], reg[3]).rows[0]
     joins = (pj.span(sp.field, [y, z]) for m in sp.members if m not in reg
-             for z in m.points())
+             for z in subspace_vectors(m))
     bad = next(j for j in joins
                if not any(pj.meet(t, j).rows for t in lines[1:]))
     coords = sc.member_parameters(sp.field, reg[:3] + [bad, reg[3]])
@@ -330,7 +331,7 @@ def _scroll_quadrics_by_meet(scroll):
     seed span with each later transversal."""
     field, n = scroll.field, scroll.n
     d = scroll.transversals[0].vdim - 1
-    spread_pts = frozenset(scroll.spread_side.points())
+    spread_pts = frozenset(subspace_vectors(scroll.spread_side))
     off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
     found = set()
     for seed in itertools.product(*off[:d + 2]):
@@ -398,7 +399,7 @@ def _quadric_mutations(scroll, quads):
     """(dropped, bent, old, new): the sorted family without quads[5], and
     with the point old of quads[5] moved to new, another point off the
     spread on its transversal."""
-    spread_pts = frozenset(scroll.spread_side.points())
+    spread_pts = frozenset(subspace_vectors(scroll.spread_side))
     victim = quads[5]
     old = victim[3]
     ti = scroll.transversal_index_of(old)
@@ -444,7 +445,7 @@ def test_unique_quadrics_reject_a_point_missing_other_quadrics(
 def _unique_quadrics_by_all_pairs(scroll, quadrics):
     """Reference: verify_unique_quadrics with its intersections taken
     over all quadric pairs in `combinations` order."""
-    spread_pts = frozenset(scroll.spread_side.points())
+    spread_pts = frozenset(subspace_vectors(scroll.spread_side))
     pair_count = collections.Counter(
         frozenset(ab) for pts in quadrics
         for ab in itertools.combinations(pts, 2))
@@ -470,7 +471,7 @@ def _unique_quadrics_by_all_pairs(scroll, quadrics):
 def test_unique_quadrics_match_all_pairs(regular_2_scroll_q3, mutation):
     s, quads = regular_2_scroll_q3
     quads = sorted(quads)
-    spread_pt = min(s.spread_side.points())
+    spread_pt = min(subspace_vectors(s.spread_side))
     x = quads[5][0]
     dropped, bent = _quadric_mutations(s, quads)[:2]
     family = {

@@ -27,11 +27,6 @@ TEST_ONLY = {
     "quadratic_field_algebra": "criteria 01, 02, 04, 05 and 10: F_{q^2} "
                                "as a quadratic algebra",
     "compose": "criterion 08: composed motions",
-    # references the tests compare the code against
-    "line_points": "the points of a line, against span and the tubes",
-    # constructors for test inputs
-    "quadratic_form": "quadratic forms from coefficient maps",
-    "random_scalar": "random field elements for property tests",
 }
 # methods that only tests read, each with its reason
 TEST_ONLY_METHODS = {

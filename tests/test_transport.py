@@ -55,6 +55,50 @@ def test_transported_tubes_equal_extracted_tubes(name, request):
     assert _mismatches(V) == []
 
 
+def _transport_edges(V):
+    """(line, parent line, generator) for every transported tube, walked
+    as `build_variety` walks the line orbits."""
+    moves = [g for g in V.certificate if g.certified]
+    seen = set()
+    for start in range(len(V.plane.lines)):
+        if start in seen:
+            continue
+        walk = mo.orbit(start, moves, lambda li, g: g.perms[1][li])
+        seen.update(walk)
+        for li, edge in walk.items():
+            if edge is not None:
+                yield (li,) + tuple(edge)
+
+
+@pytest.mark.parametrize("name", ["variety_f3", "variety_cd_f4"])
+def test_one_elimination_back_map_matches_the_inverse(name, request):
+    # xi' and D^-1 from one elimination of [images | I] against span,
+    # intrinsic_coords of each image and mat_inverse
+    V = request.getfixturevalue(name)
+    count = 0
+    for li, parent, g in _transport_edges(V):
+        rows = V.tubes[parent].xi.rows
+        images = [pj.vec_mat(V.field, r, g.lift) for r in rows]
+        xi = pj.span(V.field, images, V.n)
+        back = pj.mat_inverse(V.field, [pj.intrinsic_coords(xi, r)
+                                        for r in images])
+        assert vr._carried_basis(V.field, rows, g.lift) == (xi, back)
+        assert V.tubes[li].xi == xi
+        count += 1
+    assert count == V.stats["tubes_transported"]
+
+
+def test_carried_basis_refuses_a_singular_lift(variety_f3):
+    # a lift whose first row is zero kills e_0, a point of xi of tube 0
+    V = variety_f3
+    rows = V.tubes[0].xi.rows
+    units = pj.unit_vectors(V.field, V.n)
+    lift = [(0,) * V.n] + units[1:]
+    assert V.tubes[0].xi.contains(units[0])
+    with pytest.raises(GeometryError, match="singular"):
+        vr._carried_basis(V.field, rows, lift)
+
+
 def test_generators_match_the_motion_checks(variety_f2, variety_cd_f4):
     # tau and phi13, phi23 at each element p^j e_i of the F_p-basis
     assert variety_f2.stats["generators_certified"] == 1 + 2 * 2

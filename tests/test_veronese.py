@@ -13,6 +13,8 @@ from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
+from projective_reference import (line_points, quadratic_form,
+                                  subspace_vectors)
 from plane_reference import (encode, projective_equivalence,
                              pstar_is_residue_plane_by_search)
 
@@ -40,6 +42,11 @@ def test_build_counts(variety_f2, variety_f3):
     assert len(variety_f3.points) == 117 and variety_f3.ambient_pdim == 8
 
 
+def _vectors(variety, codes):
+    """The points with the given codes, as vectors, in code order."""
+    return [pj.code_point(variety.field, variety.n, c) for c in sorted(codes)]
+
+
 def test_line_100_equations(variety_f3, algebra_cd_f3):
     # xi of [1, 0, 0] is cut out by K0 = A1 = A2 = 0 (five conditions)
     A = algebra_cd_f3
@@ -48,11 +55,11 @@ def test_line_100_equations(variety_f3, algebra_cd_f3):
     li = plane.line_index[l]
     tube = variety_f3.tubes[li]
     assert tube.xi.pdim == 3
-    for p in tube.xi_pts:
+    for p in _vectors(variety_f3, tube.xi_pts):
         assert p[0] == 0 and p[5:] == (0,) * 4
     # the X-points on it satisfy K1 K2 = n'(B00)
     F = A.field
-    for p in tube.x_pts:
+    for p in _vectors(variety_f3, tube.x_pts):
         assert F.mul(p[1], p[2]) == F.mul(p[3], p[3])
 
 
@@ -72,7 +79,7 @@ def test_tubic_space_intersection_point(variety_f3, algebra_cd_f3):
     t1 = variety_f3.tubes[plane.line_index[l1]]
     t2 = variety_f3.tubes[plane.line_index[l2]]
     inter = t1.xi_pts & t2.xi_pts
-    assert inter == {(0, 0, 1, 0, 0, 0, 0, 0, 0)}
+    assert _vectors(variety_f3, inter) == [(0, 0, 1, 0, 0, 0, 0, 0, 0)]
     assert inter <= variety_f3.point_set
 
 
@@ -88,12 +95,12 @@ def test_singular_line_law_f3(variety_f3):
     # when it meets X
     field = variety_f3.field
     y, verts, _ = vr.vertex_space_y(variety_f3)
-    ypts = set(y.points())
-    xpts = set(variety_f3.point_set)
+    ypts = set(subspace_vectors(y))
+    xpts = set(_vectors(variety_f3, variety_f3.point_set))
     both = sorted(xpts | ypts)
     seen = set()
     for u, v in itertools.combinations(both, 2):
-        line = frozenset(pj.line_points(field, u, v))
+        line = frozenset(line_points(field, u, v))
         if line in seen:
             continue
         seen.add(line)
@@ -109,11 +116,11 @@ def test_unique_tube_law(variety_f3):
     # non-collinear points lie in exactly one tube
     field = variety_f3.field
     y, _, _ = vr.vertex_space_y(variety_f3)
-    ypts = set(y.points())
+    ypts = set(subspace_vectors(y))
     pts = variety_f3.points
     through = variety_f3.tubes_through
     for i, j in itertools.combinations(range(len(pts)), 2):
-        line = set(pj.line_points(field, pts[i], pts[j]))
+        line = set(line_points(field, pts[i], pts[j]))
         collinear = bool(line & ypts)
         common = set(through[i]) & set(through[j])
         if not collinear:
@@ -206,7 +213,8 @@ def _refit_base_witt(field, tube):
     complement inside xi, its own exact zero-set form refitted in the
     base's span, and that form's Witt index."""
     k = tube.xi.vdim
-    intr = [pj.intrinsic_coords(tube.xi, p) for p in sorted(tube.x_pts)]
+    intr = [pj.intrinsic_coords(tube.xi, pj.code_point(field, tube.xi.n, p))
+            for p in sorted(tube.x_pts)]
     if tube.vertex.rows:
         vert = pj.span(field, [pj.intrinsic_coords(tube.xi, r)
                                for r in tube.vertex.rows], k)
@@ -235,10 +243,10 @@ def test_base_witt_matches_refitted_base_form(name, request):
 def test_tube_tangent_matches_combinatorial(variety_f2, variety_f3):
     for variety in (variety_f2, variety_f3):
         for t in variety.tubes[:4]:
-            for x in sorted(t.x_pts):
+            for x in _vectors(variety, t.x_pts):
                 via_form = vr.tube_tangent_space(variety, t, x)
                 via_lines = ref.tangent_hyperplane(
-                    variety.field, sorted(t.cone_pts), t.xi, x)
+                    variety.field, _vectors(variety, t.cone_pts), t.xi, x)
                 assert via_form == via_lines
 
 
@@ -549,7 +557,7 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
         # generators of same-vertex tubes through collinearity
         out = {}
         for g in tube.generators:
-            img = {proj_v.apply(x) for x in g}
+            img = {proj_v.apply(pj.code_point(field, n, x)) for x in g}
             assert len(img) == 1
             fiber = {data["images"][variety_f3.point_index[x]] for x in g}
             assert len(fiber) == 1
@@ -562,7 +570,7 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
     assert len(shared_keys) == 1          # the common generator
     pairing = [(g0[k], g1[k]) for k in sorted(g0) if g0[k] != g1[k]]
     al, images, inf_space = sc.alpha_section(field, pairing, n)
-    assert set(images) <= ytilde
+    assert {pj.point_code(field, p) for p in images} <= ytilde
     assert set(inf_space.points()) <= ytilde
 
 
@@ -694,7 +702,7 @@ def test_check_h3_rejects_a_degenerate_tube_form(variety_f3):
     V = variety_f3
     assert vr.check_h3(V, 4)["tangent_dims"] == {4: len(V.points)}
     t0 = V.tubes[0]
-    zero = pj.quadratic_form(V.field, t0.xi.vdim, {})
+    zero = quadratic_form(V.field, t0.xi.vdim, {})
     tubes = [dataclasses.replace(t0, form=zero)] + V.tubes[1:]
     rep = vr.check_h3(dataclasses.replace(V, tubes=tubes), 4)
     assert not rep["ok"]
@@ -817,8 +825,8 @@ def _h2_all_pairs(variety):
         ypart = inter - xset
         if not ypart:
             continue
-        whole = pj.span(field, sorted(inter), variety.n)
-        ysub = pj.span(field, sorted(ypart), variety.n)
+        whole = pj.span(field, _vectors(variety, inter), variety.n)
+        ysub = pj.span(field, _vectors(variety, ypart), variety.n)
         if len(ypart) != (field.q ** ysub.vdim - 1) // (field.q - 1):
             bad.append((t1.index, t2.index, "Y part not a subspace"))
         elif ysub.pdim != whole.pdim - 1:
@@ -865,7 +873,7 @@ def _pair_check_cases(request):
             f3, t0, cone_pts=t0.cone_pts - {
                 min(t0.xi_pts & t1.xi_pts & f3.point_set)}),
         "f3_zero_form": _mutated(
-            f3, t0, form=pj.quadratic_form(f3.field, t0.xi.vdim, {})),
+            f3, t0, form=quadratic_form(f3.field, t0.xi.vdim, {})),
         "frame5_second_point": _mutated(
             frame5, f0,
             xi_pts=f0.xi_pts | {min(f1.xi_pts - f0.xi_pts
