@@ -11,8 +11,9 @@ significant first, so point sets are sets of ints and codes sort as the
 coordinate tuples do.  Each F_p-coordinate of an entry gets its own bit
 field: one bit in characteristic 2, where a code is the F_2 bit vector
 sum_i c_i q^(n-1-i) and a vector sum is one XOR; otherwise the
-(2p-2).bit_length() bits of a sum of two coordinates and a guard bit,
-so a vector sum is one integer add and a carry-free reduction mod p.
+(2p-2).bit_length() bits of a sum of two coordinates, whose top bit
+serves as the guard bit, so a vector sum is one integer add and a
+carry-free reduction mod p.
 `point_code` and `code_point` convert between codes and vectors.
 
 Quadratic forms are kept as upper-triangular coefficient tables and
@@ -212,23 +213,15 @@ class Subspace:
         only).  The points with leading coefficient at row i are built row
         by row from the packed multiples 0, 1, ..., q - 1 of each later
         row: each partial sum b is followed by b plus each nonzero
-        multiple of the next row, one vector sum per point.  Over a prime
-        field the multiples are sums too: c r = (c - 1) r + r."""
+        multiple of the next row, one vector sum per point."""
         field, rows = self.field, self.rows
         p, q = field.p, field.q
         heads = [point_code(field, r) for r in rows]
+        mults = [[0, h] + [point_code(field, field.row_scale(c, r))
+                           for c in range(2, q)]
+                 for h, r in zip(heads[1:], rows[1:])]
         if p != 2:
             shift, guard, lift = _guards(p, field.k, self.n)
-        if field.k > 1:
-            mults = [[0, h] + [point_code(field, field.row_scale(c, r))
-                               for c in range(2, q)]
-                     for h, r in zip(heads[1:], rows[1:])]
-        else:
-            mults = [[0, h] for h in heads[1:]]
-            for ms in mults:
-                while len(ms) < q:
-                    s = ms[-1] + ms[1]
-                    ms.append(s - (((s + lift) & guard) >> shift) * p)
         out = []
         for lead, head in enumerate(heads):
             level = [head]
@@ -261,7 +254,7 @@ def _layout(p, k):
     entry, enc[a] the packed F_p-coordinates of the element of index a,
     c_(k-1) highest so that codes order as indices do, and dec its
     inverse."""
-    w = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    w = 1 if p == 2 else (2 * p - 2).bit_length()
     enc = [sum(a // p ** j % p << (w * j) for j in range(k))
            for a in range(p ** k)]
     return w * k, enc, {e: a for a, e in enumerate(enc)}
@@ -270,10 +263,12 @@ def _layout(p, k):
 @functools.cache
 def _guards(p, k, n):
     """(shift, guard, lift) for sums of codes of length-n vectors over
-    F_(p^k), p odd: s + lift, lift holding g - p in every field, reaches
-    the field's guard bit g = 1 << shift exactly where the field's sum s
-    of two coordinates is at least p, and never carries out of the field;
-    `guard` holds g in every field."""
+    F_(p^k), p odd.  A field of w = (2p-2).bit_length() bits holds the
+    sum s <= 2p - 2 of two coordinates, and its top bit g = 1 << shift
+    satisfies p <= g, as g > p - 1 = (2p - 2) / 2.  So s + lift, lift
+    holding g - p in every field, reaches g exactly where s >= p, and
+    stays below 2g, never carrying out of the field; `guard` holds g in
+    every field."""
     w = _layout(p, k)[0] // k
     ones = sum(1 << (w * j) for j in range(n * k))
     return w - 1, ones << (w - 1), ones * ((1 << (w - 1)) - p)

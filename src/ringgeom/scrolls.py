@@ -176,13 +176,14 @@ class Scroll:
     quadric_pts: tuple          # points of Q, order fixed
     members: tuple              # spread members, aligned with quadric_pts
     transversals: tuple         # Subspaces <p, phi(p)>
-    point_sets: tuple           # per transversal: frozenset of its points,
-                                # as vectors like the quadric points
+    point_sets: tuple           # per transversal: frozenset of the codes
+                                # (`pj.point_code`) of its points
     spread_side: Subspace       # span of all members
 
     def transversal_index_of(self, p):
+        c = pj.point_code(self.field, p)
         for i, ps in enumerate(self.point_sets):
-            if p in ps:
+            if c in ps:
                 return i
         return None
 
@@ -197,8 +198,7 @@ def build_scroll(field, quadric_pts, members):
         if t.vdim != m.vdim + 1:
             raise GeometryError("quadric point lies on its spread member")
         transversals.append(t)
-        point_sets.append(frozenset(pj.code_point(field, n, c)
-                                    for c in t.points()))
+        point_sets.append(frozenset(t.points()))
     spread_side = span(field, [r for m in members for r in m.rows], n)
     return Scroll(field, n, tuple(quadric_pts), tuple(members),
                   tuple(transversals), tuple(point_sets), spread_side)
@@ -313,14 +313,17 @@ def verify_unique_quadrics(scroll, quadrics):
     Read as the sets of quadrics through them, two points lie in as many
     quadrics as their sets share, so a valid pair fails iff its bit is
     off `once` or on `twice` of `hjplane.pair_masks` over those sets.
-    The first failure is the first in transversal-pair, then point order,
-    the order of the point sets of vectors.
+    Points are compared by their codes (`pj.point_code`).  The first
+    failure is the first in transversal-pair order, then in the sorted
+    order of each transversal's points (codes sort as the vectors do).
     """
-    spread_pts = frozenset(pj.code_point(scroll.field, scroll.n, c)
-                           for c in scroll.spread_side.points())
-    sides = [list(ps - spread_pts) for ps in scroll.point_sets]
+    field = scroll.field
+    spread_pts = frozenset(scroll.spread_side.points())
+    sides = [sorted(ps - spread_pts) for ps in scroll.point_sets]
     starts = list(itertools.accumulate(map(len, sides), initial=0))
-    holders = hp.holder_masks(quadrics)
+    sets = [frozenset(pj.point_code(field, p) for p in pts)
+            for pts in quadrics]
+    holders = hp.holder_masks(sets)
     once, twice = hp.pair_masks([list(hp.bits(holders[p]))
                                  for p in itertools.chain(*sides)])
     fails = [~o | t for o, t in zip(once, twice)]
@@ -329,12 +332,12 @@ def verify_unique_quadrics(scroll, quadrics):
             f = (fails[k] >> starts[j]) & ((1 << len(sides[j])) - 1)
             if f:
                 b = sides[j][next(hp.bits(f))]
-                return False, ("pair", a, b,
+                return False, ("pair", pj.code_point(field, scroll.n, a),
+                               pj.code_point(field, scroll.n, b),
                                (holders[a] & holders[b]).bit_count())
     valid_pairs = sum(len(t) * len(u)
                       for t, u in itertools.combinations(sides, 2))
     # a pair fails iff it shares no point off the spread or two points
-    sets = [frozenset(pts) for pts in quadrics]
     off_meets = hp.pair_masks([q - spread_pts for q in sets])[0]
     twice = hp.pair_masks(sets)[1]
     n = len(sets)

@@ -326,13 +326,19 @@ def test_alpha_section_regular_2_scroll_q3():
     assert done == 3
 
 
+def _point_vectors(scroll):
+    """The point set of each transversal, as vectors."""
+    return [frozenset(pj.code_point(scroll.field, scroll.n, c) for c in ps)
+            for ps in scroll.point_sets]
+
+
 def _scroll_quadrics_by_meet(scroll):
     """Reference: the seed search completed by one Zassenhaus meet of the
     seed span with each later transversal."""
     field, n = scroll.field, scroll.n
     d = scroll.transversals[0].vdim - 1
     spread_pts = frozenset(subspace_vectors(scroll.spread_side))
-    off = [sorted(ps - spread_pts) for ps in scroll.point_sets]
+    off = [sorted(ps - spread_pts) for ps in _point_vectors(scroll)]
     found = set()
     for seed in itertools.product(*off[:d + 2]):
         u = pj.span(field, seed, n)
@@ -403,7 +409,7 @@ def _quadric_mutations(scroll, quads):
     victim = quads[5]
     old = victim[3]
     ti = scroll.transversal_index_of(old)
-    new = sorted(scroll.point_sets[ti] - spread_pts - {old})[0]
+    new = sorted(_point_vectors(scroll)[ti] - spread_pts - {old})[0]
     moved = tuple(sorted(set(victim) - {old} | {new}))
     return ([k for k in quads if k != victim],
             [moved if k == victim else k for k in quads], old, new)
@@ -444,15 +450,17 @@ def test_unique_quadrics_reject_a_point_missing_other_quadrics(
 
 def _unique_quadrics_by_all_pairs(scroll, quadrics):
     """Reference: verify_unique_quadrics with its intersections taken
-    over all quadric pairs in `combinations` order."""
+    over all quadric pairs in `combinations` order, and the points of
+    each transversal in sorted order."""
     spread_pts = frozenset(subspace_vectors(scroll.spread_side))
+    point_sets = _point_vectors(scroll)
     pair_count = collections.Counter(
         frozenset(ab) for pts in quadrics
         for ab in itertools.combinations(pts, 2))
     valid_pairs = 0
-    for i, j in itertools.combinations(range(len(scroll.point_sets)), 2):
-        for a in scroll.point_sets[i] - spread_pts:
-            for b in scroll.point_sets[j] - spread_pts:
+    for i, j in itertools.combinations(range(len(point_sets)), 2):
+        for a in sorted(point_sets[i] - spread_pts):
+            for b in sorted(point_sets[j] - spread_pts):
                 count = pair_count[frozenset((a, b))]
                 if count != 1:
                     return False, ("pair", a, b, count)
