@@ -527,7 +527,6 @@ class AlgebraReport:
     division: bool
     rad_f: list
     radical: list
-    decomposition: tuple    # (B_basis, R_basis) or None
     sampled: bool           # division over Q decided on samples
     witnesses: dict = dc_field(default_factory=dict)
 
@@ -551,33 +550,10 @@ def classify(A, samples=1000, seed=0):
     else:
         rad_f, R = [], []
         div, nondeg, div_exact = False, False, True
-    decomposition = None
-    if quad and A.base_dim and A.base_dim < A.dim:
-        decomposition = _split_decomposition(A, R)
     if div and not nondeg:
         raise AlgebraError("division algebra with nonzero radical")
     return AlgebraReport(A.tag, comm, assoc, alt, quad, nondeg, div,
-                         rad_f, R, decomposition, not div_exact,
-                         report_witness)
-
-
-def _split_decomposition(A, R):
-    """B + R split with B = the construction-history base; checks
-    B-perp = R when the base really is maximal nondegenerate."""
-    field = A.field
-    b_rows = [A.basis(i) for i in range(A.base_dim)]
-    r_rows = list(R)
-    if len(b_rows) + len(r_rows) != A.dim:
-        return None
-    all_rows, _ = pj.rref(field, b_rows + r_rows)
-    if len(all_rows) != A.dim:
-        return None
-    # B-perp = R  (w.r.t. the norm bilinearization)
-    qf = _norm_form(A)
-    if any(pj.dot(field, qf.polar(b), r) != field.zero
-           for r in r_rows for b in b_rows):
-        return None
-    return (b_rows, r_rows)
+                         rad_f, R, not div_exact, report_witness)
 
 
 def find_isomorphism_to_cd(series, cd):

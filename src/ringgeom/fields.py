@@ -14,7 +14,6 @@ positive denominator), guarded by a configurable height bound.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -238,20 +237,6 @@ class FiniteField:
         add = self.add_t
         return tuple([add[a][m[b]] for a, b in zip(u, v)])
 
-    def row_dot(self, u, v):
-        """The scalar sum_i u_i v_i."""
-        mul = self.mul_t
-        products = [mul[a][b] for a, b in zip(u, v)]
-        if self.p == 2:
-            return functools.reduce(xor, products, 0)
-        if self.k == 1:
-            return sum(products) % self.p
-        add = self.add_t
-        acc = 0
-        for x in products:
-            acc = add[acc][x]
-        return acc
-
     def elements(self):
         return range(self.q)
 
@@ -345,10 +330,6 @@ class RationalField:
     def row_sub_scaled(self, u, c, v):
         guard = self._guard
         return tuple(guard(a - guard(c * b)) for a, b in zip(u, v))
-
-    def row_dot(self, u, v):
-        guard = self._guard
-        return guard(sum(guard(a * b) for a, b in zip(u, v)))
 
     def elements(self):
         raise FieldError("cannot enumerate the rationals")

@@ -84,13 +84,6 @@ class IncidenceStructure:
     line_index: dict
     point_keys: list     # per point index: its neighbour key, tilde_triple
 
-    def incident(self, p, l):
-        return incidence_value(self.algebra, p, l) == 0
-
-    def point_neighbouring(self, p, q):
-        return tilde_triple(self.algebra, self.base, p) == \
-            tilde_triple(self.algebra, self.base, q)
-
     def point_line_neighbouring(self, p, l):
         """The residue of the incidence value is zero (rank 0)."""
         residue = _residue_ranks(self.algebra, self.base)

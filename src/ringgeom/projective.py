@@ -148,11 +148,6 @@ def mat_inverse(field, rows):
     return [r[n:] for r in red]
 
 
-def dot(field, u, v):
-    """The scalar product sum_i u_i v_i."""
-    return field.row_dot(u, v)
-
-
 def vec_mat(field, v, rows):
     """The combination sum_i v_i rows[i]."""
     z = field.zero
@@ -442,13 +437,6 @@ class QuadraticForm:
                 if c != z and vi != z and v[j] != z:
                     acc = add(acc, mul(c, mul(vi, v[j])))
         return acc
-
-    def bilinear(self, u, v):
-        """b(u, v) = Q(u+v) - Q(u) - Q(v)."""
-        field = self.field
-        s = vec_add(field, u, v)
-        return field.sub(field.sub(self.evaluate(s), self.evaluate(u)),
-                         self.evaluate(v))
 
     def polar(self, x):
         """The coefficients of b(x, .), read off the Gram matrix."""

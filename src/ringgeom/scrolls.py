@@ -175,9 +175,8 @@ class Scroll:
     n: int
     quadric_pts: tuple          # points of Q, order fixed
     members: tuple              # spread members, aligned with quadric_pts
-    transversals: tuple         # Subspaces <p, phi(p)>
-    point_sets: tuple           # per transversal: frozenset of the codes
-                                # (`pj.point_code`) of its points
+    point_sets: tuple           # per transversal <p, phi(p)>: frozenset of
+                                # the codes (`pj.point_code`) of its points
     spread_side: Subspace       # span of all members
 
     def transversal_index_of(self, p):
@@ -191,17 +190,15 @@ class Scroll:
 def build_scroll(field, quadric_pts, members):
     """Scroll from an aligned pairing quadric_pts[i] <-> members[i]."""
     n = len(quadric_pts[0])
-    transversals = []
     point_sets = []
     for p, m in zip(quadric_pts, members):
         t = span(field, [p] + list(m.rows), n)
         if t.vdim != m.vdim + 1:
             raise GeometryError("quadric point lies on its spread member")
-        transversals.append(t)
         point_sets.append(frozenset(t.points()))
     spread_side = span(field, [r for m in members for r in m.rows], n)
     return Scroll(field, n, tuple(quadric_pts), tuple(members),
-                  tuple(transversals), tuple(point_sets), spread_side)
+                  tuple(point_sets), spread_side)
 
 
 def canonical_cubic_scroll(field):

@@ -24,11 +24,12 @@ base Witt index and ovoid verdict.  Every transported tube's X(xi) is
 still recomputed by membership and compared with the line image.
 
 Point sets are sets of packed int codes (`pj.point_code`): the points of
-each tubic space, of X(xi), of the vertex and cone and of each generator,
-and the keys of `Variety.point_index` and `point_set`.  Codes sort as the
-coordinate tuples do, so every sorted order, minimum and first witness
-is the tuples' one; a point is decoded (`pj.code_point`) only where it is
-used as a vector.
+each tubic space, of the vertex and of each generator, and the keys of
+`Variety.point_index` and `point_set`.  Codes sort as the coordinate
+tuples do, so every sorted order, minimum and first witness is the
+tuples' one; a point is decoded (`pj.code_point`) only where it is used
+as a vector.  A tube keeps only what it cannot derive: X(xi) is the
+index tuple `x_idx`, and the cone inside xi is X(xi) plus the vertex.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ class Tube:
     index: int
     xi: Subspace
     xi_pts: frozenset         # codes of the points of xi
-    x_pts: frozenset          # codes of X(xi)
-    x_idx: tuple              # indices into the variety point list
+    x_idx: tuple              # X(xi), as indices into the variety points
     form: object              # accepted quadratic form, xi-intrinsic
     fit_count: int            # accepted cone varieties through X(xi)
     pencil_size: int          # forms of the pencil through X(xi), each
                               # classified once when fitting
     vertex: Subspace          # ambient
-    vertex_pts: frozenset     # codes of the vertex points
-    cone_pts: frozenset       # x_pts | vertex_pts
+    vertex_pts: frozenset     # codes of the vertex points; the cone
+                              # inside xi is X(xi) plus these
     v: int                    # vertex projective dimension (-1 if empty)
     d_base: int               # tangent-hyperplane dimension of the base
     base_witt: int
@@ -164,8 +164,7 @@ def build_variety(A):
                 tube = transport_tube(field, tubes[parent], g.lift,
                                       g.perms[0], codes, point_set,
                                       point_index, li)
-            if tube.x_pts != frozenset(codes[pi]
-                                       for pi in plane.points_on[li]):
+            if tube.x_idx != tuple(sorted(plane.points_on[li])):
                 raise GeometryError("X meet xi is not the line image "
                                     "(line %d)" % li)
             tubes[li] = tube
@@ -228,10 +227,10 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     # xi.rows is in RREF, so c . rows is normalized and has coordinates c
     intr = dict(zip(xi.points(), pj.pg_parameters(field, k)))
     xi_pts = frozenset(intr)
-    x_pts = sorted(xi_pts & point_set)
-    if not x_pts:
+    xs = sorted(xi_pts & point_set)
+    if not xs:
         raise GeometryError("xi carries no points of X")
-    x_intr = sorted(intr[p] for p in x_pts)
+    x_intr = sorted(intr[p] for p in xs)
     x_codes = [pj.point_code(field, c) for c in x_intr]
     pencil_size, forms = pj.cone_forms(field, x_intr, k)
     accepted = {}
@@ -247,12 +246,10 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     vertex_pts = frozenset(vertex.points())
     v = vertex.pdim
     d_base = xi.pdim - v - 2
-    base_ovoid, generators = _analyze_base(field, xi, vert_intr, x_pts,
-                                           intr)
-    x_idx = tuple(sorted(point_index[p] for p in x_pts))
-    return Tube(index, xi, xi_pts, frozenset(x_pts), x_idx, qf, fit_count,
-                pencil_size, vertex, vertex_pts, frozenset(x_pts) | vertex_pts,
-                v, d_base, base_witt, base_ovoid, generators)
+    base_ovoid, generators = _analyze_base(field, xi, vert_intr, xs, intr)
+    x_idx = tuple(sorted(point_index[p] for p in xs))
+    return Tube(index, xi, xi_pts, x_idx, qf, fit_count, pencil_size, vertex,
+                vertex_pts, v, d_base, base_witt, base_ovoid, generators)
 
 
 def transport_tube(field, tube, lift, pperm, codes, point_set,
@@ -269,21 +266,19 @@ def transport_tube(field, tube, lift, pperm, codes, point_set,
     # from a dict the set is sized once, to half the table that growing
     # it from a list leaves (as in extract_tube)
     xi_pts = frozenset(dict.fromkeys(xi.points()))
-    x_pts = xi_pts & point_set
     form = pj.form_on_basis(field, tube.form.evaluate, back)
     form = pj.QuadraticForm(field, form.n,
                             normalize_point(field, form.coeffs))
     vertex = span(field, [pj.vec_mat(field, r, lift)
                           for r in tube.vertex.rows], xi.n)
     vertex_pts = frozenset(vertex.points())
-    move = {x: codes[pperm[point_index[x]]] for x in tube.x_pts}
+    move = {codes[i]: codes[pperm[i]] for i in tube.x_idx}
     generators = tuple(sorted((frozenset(map(move.__getitem__, g))
                                for g in tube.generators), key=min))
-    x_idx = tuple(sorted(point_index[p] for p in x_pts))
-    return Tube(index, xi, xi_pts, x_pts, x_idx, form, tube.fit_count,
-                tube.pencil_size, vertex, vertex_pts, x_pts | vertex_pts,
-                tube.v, tube.d_base, tube.base_witt, tube.base_ovoid,
-                generators)
+    x_idx = tuple(sorted(point_index[p] for p in xi_pts & point_set))
+    return Tube(index, xi, xi_pts, x_idx, form, tube.fit_count,
+                tube.pencil_size, vertex, vertex_pts, tube.v, tube.d_base,
+                tube.base_witt, tube.base_ovoid, generators)
 
 
 def _carried_basis(field, rows, lift):
@@ -301,7 +296,7 @@ def _carried_basis(field, rows, lift):
     return Subspace(field, n, tuple(r[:n] for r in red)), [r[n:] for r in red]
 
 
-def _analyze_base(field, xi, vert_intr, x_pts, intr):
+def _analyze_base(field, xi, vert_intr, xs, intr):
     """Ovoid test and generators of the accepted cone, from the X points
     projected from the vertex onto its coordinate complement inside xi.
     The form vanishes there exactly on the projected points, so the base
@@ -311,14 +306,14 @@ def _analyze_base(field, xi, vert_intr, x_pts, intr):
     if vert_intr.rows:
         proj = Projection(vert_intr, pj.complement(vert_intr))
         base_map = {}
-        for p in x_pts:
+        for p in xs:
             base_map.setdefault(proj.apply(intr[p]), []).append(p)
         base_pts = sorted(base_map)
         generators = tuple(sorted(map(frozenset, base_map.values()),
                                   key=min))
     else:
-        base_pts = [intr[p] for p in x_pts]
-        generators = (frozenset(x_pts),)
+        base_pts = [intr[p] for p in xs]
+        generators = (frozenset(xs),)
     return is_ovoid(field, base_pts, span(field, base_pts, xi.vdim)), \
         generators
 
@@ -403,13 +398,15 @@ def _x_meets(variety):
     return pair_masks([t.xi_pts & xset for t in variety.tubes])[0]
 
 
-def _outside_cones(tubes):
+def _outside_cones(tubes, xset):
     """The symmetric bitmasks of the tube pairs whose meet leaves a cone:
     one tubic space holds a point of the other's that is off the other's
-    cone, and the holder mask of each such shared point names the pairs."""
+    cone, X(xi) plus the vertex, and the holder mask of each such shared
+    point names the pairs."""
     xis = [t.xi_pts for t in tubes]
     shared = shared_elements(xis)
-    off = [(t.xi_pts - t.cone_pts) & shared for t in tubes]
+    loose = shared - xset
+    off = [(t.xi_pts & loose) - t.vertex_pts for t in tubes]
     stray = set().union(*off)
     holders = holder_masks([xi & stray for xi in xis])
     outside = [0] * len(tubes)
@@ -433,7 +430,7 @@ def check_h2star(variety):
     tubes = variety.tubes
     n = len(tubes)
     xis = [t.xi_pts for t in tubes]
-    outside = _outside_cones(tubes)
+    outside = _outside_cones(tubes, variety.point_set)
     bad = [(~x | out) & later_bits(i, n)
            for i, (x, out) in enumerate(zip(_x_meets(variety), outside))]
 
@@ -451,15 +448,19 @@ def check_h2(variety):
     its Y-part is a hyperplane of it iff the Y-part is a subspace and the
     meet has q |Y| + 1 points.  Inside both cones (`_outside_cones`),
     the Y-part (xi1 ^ xi2) - X is cy1 ^ cy2 for cy = (cone - X) ^ xi, as
-    its points lie in both cones and both tubic spaces.  So only the
-    pairs on `once` over the cy sets have a Y-part to judge, each on
-    cy1 ^ cy2 and on the X points that xi1 and xi2 share."""
+    its points lie in both cones and both tubic spaces.  The cone is
+    X(xi) plus the vertex, so cy is the vertex points in xi: the vertex
+    misses X, since `pj.cone_forms` accepts only a vertex inside xi that
+    misses X(xi) and a certified lift maps X onto X, carrying an
+    extracted vertex to a transported one.  So only the pairs on `once`
+    over the cy sets have a Y-part to judge, each on cy1 ^ cy2 and on the
+    X points that xi1 and xi2 share."""
     field, n = variety.field, variety.n
     q = field.q
     tubes = variety.tubes
     xset = variety.point_set
-    outside = _outside_cones(tubes)
-    cys = [(t.cone_pts - xset) & t.xi_pts for t in tubes]
+    outside = _outside_cones(tubes, xset)
+    cys = [t.vertex_pts & t.xi_pts for t in tubes]
     xmasks = [sum(1 << variety.point_index[p] for p in t.xi_pts & xset)
               for t in tubes]
     subspace = {}   # Y-part -> whether it holds every point of its span
@@ -848,8 +849,8 @@ def local_structure_at_vertex(variety, vertex, data):
     squads = sc.scroll_quadrics(scroll)
     projected = set()
     for t in cv:
-        projected.add(tuple(sorted({proj_v.apply(pj.code_point(field, n, x))
-                                    for x in t.x_pts})))
+        projected.add(tuple(sorted({proj_v.apply(variety.points[i])
+                                    for i in t.x_idx})))
     report["scroll_quadrics_match"] = projected == set(squads)
     # dimension formulas
     span_cv = span(field, [r for t in cv for r in t.xi.rows], n)

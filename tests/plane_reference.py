@@ -29,6 +29,18 @@ def encode(A, obj):
     return index[obj]
 
 
+def incident(plane, p, l):
+    """Incidence read off `incidence_value`: p on l iff the value is 0."""
+    return hp.incidence_value(plane.algebra, p, l) == 0
+
+
+def point_neighbouring(plane, p, q):
+    """Neighbouring read off `tilde_triple`: p and q are neighbours iff
+    their residue points agree."""
+    return hp.tilde_triple(plane.algebra, plane.base, p) == \
+        hp.tilde_triple(plane.algebra, plane.base, q)
+
+
 def pstar_is_residue_plane_by_search(variety, data, chi):
     """Whether some incidence-preserving bijection carries P*_Y (points
     chi(x'), lines the vertices, V on chi(x') iff V <= chi(x')) onto the

@@ -9,12 +9,30 @@ Witt index from a maximal totally singular subspace grown out of the
 zeros, a tangent hyperplane from the lines through its point, and a
 tube's cone by evaluating every form of the pencil on every point of
 xi.  They enumerate PG(n-1) and are meant for the small cases
-the tests compare against.  `swap_hyperbolic_elliptic` plants a fault in
-the count for the mutation tests."""
+the tests compare against.  `cone_points` reads a tube's cone off the
+point sets it stores, its tubic space and its vertex, and
+`split_decomposition` splits an algebra as B + R with B orthogonal to
+the radical under the norm form.  `swap_hyperbolic_elliptic` plants a
+fault in the count for the mutation tests."""
+
+import functools
 
 from ringgeom import projective as pj
 
 from projective_reference import line_points, subspace_vectors
+
+
+def dot(field, u, v):
+    """The scalar product sum_i u_i v_i."""
+    return functools.reduce(field.add, map(field.mul, u, v), field.zero)
+
+
+def bilinear(qf, u, v):
+    """b(u, v) = Q(u+v) - Q(u) - Q(v), by evaluating the form."""
+    field = qf.field
+    s = pj.vec_add(field, u, v)
+    return field.sub(field.sub(qf.evaluate(s), qf.evaluate(u)),
+                     qf.evaluate(v))
 
 
 def quadric_zero_set(qf, points=None):
@@ -55,7 +73,7 @@ def witt_index(qf, within_points=None):
     for p in quadric_zero_set(qf, within_points):
         if sub is not None and sub.contains(p):
             continue
-        if all(pj.dot(field, qf.polar(b), p) == field.zero for b in basis):
+        if all(dot(field, qf.polar(b), p) == field.zero for b in basis):
             basis.append(p)
             sub = pj.span(field, basis, qf.n)
     return len(basis)
@@ -88,19 +106,26 @@ def tangent_hyperplane(field, points, within, x):
                    within.n)
 
 
-def refit_tube(field, tube):
+def cone_points(variety, tube):
+    """The codes of the points of a tube's cone inside xi: X(xi) = X ^ xi
+    and the vertex points."""
+    return (tube.xi_pts & variety.point_set) | tube.vertex_pts
+
+
+def refit_tube(variety, tube):
     """The tube's cone fitted by evaluation: every form of the pencil
     through X(xi) is evaluated on every point of xi, and accepted when its
     zero set is X(xi) plus its vertex, the vertex missing X(xi).  Returns
     (fit_count, vertex, form, base_witt) with the form of the zero set
     that sorts first, its vertex in ambient coordinates and the Witt
     index of the form on the projected X points."""
+    field = variety.field
     k = tube.xi.vdim
     # xi's rows are in echelon form: its points in xi coordinates are the
     # normalized coefficient tuples
     intr = list(pj.pg_parameters(field, k))
     x_intr = {pj.intrinsic_coords(tube.xi, pj.code_point(field, tube.xi.n, p))
-              for p in tube.x_pts}
+              for p in tube.xi_pts & variety.point_set}
     kernel = pj.forms_through(field, sorted(x_intr), k)
     # a pencil form's value at a point is the combination of its basis
     # forms' values there
@@ -113,7 +138,7 @@ def refit_tube(field, tube):
         qf = pj.QuadraticForm(field, k, pj.normalize_point(
             field, pj.vec_mat(field, coeffs, kernel)))
         zeros = frozenset(c for c, val in zip(intr, values)
-                          if pj.dot(field, coeffs, val) == field.zero)
+                          if dot(field, coeffs, val) == field.zero)
         # an accepted form has as many zeros off X(xi) as its vertex has
         # points
         if len(zeros) - len(x_intr) not in sizes:
@@ -140,3 +165,22 @@ def swap_hyperbolic_elliptic(real):
     def count(q, r, m, w):
         return real(q, r, m, m - 1 - w if m % 2 == 0 else w)
     return count
+
+
+def split_decomposition(A, R):
+    """(B_basis, R_basis) when A = B + R with B the construction-history
+    base and R the radical rows, and B-perp = R under the norm
+    bilinearization; None otherwise."""
+    field = A.field
+    b_rows = [A.basis(i) for i in range(A.base_dim)]
+    r_rows = list(R)
+    if len(b_rows) + len(r_rows) != A.dim:
+        return None
+    all_rows, _ = pj.rref(field, b_rows + r_rows)
+    if len(all_rows) != A.dim:
+        return None
+    qf = pj.form_on_basis(field, A.norm, pj.unit_vectors(field, A.dim))
+    if any(dot(field, qf.polar(b), r) != field.zero
+           for r in r_rows for b in b_rows):
+        return None
+    return (b_rows, r_rows)

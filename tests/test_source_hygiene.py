@@ -5,7 +5,9 @@ parameter goes unread (`self`, `cls` and `_`-prefixed names are exempt),
 no module-level function, class or constant goes unreferenced by the
 package, its scripts and its benchmark, unless TEST_ONLY names it, and no
 method of a module-level class goes unread there as an attribute, unless
-TEST_ONLY_METHODS names it."""
+TEST_ONLY_METHODS names it, and no field of a module-level dataclass goes
+unread there, as an attribute or as a string constant (the name handed to
+`getattr`), with no exemptions."""
 
 import ast
 import collections
@@ -30,14 +32,6 @@ TEST_ONLY = {
 }
 # methods that only tests read, each with its reason
 TEST_ONLY_METHODS = {
-    # references the tests compare the code against
-    "IncidenceStructure.incident": "incidence from incidence_value, "
-                                   "against the constructive point lists",
-    "IncidenceStructure.point_neighbouring": "neighbouring from "
-                                             "tilde_triple, against the "
-                                             "neighbour keys",
-    "QuadraticForm.bilinear": "b(u, v) = Q(u+v) - Q(u) - Q(v), against "
-                              "the Gram rows and polar",
     # behind an acceptance criterion
     "Scroll.transversal_index_of": "criterion 15: pairing quadric points "
                                    "by transversal for alpha sections",
@@ -189,6 +183,37 @@ def unreferenced_methods(tree, attributes, allowed=()):
             if name.split(".")[1] not in attributes and name not in allowed]
 
 
+def _is_dataclass(node):
+    """Whether a class is decorated with `dataclass` or `dataclass(...)`."""
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (getattr(d, "func", d) for d in node.decorator_list))
+
+
+def dataclass_fields(tree):
+    """(line, "Class.field") of each annotated field of a module-level
+    dataclass."""
+    return sorted((f.lineno, "%s.%s" % (node.name, f.target.id))
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  and _is_dataclass(node) for f in node.body
+                  if isinstance(f, ast.AnnAssign)
+                  and isinstance(f.target, ast.Name))
+
+
+def field_reads(trees):
+    """The attribute names read in the trees, and their string constants:
+    a field read by `getattr(obj, name)` is spelled as a string."""
+    return read_attributes(trees) | {
+        n.value for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def unread_fields(tree, reads):
+    """(line, "Class.field") of each dataclass field of `tree` whose name
+    is not among `reads`."""
+    return [(line, name) for line, name in dataclass_fields(tree)
+            if name.split(".")[1] not in reads]
+
+
 @pytest.fixture(scope="module")
 def searched_trees():
     return [ast.parse(p.read_text()) for d in SEARCHED
@@ -198,6 +223,11 @@ def searched_trees():
 @pytest.fixture(scope="module")
 def searched_attributes(searched_trees):
     return read_attributes(searched_trees)
+
+
+@pytest.fixture(scope="module")
+def searched_field_reads(searched_trees):
+    return field_reads(searched_trees)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +262,14 @@ def test_test_only_methods_are_test_only(searched_attributes):
     assert set(TEST_ONLY_METHODS) <= defined
     assert [m for m in TEST_ONLY_METHODS
             if m.split(".")[1] in searched_attributes] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_dataclass_fields(path, searched_field_reads):
+    # a field that nothing reads is state kept for no one: derive it
+    # where it is needed, or move it into the tests
+    assert unread_fields(ast.parse(path.read_text()),
+                         searched_field_reads) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -337,3 +375,26 @@ def test_scanner_finds_planted_test_only_method():
     assert unreferenced_methods(tree, attributes) == [(9, "C.only_tested")]
     assert unreferenced_methods(tree, attributes,
                                 {"C.only_tested": "why"}) == []
+
+
+def test_scanner_finds_planted_unread_fields():
+    # a field read only where it is stored, or only by a test, is
+    # reported; an attribute read or a getattr string is a read, and a
+    # plain class's annotations are no fields
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class R:\n"
+              "    used: int\n"
+              "    by_name: bool\n"
+              "    stored: list\n"
+              "    tested: int = 0\n"
+              "class Plain:\n"
+              "    loose: int\n"
+              "def make():\n"
+              "    r = R(1, True, [])\n"
+              "    return r.used, getattr(r, 'by_name')\n")
+    test = "from m import make, R\nassert R(1, 2, 3).tested == 0\n"
+    tree = ast.parse(source)
+    assert "tested" in field_reads([ast.parse(test)])
+    assert unread_fields(tree, field_reads([tree])) == [
+        (6, "R.stored"), (7, "R.tested")]

@@ -59,16 +59,24 @@ def test_line_100_equations(variety_f3, algebra_cd_f3):
         assert p[0] == 0 and p[5:] == (0,) * 4
     # the X-points on it satisfy K1 K2 = n'(B00)
     F = A.field
-    for p in _vectors(variety_f3, tube.x_pts):
+    for p in _vectors(variety_f3, tube.xi_pts & variety_f3.point_set):
         assert F.mul(p[1], p[2]) == F.mul(p[3], p[3])
 
 
-def test_tube_data(variety_f3):
+def test_tube_data(variety_f3, variety_cd_f4, counterexample):
     for t in variety_f3.tubes:
         assert t.fit_count == 1
         assert t.v == 0 and t.d_base == 1
         assert t.base_ovoid and t.base_witt == 1
-        assert not (t.vertex_pts & variety_f3.point_set)
+    # the stored point sets of extracted, transported (CD(F4,0)) and
+    # synthetic tubes: the vertex lies in xi and misses X, so the cone
+    # is X(xi) plus the vertex, and x_idx lists X(xi)
+    for V in (variety_f3, variety_cd_f4, counterexample):
+        for t in V.tubes:
+            assert not (t.vertex_pts & V.point_set)
+            assert t.vertex_pts <= t.xi_pts
+            assert t.x_idx == tuple(sorted(
+                V.point_index[p] for p in t.xi_pts & V.point_set))
 
 
 def test_tubic_space_intersection_point(variety_f3, algebra_cd_f3):
@@ -132,7 +140,7 @@ def test_unique_tube_law(variety_f3):
 def test_tube_intersection_dichotomy(variety_f3):
     # two distinct tubes meet in an X-point or a full generator
     for t1, t2 in itertools.combinations(variety_f3.tubes, 2):
-        inter = t1.x_pts & t2.x_pts
+        inter = t1.xi_pts & t2.xi_pts & variety_f3.point_set
         if len(inter) == 1:
             continue
         assert inter in set(t1.generators) and inter in set(t2.generators)
@@ -169,7 +177,7 @@ def test_fit_by_class_matches_fit_by_evaluation(name, request):
     # index that extract_tube read off the forms' classes
     variety = request.getfixturevalue(name)
     for t in variety.tubes:
-        assert ref.refit_tube(variety.field, t) == (
+        assert ref.refit_tube(variety, t) == (
             t.fit_count, t.vertex, t.form, t.base_witt), t.index
 
 
@@ -208,13 +216,14 @@ def test_witt_index_off_by_one_is_reported(variety_f3, monkeypatch):
     assert rep["violations"][0] == (0, "base_witt", 2)
 
 
-def _refit_base_witt(field, tube):
+def _refit_base_witt(variety, tube):
     """Reference: the base projected from the vertex onto its coordinate
     complement inside xi, its own exact zero-set form refitted in the
     base's span, and that form's Witt index."""
+    field = variety.field
     k = tube.xi.vdim
-    intr = [pj.intrinsic_coords(tube.xi, pj.code_point(field, tube.xi.n, p))
-            for p in sorted(tube.x_pts)]
+    intr = [pj.intrinsic_coords(tube.xi, p)
+            for p in _vectors(variety, tube.xi_pts & variety.point_set)]
     if tube.vertex.rows:
         vert = pj.span(field, [pj.intrinsic_coords(tube.xi, r)
                                for r in tube.vertex.rows], k)
@@ -236,17 +245,18 @@ def test_base_witt_matches_refitted_base_form(name, request):
     else:
         variety, shape = f2.d1_q2_examples()[name], (-1, 1)
     for t in variety.tubes:
-        assert t.base_witt == _refit_base_witt(variety.field, t) == 1
+        assert t.base_witt == _refit_base_witt(variety, t) == 1
         assert (t.v, t.d_base, t.base_ovoid, t.fit_count) == shape + (True, 1)
 
 
 def test_tube_tangent_matches_combinatorial(variety_f2, variety_f3):
     for variety in (variety_f2, variety_f3):
         for t in variety.tubes[:4]:
-            for x in _vectors(variety, t.x_pts):
+            for x in _vectors(variety, t.xi_pts & variety.point_set):
                 via_form = vr.tube_tangent_space(variety, t, x)
                 via_lines = ref.tangent_hyperplane(
-                    variety.field, _vectors(variety, t.cone_pts), t.xi, x)
+                    variety.field,
+                    _vectors(variety, ref.cone_points(variety, t)), t.xi, x)
                 assert via_form == via_lines
 
 
@@ -598,7 +608,7 @@ def test_check_h2_rejects_a_y_part_that_is_not_a_subspace(counterexample):
     assert len(ypart) == 4
     p = ypart[0]
     tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts - {p},
-                                 cone_pts=t0.cone_pts - {p})]
+                                 vertex_pts=t0.vertex_pts - {p})]
     rep = vr.check_h2(dataclasses.replace(ce, tubes=tubes + ce.tubes[1:]))
     assert not rep["ok"]
     assert rep["violations"][0] == (0, 1, "Y part not a subspace")
@@ -673,7 +683,7 @@ def test_check_h2_rejects_a_point_outside_the_cone(variety_f3):
     V = variety_f3
     assert vr.check_h2(V)["ok"]
     t0, t1 = V.tubes[0], V.tubes[1]
-    stray = min(t1.xi_pts - t0.cone_pts)
+    stray = min(t1.xi_pts - ref.cone_points(V, t0))
     tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts | {stray})]
     rep = vr.check_h2(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
     assert not rep["ok"]
@@ -682,14 +692,14 @@ def test_check_h2_rejects_a_point_outside_the_cone(variety_f3):
 
 def test_check_h2_rejects_a_y_part_of_wrong_codimension(variety_f3):
     # tube 0 meets tube t in one point of X; a vertex point of t added to
-    # xi_0 and its cone makes a 2-point meet whose Y part is one point
+    # xi_0 and its vertex makes a 2-point meet whose Y part is one point
     V = variety_f3
     t0 = V.tubes[0]
     t = next(t for t in V.tubes[1:] if len(t0.xi_pts & t.xi_pts) == 1
              and t0.xi_pts & t.xi_pts <= V.point_set)
-    p = min(t.cone_pts - V.point_set)
+    p = min(t.vertex_pts)
     tubes = [dataclasses.replace(t0, xi_pts=t0.xi_pts | {p},
-                                 cone_pts=t0.cone_pts | {p})]
+                                 vertex_pts=t0.vertex_pts | {p})]
     rep = vr.check_h2(dataclasses.replace(V, tubes=tubes + V.tubes[1:]))
     assert not rep["ok"]
     assert rep["violations"][0] == (0, t.index, "Y part wrong codimension")
@@ -794,15 +804,23 @@ def _h1_all_pairs(variety):
             "violation_count": len(missing), "violations": missing[:10]}
 
 
+def _pair_meets(variety):
+    """Each pair of tubes, the meet of their tubic spaces, and whether the
+    meet lies in both cones."""
+    tubes = [(t, ref.cone_points(variety, t)) for t in variety.tubes]
+    for (t1, c1), (t2, c2) in itertools.combinations(tubes, 2):
+        inter = t1.xi_pts & t2.xi_pts
+        yield t1, t2, inter, inter <= c1 and inter <= c2
+
+
 def _h2star_all_pairs(variety):
     tubes = variety.tubes
     xset = variety.point_set
     bad = []
-    for t1, t2 in itertools.combinations(tubes, 2):
-        inter = t1.xi_pts & t2.xi_pts
+    for t1, t2, inter, in_cones in _pair_meets(variety):
         if not inter:
             bad.append((t1.index, t2.index, "disjoint"))
-        elif not inter <= t1.cone_pts or not inter <= t2.cone_pts:
+        elif not in_cones:
             bad.append((t1.index, t2.index, "outside cones"))
         elif not inter & xset:
             bad.append((t1.index, t2.index, "no X point"))
@@ -815,11 +833,10 @@ def _h2_all_pairs(variety):
     field = variety.field
     xset = variety.point_set
     bad = []
-    for t1, t2 in itertools.combinations(variety.tubes, 2):
-        inter = t1.xi_pts & t2.xi_pts
+    for t1, t2, inter, in_cones in _pair_meets(variety):
         if not inter:
             continue
-        if not inter <= t1.cone_pts or not inter <= t2.cone_pts:
+        if not in_cones:
             bad.append((t1.index, t2.index, "outside cones"))
             continue
         ypart = inter - xset
@@ -868,10 +885,10 @@ def _pair_check_cases(request):
         "f3_joined_vertex": _mutated(f3, t0, vertex=pj.span(
             f3.field, list(t0.vertex.rows) + list(other.rows), f3.n)),
         "f3_outside_cone": _mutated(
-            f3, t0, xi_pts=t0.xi_pts | {min(t1.xi_pts - t0.cone_pts)}),
-        "f3_cone_point_dropped": _mutated(
-            f3, t0, cone_pts=t0.cone_pts - {
-                min(t0.xi_pts & t1.xi_pts & f3.point_set)}),
+            f3, t0, xi_pts=t0.xi_pts | {
+                min(t1.xi_pts - ref.cone_points(f3, t0))}),
+        "f3_vertex_point_dropped": _mutated(
+            f3, t0, vertex_pts=t0.vertex_pts - t1.vertex_pts),
         "f3_zero_form": _mutated(
             f3, t0, form=quadratic_form(f3.field, t0.xi.vdim, {})),
         "frame5_second_point": _mutated(
@@ -887,7 +904,7 @@ def _pair_check_cases(request):
 
 
 PAIR_CASES = ["f2", "f3", "f3_dropped_tube", "f3_empty_xi",
-              "f3_joined_vertex", "f3_outside_cone", "f3_cone_point_dropped",
+              "f3_joined_vertex", "f3_outside_cone", "f3_vertex_point_dropped",
               "f3_zero_form", "frame5_second_point", "d1_frame5",
               "d1_frame4_plus_point", "d1_basis6", "cd_f4", "cd_f5", "f4big"]
 
@@ -901,10 +918,13 @@ def test_pair_checks_match_all_pairs_loops(case, request):
     assert vr.check_mm2star(V) == _mm2star_all_pairs(V)
 
 
-def test_cone_point_dropped_is_outside_cones_from_the_cone_side(request):
-    V = _pair_check_cases(request)["f3_cone_point_dropped"]
+def test_vertex_point_dropped_is_outside_cones_from_the_cone_side(request):
+    # tubes 0 and 1 share their vertex point; dropped from tube 0's
+    # vertex, it leaves tube 0's cone while the meet stays in tube 1's
+    V = _pair_check_cases(request)["f3_vertex_point_dropped"]
     t0, t1 = V.tubes[0], V.tubes[1]
-    assert t0.xi_pts & t1.xi_pts <= t1.cone_pts
+    assert not t0.vertex_pts and len(t1.vertex_pts) == 1
+    assert t0.xi_pts & t1.xi_pts <= ref.cone_points(V, t1)
     rep = vr.check_h2star(V)
     assert not rep["ok"]
     assert (t0.index, t1.index, "outside cones") in rep["violations"]
