@@ -68,16 +68,16 @@ class Algebra:
         return (c,) + (self.field.zero,) * (self.dim - 1)
 
     def add(self, a, b):
-        return pj.vec_add(self.field, a, b)
+        return self.field.row_add(a, b)
 
     def sub(self, a, b):
-        return pj.vec_sub(self.field, a, b)
+        return self.field.row_sub_scaled(a, self.field.one, b)
 
     def neg(self, a):
         return tuple(self.field.neg(x) for x in a)
 
     def scale(self, c, a):
-        return pj.vec_scale(self.field, c, a)
+        return self.field.row_scale(c, a)
 
     def mul(self, a, b):
         field = self.field

@@ -3,7 +3,9 @@
 Vectors are tuples of field elements; projective points are normalized
 so that the first nonzero coordinate is 1.  Subspaces are stored as
 canonical reduced row echelon bases, which makes subspace equality a
-plain data comparison.
+plain data comparison.  Projection from a subspace is reduction against
+those rows (`Subspace.project`), onto the coordinates off its pivots;
+`Projection` onto a chosen complement is kept for a target that matters.
 
 Over a finite field the points of a subspace are enumerated as packed
 int codes of their normalized coordinates (`Subspace.points`), most
@@ -42,18 +44,6 @@ class GeometryError(RinggeomError):
 
 # --------------------------------------------------------------------------
 # vectors and matrices
-
-def vec_add(field, u, v):
-    return field.row_add(u, v)
-
-
-def vec_sub(field, u, v):
-    return field.row_sub_scaled(u, field.one, v)
-
-
-def vec_scale(field, c, u):
-    return field.row_scale(c, u)
-
 
 def is_zero_vec(field, u):
     z = field.zero
@@ -202,6 +192,14 @@ class Subspace:
                 v = field.row_sub_scaled(v, v[pc], row)
         return v
 
+    def project(self, v):
+        """The projection of the point v from this subspace, as a point
+        (None when v lies in it): the residual of `reduce`, normalized.
+        The residual vanishes at the pivot columns, so this projects along
+        the subspace onto the coordinates off its pivots, the complement
+        on which `quadric_class` reads a form's nondegenerate part."""
+        return normalize_point(self.field, self.reduce(v))
+
     def points(self):
         """The codes (`point_code`) of all projective points c . rows, c
         running over `pg_parameters`, so each is normalized (finite fields
@@ -329,62 +327,29 @@ def unit_vectors(field, n):
     return [zeros[:i] + (field.one,) + zeros[i + 1:] for i in range(n)]
 
 
-def extend_basis(field, rows, candidates, target):
-    """Greedy basis extension: the candidates, in order, that each raise
-    the rank of the independent `rows` plus those already taken, until the
-    rank reaches `target` (fewer if the candidates run out)."""
-    rows = list(rows)
-    taken = []
-    for e in candidates:
-        test, _ = rref(field, rows + taken + [e])
-        if len(test) > len(rows) + len(taken):
-            taken.append(e)
-        if len(rows) + len(taken) == target:
-            break
-    return taken
-
-
-def complement(s):
-    """Canonical coordinate complement: greedy extension by standard basis."""
-    field, n = s.field, s.n
-    comp = extend_basis(field, s.rows, unit_vectors(field, n), n)
-    if len(s.rows) + len(comp) != n:
-        raise GeometryError("complement construction failed")
-    out, _ = rref(field, comp)
-    return Subspace(field, n, tuple(out))
-
-
 class Projection:
-    """Linear projection of K^n from `kernel` onto `target` (complementary)."""
+    """Linear projection of K^n from `kernel` onto a given complementary
+    `target`.  Where only the kernel matters, `Subspace.project` projects
+    with no target and no inverse."""
 
     def __init__(self, kernel, target):
         field = kernel.field
         if target.field != field or target.n != kernel.n:
             raise GeometryError("ambient mismatch")
-        n = kernel.n
-        if kernel.vdim + target.vdim != n:
+        if kernel.vdim + target.vdim != kernel.n:
             raise GeometryError("kernel and target are not complementary")
         basis = list(kernel.rows) + list(target.rows)
         self.field = field
-        self.n = n
-        self.kernel = kernel
         self.target = target
         self._k = kernel.vdim
         # v = x . basis  =>  x = v . basis^{-1}  (row-vector convention)
         self._binv = mat_inverse(field, basis)
 
-    def coords(self, v):
-        """Target-basis coordinates of the image (None if v in kernel)."""
-        x = vec_mat(self.field, v, self._binv)
-        beta = x[self._k:]
-        if is_zero_vec(self.field, beta):
-            return None
-        return beta
-
     def apply(self, v):
-        """Image of v inside the ambient space, as a point of `target`."""
-        beta = self.coords(v)
-        if beta is None:
+        """Image of v inside the ambient space, as a point of `target`
+        (None if v lies in the kernel)."""
+        beta = vec_mat(self.field, v, self._binv)[self._k:]
+        if is_zero_vec(self.field, beta):
             return None
         return normalize_point(self.field,
                                vec_mat(self.field, beta, self.target.rows))
@@ -477,7 +442,7 @@ def form_on_basis(field, Q, basis):
     sub = field.sub
     return QuadraticForm(field, len(basis), tuple(
         vals[i] if i == j else
-        sub(sub(Q(vec_add(field, basis[i], basis[j])), vals[i]), vals[j])
+        sub(sub(Q(field.row_add(basis[i], basis[j])), vals[i]), vals[j])
         for i, j in monomial_order(len(basis))))
 
 

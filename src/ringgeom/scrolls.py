@@ -19,8 +19,7 @@ from .fields import GF, subfield_embedding, FieldError
 from . import hjplane as hp
 from . import projective as pj
 from .projective import (Subspace, span, meet, rref, normalize_point,
-                         GeometryError, intrinsic_coords, cross_ratio,
-                         Projection, complement)
+                         GeometryError, intrinsic_coords, cross_ratio)
 
 
 def normal_rational_curve(field, m):
@@ -112,8 +111,7 @@ def frame_transversals(m0, m1, m2):
     field, e = m0.field, m0.vdim
     if not e == m1.vdim == m2.vdim:
         return None
-    frame = m0.rows + (functools.reduce(
-        lambda u, v: pj.vec_add(field, u, v), m0.rows),)
+    frame = m0.rows + (functools.reduce(field.row_add, m0.rows),)
     lines = [transversal(x, m1, m2) for x in frame]
     if any(t.vdim != 2 for t in lines) or span(
             field, [r for t in lines for r in t.rows], m0.n).vdim != 2 * e:
@@ -352,9 +350,12 @@ def member_parameters(field, members, avoid=None):
     """PG(1, K) coordinates of the members of a pencil of points, a
     regulus, or a pencil of subspaces through `avoid`, in order.
 
-    Members are first taken modulo `avoid`.  The family is fixed by the
-    first image m0 and the next other images of its dimension: point
-    images must lie on the span of m0 and the next one, and larger ones
+    Members are first taken modulo `avoid`, each row projected from it
+    (`Subspace.project`): their cross-ratios, and whether they form a
+    pencil or a regulus, are the same on every complement of `avoid`, so
+    none is built.  The family is fixed by the first image m0 and the
+    next other images of its dimension: point images must lie on the
+    span of m0 and the next one, and larger ones
     must meet each frame transversal of m0 and the next two once
     (`frame_transversals`).  Every common transversal of a pencil or
     regulus meets its members in the same cross-ratios, so a member's
@@ -363,8 +364,7 @@ def member_parameters(field, members, avoid=None):
     three images span no pencil or regulus."""
     n = members[0].n
     if avoid is not None and avoid.rows:
-        proj = Projection(avoid, complement(avoid))
-        members = [span(field, [x for x in map(proj.apply, m.rows)
+        members = [span(field, [x for x in map(avoid.project, m.rows)
                                 if x is not None], n) for m in members]
     m0 = members[0]
     rest = [m for m in members[1:]

@@ -30,6 +30,18 @@ tuples do, so every sorted order, minimum and first witness is the
 tuples' one; a point is decoded (`pj.code_point`) only where it is used
 as a vector.  A tube keeps only what it cannot derive: X(xi) is the
 index tuple `x_idx`, and the cone inside xi is X(xi) plus the vertex.
+
+There is one projection from a subspace K, `Subspace.project`: the
+residual of a vector against K's echelon rows, normalized, which
+projects along K onto the coordinates off its pivots.  The tube bases
+(`_analyze_base`), the pencils of chi taken modulo a vertex
+(`sc.member_parameters`) and rho_V at a vertex
+(`local_structure_at_vertex`) use it, since what they decide (which
+points share an image, ovoid, regularity, cross-ratio, the scroll
+quadrics) is the same on every complement of K.  Only `project_from_y`
+projects onto a given target F (`pj.Projection`): its claims that
+F meet X is the projection of X and that X is the union of the
+<x', chi(x')> minus chi(x') are about the images as points of F.
 """
 
 from __future__ import annotations
@@ -298,16 +310,16 @@ def _carried_basis(field, rows, lift):
 
 def _analyze_base(field, xi, vert_intr, xs, intr):
     """Ovoid test and generators of the accepted cone, from the X points
-    projected from the vertex onto its coordinate complement inside xi.
-    The form vanishes there exactly on the projected points, so the base
+    projected from the vertex inside xi (`Subspace.project`); a generator
+    is the X points of one image.  The form vanishes on a complement of
+    the vertex exactly on the projected points, so the base
     Witt index is w of the form's class, not read again here; `is_ovoid`
     tests the points by definition, independently of the class.  The
     generators are ordered by their least point."""
     if vert_intr.rows:
-        proj = Projection(vert_intr, pj.complement(vert_intr))
         base_map = {}
         for p in xs:
-            base_map.setdefault(proj.apply(intr[p]), []).append(p)
+            base_map.setdefault(vert_intr.project(intr[p]), []).append(p)
         base_pts = sorted(base_map)
         generators = tuple(sorted(map(frozenset, base_map.values()),
                                   key=min))
@@ -592,8 +604,10 @@ def rational_section(variety):
 
 def project_from_y(variety, F=None):
     """Projection rho: X -> F from Y; returns (report, data) with Y and
-    its `vertex_space_y` report, the projected structure, fibers, and the
-    elliptic spaces by vertex."""
+    its `vertex_space_y` report, the projected structure, fibers, the
+    elliptic spaces by vertex, and chi (`_pi_xy`).  This is the one
+    projection onto a given target, as f_cap_x_equals_projection here and
+    x_is_union in `connection_chi` are claims about the images in F."""
     field = variety.field
     y, vertices, yrep = vertex_space_y(variety)
     canonical = False
@@ -630,9 +644,10 @@ def project_from_y(variety, F=None):
     elliptics = {k: span(field, sorted(q), variety.n)
                  for k, q in quadrics.items()}
     data = {
-        "y": y, "y_report": yrep, "F": F, "proj": proj, "images": images,
+        "y": y, "y_report": yrep, "F": F, "images": images,
         "fibers": fibers, "xprime": xprime, "quadrics": quadrics,
         "elliptics": elliptics, "vertices": {v.rows: v for v in vertices},
+        "chi": _pi_xy(variety, fibers),
     }
     report = dict(yrep)
     report["fiber_sizes"] = sorted({len(f) for f in fibers.values()})
@@ -655,22 +670,16 @@ def project_from_y(variety, F=None):
         [elliptics[k] for k in sorted(elliptics)])
     report["mm1"] = check_mm1(mm_var)["ok"]
     report["mm2star"] = check_mm2star(mm_var)["ok"]
-    data["projected_variety"] = mm_var
     return report, data
 
 
-def _vertex_span(variety, i):
-    """Pi_x^Y: the span of the vertices of the tubes through point i."""
-    return span(variety.field, [r for ti in variety.tubes_through[i]
-                                for r in variety.tubes[ti].vertex.rows],
-                variety.n)
-
-
 def _pi_xy(variety, fibers):
-    """x' -> Pi_x^Y for the points x over x'.  Each point is keyed by the
-    vertices of its tubes and each distinct key is spanned once
-    (`_vertex_span` per point); Pi_x^Y must be one space over a fiber.
-    The span cache dies on return, before the checks that use chi."""
+    """x' -> Pi_x^Y, the span of the vertices of the tubes through the
+    points x over x'.  Each point is keyed by the vertices of its tubes
+    and each distinct key is spanned once; Pi_x^Y must be one space over
+    a fiber.  The span cache dies on return; chi is kept in
+    `project_from_y`'s data, where `connection_chi` and
+    `local_structure_at_vertex` read it."""
     field = variety.field
     tubes = variety.tubes
     spans = {}          # the vertex rows of a point's tubes -> their span
@@ -696,9 +705,9 @@ def connection_chi(variety, data):
     as the union of <x', chi(x')> minus chi(x'), and with P*_Y (points
     chi(x'), lines the vertices V, V on chi(x') iff V <= chi(x')) carried
     onto the residue plane by the tilde map (`_tilde_on_pstar`); chi
-    itself is `_pi_xy`."""
+    itself is `_pi_xy`, computed by `project_from_y`."""
     field = variety.field
-    chi = _pi_xy(variety, data["fibers"])
+    chi = data["chi"]
     report = {"bijective": len({s.rows for s in chi.values()}) == len(chi)}
     # incidence reversal: x' on the quadric of vertex V iff V <= chi(x')
     under = {(key, img): v <= s for key, v in data["vertices"].items()
@@ -790,7 +799,13 @@ def variety_hjelmslev(variety, data):
 
 def local_structure_at_vertex(variety, vertex, data):
     """G_V dual affine plane, the spread R_V, the projectivity chi_V, and
-    the identification of { rho_V(C') } with the scroll quadrics."""
+    the identification of { rho_V(C') } with the scroll quadrics.
+
+    rho_V is the projection from V (`Subspace.project`), applied once to
+    each point of each generator of the tubes at V, every one of which
+    must go to one point; the base of each tube is then read off its
+    generators' images.  chi_V of a generator is rho_V of Pi_x^Y, read
+    from cor's chi at the image from Y of one of its points."""
     field = variety.field
     key = vertex.rows
     cv = [t for t in variety.tubes if t.vertex.rows == key]
@@ -805,30 +820,22 @@ def local_structure_at_vertex(variety, vertex, data):
     # dual affine plane: the dual of G_V must be an affine plane
     report["dual_affine"] = is_affine_plane([t.index for t in cv],
                                             gens.values(), order)
-    # rho_V: projection from V onto a complement containing F
-    F = data["F"]
     n = variety.n
-    rows = list(vertex.rows) + list(F.rows)
-    extra = pj.extend_basis(field, rows, pj.unit_vectors(field, n), n)
-    ftilde = span(field, list(F.rows) + extra, n)
-    proj_v = Projection(vertex, ftilde)
-    c0 = cv[0]
-    chi_v = {}
+    images, chi = data["images"], data["chi"]
+    q_map, chi_v = {}, {}
     for g in gens:
-        piy = _vertex_span(variety, variety.point_index[sorted(g)[0]])
-        chi_v[g] = span(field, [p for p in (proj_v.apply(r)
-                                            for r in piy.rows)
-                                if p is not None], n)
-    # Q = rho_V(c0), aligned with the spread members generator by generator
-    q_map = {}
-    for g in c0.generators:
-        img = {proj_v.apply(pj.code_point(field, n, x)) for x in g}
+        img = {vertex.project(pj.code_point(field, n, x)) for x in g}
         if len(img) != 1:
             raise GeometryError("generator does not project to a point")
         q_map[g] = img.pop()
+        piy = chi[images[variety.point_index[min(g)]]]
+        chi_v[g] = span(field, [p for p in map(vertex.project, piy.rows)
+                                if p is not None], n)
+    # Q = rho_V(c0), aligned with the spread members generator by generator
+    c0 = cv[0]
     qpts = [q_map[g] for g in c0.generators]
     members = [chi_v[g] for g in c0.generators]
-    ytilde = span(field, [p for p in (proj_v.apply(r) for r in data["y"].rows)
+    ytilde = span(field, [p for p in map(vertex.project, data["y"].rows)
                           if p is not None], n)
     spread = sc.Spread(field, n, tuple(dict.fromkeys(chi_v.values())))
     report["spread_size"] = len(spread.members)
@@ -847,10 +854,7 @@ def local_structure_at_vertex(variety, vertex, data):
             report["chi_v_witness"] = witness
     # scroll quadrics == projected tubes
     squads = sc.scroll_quadrics(scroll)
-    projected = set()
-    for t in cv:
-        projected.add(tuple(sorted({proj_v.apply(variety.points[i])
-                                    for i in t.x_idx})))
+    projected = {tuple(sorted({q_map[g] for g in t.generators})) for t in cv}
     report["scroll_quadrics_match"] = projected == set(squads)
     # dimension formulas
     span_cv = span(field, [r for t in cv for r in t.xi.rows], n)

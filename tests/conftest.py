@@ -6,6 +6,8 @@ from ringgeom import projective as pj
 from ringgeom import veronese as vr
 from ringgeom import f2geom as f2
 
+from projective_reference import complement
+
 
 @pytest.fixture(scope="session")
 def f2_field():
@@ -126,7 +128,7 @@ def _chi_member_off_pencil(variety, data, chi, pos):
     pts = sorted(qpts)
     conic = pj.conic_sections(field, pts, pj.span(field, pts))[0]
     broken = dict(chi)
-    broken[conic[pos]] = pj.span(field, pj.complement(data["y"]).rows[:2])
+    broken[conic[pos]] = pj.span(field, complement(data["y"]).rows[:2])
     return broken, conic, conic[pos]
 
 

@@ -18,6 +18,8 @@ from ringgeom import hjplane as hp
 from ringgeom import projective as pj
 from ringgeom.projective import GeometryError, rref
 
+from projective_reference import extend_basis
+
 
 def encode(A, obj):
     """A point or line ("P" or "L", tag, u, v, w), or an element of A,
@@ -122,7 +124,7 @@ def _frame_in(field, pts, n):
     """n independent points plus one with all coordinates nonzero in that
     basis, taken from pts; None if there is none."""
     for start in range(min(len(pts), n + 2)):
-        basis = pj.extend_basis(field, [], pts[start:] + pts[:start], n)
+        basis = extend_basis(field, [], pts[start:] + pts[:start], n)
         if len(basis) != n:
             return None
         binv = pj.mat_inverse(field, basis)
@@ -139,8 +141,8 @@ def projectivity_from_frames(field, src, dst):
     acting on row vectors."""
     b1, _, c1 = src
     b2, _, c2 = dst
-    rows1 = [pj.vec_scale(field, c, b) for c, b in zip(c1, b1)]
-    rows2 = [pj.vec_scale(field, c, b) for c, b in zip(c2, b2)]
+    rows1 = [field.row_scale(c, b) for c, b in zip(c1, b1)]
+    rows2 = [field.row_scale(c, b) for c, b in zip(c2, b2)]
     # row-vector action: x -> x . (M1^{-1} M2)
     return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
 
@@ -154,7 +156,7 @@ def projective_equivalence(field, pts1, blocks1, pts2, blocks2):
         return None
     if field.q == 2:
         # no scalar freedom: a basis determines the map
-        basis = pj.extend_basis(field, [], pts1, n)
+        basis = extend_basis(field, [], pts1, n)
         if len(basis) != n:
             raise GeometryError("points do not span the space")
         unit = None

@@ -1,7 +1,9 @@
 """Test-side helpers for `projective` and `fields`: the tuple enumeration
 of the points of a span that `Subspace.points` packs into int codes, the
-points of a line, quadratic forms from coefficient maps, and random
-field elements for property tests."""
+points of a line, a coordinate complement of a subspace (with the
+reference projection onto it, `pj.Projection`, against which
+`Subspace.project` is checked), quadratic forms from coefficient maps,
+and random field elements for property tests."""
 
 from fractions import Fraction
 
@@ -37,9 +39,34 @@ def line_points(field, u, v):
     """All points of the projective line through distinct points u, v."""
     pts = [tuple(u)]
     for lam in field.elements():
-        w = pj.vec_add(field, pj.vec_scale(field, lam, u), v)
+        w = field.row_add(field.row_scale(lam, u), v)
         pts.append(pj.normalize_point(field, w))
     return pts
+
+
+def extend_basis(field, rows, candidates, target):
+    """Greedy basis extension: the candidates, in order, that each raise
+    the rank of the independent `rows` plus those already taken, until the
+    rank reaches `target` (fewer if the candidates run out)."""
+    rows = list(rows)
+    taken = []
+    for e in candidates:
+        test, _ = pj.rref(field, rows + taken + [e])
+        if len(test) > len(rows) + len(taken):
+            taken.append(e)
+        if len(rows) + len(taken) == target:
+            break
+    return taken
+
+
+def complement(s):
+    """Canonical coordinate complement: greedy extension by standard basis."""
+    field, n = s.field, s.n
+    comp = extend_basis(field, s.rows, pj.unit_vectors(field, n), n)
+    if len(s.rows) + len(comp) != n:
+        raise pj.GeometryError("complement construction failed")
+    out, _ = pj.rref(field, comp)
+    return pj.Subspace(field, n, tuple(out))
 
 
 def quadratic_form(field, n, coeff_map):

@@ -19,7 +19,7 @@ import functools
 
 from ringgeom import projective as pj
 
-from projective_reference import line_points, subspace_vectors
+from projective_reference import complement, line_points, subspace_vectors
 
 
 def dot(field, u, v):
@@ -30,7 +30,7 @@ def dot(field, u, v):
 def bilinear(qf, u, v):
     """b(u, v) = Q(u+v) - Q(u) - Q(v), by evaluating the form."""
     field = qf.field
-    s = pj.vec_add(field, u, v)
+    s = field.row_add(u, v)
     return field.sub(field.sub(qf.evaluate(s), qf.evaluate(u)),
                      qf.evaluate(v))
 
@@ -152,7 +152,7 @@ def refit_tube(variety, tube):
     qf, vert = accepted[min(accepted, key=sorted)]
     base = sorted(x_intr)
     if vert.rows:
-        proj = pj.Projection(vert, pj.complement(vert))
+        proj = pj.Projection(vert, complement(vert))
         base = sorted({proj.apply(c) for c in base})
     vertex = pj.span(field, [pj.from_intrinsic(tube.xi, r)
                              for r in vert.rows], tube.xi.n)

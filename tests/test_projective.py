@@ -6,12 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ringgeom.fields import GF, parse_field
 from ringgeom import projective as pj
-from ringgeom.projective import (span, meet, complement,
-                                 normalize_point,
+from ringgeom.projective import (span, meet, normalize_point,
                                  quadric_vertex, is_ovoid, cross_ratio, INF,
                                  Projection)
 
-from projective_reference import (line_points, quadratic_form,
+from projective_reference import (complement, line_points, quadratic_form,
                                   random_scalar, span_points,
                                   subspace_vectors)
 from quadric_reference import (bilinear, quadric_zero_set, witt_index,
@@ -143,8 +142,7 @@ def test_cross_ratio_reparametrization_invariance():
         def pt(l, u, v):
             if l == 5:
                 return v
-            return normalize_point(F, pj.vec_add(
-                F, u, pj.vec_scale(F, l, v)))
+            return normalize_point(F, F.row_add(u, F.row_scale(l, v)))
         u, v = (1, 0), (0, 1)
         quad = [pt(l, u, v) for l in lams]
         base = cross_ratio(F, *quad)
@@ -459,6 +457,52 @@ def test_point_codes_match_the_tuple_enumeration_hypothesis(sub):
     assert [pj.code_point(F, n, c) for c in codes] == ref
     assert [pj.code_point(F, n, c) for c in sorted(codes)] == sorted(ref)
     assert len(set(codes)) == len(ref)
+
+
+@st.composite
+def _kernels_and_vectors(draw):
+    """A subspace K of F^n, F one of F2..F9 or Q, and vectors around
+    it: random ones, and a multiple of each plus a vector of K."""
+    F = parse_field(draw(st.sampled_from(
+        ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "Q"])))
+    scalar = st.integers(0, F.q - 1) if F.is_finite else \
+        st.fractions(-5, 5, max_denominator=5)
+    n = draw(st.integers(1, 6))
+    vec = st.tuples(*[scalar] * n)
+    K = span(F, draw(st.lists(vec, max_size=n)), n)
+    vecs = draw(st.lists(vec, min_size=1, max_size=4))
+    for v in list(vecs):
+        w = F.row_scale(draw(scalar), v)
+        if K.rows:
+            w = F.row_add(w, pj.vec_mat(F, draw(st.tuples(
+                *[scalar] * K.vdim)), K.rows))
+        vecs.append(w)
+    return K, vecs
+
+
+@given(_kernels_and_vectors())
+@settings(max_examples=200, deadline=None)
+def test_project_matches_the_projection_onto_a_complement_hypothesis(case):
+    # K.project and the reference projection onto complement(K) have one
+    # kernel: they are None at the same vectors and have the same fibres;
+    # each image is normalized, vanishes at K's pivots and spans with K
+    # what its vector does
+    K, vecs = case
+    F = K.field
+    reference = Projection(K, complement(K))
+    got = [K.project(v) for v in vecs]
+    want = [reference.apply(v) for v in vecs]
+    assert [g is None for g in got] == [w is None for w in want]
+    assert [[a == b for b in got] for a in got] == \
+        [[a == b for b in want] for a in want]
+    pivots = [next(i for i, a in enumerate(r) if a != F.zero)
+              for r in K.rows]
+    for v, g in zip(vecs, got):
+        if g is not None:
+            assert normalize_point(F, g) == g
+            assert all(g[c] == F.zero for c in pivots)
+            assert span(F, K.rows + (g,), K.n) == \
+                span(F, K.rows + (tuple(v),), K.n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -9,6 +9,11 @@ line, with a tangent from the refitted conic when the centre has to be
 in the quadruple, and a common transversal searched afresh for every
 quadruple.  Cross-ratios of the references are read through `solve`.
 
+`sc.member_parameters` takes a pencil modulo its vertex by
+`Subspace.project`; it must give the None pattern, the coincidences and
+the cross-ratios of the same members taken modulo the vertex by the
+reference projection onto a coordinate complement.
+
 `sc.frame_transversals` (the e + 1 transversals through a frame) must
 select the same spread members as a reference regulus rebuilt from all
 q + 1 transversals of a trio, on every trio of a spread."""
@@ -23,7 +28,7 @@ from ringgeom import veronese as vr
 from ringgeom.fields import GF
 
 import quadric_reference as ref
-from projective_reference import subspace_vectors
+from projective_reference import complement, line_points, subspace_vectors
 
 
 def _cross_ratio_by_solve(field, p1, p2, p3, p4):
@@ -132,6 +137,65 @@ def test_projected_conics_and_chi_pencils_match_references(name, request):
             _assert_conic_paths_agree(field, conic)
             _assert_member_paths_agree(field, [chi[p] for p in conic],
                                        data["vertices"][key])
+
+
+def _assert_projections_agree(field, members, avoid):
+    """member_parameters through `avoid` against the members projected
+    from it onto complement(avoid) by `pj.Projection`; returns the
+    former."""
+    proj = pj.Projection(avoid, complement(avoid))
+    images = [pj.span(field, [x for x in map(proj.apply, m.rows)
+                              if x is not None], avoid.n) for m in members]
+    got = sc.member_parameters(field, members, avoid)
+    want = sc.member_parameters(field, images)
+    assert [c is None for c in got] == [c is None for c in want]
+    assert [[a == b for b in got] for a in got] == \
+        [[a == b for b in want] for a in want]
+    known = [i for i, c in enumerate(got) if c is not None]
+    if len(set(got[i] for i in known[:3])) == 3:
+        for i in known[3:]:
+            assert pj.cross_ratio(field, *[got[j] for j in known[:3]],
+                                  got[i]) == \
+                pj.cross_ratio(field, *[want[j] for j in known[:3]], want[i])
+    return got
+
+
+@pytest.mark.parametrize("name", ["variety_f3", "variety_cd_f4"])
+def test_chi_pencils_modulo_the_vertex_match_the_complement_path(
+        name, request, chi_member_off_pencil):
+    # every pencil of chi over a conic, and the first one with a member
+    # off it
+    V = request.getfixturevalue(name)
+    field = V.field
+    _, data = vr.project_from_y(V)
+    chi = data["chi"]
+    for key, qpts in sorted(data["quadrics"].items()):
+        pts = sorted(qpts)
+        for conic in pj.conic_sections(field, pts, pj.span(field, pts)):
+            _assert_projections_agree(field, [chi[p] for p in conic],
+                                      data["vertices"][key])
+    broken, conic, _ = chi_member_off_pencil(V, data, chi, 1)
+    vertex = data["vertices"][next(iter(data["quadrics"]))]
+    assert _assert_projections_agree(
+        field, [broken[p] for p in conic], vertex)[1] is None
+
+
+def test_counterexample_pencils_match_the_complement_path(counterexample):
+    # at each vertex line V of the counterexample: the planes <V, p> over
+    # the points p of a line joining two generators, and last one through
+    # a third generator, off that pencil
+    ce = counterexample
+    field, n = ce.field, ce.n
+    seen = set()
+    for t in ce.tubes:
+        if t.vertex.rows in seen:
+            continue
+        seen.add(t.vertex.rows)
+        x, y, z = (pj.code_point(field, n, min(g)) for g in t.generators[:3])
+        members = [pj.span(field, t.vertex.rows + (p,), n)
+                   for p in line_points(field, x, y) + [z]]
+        coords = _assert_projections_agree(field, members, t.vertex)
+        assert coords[-1] is None and None not in coords[:-1]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

@@ -73,8 +73,9 @@ def test_frame_transversals_reject_meeting_members(i, j):
     sp = sc.regular_spread(2, 3)
     trio = list(sp.members[:3])
     x0, x1 = trio[i].rows
-    trio[j] = pj.span(sp.field, [pj.vec_sub(sp.field, x0, x1),
-                                 sp.members[3].rows[0]])
+    F = sp.field
+    trio[j] = pj.span(F, [F.row_sub_scaled(x0, F.one, x1),
+                          sp.members[3].rows[0]])
     assert sc.frame_transversals(*trio) is None
 
 

@@ -115,7 +115,7 @@ def _corrupt_lift(monkeypatch, field, kind, at, row):
         M = real(A, kind_, X=X, Y=Y)
         if (kind_, X, Y) == (kind, at, None):
             M = list(M)
-            M[row] = pj.vec_add(field, M[row], M[(row + 1) % len(M)])
+            M[row] = field.row_add(M[row], M[(row + 1) % len(M)])
         return M
 
     monkeypatch.setattr(mo, "linear_lift", lift)

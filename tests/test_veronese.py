@@ -13,8 +13,8 @@ from ringgeom import scrolls as sc
 from ringgeom import veronese as vr
 
 import quadric_reference as ref
-from projective_reference import (line_points, quadratic_form,
-                                  subspace_vectors)
+from projective_reference import (complement, line_points,
+                                  quadratic_form, subspace_vectors)
 from plane_reference import (encode, projective_equivalence,
                              pstar_is_residue_plane_by_search)
 
@@ -227,7 +227,7 @@ def _refit_base_witt(variety, tube):
     if tube.vertex.rows:
         vert = pj.span(field, [pj.intrinsic_coords(tube.xi, r)
                                for r in tube.vertex.rows], k)
-        proj = pj.Projection(vert, pj.complement(vert))
+        proj = pj.Projection(vert, complement(vert))
         intr = sorted({proj.apply(c) for c in intr})
     base = pj.span(field, intr, k)
     forms = ref.exact_zero_set_forms(
@@ -281,7 +281,7 @@ def test_projection_with_arbitrary_complement(variety_f3, f3_field):
     # any complement of Y works for the projection; only the canonical
     # section is guaranteed to cut X in rho(X)
     y, _, _ = vr.vertex_space_y(variety_f3)
-    F = pj.complement(y)
+    F = complement(y)
     rep, data = vr.project_from_y(variety_f3, F=F)
     assert rep["x_prime_count"] == 13
     assert rep["fiber_sizes"] == [9]
@@ -381,9 +381,15 @@ def test_chi_is_the_per_point_vertex_span(name, request):
     V = request.getfixturevalue(name)
     _, data = vr.project_from_y(V)
     chi, _ = vr.connection_chi(V, data)
+
+    def vertex_span(i):
+        # reference: Pi_x^Y, the span of the vertices of the tubes
+        # through point i
+        return pj.span(V.field, [r for ti in V.tubes_through[i]
+                                 for r in V.tubes[ti].vertex.rows], V.n)
     for img, fib in data["fibers"].items():
         for i in fib:
-            assert vr._vertex_span(V, i).rows == chi[img].rows
+            assert vertex_span(i).rows == chi[img].rows
 
 
 def test_chi_rejects_two_vertex_spans_in_one_fiber(variety_f3,
@@ -394,7 +400,7 @@ def test_chi_rejects_two_vertex_spans_in_one_fiber(variety_f3,
     a, b = list(fibers)[:2]
     fibers[a] = fibers[a] + fibers.pop(b)
     with pytest.raises(pj.GeometryError, match="differs within a fiber"):
-        vr.connection_chi(variety_f3, {**data, "fibers": fibers})
+        vr._pi_xy(variety_f3, fibers)
 
 
 def _conic_sections_by_trios(field, pts, sub):
@@ -521,6 +527,74 @@ def test_equivalence_certificate_f3(variety_f3, projection_f3, f3_field):
     # certify: t really maps points onto points
     img = {pj.apply_matrix(f3_field, t, p) for p in pts1}
     assert img == set(direct.points)
+
+
+def _broken_generator(variety):
+    """The variety with one point of the first generator of the second
+    tube at the first vertex moved into its second generator; that tube's
+    generators no longer each project from the vertex to one point."""
+    key = variety.tubes[0].vertex.rows
+    t = [t for t in variety.tubes if t.vertex.rows == key][1]
+    g0, g1 = t.generators[:2]
+    x = min(g0)
+    tubes = list(variety.tubes)
+    tubes[t.index] = dataclasses.replace(
+        t, generators=(g0 - {x}, g1 | {x}) + t.generators[2:])
+    return dataclasses.replace(variety, tubes=tubes)
+
+
+@pytest.mark.parametrize("name,algebra", [("variety_f3", "CD(F3,0)"),
+                                          ("variety_cd_f4", "CD(F4,0)")])
+def test_vertexlocal_refuses_a_generator_off_one_point(name, algebra,
+                                                       request, monkeypatch,
+                                                       capsys):
+    # every generator of every tube at a vertex is projected, not only
+    # those of the first tube
+    broken = _broken_generator(request.getfixturevalue(name))
+    _, data = vr.project_from_y(broken)
+    with pytest.raises(pj.GeometryError,
+                       match="generator does not project to a point"):
+        vr.local_structure_at_vertex(broken, broken.tubes[0].vertex, data)
+    monkeypatch.setattr(cli.vr, "build_variety", lambda A: broken)
+    rc = cli.main(["veronese", "--algebra", algebra, "--check",
+                   "vertexlocal"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert "generator does not project to a point" in err
+
+
+def _analyze_base_by_reference(field, xi, vert_intr, xs, intr):
+    """Reference: `vr._analyze_base` with the X points projected from the
+    vertex by `pj.Projection` onto a coordinate complement of it."""
+    if not vert_intr.rows:
+        base = [intr[p] for p in xs]
+        return pj.is_ovoid(field, base, pj.span(field, base, xi.vdim)), \
+            (frozenset(xs),)
+    proj = pj.Projection(vert_intr, complement(vert_intr))
+    groups = {}
+    for p in xs:
+        groups.setdefault(proj.apply(intr[p]), []).append(p)
+    base = sorted(groups)
+    return pj.is_ovoid(field, base, pj.span(field, base, xi.vdim)), \
+        tuple(sorted(map(frozenset, groups.values()), key=min))
+
+
+@pytest.mark.parametrize("name", ["variety_f3", "variety_cd_f4",
+                                  "counterexample"])
+def test_base_analysis_matches_the_projection_onto_a_complement(name,
+                                                                request):
+    # the generators and the ovoid verdict of every tube base are those
+    # of the reference projection, and those the tube carries
+    V = request.getfixturevalue(name)
+    field = V.field
+    for t in V.tubes:
+        intr = dict(zip(t.xi.points(), pj.pg_parameters(field, t.xi.vdim)))
+        xs = sorted(t.xi_pts & V.point_set)
+        vert = pj.span(field, [pj.intrinsic_coords(t.xi, r)
+                               for r in t.vertex.rows], t.xi.vdim)
+        got = vr._analyze_base(field, t.xi, vert, xs, intr)
+        assert got == _analyze_base_by_reference(field, t.xi, vert, xs, intr)
+        assert got == (t.base_ovoid, t.generators)
 
 
 def test_local_structure_all_vertices_f3(variety_f3, projection_f3):
