@@ -68,16 +68,17 @@ class Algebra:
         return (c,) + (self.field.zero,) * (self.dim - 1)
 
     def add(self, a, b):
-        return self.field.row_add(a, b)
+        return pj.vec_mat(self.field, (self.field.one,) * 2, (a, b))
 
     def sub(self, a, b):
-        return self.field.row_sub_scaled(a, self.field.one, b)
+        return pj.vec_mat(self.field, (self.field.one, self.field.neg(
+            self.field.one)), (a, b))
 
     def neg(self, a):
         return tuple(self.field.neg(x) for x in a)
 
     def scale(self, c, a):
-        return self.field.row_scale(c, a)
+        return pj.vec_mat(self.field, (c,), (a,))
 
     def mul(self, a, b):
         field = self.field

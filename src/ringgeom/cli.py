@@ -441,21 +441,23 @@ def motion_checks(V, wanted, stages=None):
             okt = generator("tau").equivariant
             checks.append(check("lift.tau", okt, True, okt))
             lift = {(k, a): cert[k, a].lift if (k, a) in cert
-                    else mo.motion_lift(A, k, a)
+                    else pj.Matrix(F, mo.motion_lift(A, k, a))
                     for k in ("phi13", "phi23") for a in elems}
-            unit = pj.unit_vectors(F, 3 * A.dim + 3)
+            unit = tuple(pj.unit_vectors(F, 3 * A.dim + 3))
             stages.stats["lift_pairs_checked"] = 0
 
             def lift_pair(X, Y):
                 stages.stats["lift_pairs_checked"] += 1
                 return mo.linear_lift(A, "phi", X=X, Y=Y) == pj.mat_mul(
-                    F, lift["phi23", Y], lift["phi13", X])
+                    F, lift["phi23", Y].rows, lift["phi13", X])
 
             verdict("lift.phi_equivariant", additive,
                     (gens, lambda k, e: generator(k, e).equivariant),
                     (sums, lambda k, e, b, total: pj.mat_mul(
-                        F, lift[k, b], lift[k, e]) == lift[k, total]),
-                    ([("phi13", A.zero())], lambda k, a: lift[k, a] == unit),
+                        F, lift[k, b].rows, lift[k, e])
+                     == list(lift[k, total].rows)),
+                    ([("phi13", A.zero())],
+                     lambda k, a: lift[k, a].rows == unit),
                     (itertools.product(elems, elems), lift_pair))
     if "transitivity" in wanted:
         with stages.stage("motions.transitivity"):

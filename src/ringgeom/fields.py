@@ -8,8 +8,21 @@ element with coordinate tuple (c0, ..., c_{k-1}) w.r.t. the power basis
 particular 0 -> 0 and 1 -> 1, and `elements()` lists the elements in
 increasing index order, a lexicographic coordinate order.
 
+Row operations work on packed rows.  Over F_q a row is the `bytes` of
+its entries' storage codes: the index for p = 2 and for prime fields,
+and for odd extensions the coordinates as base-(2p - 1) digits, so two
+codes add with no carry between digits (each field refuses to be built
+unless the sum of two codes fits a byte: p <= 127).  For each scalar the
+field holds 256-byte `translate` tables for a -> c a and a -> -c a, and
+for odd p one table that reduces a sum of codes; a scalar of a row
+operation is a code too.  So u - c v is a fixed number of C-level calls
+whatever the length: translate v, read both rows as big-endian ints,
+XOR (p = 2) or add and translate back through the reduce table (odd p).
+`pack` and `unpack` convert element tuples at the edges.
+
 Rational elements are Fraction instances (always in lowest terms with
-positive denominator), guarded by a configurable height bound.
+positive denominator), guarded by a configurable height bound; their
+rows stay tuples behind the same row operations.
 """
 
 from __future__ import annotations
@@ -18,9 +31,12 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import xor
 
 from . import RinggeomError
+
+_int = int.from_bytes
 
 HEIGHT_BOUND_ENV = "RINGGEOM_Q_HEIGHT_BOUND"
 DEFAULT_HEIGHT_BOUND = 10 ** 24
@@ -41,6 +57,14 @@ class FieldError(RinggeomError):
     pass
 
 
+def _translate(pairs):
+    """The translate table sending x to y for (x, y) in pairs, else 0."""
+    table = bytearray(256)
+    for x, y in pairs:
+        table[x] = y
+    return bytes(table)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     kind: str                  # "prime" | "extension" | "rationals"
@@ -50,18 +74,7 @@ class FieldSpec:
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def _poly_mod(coeffs, p):
-    return tuple(c % p for c in coeffs)
+    return n >= 2 and all(n % i for i in range(2, int(n ** 0.5) + 1))
 
 
 def _poly_divmod(num, den, p):
@@ -110,7 +123,7 @@ class FiniteField:
         if not _is_prime(p):
             raise FieldError("characteristic %d is not prime" % p)
         if spec.kind == "extension":
-            poly = _poly_mod(spec.poly, p)
+            poly = tuple(c % p for c in spec.poly)
             if len(poly) != k + 1 or poly[-1] != 1:
                 raise FieldError("defining polynomial must be monic of degree k")
             if not _poly_is_irreducible(poly, p):
@@ -118,31 +131,26 @@ class FiniteField:
                                  % (list(poly), p))
         else:
             poly = (0, 1)
-        self.spec = spec
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.poly = poly
-        self.zero = 0
-        self.one = 1
+        self.spec, self.p, self.k, self.poly = spec, p, k, poly
+        self.q = q = p ** k
+        self.zero, self.one = 0, 1
+        base = p if p == 2 or k == 1 else 2 * p - 1   # see _build_rows
+        top = (p - 1) * (base ** k - 1) // (base - 1)  # the largest code
+        if top * (1 if p == 2 else 2) > 255:
+            raise FieldError("F_%d does not fit byte rows: two storage "
+                             "codes must sum below 256, so p <= 127" % q)
         self._build_tables()
+        self._build_rows(base)
 
-    def _coords(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+    def coords(self, a):
+        return tuple(a // self.p ** j % self.p for j in range(self.k))
 
     def _from_coords(self, cs):
-        a = 0
-        for c in reversed(cs):
-            a = a * self.p + (c % self.p)
-        return a
+        return sum(c % self.p * self.p ** j for j, c in enumerate(cs))
 
     def _raw_mul(self, a, b):
         # product of coordinate polynomials, reduced mod the defining poly
-        ca, cb = self._coords(a), self._coords(b)
+        ca, cb = self.coords(a), self.coords(b)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(ca):
             if x:
@@ -158,30 +166,18 @@ class FiniteField:
         return self._from_coords(prod[:self.k])
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        self.add_t = [[0] * q for _ in range(q)]
-        self.mul_t = [[0] * q for _ in range(q)]
-        self.neg_t = [0] * q
-        for a in range(q):
-            ca = self._coords(a)
-            self.neg_t[a] = self._from_coords(tuple((-c) % p for c in ca))
-            for b in range(a, q):
-                cb = self._coords(b)
-                s = self._from_coords(tuple((x + y) % p for x, y in zip(ca, cb)))
-                self.add_t[a][b] = s
-                self.add_t[b][a] = s
-                m = self._raw_mul(a, b)
-                self.mul_t[a][b] = m
-                self.mul_t[b][a] = m
-        self.inv_t = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_t[a][b] == 1:
-                    self.inv_t[a] = b
-                    break
-            if self.inv_t[a] is None:
-                raise FieldError("element %d has no inverse; table corrupt" % a)
-        self.frob_t = [self.pow(a, p) for a in range(q)]
+        q, coords = self.q, [self.coords(a) for a in range(self.q)]
+        self.neg_t = [self._from_coords([-c for c in ca]) for ca in coords]
+        self.add_t = [[self._from_coords([x + y for x, y in zip(ca, cb)])
+                       for cb in coords] for ca in coords]
+        self.mul_t = [[self._raw_mul(a, b) for b in range(q)]
+                      for a in range(q)]
+        self.inv_t = [None] + [row.index(1) if 1 in row else None
+                               for row in self.mul_t[1:]]
+        if None in self.inv_t[1:]:
+            raise FieldError("element %d has no inverse; table corrupt"
+                             % self.inv_t.index(None, 1))
+        self.frob_t = [self.pow(a, self.p) for a in range(q)]
 
     # --- operations -----------------------------------------------------
     def add(self, a, b):
@@ -213,29 +209,65 @@ class FiniteField:
     def frobenius(self, a):
         return self.frob_t[a]
 
-    # --- row operations -------------------------------------------------
-    # One call per vector, read off the table rows.  In characteristic 2
-    # an index is the element's coordinate vector in base 2, so addition
-    # is XOR of indices.
-    def row_scale(self, c, u):
-        """The vector c u."""
-        m = self.mul_t[c]
-        return tuple([m[a] for a in u])
+    # --- packed rows (see the module docstring) ---------------------------
+    def _build_rows(self, base):
+        """Storage codes in base `base` and their tables (module doc)."""
+        p, k, q = self.p, self.k, self.q
+        code = self._code = [sum(c * base ** j for j, c in enumerate(
+            self.coords(a))) for a in range(q)]
+        self._enc = base != p and _translate(enumerate(code))
+        self._dec = base != p and _translate(zip(code, range(q)))
+        scale = [_translate(zip(code, [code[b] for b in row]))
+                 for row in self.mul_t]
+        self._scale = dict(zip(code, scale))
+        self._negscale = dict(zip(code, [scale[b] for b in self.neg_t]))
+        self._unit = dict(zip(code, [scale[c and self.inv_t[c]]
+                                     for c in range(q)]))
+        if p != 2:   # the codes to which sums of `_batch` codes reduce
+            self._batch = 255 // (p - 1) if k == 1 else 2
+            self._reduce = _translate(((s, s % p) for s in range(256))
+                                      if k == 1 else
+                                      ((code[a] + code[b], code[s])
+                                       for a, row in enumerate(self.add_t)
+                                       for b, s in enumerate(row)))
 
-    def row_add(self, u, v):
-        """The vector u + v."""
-        if self.p == 2:
-            return tuple(map(xor, u, v))
-        add = self.add_t
-        return tuple([add[a][b] for a, b in zip(u, v)])
+    def pack(self, u):
+        """The packed row of the vector u of element indices."""
+        return bytes(u).translate(self._enc) if self._enc else bytes(u)
+
+    def unpack(self, b):
+        """The vector of element indices of the packed row b."""
+        return tuple(b.translate(self._dec) if self._dec else b)
+
+    def row_scale(self, c, u):
+        """The row c u."""
+        return u.translate(self._scale[c])
 
     def row_sub_scaled(self, u, c, v):
-        """The vector u - c v."""
-        m = self.mul_t[self.neg_t[c]]
+        """The row u - c v."""
+        n, w = len(u), _int(v.translate(self._negscale[c]), "big")
         if self.p == 2:
-            return tuple([a ^ m[b] for a, b in zip(u, v)])
-        add = self.add_t
-        return tuple([add[a][m[b]] for a, b in zip(u, v)])
+            return (_int(u, "big") ^ w).to_bytes(n, "big")
+        return (_int(u, "big") + w).to_bytes(n, "big").translate(self._reduce)
+
+    def row_normalize(self, u):
+        """u scaled so that its first nonzero entry is 1; empty if u = 0."""
+        lead = u.lstrip(b"\0")
+        return lead and u.translate(self._unit[lead[0]])
+
+    def row_multiple(self, c, u):
+        """c u for the element index c, as the int of its row."""
+        return _int(u.translate(self._scale[self._code[c]]), "big")
+
+    def row_sum(self, rows, n):
+        """The row of n entries summing the given rows, read as ints."""
+        if self.p == 2:
+            return reduce(xor, rows, 0).to_bytes(n, "big")
+        out, rows, step = bytes(n), list(rows), self._batch - 1
+        for i in range(0, len(rows), step):
+            out = (_int(out, "big") + sum(rows[i:i + step])).to_bytes(
+                n, "big").translate(self._reduce)
+        return out
 
     def elements(self):
         return range(self.q)
@@ -243,13 +275,10 @@ class FiniteField:
     def from_int(self, n):
         return n % self.p
 
-    def coords(self, a):
-        return self._coords(a)
-
     def label(self, a):
         if self.k == 1:
             return str(a)
-        cs = self._coords(a)
+        cs = self.coords(a)
         terms = []
         for i, c in enumerate(cs):
             if c == 0:
@@ -318,7 +347,9 @@ class RationalField:
             r = self.mul(r, a)
         return r
 
-    # --- row operations, each entry under the height guard ---------------
+    # --- rows: tuples, each entry under the height guard -----------------
+    pack = unpack = staticmethod(tuple)
+
     def row_scale(self, c, u):
         guard = self._guard
         return tuple(guard(c * a) for a in u)
@@ -329,7 +360,17 @@ class RationalField:
 
     def row_sub_scaled(self, u, c, v):
         guard = self._guard
-        return tuple(guard(a - guard(c * b)) for a, b in zip(u, v))
+        return tuple(guard(a - guard(c * b)) if b else a
+                     for a, b in zip(u, v))
+
+    def row_normalize(self, u):
+        a = next((a for a in u if a), None)
+        return u if a is None or a == 1 else self.row_scale(self.inv(a), u)
+
+    row_multiple = row_scale
+
+    def row_sum(self, rows, n):
+        return reduce(self.row_add, rows, (self.zero,) * n)
 
     def elements(self):
         raise FieldError("cannot enumerate the rationals")
@@ -354,12 +395,8 @@ def GF(q, poly=None):
     """Convenience constructor: GF(q) for a prime power q."""
     for p in range(2, q + 1):
         if _is_prime(p) and q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
+            k = next(k for k in itertools.count(1) if p ** k >= q)
+            if p ** k != q:
                 raise FieldError("%d is not a prime power" % q)
             if k == 1:
                 return FiniteField(FieldSpec("prime", p))

@@ -326,12 +326,13 @@ def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
     classes must be affine planes of order `order`, with the traces of the
     blocks (of the points) as lines; a structure of order^2 + order + 1
     points is an ordinary projective plane, whose classes are single
-    elements without traces."""
-    blocks = [set(b) for b in blocks]
-    through = [set() for _ in range(npoints)]
+    elements without traces.  Each block holds distinct points, so the
+    index lists are read as they are; sets are built only for the
+    witnesses."""
+    through = [[] for _ in range(npoints)]
     for bi, b in enumerate(blocks):
         for pi in b:
-            through[pi].add(bi)
+            through[pi].append(bi)
     violations = []
     # (Hj1) on points and (Hj2) on blocks: two elements are joined by
     # exactly one element iff they are not neighbours, and by at least one
@@ -344,7 +345,7 @@ def check_hjelmslev(npoints, blocks, point_keys, block_keys, order):
         for i, (o, t, key) in enumerate(zip(once, twice, keys)):
             nb = classes[key]
             bad.append((~o | (o & ~t & nb) | (t & ~nb)) & later_bits(i, n))
-        violations.extend((tag, i, j, len(joins[i] & joins[j]),
+        violations.extend((tag, i, j, len(set(joins[i]) & set(joins[j])),
                            keys[i] == keys[j]) for i, j in mask_pairs(bad))
     # (Hj3) on point classes with block traces, (Hj4) dually; a class's
     # traces are read from the incidences of its own members

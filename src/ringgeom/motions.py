@@ -256,10 +256,11 @@ def verify_equivariance(field, lift_matrix, pperm, points):
 class Generator:
     """A generator g with its certificate: its point and line permutations
     (None if g is not a plane bijection, with the MotionError that says
-    so), its lift M_g, and whether g keeps incidence and equivariance."""
+    so), its lift M_g, packed once (`pj.Matrix`), and whether g keeps
+    incidence and equivariance."""
     key: tuple                # ("tau", None) or (elation kind, parameter)
     name: str
-    lift: list
+    lift: pj.Matrix
     perms: tuple = None
     error: MotionError = None
     incidence: bool = False
@@ -282,7 +283,8 @@ def generator_certificate(A, plane, points):
     for kind, e in [("tau", None)] + [(k, e) for k in ("phi23", "phi13")
                                       for e in basis]:
         g = triality(A) if kind == "tau" else elation(A, kind, e)
-        gen = Generator((kind, e), g.name, motion_lift(A, kind, e))
+        gen = Generator((kind, e), g.name,
+                        pj.Matrix(field, motion_lift(A, kind, e)))
         try:
             gen.perms = materialize(g, plane)
         except MotionError as err:

@@ -7,6 +7,16 @@ plain data comparison.  Projection from a subspace is reduction against
 those rows (`Subspace.project`), onto the coordinates off its pivots;
 `Projection` onto a chosen complement is kept for a target that matters.
 
+Elimination runs on the field's packed rows (`fields`): `rref`,
+`nullspace`, `span`, `meet` (Zassenhaus on the packed [r | r], [r | 0])
+and `Subspace.reduce`, `contains` and `project` pack at entry and unpack
+at exit, and a subspace packs its echelon rows once.  `Subspace.rows`,
+witnesses, dumps and form coefficients stay tuples.  A `Matrix` applied
+many times is built once by its owner (a certified lift, a `Projection`,
+the motion checks' lift table) and holds every packed row multiple c r,
+so v . M is one XOR or add per coordinate of v (`vec_mat`); a one-off
+product packs per call.
+
 Over a finite field the points of a subspace are enumerated as packed
 int codes of their normalized coordinates (`Subspace.points`), most
 significant first, so point sets are sets of ints and codes sort as the
@@ -32,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from . import RinggeomError
 
@@ -52,46 +63,41 @@ def is_zero_vec(field, u):
 
 def normalize_point(field, v):
     """Scale so the first nonzero coordinate is 1; None for the zero vector."""
-    z = field.zero
-    for a in v:
-        if a != z:
-            if a == field.one:
-                return tuple(v)
-            return field.row_scale(field.inv(a), v)
-    return None
+    b = field.row_normalize(field.pack(v))
+    return field.unpack(b) if any(b) else None
 
 
-def rref(field, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns).  Rows at
-    and below the current one vanish left of the current column, so the
-    pivot row is zero there and only its tail enters the updates."""
-    mat = [tuple(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    z, one = field.zero, field.one
-    scale, sub_scaled = field.row_scale, field.row_sub_scaled
+def _echelon(field, mat):
+    """Reduced row echelon form of the packed rows `mat`, changed in
+    place: (rows, pivot_columns).  Rows at and below the current one
+    vanish left of the current column, so the pivot row, normalized, is
+    zero there."""
+    sub, norm = field.row_sub_scaled, field.row_normalize
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         for pr in range(r, len(mat)):
-            if mat[pr][c] != z:
+            if mat[pr][c]:
                 break
         else:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        tail = mat[r][c:]
-        if tail[0] != one:
-            tail = scale(field.inv(tail[0]), tail)
-            mat[r] = mat[r][:c] + tail
+        prow = norm(mat[pr])
+        mat[pr] = mat[r]
+        mat[r] = prow
         for i, row in enumerate(mat):
-            if i != r and row[c] != z:
-                mat[i] = row[:c] + sub_scaled(row[c:], row[c], tail)
+            if i != r and row[c]:
+                mat[i] = sub(row, row[c], prow)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def rref(field, rows):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    red, pivots = _echelon(field, [field.pack(r) for r in rows])
+    return [field.unpack(r) for r in red], pivots
 
 
 def nullspace(field, rows, ncols):
@@ -110,22 +116,17 @@ def nullspace(field, rows, ncols):
 
 
 def solve(field, rows, rhs):
-    """One solution x of rows^T-system sum_i x_i rows[i][j] = rhs[j], or None."""
-    ncols = len(rows)
-    aug = []
-    nc = len(rhs)
-    for j in range(nc):
-        aug.append(tuple(rows[i][j] for i in range(ncols)) + (rhs[j],))
-    red, pivots = rref(field, aug)
-    z = field.zero
-    x = [z] * ncols
+    """One solution x of sum_i x_i rows[i] = rhs, its free unknowns 0, or
+    None: inconsistent iff the augmented column pivots; x is checked."""
+    k = len(rows)
+    red, pivots = rref(field, [tuple(r[j] for r in rows) + (rhs[j],)
+                               for j in range(len(rhs))])
+    if k in pivots:
+        return None
+    x = [field.zero] * k
     for r, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = r[ncols]
-    # consistency
-    x = tuple(x)
-    return x if vec_mat(field, x, rows) == tuple(rhs) else None
+        x[pc] = r[k]
+    return tuple(x) if vec_mat(field, x, rows) == tuple(rhs) else None
 
 
 def mat_inverse(field, rows):
@@ -138,15 +139,29 @@ def mat_inverse(field, rows):
     return [r[n:] for r in red]
 
 
+class Matrix:
+    """A matrix that is applied many times, built once by its owner: its
+    rows, a tuple of tuples, and over a finite field the multiples c r of
+    each row r for every scalar c, packed (`row_multiple`)."""
+
+    def __init__(self, field, rows):
+        self.rows = tuple(map(tuple, rows))
+        self.mults = field.is_finite and [
+            [field.row_multiple(c, b) for c in field.elements()]
+            for b in map(field.pack, self.rows)]
+
+
 def vec_mat(field, v, rows):
-    """The combination sum_i v_i rows[i]."""
-    z = field.zero
-    out = None
-    for c, row in zip(v, rows):
-        if c != z:
-            out = field.row_scale(c, row) if out is None else \
-                field.row_sub_scaled(out, field.neg(c), row)
-    return (z,) * len(rows[0]) if out is None else out
+    """The combination sum_i v_i rows[i], one `row_sum` of the multiples
+    v_i r_i: read off a `Matrix`, or packed for this one product."""
+    if isinstance(rows, Matrix):
+        if rows.mults:
+            return field.unpack(field.row_sum(map(getitem, rows.mults, v),
+                                              len(rows.rows[0])))
+        rows = rows.rows
+    return field.unpack(field.row_sum(
+        (field.row_multiple(c, field.pack(r)) for c, r in zip(v, rows) if c),
+        len(rows[0])))
 
 
 def apply_matrix(field, matrix, v):
@@ -155,7 +170,7 @@ def apply_matrix(field, matrix, v):
 
 
 def mat_mul(field, a, b):
-    """The product a . b of matrices given as lists of rows."""
+    """The product a . b of matrices, a given as rows."""
     return [vec_mat(field, row, b) for row in a]
 
 
@@ -178,19 +193,24 @@ class Subspace:
     def vdim(self):
         return len(self.rows)
 
+    @functools.cached_property
+    def _packed(self):
+        """(packed row, pivot column) for each echelon row."""
+        return tuple((self.field.pack(r),
+                      next(i for i, a in enumerate(r) if a))
+                     for r in self.rows)
+
     def contains(self, v):
-        return is_zero_vec(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def reduce(self, v):
         """Residual of v after elimination against the echelon rows."""
         field = self.field
-        z = field.zero
-        v = tuple(v)
-        for row in self.rows:
-            pc = next(i for i, a in enumerate(row) if a != z)
-            if v[pc] != z:
-                v = field.row_sub_scaled(v, v[pc], row)
-        return v
+        b, sub = field.pack(v), field.row_sub_scaled
+        for row, pc in self._packed:
+            if b[pc]:
+                b = sub(b, b[pc], row)
+        return field.unpack(b)
 
     def project(self, v):
         """The projection of the point v from this subspace, as a point
@@ -210,9 +230,9 @@ class Subspace:
         field, rows = self.field, self.rows
         p, q = field.p, field.q
         heads = [point_code(field, r) for r in rows]
-        mults = [[0, h] + [point_code(field, field.row_scale(c, r))
-                           for c in range(2, q)]
-                 for h, r in zip(heads[1:], rows[1:])]
+        mults = [[0, h] + [point_code(field, field.unpack(
+            field.row_scale(c, b))) for c in field.pack(range(2, q))]
+                 for h, (b, _) in zip(heads[1:], self._packed[1:])]
         if p != 2:
             shift, guard, lift = _guards(p, field.k, self.n)
         out = []
@@ -306,19 +326,12 @@ def meet(s1, s2):
     if s1.n != s2.n or s1.field != s2.field:
         raise GeometryError("ambient mismatch in meet")
     field, n = s1.field, s1.n
-    z = field.zero
-    zrow = (z,) * n
-    big = [tuple(r) + tuple(r) for r in s1.rows] + \
-          [tuple(r) + zrow for r in s2.rows]
-    red, _ = rref(field, big)
-    inter = []
-    for row in red:
-        if all(a == z for a in row[:n]):
-            right = row[n:]
-            if not is_zero_vec(field, right):
-                inter.append(right)
-    out, _ = rref(field, inter)
-    return Subspace(field, n, tuple(out))
+    zrow = field.pack((field.zero,) * n)
+    red, pivots = _echelon(field, [r + r for r, _ in s1._packed]
+                           + [r + zrow for r, _ in s2._packed])
+    # the rows pivoting in the right block are the meet's echelon basis
+    k = sum(pc < n for pc in pivots)
+    return Subspace(field, n, tuple(field.unpack(r[n:]) for r in red[k:]))
 
 
 def unit_vectors(field, n):
@@ -343,7 +356,8 @@ class Projection:
         self.target = target
         self._k = kernel.vdim
         # v = x . basis  =>  x = v . basis^{-1}  (row-vector convention)
-        self._binv = mat_inverse(field, basis)
+        self._binv = Matrix(field, mat_inverse(field, basis))
+        self._target = Matrix(field, target.rows)
 
     def apply(self, v):
         """Image of v inside the ambient space, as a point of `target`
@@ -351,28 +365,15 @@ class Projection:
         beta = vec_mat(self.field, v, self._binv)[self._k:]
         if is_zero_vec(self.field, beta):
             return None
-        return normalize_point(self.field,
-                               vec_mat(self.field, beta, self.target.rows))
+        return apply_matrix(self.field, self._target, beta)
 
 
 def intrinsic_coords(subspace, v):
-    """Coordinates of v w.r.t. the echelon rows (reads off pivot columns)."""
-    field = subspace.field
-    z = field.zero
-    coeffs = []
-    for row in subspace.rows:
-        pc = next(i for i, a in enumerate(row) if a != z)
-        coeffs.append(v[pc])
-    # verify membership
-    acc = vec_mat(field, tuple(coeffs), subspace.rows) if coeffs else None
-    if acc is None or acc != tuple(v):
-        red = subspace.reduce(v)
-        if not is_zero_vec(field, red):
-            raise GeometryError("vector not in subspace")
-        # coordinates w.r.t. RREF rows are exactly the pivot entries,
-        # so reaching this branch would mean a broken basis
-        raise GeometryError("intrinsic coordinate extraction failed")
-    return tuple(coeffs)
+    """Coordinates of v w.r.t. the echelon rows: for v in the subspace,
+    its entries at their pivot columns."""
+    if not subspace.contains(v):
+        raise GeometryError("vector not in subspace")
+    return tuple(v[pc] for _, pc in subspace._packed)
 
 
 def from_intrinsic(subspace, coeffs):
@@ -426,7 +427,9 @@ def monomial_order(n):
 
 def monomials(field, p):
     """The products p_i p_j, i <= j, in monomial_order."""
-    return sum((field.row_scale(a, p[i:]) for i, a in enumerate(p)), ())
+    b = field.pack(p)
+    return sum((field.unpack(field.row_scale(a, b[i:]))
+                for i, a in enumerate(b)), ())
 
 
 def forms_through(field, points, n):
@@ -439,11 +442,11 @@ def form_on_basis(field, Q, basis):
     """The form x -> Q(sum_i x_i basis[i]), by polarisation: c_ii = Q(b_i)
     and c_ij = Q(b_i + b_j) - Q(b_i) - Q(b_j) for i < j."""
     vals = [Q(b) for b in basis]
-    sub = field.sub
+    sub, ones = field.sub, (field.one,) * 2
     return QuadraticForm(field, len(basis), tuple(
         vals[i] if i == j else
-        sub(sub(Q(field.row_add(basis[i], basis[j])), vals[i]), vals[j])
-        for i, j in monomial_order(len(basis))))
+        sub(sub(Q(vec_mat(field, ones, (basis[i], basis[j]))), vals[i]),
+            vals[j]) for i, j in monomial_order(len(basis))))
 
 
 def quadric_vertex(qf):
@@ -540,8 +543,9 @@ def _directions_from(field, pts, x):
     hyperplane x_c = 0, c the pivot of the normalized x: returns c and the
     direction of each of those points, in order."""
     c = next(i for i, a in enumerate(x) if a != field.zero)
-    return c, [normalize_point(field, field.row_sub_scaled(y, y[c], x))
-               for y in pts if y != x]
+    bx = field.pack(x)
+    return c, [normalize_point(field, field.unpack(field.row_sub_scaled(
+        b, b[c], bx))) for b in map(field.pack, pts) if b != bx]
 
 
 def _hyperplane_directions(field, k, c):

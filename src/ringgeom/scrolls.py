@@ -11,7 +11,6 @@ affine-section search is exhaustive with rank pruning.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -24,13 +23,9 @@ from .projective import (Subspace, span, meet, rref, normalize_point,
 
 def normal_rational_curve(field, m):
     """{(x0^m, x0^{m-1} x1, ..., x1^m)} in K^{m+1}; q+1 points."""
-    pts = []
-    for x0, x1 in pj.pg_points(field, 2):
-        coords = []
-        for i in range(m + 1):
-            coords.append(field.mul(field.pow(x0, m - i), field.pow(x1, i)))
-        pts.append(normalize_point(field, tuple(coords)))
-    return pts
+    return [normalize_point(field, tuple(
+        field.mul(field.pow(x0, m - i), field.pow(x1, i))
+        for i in range(m + 1))) for x0, x1 in pj.pg_points(field, 2)]
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +106,7 @@ def frame_transversals(m0, m1, m2):
     field, e = m0.field, m0.vdim
     if not e == m1.vdim == m2.vdim:
         return None
-    frame = m0.rows + (functools.reduce(field.row_add, m0.rows),)
+    frame = m0.rows + (pj.vec_mat(field, (field.one,) * e, m0.rows),)
     lines = [transversal(x, m1, m2) for x in frame]
     if any(t.vdim != 2 for t in lines) or span(
             field, [r for t in lines for r in t.rows], m0.n).vdim != 2 * e:
@@ -287,15 +282,16 @@ def scroll_quadrics(scroll):
                    for h in pj.nullspace(field, member, k))
     maps = [[w[i:i + k] for i in range(0, len(w), k)]
             for w in pj.nullspace(field, eqs, pi.vdim * k)]
-    # per point p: p itself, then its image under each basis map of W
-    rows = [[p] + [pj.vec_mat(field, pj.vec_mat(field, a, mat), sigma.rows)
-                   for mat in maps]
-            for p, a in zip(scroll.quadric_pts, coords)]
+    # per point p: p itself, then its image under each basis map of W,
+    # as a matrix applied once per member of the family
+    to_ambient = pj.Matrix(field, sigma.rows)
+    rows = [pj.Matrix(field, [p] + [
+        pj.vec_mat(field, pj.vec_mat(field, a, mat), to_ambient)
+        for mat in maps]) for p, a in zip(scroll.quadric_pts, coords)]
     family = []
     for c in itertools.product(field.elements(), repeat=len(maps)):
         c = (field.one,) + c
-        family.append(tuple(sorted(normalize_point(field,
-                                                   pj.vec_mat(field, c, r))
+        family.append(tuple(sorted(pj.apply_matrix(field, r, c)
                                    for r in rows)))
     return sorted(family)
 

@@ -20,8 +20,10 @@ and xi(L) = <rho(L)> onto xi(gL), so it carries X(xi(L)) onto X(xi(gL))
 and with it the pencil of quadrics through X(xi): each form's class,
 vertex and zero set.  The cone fitted on xi(L), composed with M_g^-1, is
 the cone that fitting would accept on xi(gL), with the same fit count,
-base Witt index and ovoid verdict.  Every transported tube's X(xi) is
-still recomputed by membership and compared with the line image.
+base Witt index and ovoid verdict; its form is built only when read
+(`Tube.form`), by (H3)'s tangent spaces and dumps.  Every transported
+tube's X(xi) is still recomputed by membership and compared with the
+line image.
 
 Point sets are sets of packed int codes (`pj.point_code`): the points of
 each tubic space, of the vertex and of each generator, and the keys of
@@ -62,13 +64,29 @@ from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
                       later_bits, epimorphism_to_residue, coords)
 
 
+class _CarriedForm:
+    """`Tube.form`, given to an extracted tube.  A transported tube builds
+    it on first read from its source tube's form Q and D^-1 (`carried`):
+    y in xi' is the image of y D^-1, so the form is Q(y D^-1), normalized."""
+
+    def __get__(self, tube, _owner=None):
+        if tube is not None and tube._form is None:
+            source, back = tube.carried
+            f = pj.form_on_basis(tube.xi.field, source.form.evaluate, back)
+            tube._form = pj.QuadraticForm(f.field, f.n, normalize_point(
+                f.field, f.coeffs))
+        return None if tube is None else tube._form
+
+    def __set__(self, tube, form):
+        tube._form = form
+
+
 @dataclass
 class Tube:
     index: int
     xi: Subspace
     xi_pts: frozenset         # codes of the points of xi
     x_idx: tuple              # X(xi), as indices into the variety points
-    form: object              # accepted quadratic form, xi-intrinsic
     fit_count: int            # accepted cone varieties through X(xi)
     pencil_size: int          # forms of the pencil through X(xi), each
                               # classified once when fitting
@@ -80,6 +98,8 @@ class Tube:
     base_witt: int
     base_ovoid: bool
     generators: tuple         # frozensets of codes, one per generator
+    form: object = _CarriedForm()   # accepted quadratic form, xi-intrinsic
+    carried: tuple = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -260,8 +280,8 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     d_base = xi.pdim - v - 2
     base_ovoid, generators = _analyze_base(field, xi, vert_intr, xs, intr)
     x_idx = tuple(sorted(point_index[p] for p in xs))
-    return Tube(index, xi, xi_pts, x_idx, qf, fit_count, pencil_size, vertex,
-                vertex_pts, v, d_base, base_witt, base_ovoid, generators)
+    return Tube(index, xi, xi_pts, x_idx, fit_count, pencil_size, vertex,
+                vertex_pts, v, d_base, base_witt, base_ovoid, generators, qf)
 
 
 def transport_tube(field, tube, lift, pperm, codes, point_set,
@@ -270,17 +290,14 @@ def transport_tube(field, tube, lift, pperm, codes, point_set,
     with point permutation pperm (see the module docstring); `codes` are
     the codes of the variety's points.  xi' = xi . M_g with D^-1 from
     `_carried_basis`, its points enumerated from xi' and X(xi') read off
-    them; the vertex is vertex . M_g.  A point of xi' with coordinates y
-    is the image of y D^-1, so the form is Q(y D^-1), normalized; the
-    generators are mapped by pperm; pencil size, fit count, dimensions,
-    base Witt index and ovoid verdict are kept."""
+    them; the vertex is vertex . M_g.  The form is read on demand, from
+    tube's form and D^-1 (`Tube.form`); the generators are mapped by
+    pperm; pencil size, fit count, dimensions, base Witt index and ovoid
+    verdict are kept."""
     xi, back = _carried_basis(field, tube.xi.rows, lift)
     # from a dict the set is sized once, to half the table that growing
     # it from a list leaves (as in extract_tube)
     xi_pts = frozenset(dict.fromkeys(xi.points()))
-    form = pj.form_on_basis(field, tube.form.evaluate, back)
-    form = pj.QuadraticForm(field, form.n,
-                            normalize_point(field, form.coeffs))
     vertex = span(field, [pj.vec_mat(field, r, lift)
                           for r in tube.vertex.rows], xi.n)
     vertex_pts = frozenset(vertex.points())
@@ -288,9 +305,9 @@ def transport_tube(field, tube, lift, pperm, codes, point_set,
     generators = tuple(sorted((frozenset(map(move.__getitem__, g))
                                for g in tube.generators), key=min))
     x_idx = tuple(sorted(point_index[p] for p in xi_pts & point_set))
-    return Tube(index, xi, xi_pts, x_idx, form, tube.fit_count,
-                tube.pencil_size, vertex, vertex_pts, tube.v, tube.d_base,
-                tube.base_witt, tube.base_ovoid, generators)
+    return Tube(index, xi, xi_pts, x_idx, tube.fit_count, tube.pencil_size,
+                vertex, vertex_pts, tube.v, tube.d_base, tube.base_witt,
+                tube.base_ovoid, generators, carried=(tube, back))
 
 
 def _carried_basis(field, rows, lift):
@@ -896,45 +913,26 @@ def build_h2_counterexample(field):
 
 
 def _orthogonal_vectors(field, a):
-    ker = pj.nullspace(field, [tuple(a)], 4)
-    return [pj.vec_mat(field, c, ker)
-            for c in itertools.product(field.elements(), repeat=len(ker))]
+    ker = pj.Matrix(field, pj.nullspace(field, [tuple(a)], 4))
+    return [pj.vec_mat(field, c, ker) for c in itertools.product(
+        field.elements(), repeat=len(ker.rows))]
 
 
 def _tubes_over_line(field, a, b):
     """Tubic 4-spaces over the line <a, b>: cones with vertex the dual
     line, over conics nu(sa+ub) + (s^2 w_a + su w_m + u^2 w_b)."""
-    vertex_rows = pj.nullspace(field, [tuple(a), tuple(b)], 4)
-    # solutions (w_a, w_m, w_b) in K^12 of the four incidence conditions,
+    a, b, z = tuple(a), tuple(b), (field.zero,) * 4
+    vertex_rows = pj.nullspace(field, [a, b], 4)
+    # solutions (w_a, w_m, w_b) in K^12 of the four incidence conditions
+    # w_a.a = 0, w_b.b = 0, w_a.b + w_m.a = 0 and w_b.a + w_m.b = 0,
     # modulo adding vectors of the dual line V to each slot
-    conds = []
-
-    def dot_row(vecpos, point):
-        row = [field.zero] * 12
-        for i in range(4):
-            row[vecpos * 4 + i] = point[i]
-        return tuple(row)
-
-    conds.append(dot_row(0, a))                      # w_a . a = 0
-    conds.append(dot_row(2, b))                      # w_b . b = 0
-    r = list(dot_row(0, b))
-    for i in range(4):
-        r[4 + i] = field.add(r[4 + i], a[i])
-    conds.append(tuple(r))                           # w_a.b + w_m.a = 0
-    r = list(dot_row(2, a))
-    for i in range(4):
-        r[4 + i] = field.add(r[4 + i], b[i])
-    conds.append(tuple(r))                           # w_b.a + w_m.b = 0
-    sols = pj.nullspace(field, conds, 12)
+    sols = pj.nullspace(field, [a + z + z, z + z + b, b + a + z, z + b + a],
+                        12)
     # quotient by V^3, which lies in the solution space: in coordinates
     # over `sols`, the coefficient vectors vanishing at the pivots of V^3's
     # echelon basis are the lex-first member of each coset, in order
-    vcoords = []
-    for v in vertex_rows:
-        for pos in range(3):
-            row = [field.zero] * 12
-            row[pos * 4: pos * 4 + 4] = list(v)
-            vcoords.append(pj.solve(field, sols, tuple(row)))
+    vcoords = [pj.solve(field, sols, z * pos + tuple(v) + z * (2 - pos))
+               for v in vertex_rows for pos in range(3)]
     _, pivots = rref(field, vcoords)
     free = [i for i in range(len(sols)) if i not in pivots]
     reps = []
@@ -951,8 +949,7 @@ def _tubes_over_line(field, a, b):
             head = pj.monomials(field, pj.vec_mat(field, su, (a, b)))
             tail = pj.vec_mat(field, pj.monomials(field, su), (wa, wm, wb))
             base.append(normalize_point(field, head + tail))
-        rows = [p for p in base]
-        rows += [(field.zero,) * 10 + tuple(v) for v in vertex_rows]
+        rows = base + [(field.zero,) * 10 + tuple(v) for v in vertex_rows]
         xi = span(field, rows, 14)
         if xi.vdim != 5:
             raise GeometryError("tubic space has wrong dimension")

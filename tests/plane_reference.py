@@ -18,7 +18,7 @@ from ringgeom import hjplane as hp
 from ringgeom import projective as pj
 from ringgeom.projective import GeometryError, rref
 
-from projective_reference import extend_basis
+from projective_reference import extend_basis, vec_scale
 
 
 def encode(A, obj):
@@ -141,8 +141,8 @@ def projectivity_from_frames(field, src, dst):
     acting on row vectors."""
     b1, _, c1 = src
     b2, _, c2 = dst
-    rows1 = [field.row_scale(c, b) for c, b in zip(c1, b1)]
-    rows2 = [field.row_scale(c, b) for c, b in zip(c2, b2)]
+    rows1 = [vec_scale(field, c, b) for c, b in zip(c1, b1)]
+    rows2 = [vec_scale(field, c, b) for c, b in zip(c2, b2)]
     # row-vector action: x -> x . (M1^{-1} M2)
     return pj.mat_mul(field, pj.mat_inverse(field, rows1), rows2)
 

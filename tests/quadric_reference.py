@@ -19,7 +19,8 @@ import functools
 
 from ringgeom import projective as pj
 
-from projective_reference import complement, line_points, subspace_vectors
+from projective_reference import (complement, line_points, subspace_vectors,
+                                  vec_add)
 
 
 def dot(field, u, v):
@@ -30,7 +31,7 @@ def dot(field, u, v):
 def bilinear(qf, u, v):
     """b(u, v) = Q(u+v) - Q(u) - Q(v), by evaluating the form."""
     field = qf.field
-    s = field.row_add(u, v)
+    s = vec_add(field, u, v)
     return field.sub(field.sub(qf.evaluate(s), qf.evaluate(u)),
                      qf.evaluate(v))
 

@@ -378,3 +378,10 @@ def test_algebra_over_q_with_a_radical_is_decided_exactly(expr):
     assert status == 0
     assert all(c["status"] == "pass" for c in report["checks"])
     assert checks["classify.division"]["computed"] is False
+
+
+def test_scroll_over_a_field_past_byte_rows_exits_2(capsys):
+    assert cli.main(["scroll", "--d", "1", "--field", "F131"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ringgeom: FieldError: F_131 does not fit")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -136,7 +136,17 @@ def _scalar_rows(F, c, u, v):
             tuple(F.sub(a, F.mul(c, b)) for a, b in zip(u, v)))
 
 
-@pytest.mark.parametrize("q", ORDERS + [16, 25])
+def _packed_rows(F, c, u, v):
+    """The row operations on the packed rows of u and v, unpacked: c u,
+    u + v as a `row_sum` and u - c v; c goes in as the storage code of
+    its packed row (c,)."""
+    code, pu, pv = F.pack((c,))[0], F.pack(u), F.pack(v)
+    total = F.row_sum([F.row_multiple(1, pu), F.row_multiple(1, pv)], len(u))
+    return tuple(map(F.unpack, (F.row_scale(code, pu), total,
+                                F.row_sub_scaled(pu, code, pv))))
+
+
+@pytest.mark.parametrize("q", ORDERS + [16, 25, 49])
 def test_row_operations_match_scalar_operations(q):
     F = GF(q)
     rng = random.Random(q)
@@ -144,8 +154,8 @@ def test_row_operations_match_scalar_operations(q):
         for _ in range(30):
             u, v = ([rng.randrange(q) for _ in range(n)] for _ in "uv")
             c = rng.randrange(q)
-            assert (F.row_scale(c, u), F.row_add(u, v),
-                    F.row_sub_scaled(u, c, v)) == _scalar_rows(F, c, u, v)
+            assert F.unpack(F.pack(u)) == tuple(u)
+            assert _packed_rows(F, c, u, v) == _scalar_rows(F, c, u, v)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
@@ -170,3 +180,12 @@ def test_rational_row_operations_match_and_keep_the_height_guard():
                lambda: small.row_sub_scaled(nine, Fraction(-9), nine)):
         with pytest.raises(FieldError):
             op()
+
+
+@pytest.mark.parametrize("q, poly", [(131, None), (81, (2, 0, 0, 1, 1))])
+def test_fields_whose_rows_do_not_fit_a_byte_are_refused(q, poly):
+    # two storage codes must sum below 256: p <= 127, and F_81's
+    # base-5 codes reach 312
+    with pytest.raises(FieldError, match="does not fit byte rows") as err:
+        GF(q, poly)
+    assert "\n" not in str(err.value)

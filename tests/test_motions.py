@@ -9,6 +9,7 @@ from ringgeom import motions as mo
 from ringgeom import veronese as vr
 
 from motion_reference import lift_stabilizes_points, linear_lift_by_images
+from projective_reference import vec_add
 from plane_reference import encode, point_neighbouring
 from projective_reference import subspace_vectors
 
@@ -242,7 +243,7 @@ def test_equivariance_rejects_one_wrong_row(row, algebra_cd_f2,
     pts = variety_f2.points
     assert mo.verify_equivariance(A.field, M, pperm, pts) == (True, None)
     bad = list(M)
-    bad[row] = A.field.row_add(M[row], M[(row + 1) % len(M)])
+    bad[row] = vec_add(A.field, M[row], M[(row + 1) % len(M)])
     ok, i = mo.verify_equivariance(A.field, bad, pperm, pts)
     assert not ok
     assert mo.pj.apply_matrix(A.field, bad, pts[i]) != pts[pperm[i]]
@@ -347,7 +348,7 @@ def test_lift_with_one_wrong_row_off_the_basis_fails(fixture, row, request,
         M = real(A_, kind, X=X, Y=Y)
         if kind == "phi" and X == off_basis and Y is None:
             M = list(M)
-            M[row] = A.field.row_add(M[row], M[(row + 1) % len(M)])
+            M[row] = vec_add(A.field, M[row], M[(row + 1) % len(M)])
         return M
 
     monkeypatch.setattr(mo, "linear_lift", lift)

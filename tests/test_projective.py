@@ -4,15 +4,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ringgeom.fields import GF, parse_field
+from ringgeom.fields import GF, FieldError, parse_field
 from ringgeom import projective as pj
 from ringgeom.projective import (span, meet, normalize_point,
                                  quadric_vertex, is_ovoid, cross_ratio, INF,
                                  Projection)
 
+import projective_reference as kref
 from projective_reference import (complement, line_points, quadratic_form,
                                   random_scalar, span_points,
-                                  subspace_vectors)
+                                  subspace_vectors, vec_add, vec_scale)
 from quadric_reference import (bilinear, quadric_zero_set, witt_index,
                                exact_zero_set_forms, vertex_points)
 
@@ -142,7 +143,7 @@ def test_cross_ratio_reparametrization_invariance():
         def pt(l, u, v):
             if l == 5:
                 return v
-            return normalize_point(F, F.row_add(u, F.row_scale(l, v)))
+            return normalize_point(F, vec_add(F, u, vec_scale(F, l, v)))
         u, v = (1, 0), (0, 1)
         quad = [pt(l, u, v) for l in lams]
         base = cross_ratio(F, *quad)
@@ -472,9 +473,9 @@ def _kernels_and_vectors(draw):
     K = span(F, draw(st.lists(vec, max_size=n)), n)
     vecs = draw(st.lists(vec, min_size=1, max_size=4))
     for v in list(vecs):
-        w = F.row_scale(draw(scalar), v)
+        w = vec_scale(F, draw(scalar), v)
         if K.rows:
-            w = F.row_add(w, pj.vec_mat(F, draw(st.tuples(
+            w = vec_add(F, w, pj.vec_mat(F, draw(st.tuples(
                 *[scalar] * K.vdim)), K.rows))
         vecs.append(w)
     return K, vecs
@@ -517,3 +518,115 @@ def test_point_codes_order_and_round_trip_on_all_of_pg2(q):
     singles = [pj.point_code(F, (a,)) for a in F.elements()]
     assert singles == sorted(singles) and len(set(singles)) == q
     assert pj.span(F, pj.unit_vectors(F, 3), 3).points() == codes
+
+
+# --------------------------------------------------------------------------
+# the packed-row kernel against the tuple kernel of projective_reference
+
+CROSS_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F25", "Q"]
+
+
+def _outcome(compute):
+    """compute(), or the name of the FieldError it raises: over Q both
+    kernels must hit the height guard on the same inputs."""
+    try:
+        return compute()
+    except FieldError:
+        return "FieldError"
+
+
+def _kernel_mismatches(F, rows, other, coeffs, v):
+    """The names of the kernel results on these inputs that differ from
+    the tuple kernel's: rref rows and pivots, nullspace, span, meet,
+    reduce and project, and v . M for M given as rows and as a `Matrix`
+    (its application and a product through it)."""
+    n, product = len(v), [coeffs, coeffs[::-1]]
+    pairs = {
+        "rref": (lambda: pj.rref(F, rows), lambda: kref.rref(F, rows)),
+        "nullspace": (lambda: pj.nullspace(F, rows, n),
+                      lambda: kref.nullspace(F, rows, n)),
+        "span": (lambda: span(F, rows, n), lambda: kref.span(F, rows, n)),
+        "meet": (lambda: meet(span(F, rows, n), span(F, other, n)),
+                 lambda: kref.meet(kref.span(F, rows, n),
+                                   kref.span(F, other, n))),
+        "reduce": (lambda: span(F, rows, n).reduce(v),
+                   lambda: kref.reduce(kref.span(F, rows, n), v)),
+        "project": (lambda: span(F, rows, n).project(v),
+                    lambda: kref.normalized(F, kref.reduce(
+                        kref.span(F, rows, n), v)))}
+    if rows:
+        pairs.update({
+            "vec_mat": (lambda: pj.vec_mat(F, coeffs, rows),
+                        lambda: kref.vec_mat(F, coeffs, rows)),
+            "apply": (lambda: pj.vec_mat(F, coeffs, pj.Matrix(F, rows)),
+                      lambda: kref.vec_mat(F, coeffs, rows)),
+            "product": (lambda: pj.mat_mul(F, product, pj.Matrix(F, rows)),
+                        lambda: [kref.vec_mat(F, c, rows) for c in product])})
+    return sorted(k for k, (got, want) in pairs.items()
+                  if _outcome(got) != _outcome(want))
+
+
+@st.composite
+def _kernel_inputs(draw, names=CROSS_FIELDS):
+    F = parse_field(draw(st.sampled_from(names)))
+    scalar = st.integers(0, F.q - 1) if F.is_finite else \
+        st.fractions(-5, 5, max_denominator=5)
+    n = draw(st.integers(1, 7))
+    vec = st.tuples(*[scalar] * n)
+    rows, other = (draw(st.lists(vec, max_size=7)) for _ in "ro")
+    coeffs = draw(st.tuples(*[scalar] * len(rows)))
+    return F, rows, other, coeffs, draw(vec)
+
+
+@given(_kernel_inputs())
+@settings(max_examples=400, deadline=None)
+def test_packed_kernel_matches_the_tuple_kernel_hypothesis(case):
+    assert _kernel_mismatches(*case) == []
+
+
+def _random_inputs(F, rng, count=60):
+    """Random kernel inputs over F, dense enough to use every scalar."""
+    for _ in range(count):
+        n = rng.randrange(2, 7)
+        vec = lambda: tuple(rng.randrange(F.q) for _ in range(n))
+        rows = [vec() for _ in range(rng.randrange(1, 7))]
+        yield F, rows, [vec() for _ in range(rng.randrange(1, 7))], \
+            tuple(rng.randrange(F.q) for _ in rows), vec()
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 25])
+def test_a_wrong_translate_table_entry_is_caught(q):
+    # c a for c = the element of index 2 and a = the one: one entry of
+    # the table of c is planted wrong, and the kernel leaves the reference
+    F = GF(q)
+    rng = random.Random(q)
+    assert not any(_kernel_mismatches(*c) for c in _random_inputs(F, rng))
+    code = F.pack((2,))[0]
+    table = bytearray(F._scale[code])
+    table[F.one] = F.pack((F.add(2, F.one),))[0]
+    F._scale[code] = bytes(table)
+    assert any(_kernel_mismatches(*c) for c in _random_inputs(F, rng))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25])
+def test_a_wrong_reduce_table_entry_is_caught(q):
+    # the sum of the codes of 1 and 1 reduces to the code of 1 + 1; it is
+    # planted as the code of 0
+    F = GF(q)
+    rng = random.Random(q)
+    assert not any(_kernel_mismatches(*c) for c in _random_inputs(F, rng))
+    table = bytearray(F._reduce)
+    table[2 * F.one] = 0
+    F._reduce = bytes(table)
+    assert any(_kernel_mismatches(*c) for c in _random_inputs(F, rng))
+
+
+def test_a_matrix_keeps_the_rows_it_was_packed_from():
+    # a Matrix holds its rows as a tuple of tuples, packed when it is
+    # built: changing the list it came from changes neither
+    F = GF(3)
+    rows = [[1, 2, 0], [0, 1, 1]]
+    M = pj.Matrix(F, rows)
+    rows[0][0] = 2
+    assert M.rows == ((1, 2, 0), (0, 1, 1))
+    assert pj.vec_mat(F, (1, 1), M) == (1, 0, 1)

@@ -74,7 +74,7 @@ def test_frame_transversals_reject_meeting_members(i, j):
     trio = list(sp.members[:3])
     x0, x1 = trio[i].rows
     F = sp.field
-    trio[j] = pj.span(F, [F.row_sub_scaled(x0, F.one, x1),
+    trio[j] = pj.span(F, [pj.vec_mat(F, (F.one, F.neg(F.one)), (x0, x1)),
                           sp.members[3].rows[0]])
     assert sc.frame_transversals(*trio) is None
 

@@ -19,6 +19,8 @@ from ringgeom import projective as pj
 from ringgeom import veronese as vr
 from ringgeom.projective import GeometryError
 
+from projective_reference import vec_add
+
 
 def _extracted(V, li):
     """The tube of line li by direct extraction from X."""
@@ -28,12 +30,14 @@ def _extracted(V, li):
 
 
 def _mismatches(V):
-    """(line, field) for every tube field that differs from extraction."""
+    """(line, field) for every compared tube field that differs from
+    extraction; a transported tube's form is built here, on first read."""
+    names = [f.name for f in dataclasses.fields(vr.Tube) if f.compare]
     out = []
     for li, tube in enumerate(V.tubes):
         ref = _extracted(V, li)
-        out.extend((li, f.name) for f in dataclasses.fields(vr.Tube)
-                   if getattr(tube, f.name) != getattr(ref, f.name))
+        out.extend((li, name) for name in names
+                   if getattr(tube, name) != getattr(ref, name))
     return out
 
 
@@ -115,7 +119,7 @@ def _corrupt_lift(monkeypatch, field, kind, at, row):
         M = real(A, kind_, X=X, Y=Y)
         if (kind_, X, Y) == (kind, at, None):
             M = list(M)
-            M[row] = field.row_add(M[row], M[(row + 1) % len(M)])
+            M[row] = vec_add(field, M[row], M[(row + 1) % len(M)])
         return M
 
     monkeypatch.setattr(mo, "linear_lift", lift)
