@@ -20,6 +20,11 @@ whatever the length: translate v, read both rows as big-endian ints,
 XOR (p = 2) or add and translate back through the reduce table (odd p).
 `pack` and `unpack` convert element tuples at the edges.
 
+A packed row is also the key of a point: over F_q a point is the packed
+row of its normalized coordinates, and every point set holds these rows.
+A storage code increases with the element index, so packed rows of one
+length sort as the coordinate tuples do.
+
 Rational elements are Fraction instances (always in lowest terms with
 positive denominator), guarded by a configurable height bound; their
 rows stay tuples behind the same row operations.
@@ -256,8 +261,27 @@ class FiniteField:
         return lead and u.translate(self._unit[lead[0]])
 
     def row_multiple(self, c, u):
-        """c u for the element index c, as the int of its row."""
+        """c u for the element index c, as the int of its row: the form in
+        which `row_combinations` and `row_sum` add it."""
         return _int(u.translate(self._scale[self._code[c]]), "big")
+
+    def row_combinations(self, u, mults):
+        """The rows u + m_1 + ... + m_j for every choice of each m_i in
+        mults[i] (`row_multiple`s), the last choice varying fastest: one
+        XOR (p = 2) or add (odd p) per row and level, on ints, with the
+        reduce table read whenever another add could overflow a byte."""
+        n, level = len(u), [_int(u, "big")]
+        if self.p == 2:
+            for ms in mults:
+                level = [x ^ m for x in level for m in ms]
+            return [x.to_bytes(n, "big") for x in level]
+        red, step = self._reduce, self._batch - 1
+        for i, ms in enumerate(mults):
+            if i and i % step == 0:   # the level sums 1 + step codes
+                level = [_int(x.to_bytes(n, "big").translate(red), "big")
+                         for x in level]
+            level = [x + m for x in level for m in ms]
+        return [x.to_bytes(n, "big").translate(red) for x in level]
 
     def row_sum(self, rows, n):
         """The row of n entries summing the given rows, read as ints."""

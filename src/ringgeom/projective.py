@@ -17,16 +17,11 @@ the motion checks' lift table) and holds every packed row multiple c r,
 so v . M is one XOR or add per coordinate of v (`vec_mat`); a one-off
 product packs per call.
 
-Over a finite field the points of a subspace are enumerated as packed
-int codes of their normalized coordinates (`Subspace.points`), most
-significant first, so point sets are sets of ints and codes sort as the
-coordinate tuples do.  Each F_p-coordinate of an entry gets its own bit
-field: one bit in characteristic 2, where a code is the F_2 bit vector
-sum_i c_i q^(n-1-i) and a vector sum is one XOR; otherwise the
-(2p-2).bit_length() bits of a sum of two coordinates, whose top bit
-serves as the guard bit, so a vector sum is one integer add and a
-carry-free reduction mod p.
-`point_code` and `code_point` convert between codes and vectors.
+Over a finite field the points of a subspace are enumerated as the
+packed rows of their normalized coordinates (`Subspace.points`), the
+field's one format of a vector, so point sets are sets of `bytes` and
+sort as the coordinate tuples do; `field.pack` and `field.unpack`
+convert.
 
 Quadratic forms are kept as upper-triangular coefficient tables and
 never as symmetric Gram matrices: in characteristic 2 the associated
@@ -221,30 +216,17 @@ class Subspace:
         return normalize_point(self.field, self.reduce(v))
 
     def points(self):
-        """The codes (`point_code`) of all projective points c . rows, c
-        running over `pg_parameters`, so each is normalized (finite fields
-        only).  The points with leading coefficient at row i are built row
-        by row from the packed multiples 0, 1, ..., q - 1 of each later
-        row: each partial sum b is followed by b plus each nonzero
-        multiple of the next row, one vector sum per point."""
-        field, rows = self.field, self.rows
-        p, q = field.p, field.q
-        heads = [point_code(field, r) for r in rows]
-        mults = [[0, h] + [point_code(field, field.unpack(
-            field.row_scale(c, b))) for c in field.pack(range(2, q))]
-                 for h, (b, _) in zip(heads[1:], self._packed[1:])]
-        if p != 2:
-            shift, guard, lift = _guards(p, field.k, self.n)
+        """The packed rows of all projective points c . rows, c running
+        over `pg_parameters`, so each is normalized (finite fields only):
+        the points with leading coefficient at row i are row i plus every
+        combination of the multiples 0, 1, ..., q - 1 of each later row
+        (`row_multiple`, `row_combinations`)."""
+        field, heads = self.field, [b for b, _ in self._packed]
+        mults = [[field.row_multiple(c, b) for c in field.elements()]
+                 for b in heads[1:]]
         out = []
         for lead, head in enumerate(heads):
-            level = [head]
-            for ms in mults[lead:]:
-                if p == 2:
-                    level = [b ^ m for b in level for m in ms]
-                else:
-                    level = [s - (((s + lift) & guard) >> shift) * p
-                             for b in level for m in ms for s in (b + m,)]
-            out.extend(level)
+            out.extend(field.row_combinations(head, mults[lead:]))
         return out
 
     def __le__(self, other):
@@ -259,54 +241,6 @@ def pg_parameters(field, k):
         prefix = (z,) * lead + (one,)
         for tail in itertools.product(elems, repeat=k - lead - 1):
             yield prefix + tail
-
-
-@functools.cache
-def _layout(p, k):
-    """(bits, enc, dec) of the point codes over F_(p^k): the bits of one
-    entry, enc[a] the packed F_p-coordinates of the element of index a,
-    c_(k-1) highest so that codes order as indices do, and dec its
-    inverse."""
-    w = 1 if p == 2 else (2 * p - 2).bit_length()
-    enc = [sum(a // p ** j % p << (w * j) for j in range(k))
-           for a in range(p ** k)]
-    return w * k, enc, {e: a for a, e in enumerate(enc)}
-
-
-@functools.cache
-def _guards(p, k, n):
-    """(shift, guard, lift) for sums of codes of length-n vectors over
-    F_(p^k), p odd.  A field of w = (2p-2).bit_length() bits holds the
-    sum s <= 2p - 2 of two coordinates, and its top bit g = 1 << shift
-    satisfies p <= g, as g > p - 1 = (2p - 2) / 2.  So s + lift, lift
-    holding g - p in every field, reaches g exactly where s >= p, and
-    stays below 2g, never carrying out of the field; `guard` holds g in
-    every field."""
-    w = _layout(p, k)[0] // k
-    ones = sum(1 << (w * j) for j in range(n * k))
-    return w - 1, ones << (w - 1), ones * ((1 << (w - 1)) - p)
-
-
-def point_code(field, v):
-    """The packed int code of the vector v over a finite field, its first
-    entry most significant."""
-    bits, enc, _ = _layout(field.p, field.k)
-    code = 0
-    for a in v:
-        code = code << bits | enc[a]
-    return code
-
-
-def code_point(field, n, code):
-    """The vector of length n with the given code."""
-    bits, _, dec = _layout(field.p, field.k)
-    mask = (1 << bits) - 1
-    return tuple(dec[code >> (bits * i) & mask] for i in range(n - 1, -1, -1))
-
-
-def pg_points(field, n):
-    """All points of PG(n-1 projective, i.e. of K^n), normalized."""
-    return [p for p in pg_parameters(field, n)]
 
 
 def span(field, vectors, n=None):

@@ -25,7 +25,7 @@ def normal_rational_curve(field, m):
     """{(x0^m, x0^{m-1} x1, ..., x1^m)} in K^{m+1}; q+1 points."""
     return [normalize_point(field, tuple(
         field.mul(field.pow(x0, m - i), field.pow(x1, i))
-        for i in range(m + 1))) for x0, x1 in pj.pg_points(field, 2)]
+        for i in range(m + 1))) for x0, x1 in pj.pg_parameters(field, 2)]
 
 
 # --------------------------------------------------------------------------
@@ -63,12 +63,13 @@ def regular_spread(d, q, m=2):
     """(d-1)-spread of PG(m*d - 1, q) by field reduction of PG(m-1, q^d)."""
     K = GF(q)
     if d == 1:
-        members = tuple(Subspace(K, m, (p,)) for p in pj.pg_points(K, m))
+        members = tuple(Subspace(K, m, (p,))
+                        for p in pj.pg_parameters(K, m))
         return Spread(K, m, members)
     L = GF(K.p ** (K.k * d))
     _, basis, coords = vector_space_view(L, K)
     members = []
-    for lpoint in pj.pg_points(L, m):
+    for lpoint in pj.pg_parameters(L, m):
         rows = []
         for lam in basis:
             vec = []
@@ -169,13 +170,13 @@ class Scroll:
     quadric_pts: tuple          # points of Q, order fixed
     members: tuple              # spread members, aligned with quadric_pts
     point_sets: tuple           # per transversal <p, phi(p)>: frozenset of
-                                # the codes (`pj.point_code`) of its points
+                                # the packed rows of its points
     spread_side: Subspace       # span of all members
 
     def transversal_index_of(self, p):
-        c = pj.point_code(self.field, p)
+        b = self.field.pack(p)
         for i, ps in enumerate(self.point_sets):
-            if c in ps:
+            if b in ps:
                 return i
         return None
 
@@ -304,16 +305,16 @@ def verify_unique_quadrics(scroll, quadrics):
     Read as the sets of quadrics through them, two points lie in as many
     quadrics as their sets share, so a valid pair fails iff its bit is
     off `once` or on `twice` of `hjplane.pair_masks` over those sets.
-    Points are compared by their codes (`pj.point_code`).  The first
+    Points are compared by their packed rows (`field.pack`).  The first
     failure is the first in transversal-pair order, then in the sorted
-    order of each transversal's points (codes sort as the vectors do).
+    order of each transversal's points (packed rows sort as the vectors
+    do).
     """
     field = scroll.field
     spread_pts = frozenset(scroll.spread_side.points())
     sides = [sorted(ps - spread_pts) for ps in scroll.point_sets]
     starts = list(itertools.accumulate(map(len, sides), initial=0))
-    sets = [frozenset(pj.point_code(field, p) for p in pts)
-            for pts in quadrics]
+    sets = [frozenset(map(field.pack, pts)) for pts in quadrics]
     holders = hp.holder_masks(sets)
     once, twice = hp.pair_masks([list(hp.bits(holders[p]))
                                  for p in itertools.chain(*sides)])
@@ -323,8 +324,7 @@ def verify_unique_quadrics(scroll, quadrics):
             f = (fails[k] >> starts[j]) & ((1 << len(sides[j])) - 1)
             if f:
                 b = sides[j][next(hp.bits(f))]
-                return False, ("pair", pj.code_point(field, scroll.n, a),
-                               pj.code_point(field, scroll.n, b),
+                return False, ("pair", field.unpack(a), field.unpack(b),
                                (holders[a] & holders[b]).bit_count())
     valid_pairs = sum(len(t) * len(u)
                       for t, u in itertools.combinations(sides, 2))
@@ -449,8 +449,7 @@ def alpha_section(field, pairing, n):
     d = _alpha_dim(len(pairing), field)
     head = lines[: min(len(lines), d + 4)]
     for base in itertools.combinations(head, d + 1):
-        choices = [[pj.code_point(field, n, c) for c in l.points()]
-                   for l in base]
+        choices = [list(map(field.unpack, l.points())) for l in base]
         for combo in itertools.product(*choices):
             al = span(field, list(combo), n)
             if al.vdim != d + 1:
@@ -465,10 +464,9 @@ def alpha_section(field, pairing, n):
                 images.append(normalize_point(field, mm.rows[0]))
             if not ok or len(set(images)) != len(lines):
                 continue
-            img_set = {pj.point_code(field, p) for p in images}
+            img_set = set(map(field.pack, images))
             infinity = [p for p in al.points() if p not in img_set]
-            inf_rows, _ = rref(field, [pj.code_point(field, n, c)
-                                       for c in infinity])
+            inf_rows, _ = rref(field, list(map(field.unpack, infinity)))
             if len(inf_rows) != d:
                 continue
             inf_space = Subspace(field, n, tuple(inf_rows))

@@ -25,13 +25,14 @@ base Witt index and ovoid verdict; its form is built only when read
 tube's X(xi) is still recomputed by membership and compared with the
 line image.
 
-Point sets are sets of packed int codes (`pj.point_code`): the points of
-each tubic space, of the vertex and of each generator, and the keys of
-`Variety.point_index` and `point_set`.  Codes sort as the coordinate
-tuples do, so every sorted order, minimum and first witness is the
-tuples' one; a point is decoded (`pj.code_point`) only where it is used
-as a vector.  A tube keeps only what it cannot derive: X(xi) is the
-index tuple `x_idx`, and the cone inside xi is X(xi) plus the vertex.
+Point sets are sets of packed rows (`fields`, `field.pack`): the points
+of each tubic space, of the vertex and of each generator, and the keys
+of `Variety.point_index` and `point_set`.  Packed rows sort as the
+coordinate tuples do, so every sorted order, minimum and first witness
+is the tuples' one; a point is unpacked (`field.unpack`) only where it
+is used as a vector.  A tube keeps only what it cannot derive: X(xi) is
+the index tuple `x_idx`, and the cone inside xi is X(xi) plus the
+vertex.
 
 There is one projection from a subspace K, `Subspace.project`: the
 residual of a vector against K's echelon rows, normalized, which
@@ -67,7 +68,9 @@ from .hjplane import (build_plane, is_affine_plane, check_hjelmslev,
 class _CarriedForm:
     """`Tube.form`, given to an extracted tube.  A transported tube builds
     it on first read from its source tube's form Q and D^-1 (`carried`):
-    y in xi' is the image of y D^-1, so the form is Q(y D^-1), normalized."""
+    y in xi' is the image of y D^-1, so the form is Q(y D^-1), normalized.
+    `carried` is dropped once the form is built, freeing D^-1 and the
+    hold on the source tube."""
 
     def __get__(self, tube, _owner=None):
         if tube is not None and tube._form is None:
@@ -75,6 +78,7 @@ class _CarriedForm:
             f = pj.form_on_basis(tube.xi.field, source.form.evaluate, back)
             tube._form = pj.QuadraticForm(f.field, f.n, normalize_point(
                 f.field, f.coeffs))
+            tube.carried = None
         return None if tube is None else tube._form
 
     def __set__(self, tube, form):
@@ -85,19 +89,20 @@ class _CarriedForm:
 class Tube:
     index: int
     xi: Subspace
-    xi_pts: frozenset         # codes of the points of xi
+    xi_pts: frozenset         # packed rows of the points of xi
     x_idx: tuple              # X(xi), as indices into the variety points
     fit_count: int            # accepted cone varieties through X(xi)
     pencil_size: int          # forms of the pencil through X(xi), each
                               # classified once when fitting
     vertex: Subspace          # ambient
-    vertex_pts: frozenset     # codes of the vertex points; the cone
+    vertex_pts: frozenset     # packed rows of the vertex points; the cone
                               # inside xi is X(xi) plus these
     v: int                    # vertex projective dimension (-1 if empty)
     d_base: int               # tangent-hyperplane dimension of the base
     base_witt: int
     base_ovoid: bool
-    generators: tuple         # frozensets of codes, one per generator
+    generators: tuple         # frozensets of packed rows, one per
+                              # generator
     form: object = _CarriedForm()   # accepted quadratic form, xi-intrinsic
     carried: tuple = dc_field(default=None, compare=False, repr=False)
 
@@ -107,8 +112,8 @@ class Variety:
     field: object
     n: int                    # ambient vector dimension
     points: list              # X, as vectors; in plane point order when built
-    point_index: dict         # code -> index into points
-    point_set: frozenset      # codes of X
+    point_index: dict         # packed row -> index into points
+    point_set: frozenset      # packed rows of X
     tubes: list
     tubes_through: list
     algebra: object = None
@@ -166,14 +171,14 @@ def build_variety(A):
     field = A.field
     n = 3 * A.dim + 3
     points = [veronese_point(A, p) for p in plane.points]
-    codes = [pj.point_code(field, x) for x in points]
-    point_index = {c: i for i, c in enumerate(codes)}
+    packed = [field.pack(x) for x in points]
+    point_index = {b: i for i, b in enumerate(packed)}
     if len(point_index) != len(points):
         raise GeometryError("Veronese map is not injective on points")
     ambient_rank, _ = rref(field, points)
     if len(ambient_rank) != n:
         raise GeometryError("X does not span the ambient space")
-    point_set = frozenset(codes)
+    point_set = frozenset(packed)
     certificate = mo.generator_certificate(A, plane, points)
     moves = [g for g in certificate if g.certified]
     t2 = clock()
@@ -194,7 +199,7 @@ def build_variety(A):
             else:
                 parent, g = edge
                 tube = transport_tube(field, tubes[parent], g.lift,
-                                      g.perms[0], codes, point_set,
+                                      g.perms[0], packed, point_set,
                                       point_index, li)
             if tube.x_idx != tuple(sorted(plane.points_on[li])):
                 raise GeometryError("X meet xi is not the line image "
@@ -219,7 +224,7 @@ def build_variety(A):
 
 
 def build_synthetic_variety(field, n, points, xis):
-    point_index = {pj.point_code(field, p): i for i, p in enumerate(points)}
+    point_index = {field.pack(p): i for i, p in enumerate(points)}
     point_set = frozenset(point_index)
     tubes = [extract_tube(field, xi, point_set, point_index, i)
              for i, xi in enumerate(xis)]
@@ -263,7 +268,7 @@ def extract_tube(field, xi, point_set, point_index, index=0):
     if not xs:
         raise GeometryError("xi carries no points of X")
     x_intr = sorted(intr[p] for p in xs)
-    x_codes = [pj.point_code(field, c) for c in x_intr]
+    x_packed = [field.pack(c) for c in x_intr]
     pencil_size, forms = pj.cone_forms(field, x_intr, k)
     accepted = {}
     for qf, vert, w in forms:
@@ -272,7 +277,7 @@ def extract_tube(field, xi, point_set, point_index, index=0):
         raise GeometryError("no cone form matches X(xi) in tube %d" % index)
     fit_count = len(accepted)
     qf, vert_intr, base_witt = min(
-        accepted.values(), key=lambda a: sorted(x_codes + a[1].points()))
+        accepted.values(), key=lambda a: sorted(x_packed + a[1].points()))
     vertex = span(field, [from_intrinsic(xi, r) for r in vert_intr.rows],
                   xi.n)
     vertex_pts = frozenset(vertex.points())
@@ -284,16 +289,16 @@ def extract_tube(field, xi, point_set, point_index, index=0):
                 vertex_pts, v, d_base, base_witt, base_ovoid, generators, qf)
 
 
-def transport_tube(field, tube, lift, pperm, codes, point_set,
+def transport_tube(field, tube, lift, pperm, packed, point_set,
                    point_index, index):
     """The tube of gL from the tube of L, along a certified lift M_g of g
-    with point permutation pperm (see the module docstring); `codes` are
-    the codes of the variety's points.  xi' = xi . M_g with D^-1 from
-    `_carried_basis`, its points enumerated from xi' and X(xi') read off
-    them; the vertex is vertex . M_g.  The form is read on demand, from
-    tube's form and D^-1 (`Tube.form`); the generators are mapped by
-    pperm; pencil size, fit count, dimensions, base Witt index and ovoid
-    verdict are kept."""
+    with point permutation pperm (see the module docstring); `packed`
+    are the packed rows of the variety's points.  xi' = xi . M_g with
+    D^-1 from `_carried_basis`, its points enumerated from xi' and X(xi')
+    read off them; the vertex is vertex . M_g.  The form is read on
+    demand, from tube's form and D^-1 (`Tube.form`); the generators are
+    mapped by pperm; pencil size, fit count, dimensions, base Witt index
+    and ovoid verdict are kept."""
     xi, back = _carried_basis(field, tube.xi.rows, lift)
     # from a dict the set is sized once, to half the table that growing
     # it from a list leaves (as in extract_tube)
@@ -301,7 +306,7 @@ def transport_tube(field, tube, lift, pperm, codes, point_set,
     vertex = span(field, [pj.vec_mat(field, r, lift)
                           for r in tube.vertex.rows], xi.n)
     vertex_pts = frozenset(vertex.points())
-    move = {codes[i]: codes[pperm[i]] for i in tube.x_idx}
+    move = {packed[i]: packed[pperm[i]] for i in tube.x_idx}
     generators = tuple(sorted((frozenset(map(move.__getitem__, g))
                                for g in tube.generators), key=min))
     x_idx = tuple(sorted(point_index[p] for p in xi_pts & point_set))
@@ -499,9 +504,8 @@ def check_h2(variety):
             return "outside cones"
         ypart = cys[i] & cys[j]
         if ypart not in subspace:
-            subspace[ypart] = len(ypart) == (q ** span(field, [
-                pj.code_point(field, n, c) for c in ypart], n).vdim - 1) \
-                // (q - 1)
+            subspace[ypart] = len(ypart) == (q ** span(
+                field, map(field.unpack, ypart), n).vdim - 1) // (q - 1)
         if not subspace[ypart]:
             return "Y part not a subspace"
         if (xmasks[i] & xmasks[j]).bit_count() != (q - 1) * len(ypart) + 1:
@@ -671,8 +675,8 @@ def project_from_y(variety, F=None):
     report["x_prime_count"] = len(xprime)
     if canonical:
         f_x = set(F.points()) & variety.point_set
-        report["f_cap_x_equals_projection"] = f_x == {
-            pj.point_code(field, x) for x in xprime}
+        report["f_cap_x_equals_projection"] = f_x == set(
+            map(field.pack, xprime))
         # Xi' both ways: images of tubes and meets xi ^ F
         d_base = variety.tubes[0].d_base
         meets = set()
@@ -841,7 +845,7 @@ def local_structure_at_vertex(variety, vertex, data):
     images, chi = data["images"], data["chi"]
     q_map, chi_v = {}, {}
     for g in gens:
-        img = {vertex.project(pj.code_point(field, n, x)) for x in g}
+        img = {vertex.project(field.unpack(x)) for x in g}
         if len(img) != 1:
             raise GeometryError("generator does not project to a point")
         q_map[g] = img.pop()
@@ -893,7 +897,7 @@ def build_h2_counterexample(field):
     if not field.is_finite or field.q not in (3, 4, 5):
         raise GeometryError("construction is run at q in {3, 4, 5}")
     n = 14
-    pg3 = pj.pg_points(field, 4)
+    pg3 = list(pj.pg_parameters(field, 4))
     points = []
     for a in pg3:
         head = pj.monomials(field, a)     # the quadric Veronese map of PG(3)
@@ -945,7 +949,7 @@ def _tubes_over_line(field, a, b):
     for w in reps:
         wa, wm, wb = w[:4], w[4:8], w[8:12]
         base = []
-        for su in pj.pg_points(field, 2):
+        for su in pj.pg_parameters(field, 2):
             head = pj.monomials(field, pj.vec_mat(field, su, (a, b)))
             tail = pj.vec_mat(field, pj.monomials(field, su), (wa, wm, wb))
             base.append(normalize_point(field, head + tail))

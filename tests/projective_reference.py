@@ -2,7 +2,7 @@
 the packed rows replaced (elimination, kernels, spans, meets, reduction
 and matrix products on coordinate tuples, entry by entry through the
 scalar operations), the tuple enumeration of the points of a span that
-`Subspace.points` packs into int codes, the points of a line, a
+`Subspace.points` enumerates as packed rows, the points of a line, a
 coordinate complement of a subspace (with the reference projection onto
 it, `pj.Projection`, against which `Subspace.project` is checked),
 quadratic forms from coefficient maps, and random field elements for
@@ -126,7 +126,7 @@ def span_points(field, rows):
 def subspace_vectors(s):
     """The points of the subspace s as vectors, in `Subspace.points`
     order."""
-    return [pj.code_point(s.field, s.n, c) for c in s.points()]
+    return [s.field.unpack(c) for c in s.points()]
 
 
 def line_points(field, u, v):

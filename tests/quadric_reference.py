@@ -40,7 +40,7 @@ def quadric_zero_set(qf, points=None):
     """The points (all of PG(n-1) by default) where qf vanishes."""
     field = qf.field
     if points is None:
-        points = pj.pg_points(field, qf.n)
+        points = list(pj.pg_parameters(field, qf.n))
     return [p for p in points if qf.evaluate(p) == field.zero]
 
 
@@ -49,7 +49,7 @@ def exact_zero_set_forms(field, points, n, witt=None):
     given point set, and whose Witt index is `witt` when that is given."""
     ker = pj.forms_through(field, points, n)
     target = set(tuple(p) for p in points)
-    ambient = pj.pg_points(field, n)
+    ambient = list(pj.pg_parameters(field, n))
     out = []
     for coeffs in pj.pg_parameters(field, len(ker)):
         flat = pj.vec_mat(field, coeffs, ker)
@@ -94,7 +94,7 @@ def tangent_hyperplane(field, points, within, x):
     pts = {pj.intrinsic_coords(within, p) for p in points}
     xi = pj.intrinsic_coords(within, x)
     tangent = [xi]
-    for y in pj.pg_points(field, within.vdim):
+    for y in pj.pg_parameters(field, within.vdim):
         if y == xi:
             continue
         line = line_points(field, xi, y)
@@ -108,7 +108,7 @@ def tangent_hyperplane(field, points, within, x):
 
 
 def cone_points(variety, tube):
-    """The codes of the points of a tube's cone inside xi: X(xi) = X ^ xi
+    """The packed rows of the points of a tube's cone inside xi: X(xi) = X ^ xi
     and the vertex points."""
     return (tube.xi_pts & variety.point_set) | tube.vertex_pts
 
@@ -125,7 +125,7 @@ def refit_tube(variety, tube):
     # xi's rows are in echelon form: its points in xi coordinates are the
     # normalized coefficient tuples
     intr = list(pj.pg_parameters(field, k))
-    x_intr = {pj.intrinsic_coords(tube.xi, pj.code_point(field, tube.xi.n, p))
+    x_intr = {pj.intrinsic_coords(tube.xi, field.unpack(p))
               for p in tube.xi_pts & variety.point_set}
     kernel = pj.forms_through(field, sorted(x_intr), k)
     # a pencil form's value at a point is the combination of its basis

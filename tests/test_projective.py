@@ -20,7 +20,7 @@ from quadric_reference import (bilinear, quadric_zero_set, witt_index,
 
 def test_pg_point_counts():
     for n, q in [(3, 2), (3, 3), (4, 2), (5, 3), (9, 2)]:
-        assert len(pj.pg_points(GF(q), n)) == (q ** n - 1) // (q - 1)
+        assert len(list(pj.pg_parameters(GF(q), n))) == (q ** n - 1) // (q - 1)
 
 
 def test_meet_of_hyperplanes_pg42():
@@ -219,7 +219,7 @@ def _is_ovoid_by_lines(field, points, within):
     pointset = set(pts)
     for x in pts:
         tangent, seen = {x}, set()
-        for y in pj.pg_points(field, k):
+        for y in pj.pg_parameters(field, k):
             if y == x or y in seen:
                 continue
             line = line_points(field, x, y)
@@ -286,7 +286,7 @@ def test_hyperoval_is_not_ovoid():
 def test_conic_with_a_moved_point_is_not_ovoid(q):
     F = GF(q)
     conic = _conic(F)
-    moved = next(p for p in pj.pg_points(F, 3) if p not in conic)
+    moved = next(p for p in pj.pg_parameters(F, 3) if p not in conic)
     pts = conic[1:] + [moved]
     assert not is_ovoid(F, pts, _whole_space(F, 3))
     assert not _is_ovoid_by_lines(F, pts, _whole_space(F, 3))
@@ -299,7 +299,7 @@ def _point_sets(draw):
     q = draw(st.sampled_from([2, 3, 4]))
     k = draw(st.sampled_from([3, 4]))
     F = GF(q)
-    ambient = pj.pg_points(F, k)
+    ambient = list(pj.pg_parameters(F, k))
     if draw(st.booleans()):
         idx = draw(st.lists(st.integers(0, len(ambient) - 1), min_size=1,
                             max_size=q * q + 2, unique=True))
@@ -417,7 +417,7 @@ def test_zero_counts_of_the_nondegenerate_classes(q):
 def test_span_points_match_coefficient_enumeration(q):
     # the points of a span in pg_parameters order of their coordinates,
     # each normalized, against one vec_mat per coefficient tuple; the
-    # package's codes are those of the same points, in the same order
+    # package's packed rows are those of the same points, in that order
     F = GF(q)
     rng = random.Random(q)
     for k, n in ((1, 3), (2, 4), (3, 6), (4, 5)):
@@ -430,14 +430,14 @@ def test_span_points_match_coefficient_enumeration(q):
         assert pts == ref
         assert len(set(pts)) == (q ** len(rows) - 1) // (q - 1)
         assert all(pj.normalize_point(F, p) == p for p in pts)
-        assert sub.points() == [pj.point_code(F, p) for p in pts]
+        assert sub.points() == [F.pack(p) for p in pts]
     assert span_points(F, ()) == []
     assert pj.Subspace(F, 3, ()).points() == []
 
 
 @st.composite
 def _subspaces(draw):
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25]))
     F = GF(q)
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, min(n, 4 if q < 7 else 3)))
@@ -449,15 +449,15 @@ def _subspaces(draw):
 @given(_subspaces())
 @settings(max_examples=150, deadline=None)
 def test_point_codes_match_the_tuple_enumeration_hypothesis(sub):
-    # the codes are point_code of the reference enumeration, in order;
-    # code_point inverts point_code; sorted codes are the sorted tuples
-    F, n = sub.field, sub.n
+    # the points are the packed rows of the reference enumeration, in
+    # order; unpack inverts pack; sorted rows are the sorted tuples
+    F = sub.field
     ref = span_points(F, sub.rows)
-    codes = sub.points()
-    assert codes == [pj.point_code(F, p) for p in ref]
-    assert [pj.code_point(F, n, c) for c in codes] == ref
-    assert [pj.code_point(F, n, c) for c in sorted(codes)] == sorted(ref)
-    assert len(set(codes)) == len(ref)
+    rows = sub.points()
+    assert rows == [F.pack(p) for p in ref]
+    assert [F.unpack(b) for b in rows] == ref
+    assert [F.unpack(b) for b in sorted(rows)] == sorted(ref)
+    assert len(set(rows)) == len(ref)
 
 
 @st.composite
@@ -506,18 +506,24 @@ def test_project_matches_the_projection_onto_a_complement_hypothesis(case):
                 span(F, K.rows + (tuple(v),), K.n)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 49, 127])
 def test_point_codes_order_and_round_trip_on_all_of_pg2(q):
-    # every point of PG(2, q), and every vector of one coordinate: codes
-    # sort as the tuples do and decode to them
+    # every point of PG(2, q), and every vector of one coordinate: packed
+    # rows sort as the tuples do and unpack to them, also for the odd
+    # extensions, whose storage codes are base-(2p - 1) digits
     F = GF(q)
-    pts = pj.pg_points(F, 3)
-    codes = [pj.point_code(F, p) for p in pts]
-    assert [pj.code_point(F, 3, c) for c in codes] == pts
-    assert [pj.code_point(F, 3, c) for c in sorted(codes)] == sorted(pts)
-    singles = [pj.point_code(F, (a,)) for a in F.elements()]
+    pts = list(pj.pg_parameters(F, 3))
+    rows = [F.pack(p) for p in pts]
+    assert [F.unpack(b) for b in rows] == pts
+    assert [F.unpack(b) for b in sorted(rows)] == sorted(pts)
+    singles = [F.pack((a,)) for a in F.elements()]
     assert singles == sorted(singles) and len(set(singles)) == q
-    assert pj.span(F, pj.unit_vectors(F, 3), 3).points() == codes
+    assert pj.span(F, pj.unit_vectors(F, 3), 3).points() == rows
+    # the plane of the rows e_i + c e_3, c of the largest code: over F_127
+    # a point's last entry sums three codes, past a byte, so the points
+    # are reduced between levels
+    plane = pj.span(F, [u + (q - 1,) for u in pj.unit_vectors(F, 3)], 4)
+    assert plane.points() == [F.pack(p) for p in span_points(F, plane.rows)]
 
 
 # --------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_counterexample_pencils_match_the_complement_path(counterexample):
         if t.vertex.rows in seen:
             continue
         seen.add(t.vertex.rows)
-        x, y, z = (pj.code_point(field, n, min(g)) for g in t.generators[:3])
+        x, y, z = (field.unpack(min(g)) for g in t.generators[:3])
         members = [pj.span(field, t.vertex.rows + (p,), n)
                    for p in line_points(field, x, y) + [z]]
         coords = _assert_projections_agree(field, members, t.vertex)

@@ -24,7 +24,7 @@ def test_normal_rational_curve_conic():
 def test_normal_rational_curve_line():
     F3 = GF(3)
     pts = sc.normal_rational_curve(F3, 1)
-    assert sorted(pts) == sorted(pj.pg_points(F3, 2))
+    assert sorted(pts) == sorted(pj.pg_parameters(F3, 2))
 
 
 def test_normal_rational_curve_m3_q5():
@@ -329,7 +329,7 @@ def test_alpha_section_regular_2_scroll_q3():
 
 def _point_vectors(scroll):
     """The point set of each transversal, as vectors."""
-    return [frozenset(pj.code_point(scroll.field, scroll.n, c) for c in ps)
+    return [frozenset(scroll.field.unpack(c) for c in ps)
             for ps in scroll.point_sets]
 
 

@@ -5,9 +5,11 @@ parameter goes unread (`self`, `cls` and `_`-prefixed names are exempt),
 no module-level function, class or constant goes unreferenced by the
 package, its scripts and its benchmark, unless TEST_ONLY names it, and no
 method of a module-level class goes unread there as an attribute, unless
-TEST_ONLY_METHODS names it, and no field of a module-level dataclass goes
+TEST_ONLY_METHODS names it, no field of a module-level dataclass goes
 unread there, as an attribute or as a string constant (the name handed to
-`getattr`), with no exemptions."""
+`getattr`), with no exemptions, and no module but `fields` touches a
+field's private tables, so that the packing of a vector is decided in one
+module."""
 
 import ast
 import collections
@@ -37,6 +39,9 @@ TEST_ONLY_METHODS = {
                                    "by transversal for alpha sections",
 }
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# the attributes in which a field keeps its packing of rows and points
+FIELD_PRIVATE = ("_enc", "_dec", "_scale", "_negscale", "_unit", "_reduce",
+                 "_code", "_batch")
 
 
 def _loaded(tree):
@@ -214,6 +219,13 @@ def unread_fields(tree, reads):
             if name.split(".")[1] not in reads]
 
 
+def private_field_reads(tree):
+    """(line, name) of each attribute access to a field's private tables
+    (`FIELD_PRIVATE`), read or written."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in FIELD_PRIVATE)
+
+
 @pytest.fixture(scope="module")
 def searched_trees():
     return [ast.parse(p.read_text()) for d in SEARCHED
@@ -285,6 +297,14 @@ def test_no_dead_locals(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_params(path):
     assert unused_params(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_no_private_field_reads_outside_fields(path):
+    # only `fields` knows how a row or a point is packed
+    assert private_field_reads(ast.parse(path.read_text())) == []
 
 
 def test_scanner_finds_planted_dead_names():
@@ -398,3 +418,16 @@ def test_scanner_finds_planted_unread_fields():
     assert "tested" in field_reads([ast.parse(test)])
     assert unread_fields(tree, field_reads([tree])) == [
         (6, "R.stored"), (7, "R.tested")]
+
+
+def test_scanner_finds_planted_private_field_reads():
+    # a read or a write of a field's table is reported; its public
+    # methods and other private names are not
+    tree = ast.parse(
+        "def f(field, u):\n"
+        "    t = field._scale[1]\n"
+        "    field._reduce = t\n"
+        "    v = u.translate(field._enc) + field.pack(u)\n"
+        "    return v, field._private, field.row_combinations(v, [])\n")
+    assert private_field_reads(tree) == [(2, "_scale"), (3, "_reduce"),
+                                         (4, "_enc")]

@@ -92,6 +92,22 @@ def test_one_elimination_back_map_matches_the_inverse(name, request):
     assert count == V.stats["tubes_transported"]
 
 
+def test_a_transported_form_is_built_once_and_frees_its_source(
+        variety_cd_f4):
+    # a tube transported afresh holds its source and D^-1 until its form
+    # is read; the first read builds the form and drops them, and a
+    # second read gives the same form, the one the variety's tube has
+    V = variety_cd_f4
+    packed = [V.field.pack(x) for x in V.points]
+    li, parent, g = next(_transport_edges(V))
+    tube = vr.transport_tube(V.field, V.tubes[parent], g.lift, g.perms[0],
+                             packed, V.point_set, V.point_index, li)
+    assert tube.carried[0] is V.tubes[parent]
+    form = tube.form
+    assert tube.carried is None
+    assert tube.form == form == V.tubes[li].form
+
+
 def test_carried_basis_refuses_a_singular_lift(variety_f3):
     # a lift whose first row is zero kills e_0, a point of xi of tube 0
     V = variety_f3

@@ -42,9 +42,9 @@ def test_build_counts(variety_f2, variety_f3):
     assert len(variety_f3.points) == 117 and variety_f3.ambient_pdim == 8
 
 
-def _vectors(variety, codes):
-    """The points with the given codes, as vectors, in code order."""
-    return [pj.code_point(variety.field, variety.n, c) for c in sorted(codes)]
+def _vectors(variety, packed):
+    """The points with the given packed rows, as vectors, in row order."""
+    return [variety.field.unpack(b) for b in sorted(packed)]
 
 
 def test_line_100_equations(variety_f3, algebra_cd_f3):
@@ -641,7 +641,7 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
         # generators of same-vertex tubes through collinearity
         out = {}
         for g in tube.generators:
-            img = {proj_v.apply(pj.code_point(field, n, x)) for x in g}
+            img = {proj_v.apply(field.unpack(x)) for x in g}
             assert len(img) == 1
             fiber = {data["images"][variety_f3.point_index[x]] for x in g}
             assert len(fiber) == 1
@@ -654,7 +654,7 @@ def test_alpha_section_lands_in_y(variety_f3, projection_f3):
     assert len(shared_keys) == 1          # the common generator
     pairing = [(g0[k], g1[k]) for k in sorted(g0) if g0[k] != g1[k]]
     al, images, inf_space = sc.alpha_section(field, pairing, n)
-    assert {pj.point_code(field, p) for p in images} <= ytilde
+    assert {field.pack(p) for p in images} <= ytilde
     assert set(inf_space.points()) <= ytilde
 
 
